@@ -24,11 +24,10 @@ from .partitions import (Partition, equals, ex5_5_partition,
 from .rings import (FiniteRing, GaloisField, MatrixRing, ProductRing,
                     TableRing, TableRingSpec, ZmodRing, build_gf,
                     build_matrix_ring, build_product, build_table_ring,
-                    build_zmod, builtin_table_spec, is_frobenius,
-                    jacobson_radical, load_table_spec, principal_ideal,
-                    quotient_by_radical, socle, units, validate_tables)
+                    build_zmod, builtin_table_spec, load_table_spec,
+                    validate_tables)
 from .weights import (WeightTable, alpha, cauchy_identity_check, gaussian,
-                      has_zero_weight_nonzero, matrix_rank, s_count,
+                      has_zero_weight_nonzero, s_count,
                       socle_weight_consistency, weight_matrix_rank,
                       weight_rank_profile, weight_table,
                       weight_via_characters)
@@ -46,15 +45,14 @@ __all__ = [
     "character_independence_check", "cyclotomic_poly",
     "delsarte_rank_krawtchouk", "dual_partition", "equals",
     "ex5_5_partition", "gaussian", "hamming_partition",
-    "has_zero_weight_nonzero", "hom_partition", "is_finer", "is_frobenius",
+    "has_zero_weight_nonzero", "hom_partition", "is_finer",
     "is_generating", "is_invariant", "is_reflexive", "is_self_dual",
-    "is_symmetric", "jacobson_radical", "krawtchouk_table",
-    "left_right_agreement", "load_table_spec", "matrix_rank",
-    "partition_from_weight", "principal_ideal", "product_partition",
-    "quotient_by_radical", "rank_partition", "root_power", "s_count",
+    "is_symmetric", "krawtchouk_table", "left_right_agreement",
+    "load_table_spec", "partition_from_weight", "product_partition",
+    "rank_partition", "root_power", "s_count",
     "same_entries", "search_generating_character",
-    "semisimple_lr_agreement", "socle", "socle_weight_consistency",
-    "symmetrized_power_partition", "translate", "units", "validate_tables",
+    "semisimple_lr_agreement", "socle_weight_consistency",
+    "symmetrized_power_partition", "translate", "validate_tables",
     "weight_matrix_rank", "weight_rank_profile", "weight_table",
     "weight_via_characters",
 ]

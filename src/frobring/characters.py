@@ -14,14 +14,7 @@ import numpy as np
 
 from . import cyclotomic
 from .errors import CharacterSearchFailed, InternalInconsistency, InvalidParameter
-from .rings import (
-    FiniteRing,
-    GaloisField,
-    MatrixRing,
-    ProductRing,
-    TableRing,
-    ZmodRing,
-)
+from .rings import AlgebraRing, FiniteRing, ProductRing, TableRing, ZmodRing
 
 
 def _check_hom(ring: FiniteRing, exponents: np.ndarray, order: int) -> bool:
@@ -132,9 +125,9 @@ def translate(char: Character, r: int, side: str = "left") -> Character:
 def canonical_generating_character(ring: FiniteRing) -> Character:
     """The canonical generating character of a structured ring.
 
-    Z_n uses e(a) = a.  A Galois field uses the absolute trace.  A
-    matrix ring uses the trace composed with the field character.  A
-    product scales each factor character into Z_lcm.  A table ring uses
+    Z_n uses e(a) = a.  Galois fields and matrix rings use their trace
+    form: the absolute trace, and the field trace of the matrix trace.
+    A product scales each factor character into Z_lcm.  A table ring uses
     its supplied exponents, else falls back to the search.
     """
     cached = getattr(ring, "_canonical_char", None)
@@ -152,15 +145,11 @@ def canonical_generating_character(ring: FiniteRing) -> Character:
 def _canonical(ring: FiniteRing) -> Character:
     if isinstance(ring, ZmodRing):
         return Character(ring, np.arange(ring.size, dtype=np.int64), ring.modulus)
-    if isinstance(ring, GaloisField):
-        return Character(ring, ring.trace_exponents, ring.p)
-    if isinstance(ring, MatrixRing):
-        fld = ring.field
-        fld_char = canonical_generating_character(fld)
-        exps = fld_char.exponents[ring.trace_all]
-        # additivity follows from the matrix trace being additive and the
-        # field character being validated exhaustively above
-        return Character(ring, exps, fld.p, validate=ring.size <= 4096)
+    if isinstance(ring, AlgebraRing):
+        # the trace form is F_p-linear, so the quadratic additivity check
+        # is kept only for fields and for rings small enough to table
+        return Character(ring, ring.trace_exponents, ring.p,
+                         validate=ring.is_field or ring.size <= 4096)
     if isinstance(ring, ProductRing):
         order = ring.characteristic
         acc = np.zeros(ring.size, dtype=np.int64)

@@ -33,9 +33,6 @@ from .rings import (FiniteRing, GaloisField, MatrixRing, ProductRing,
                     build_table_ring, build_zmod, builtin_table_spec,
                     load_table_spec)
 
-PAIR_OP_WARN_THRESHOLD = 10_000_000
-PAIR_OP_SECONDS = 2.5e-8
-
 
 # -- ring expressions -------------------------------------------------------
 
@@ -370,22 +367,10 @@ def _sides(args) -> list[str]:
     return ["left", "right"] if side == "both" else [side]
 
 
-def _warn_pair_ops(ring: FiniteRing) -> None:
-    pairs = ring.size * ring.size
-    if pairs >= PAIR_OP_WARN_THRESHOLD:
-        est = pairs * PAIR_OP_SECONDS
-        print(
-            f"warning: {pairs} element-pair operations ahead, "
-            f"roughly {est:.0f}s per table",
-            file=sys.stderr,
-        )
-
-
 def cmd_dual(args) -> int:
     ring = _ring_from_args(args)
     char = _char_from_args(ring, args)
     part = select_partition(ring, args.partition, char if args.partition == "hom" else None)
-    _warn_pair_ops(ring)
     payload = {
         "command": "dual",
         "ring": ring.expr,
@@ -414,7 +399,6 @@ def cmd_krawtchouk(args) -> int:
     ring = _ring_from_args(args)
     char = _char_from_args(ring, args)
     part = select_partition(ring, args.partition, char if args.partition == "hom" else None)
-    _warn_pair_ops(ring)
     payload = {
         "command": "krawtchouk",
         "ring": ring.expr,

@@ -265,14 +265,6 @@ def from_exponent_counts(order: int, counts) -> CycInt:
     return CycInt(order, tuple(acc))
 
 
-def add(a: CycInt, b: CycInt) -> CycInt:
-    return a + b
-
-
-def negate(a: CycInt) -> CycInt:
-    return -a
-
-
 def lift(a: CycInt, order: int) -> CycInt:
     """Rewrite ``a`` in Z[zeta_order]; order must be a multiple of a.order."""
     if order % a.order != 0:
@@ -296,10 +288,6 @@ def equals(a: CycInt, b: CycInt) -> bool:
         return a.coeffs == b.coeffs
     m = a.order * b.order // gcd(a.order, b.order)
     return lift(a, m).coeffs == lift(b, m).coeffs
-
-
-def as_rational_integer(a: CycInt) -> int | None:
-    return a.as_int()
 
 
 def to_json(a: CycInt) -> dict:

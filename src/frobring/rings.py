@@ -8,9 +8,10 @@ compute one row or column of a table on demand.  The kernels are what
 keep character sums and weight computations fast on rings too large to
 table, e.g. products of matrix rings.
 
-Families: integers mod n, Galois fields, full matrix rings over a
-Galois field, finite direct products, and explicit table rings loaded
-from Cayley data.  Derived structure (units, Jacobson radical, socles,
+Families: integers mod n, finite algebras over F_p given by structure
+constants (Galois fields and full matrix rings over a Galois field are
+the two built in), finite direct products, and explicit table rings
+loaded from Cayley data.  Derived structure (units, Jacobson radical, socles,
 principal ideals, the radical quotient) is computed by the defining
 property in each case, exhaustively over element indices.
 """
@@ -18,7 +19,7 @@ property in each case, exhaustively over element indices.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iter_product
 from math import gcd
@@ -68,9 +69,11 @@ def _check_size(size: int, max_size: int | None) -> None:
 class FiniteRing:
     """Common behavior for all ring families.
 
-    Subclasses must set ``size``, ``one``, ``expr`` and implement the
-    scalar operations; the vector kernels have generic fallbacks but
-    every family overrides them with something faster.
+    Subclasses must set ``size``, ``one``, ``expr`` and either supply
+    both Cayley tables or implement the kernels ``_add_row_impl``,
+    ``_mul_row_impl`` and ``_mul_col_impl``.  Scalar ``add``/``mul``
+    read the cached table when the ring is small enough to have one and
+    fall back to a one-element kernel call otherwise.
     """
 
     size: int
@@ -87,10 +90,16 @@ class FiniteRing:
     # -- scalar operations ------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        table = self.add_table
+        if table is not None:
+            return table.item(a, b)
+        return int(self._add_row_impl(a, (b,))[0])
 
     def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        table = self.mul_table
+        if table is not None:
+            return table.item(a, b)
+        return int(self._mul_row_impl(a, (b,))[0])
 
     def neg(self, a: int) -> int:
         return int(self.neg_table[a])
@@ -133,41 +142,23 @@ class FiniteRing:
             return col.astype(np.int64)
         return self._mul_col_impl(b, rows)
 
-    def _add_row_impl(self, a, cols):
-        idx = self._indices(cols)
-        return np.array([self.add(a, int(b)) for b in idx], dtype=np.int64)
-
-    def _mul_row_impl(self, a, cols):
-        idx = self._indices(cols)
-        return np.array([self.mul(a, int(b)) for b in idx], dtype=np.int64)
-
-    def _mul_col_impl(self, b, rows):
-        idx = self._indices(rows)
-        return np.array([self.mul(int(a), b) for a in idx], dtype=np.int64)
-
     # -- cached tables -----------------------------------------------------
 
     @cached_property
     def add_table(self) -> np.ndarray | None:
-        if self.size > self.table_threshold:
-            return None
-        return self._build_add_table()
+        return self._table(self._add_row_impl)
 
     @cached_property
     def mul_table(self) -> np.ndarray | None:
+        return self._table(self._mul_row_impl)
+
+    def _table(self, row_impl) -> np.ndarray | None:
         if self.size > self.table_threshold:
             return None
-        return self._build_mul_table()
-
-    def _build_add_table(self) -> np.ndarray:
-        return np.vstack(
-            [self._add_row_impl(a, None) for a in range(self.size)]
-        ).astype(np.int32)
-
-    def _build_mul_table(self) -> np.ndarray:
-        return np.vstack(
-            [self._mul_row_impl(a, None) for a in range(self.size)]
-        ).astype(np.int32)
+        out = np.empty((self.size, self.size), dtype=np.int32)
+        for a in range(self.size):
+            out[a] = row_impl(a, None)
+        return out
 
     @cached_property
     def neg_table(self) -> np.ndarray:
@@ -200,10 +191,6 @@ class FiniteRing:
                         f"element {x} has additive order not dividing {c}"
                     )
         return c
-
-    @property
-    def additive_exponent(self) -> int:
-        return self.characteristic
 
     @cached_property
     def is_commutative(self) -> bool:
@@ -402,36 +389,119 @@ class ZmodRing(FiniteRing):
         return tuple(x for x in range(self.size) if gcd(x, self.modulus) == 1)
 
 
-class GaloisField(FiniteRing):
+class AlgebraRing(FiniteRing):
+    """A finite algebra over F_p given by structure constants.
+
+    ``tensor[i, j, k]`` is the coordinate on basis element e_k of the
+    product e_i * e_j.  Element index is sum(digit_i * p**i), so the
+    base-p digit i is the coordinate on e_i.  Multiplying by a fixed
+    element is an F_p-linear map on digit vectors, so a row or column
+    of the multiplication table is the image of every element under one
+    d-by-d matrix.  The kernels take that image on the low and the high
+    digits separately, each over about sqrt(size) elements, and add the
+    two parts through digit-addition tables of the same small size.
+    ``trace_form`` lists the trace of each basis element; the canonical
+    character is x -> sum(trace_form * digits(x)) mod p.
+    """
+
+    def __init__(self, p: int, tensor: np.ndarray, one: int, trace_form: np.ndarray,
+                 table_threshold: int | None = None):
+        super().__init__(table_threshold)
+        self.p = p
+        self.dim = dim = tensor.shape[0]
+        self.size = p**dim
+        self.one = one
+        self.tensor = np.asarray(tensor, dtype=np.int64) % p
+        self.trace_form = np.asarray(trace_form, dtype=np.int64) % p
+        # digits(a*b) = digits(b) @ L_a = digits(a) @ R_b; row a of _by_left
+        # is L_a flattened, row b of _by_right is R_b flattened
+        self._by_left = self.tensor.reshape(dim, dim * dim)
+        self._by_right = self.tensor.transpose(1, 0, 2).reshape(dim, dim * dim)
+        self._pows = p ** np.arange(dim, dtype=np.int64)
+        # elements below _low carry only the low digits, multiples of it only the high
+        self._low = p ** (dim // 2)
+        i = np.arange(self.size, dtype=np.int64)
+        self._digits = (i[:, None] // self._pows) % p
+
+    # on one digit the algebra is Z_p, where arithmetic beats a table lookup
+    def add(self, a, b):
+        return (a + b) % self.p if self.dim == 1 else super().add(a, b)
+
+    def mul(self, a, b):
+        return a * b % self.p if self.dim == 1 else super().mul(a, b)
+
+    def _encode(self, digits: np.ndarray) -> np.ndarray:
+        return (digits % self.p) @ self._pows
+
+    @cached_property
+    def _half_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        lo_digits = self._digits[: self._low]
+        hi_digits = self._digits[:: self._low]
+        return (self._encode(lo_digits[:, None] + lo_digits[None]),
+                self._encode(hi_digits[:, None] + hi_digits[None]))
+
+    def _sum(self, x, y: np.ndarray) -> np.ndarray:
+        """Elementwise x + y of element indices."""
+        if self.dim == 1:
+            return (x + y) % self.p  # a lone digit needs no p-by-p table
+        lo_sum, hi_sum = self._half_sums
+        low = self._low
+        return lo_sum[x % low, y % low] + hi_sum[x // low, y // low]
+
+    def _image(self, mat: np.ndarray, sel) -> np.ndarray:
+        """Indices of digits(x) @ mat for x in sel."""
+        idx = self._indices(sel)
+        low = self._low
+        if len(idx) < low:  # too few to pay for imaging both halves
+            return self._encode(self._digits[idx] @ mat)
+        lo_img = self._encode(self._digits[:low] @ mat)
+        hi_img = self._encode(self._digits[::low] @ mat)
+        return self._sum(lo_img[idx % low], hi_img[idx // low])
+
+    def _add_row_impl(self, a, cols):
+        return self._sum(a, self._indices(cols))
+
+    def _mul_row_impl(self, a, cols):
+        return self._image((self._digits[a] @ self._by_left).reshape(self.dim, -1), cols)
+
+    def _mul_col_impl(self, b, rows):
+        return self._image((self._digits[b] @ self._by_right).reshape(self.dim, -1), rows)
+
+    def _build_neg_table(self):
+        return self._encode(-self._digits)
+
+    @cached_property
+    def trace_exponents(self) -> np.ndarray:
+        """The trace form of every element, as an integer in 0..p-1."""
+        return self._digits @ self.trace_form % self.p
+
+
+class GaloisField(AlgebraRing):
     """The field with q = p^k elements.
 
     Elements are polynomials over Z_p of degree < k modulo a fixed monic
-    irreducible f.  The modulus is the monic irreducible of degree k
-    whose coefficient tuple (constant term first) is lexicographically
-    least, so the construction is reproducible.  Element index encodes
-    the coefficients in base p with the constant term as the least
-    significant digit.
+    irreducible f, on the basis 1, x, ..., x^(k-1).  The modulus is the
+    monic irreducible of degree k whose coefficient tuple (constant term
+    first) is lexicographically least, so the construction is
+    reproducible.  Element index encodes the coefficients in base p with
+    the constant term as the least significant digit.  The trace form is
+    the trace of multiplication by each basis element, which is the
+    absolute trace of the field.
     """
 
     def __init__(self, q: int, table_threshold: int | None = None):
         factors = _factorize(q) if q > 1 else []
         if len(factors) != 1:
             raise InvalidParameter(f"{q} is not a prime power")
-        super().__init__(table_threshold)
         p, k = factors[0]
-        self.p = p
         self.k = k
-        self.size = q
-        self.one = 1
+        self.modulus_poly = self._least_irreducible(p, k)
+        powers = self._power_rows(p, self.modulus_poly)
+        j = np.arange(k)
+        tensor = powers[j[:, None] + j[None, :]]  # x^i * x^j = x^(i+j) mod f
+        super().__init__(p, tensor, 1, np.einsum("ijj->i", tensor), table_threshold)
         self.expr = f"GF({q})"
         self.structure = [(q, 1)]
-        self.modulus_poly = self._least_irreducible(p, k)
-        # digit matrix: row i holds the coefficients of element i
-        i = np.arange(q, dtype=np.int64)
-        self._digits = np.stack([(i // p**j) % p for j in range(k)], axis=1)
-        self._pows = p ** np.arange(k, dtype=np.int64)
-        # x^j mod f for j < 2k-1, as rows of coefficients mod p
-        self._xrows = self._power_rows()
 
     @staticmethod
     def _least_irreducible(p: int, k: int) -> tuple[int, ...]:
@@ -471,58 +541,20 @@ class GaloisField(FiniteRing):
                 return f
         raise InternalInconsistency(f"no irreducible of degree {k} over GF({p})")
 
-    def _power_rows(self) -> np.ndarray:
-        k, p = self.k, self.p
-        rows = [[0] * k for _ in range(2 * k - 1)]
-        cur = [0] * k
-        cur[0] = 1
-        for j in range(2 * k - 1):
-            rows[j] = list(cur)
+    @staticmethod
+    def _power_rows(p: int, f: tuple[int, ...]) -> np.ndarray:
+        """Coefficients of x^j mod f for j < 2k-1, one row each."""
+        k = len(f) - 1
+        rows = []
+        cur = [1] + [0] * (k - 1)
+        for _ in range(2 * k - 1):
+            rows.append(list(cur))
             lead = cur[-1]
             cur = [0] + cur[:-1]
             if lead:
                 for t in range(k):
-                    cur[t] = (cur[t] - lead * self.modulus_poly[t]) % p
+                    cur[t] = (cur[t] - lead * f[t]) % p
         return np.array(rows, dtype=np.int64) % p
-
-    def _encode(self, coeff_rows: np.ndarray) -> np.ndarray:
-        return coeff_rows @ self._pows
-
-    def add(self, a, b):
-        if self.k == 1:
-            return (a + b) % self.p
-        return int(self._encode((self._digits[a] + self._digits[b]) % self.p))
-
-    def mul(self, a, b):
-        if self.k == 1:
-            return (a * b) % self.p
-        conv = np.convolve(self._digits[a], self._digits[b])
-        reduced = (conv @ self._xrows[: len(conv)]) % self.p
-        return int(self._encode(reduced))
-
-    def _add_row_impl(self, a, cols):
-        if self.k == 1:
-            return (self._indices(cols) + a) % self.p
-        rows = (self._digits[a] + self._digits[self._indices(cols)]) % self.p
-        return self._encode(rows)
-
-    def _mul_row_impl(self, a, cols):
-        if self.k == 1:
-            return (self._indices(cols) * a) % self.p
-        da = self._digits[a]
-        db = self._digits[self._indices(cols)]
-        conv = np.zeros((db.shape[0], 2 * self.k - 1), dtype=np.int64)
-        for j in range(self.k):
-            if da[j]:
-                conv[:, j : j + self.k] += da[j] * db
-        reduced = (conv @ self._xrows) % self.p
-        return self._encode(reduced)
-
-    def _mul_col_impl(self, b, rows):
-        return self._mul_row_impl(b, rows)  # fields are commutative
-
-    def _build_neg_table(self):
-        return self._encode((-self._digits) % self.p)
 
     @cached_property
     def is_commutative(self):
@@ -550,31 +582,17 @@ class GaloisField(FiniteRing):
             raise InvalidParameter("0 has no inverse")
         return self.pow(x, self.size - 2)
 
-    @cached_property
-    def trace_exponents(self) -> np.ndarray:
-        """Absolute trace of every element, as an integer in 0..p-1.
 
-        Prime-subfield elements are the constants, whose index equals
-        their value, so the trace lands directly in 0..p-1.
-        """
-        if self.k == 1:
-            return np.arange(self.size, dtype=np.int64)
-        frob = np.array([self.pow(x, self.p) for x in range(self.size)], dtype=np.int64)
-        total = np.arange(self.size, dtype=np.int64)
-        cur = np.arange(self.size, dtype=np.int64)
-        for _ in range(self.k - 1):
-            cur = frob[cur]
-            total = self._encode((self._digits[total] + self._digits[cur]) % self.p)
-        if (total >= self.p).any():
-            raise InternalInconsistency("trace left the prime subfield")
-        return total
-
-
-class MatrixRing(FiniteRing):
+class MatrixRing(AlgebraRing):
     """Full m-by-m matrix ring over a Galois field.
 
     Element index encodes the matrix entries as base-q digits in
-    row-major reading order, the (0,0) entry most significant.
+    row-major reading order, the (0,0) entry most significant.  Over F_p
+    the basis is E_uv (x) x^j, the matrix units times the field basis,
+    with positions u*m+v counted from the last entry so that index and
+    digits agree.  The trace form is the field's on the diagonal
+    positions, so the canonical character is the field trace of the
+    matrix trace.
     """
 
     def __init__(self, m: int, fld: GaloisField, table_threshold: int | None = None,
@@ -583,85 +601,24 @@ class MatrixRing(FiniteRing):
             raise InvalidParameter("matrix rings require a GaloisField scalar field")
         if m < 1:
             raise InvalidParameter(f"matrix dimension must be >= 1, got {m}")
-        size = fld.size ** (m * m)
-        _check_size(size, max_size)
-        super().__init__(table_threshold)
+        q = fld.size
+        _check_size(q ** (m * m), max_size)
+        npos = m * m
+        last = npos - 1
+        units = np.zeros((npos, npos, npos), dtype=np.int64)  # E_uv E_vw = E_uw
+        for u, v, w in iter_product(range(m), repeat=3):
+            units[last - (u * m + v), last - (v * m + w), last - (u * m + w)] = 1
+        diagonal = np.eye(m, dtype=np.int64).ravel()  # unchanged by the reversal
+        self._weights = q ** np.arange(last, -1, -1, dtype=np.int64)
+        super().__init__(fld.p, np.kron(units, fld.tensor), int(diagonal @ self._weights),
+                         np.kron(diagonal, fld.trace_form), table_threshold)
         self.m = m
         self.field = fld
-        q = fld.size
-        self.size = size
         self.expr = f"M({m},{fld.expr})"
         self.structure = [(q, m)]
-        npos = m * m
-        self._weights = q ** np.arange(npos - 1, -1, -1, dtype=np.int64)
-        i = np.arange(size, dtype=np.int64)
-        digits = np.stack([(i // self._weights[pos]) % q for pos in range(npos)], axis=1)
-        self._digits = digits.reshape(size, m, m)
-        self.one = int(self.encode(np.eye(m, dtype=np.int64) * fld.one))
-        fadd = fld.add_table
-        fmul = fld.mul_table
-        if fadd is None or fmul is None:
-            raise InvalidParameter(
-                f"scalar field {fld.expr} is too large to table; "
-                "lower the matrix size guard instead"
-            )
-        self._fadd = fadd.astype(np.int64)
-        self._fmul = fmul.astype(np.int64)
-
-    def encode(self, mats: np.ndarray) -> np.ndarray:
-        flat = np.asarray(mats, dtype=np.int64).reshape(*np.shape(mats)[:-2], -1)
-        return flat @ self._weights
 
     def matrix_of(self, a: int) -> np.ndarray:
-        return self._digits[a].copy()
-
-    def add(self, a, b):
-        return int(self.encode(self._fadd[self._digits[a], self._digits[b]]))
-
-    def mul(self, a, b):
-        A, B = self._digits[a], self._digits[b]
-        m = self.m
-        C = np.zeros((m, m), dtype=np.int64)
-        for i in range(m):
-            for j in range(m):
-                acc = self._fmul[A[i, 0], B[0, j]]
-                for k in range(1, m):
-                    acc = self._fadd[acc, self._fmul[A[i, k], B[k, j]]]
-                C[i, j] = acc
-        return int(self.encode(C))
-
-    def _add_row_impl(self, a, cols):
-        B = self._digits[self._indices(cols)]
-        return self.encode(self._fadd[self._digits[a][None, :, :], B])
-
-    def _mul_row_impl(self, a, cols):
-        A = self._digits[a]
-        B = self._digits[self._indices(cols)]
-        m = self.m
-        C = np.zeros((B.shape[0], m, m), dtype=np.int64)
-        for i in range(m):
-            for j in range(m):
-                acc = self._fmul[A[i, 0], B[:, 0, j]]
-                for k in range(1, m):
-                    acc = self._fadd[acc, self._fmul[A[i, k], B[:, k, j]]]
-                C[:, i, j] = acc
-        return self.encode(C)
-
-    def _mul_col_impl(self, b, rows):
-        A = self._digits[self._indices(rows)]
-        B = self._digits[b]
-        m = self.m
-        C = np.zeros((A.shape[0], m, m), dtype=np.int64)
-        for i in range(m):
-            for j in range(m):
-                acc = self._fmul[A[:, i, 0], B[0, j]]
-                for k in range(1, m):
-                    acc = self._fadd[acc, self._fmul[A[:, i, k], B[k, j]]]
-                C[:, i, j] = acc
-        return self.encode(C)
-
-    def _build_neg_table(self):
-        return self.encode(self.field.neg_table[self._digits])
+        return (a // self._weights % self.field.size).reshape(self.m, self.m)
 
     @cached_property
     def is_commutative(self):
@@ -674,7 +631,7 @@ class MatrixRing(FiniteRing):
     def rank(self, a: int) -> int:
         """Rank of the matrix, by Gaussian elimination over the field."""
         fld = self.field
-        rows = [list(map(int, r)) for r in self._digits[a]]
+        rows = [list(map(int, r)) for r in self.matrix_of(a)]
         m = self.m
         rank = 0
         col = 0
@@ -700,25 +657,12 @@ class MatrixRing(FiniteRing):
     def ranks(self) -> np.ndarray:
         return np.array([self.rank(a) for a in range(self.size)], dtype=np.int64)
 
-    def trace(self, a: int) -> int:
-        acc = int(self._digits[a][0, 0])
-        for i in range(1, self.m):
-            acc = int(self._fadd[acc, self._digits[a][i, i]])
-        return acc
-
-    @cached_property
-    def trace_all(self) -> np.ndarray:
-        acc = self._digits[:, 0, 0]
-        for i in range(1, self.m):
-            acc = self._fadd[acc, self._digits[:, i, i]]
-        return acc
-
     def _compute_units(self):
         return tuple(int(x) for x in np.flatnonzero(self.ranks == self.m))
 
     def element_label(self, i):
         return "[" + ",".join(
-            "[" + ",".join(str(int(v)) for v in row) + "]" for row in self._digits[i]
+            "[" + ",".join(str(int(v)) for v in row) + "]" for row in self.matrix_of(i)
         ) + "]"
 
 
@@ -841,54 +785,11 @@ class TableRing(FiniteRing):
         self.one = one
         self.spec_name = name
         self.expr = name or f"table ring of size {self.size}"
-        self._add = add_table
-        self._mul = mul_table
+        self.add_table = add_table
+        self.mul_table = mul_table
         self.char_exponents = (
             None if char_exponents is None else np.asarray(char_exponents, dtype=np.int64)
         )
-
-    def add(self, a, b):
-        return int(self._add[a, b])
-
-    def mul(self, a, b):
-        return int(self._mul[a, b])
-
-    @cached_property
-    def add_table(self):
-        return self._add
-
-    @cached_property
-    def mul_table(self):
-        return self._mul
-
-
-@dataclass(frozen=True)
-class IdealSet:
-    """A one- or two-sided ideal as a sorted member tuple."""
-
-    ring: FiniteRing
-    members: tuple[int, ...]
-    side: str
-
-    def __contains__(self, x):
-        return x in set(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-
-def _validate_ideal(ring: FiniteRing, members: tuple[int, ...], side: str) -> None:
-    member_mask = np.zeros(ring.size, dtype=bool)
-    member_mask[list(members)] = True
-    for x in members:
-        if not member_mask[ring.add_row(x, members)].all():
-            raise InternalInconsistency(f"set not closed under addition at {x}")
-        if side in ("left", "two-sided"):
-            if not member_mask[ring.mul_col(x)].all():
-                raise InternalInconsistency(f"set not closed under left scaling at {x}")
-        if side in ("right", "two-sided"):
-            if not member_mask[ring.mul_row(x)].all():
-                raise InternalInconsistency(f"set not closed under right scaling at {x}")
 
 
 @dataclass
@@ -1082,40 +983,3 @@ def build_table_ring(spec: TableRingSpec | dict, max_size: int | None = None,
         if len(exps) != spec.size or not all(isinstance(e, int) for e in exps):
             raise InvalidParameter("char_exponents must list one integer per element")
     return TableRing(add, mul, spec.one, name=spec.name, char_exponents=exps)
-
-
-# -- module-level views of the derived structure ---------------------------
-
-
-def units(ring: FiniteRing) -> list[int]:
-    """Sorted list of elements with a two-sided inverse."""
-    return list(ring.units)
-
-
-def jacobson_radical(ring: FiniteRing) -> IdealSet:
-    members = ring.radical
-    ideal = IdealSet(ring, members, "two-sided")
-    _validate_ideal(ring, members, "two-sided")
-    return ideal
-
-
-def socle(ring: FiniteRing, side: str = "left") -> IdealSet:
-    members = ring.socle_members(side)
-    ideal = IdealSet(ring, members, side)
-    _validate_ideal(ring, members, side)
-    return ideal
-
-
-def principal_ideal(ring: FiniteRing, x: int, side: str = "left") -> IdealSet:
-    members = ring.principal_ideal_members(x, side)
-    ideal = IdealSet(ring, members, side)
-    _validate_ideal(ring, members, side)
-    return ideal
-
-
-def quotient_by_radical(ring: FiniteRing):
-    return ring.quotient_by_radical()
-
-
-def is_frobenius(ring: FiniteRing) -> bool:
-    return ring.is_frobenius

@@ -23,7 +23,7 @@ import numpy as np
 from . import cyclotomic
 from .characters import Character, canonical_generating_character
 from .errors import InternalInconsistency, InvalidParameter
-from .rings import FiniteRing, MatrixRing
+from .rings import FiniteRing
 
 
 def gaussian(m: int, j: int, q: int) -> int:
@@ -249,14 +249,6 @@ def weight_table(ring: FiniteRing, char: Character | None = None,
         _validate_homogeneous(ring, table.weights)
     cache[key] = table
     return table
-
-
-def matrix_rank(ring: FiniteRing, x: int) -> int:
-    if not isinstance(ring, MatrixRing):
-        raise InvalidParameter("matrix_rank needs a matrix ring")
-    if not 0 <= x < ring.size:
-        raise InvalidParameter(f"element index {x} out of range")
-    return ring.rank(x)
 
 
 def socle_weight_consistency(ring: FiniteRing, char: Character | None = None) -> bool:

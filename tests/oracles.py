@@ -4,8 +4,9 @@ Everything here derives results straight from definitions, along
 routes the library does not use: ideals come from generator-closure
 enumeration rather than annihilator formulas, weights from solving the
 defining linear equations rather than character sums, subspace counts
-from exhaustive span enumeration, and cyclotomic reductions from sympy
-polynomial division.
+from exhaustive span enumeration, field traces from Frobenius sums and
+matrix products entry by entry rather than from structure constants,
+and cyclotomic reductions from sympy polynomial division.
 """
 
 from __future__ import annotations
@@ -246,6 +247,57 @@ def _all_vectors(field, m: int):
     for _ in range(m):
         vecs = [v + (c,) for v in vecs for c in range(field.size)]
     return vecs
+
+
+# -- field traces and matrix products from scalar field operations -----------
+
+
+def frobenius_trace_oracle(field) -> list[int]:
+    """Absolute trace x + x^p + ... + x^(p^(k-1)) of every field element.
+
+    The trace lies in the prime subfield, whose elements are the
+    constants, so its index is its value in 0..p-1.
+    """
+    out = []
+    for x in range(field.size):
+        acc, conj = 0, x
+        for _ in range(field.k):
+            acc = field.add(acc, conj)
+            conj = field.pow(conj, field.p)
+        out.append(acc)
+    return out
+
+
+def matrix_trace_oracle(matrix_ring) -> list[int]:
+    """Field trace of the matrix trace of every matrix-ring element."""
+    field = matrix_ring.field
+    field_trace = frobenius_trace_oracle(field)
+    out = []
+    for a in range(matrix_ring.size):
+        entries = matrix_ring.matrix_of(a)
+        acc = 0
+        for i in range(matrix_ring.m):
+            acc = field.add(acc, int(entries[i, i]))
+        out.append(field_trace[acc])
+    return out
+
+
+def matrix_product_oracle(matrix_ring, a: int, b: int) -> int:
+    """Index of a*b from the m-by-m product over the field's scalar ops.
+
+    Entries are read back in row-major order, (0,0) most significant.
+    """
+    field = matrix_ring.field
+    m = matrix_ring.m
+    left, right = matrix_ring.matrix_of(a), matrix_ring.matrix_of(b)
+    index = 0
+    for i in range(m):
+        for j in range(m):
+            acc = 0
+            for k in range(m):
+                acc = field.add(acc, field.mul(int(left[i, k]), int(right[k, j])))
+            index = index * field.size + acc
+    return index
 
 
 # -- cyclotomic reduction through sympy ---------------------------------------

@@ -414,23 +414,6 @@ def test_exit_1_on_internal_inconsistency(capsys, monkeypatch):
     assert "check failed" in err
 
 
-def test_pair_op_warning_on_stderr(capsys):
-    class Stub:
-        size = 4000
-        expr = "stub"
-
-    cli._warn_pair_ops(Stub())
-    err = capsys.readouterr().err
-    assert "element-pair operations" in err
-
-    class Small:
-        size = 100
-        expr = "small"
-
-    cli._warn_pair_ops(Small())
-    assert capsys.readouterr().err == ""
-
-
 def test_weights_on_table_file_round_trip(tmp_path, capsys):
     """A table ring loaded from disk gets the same weights as its builder twin."""
     n = 6

@@ -72,26 +72,37 @@ class Character:
         return f"<Character of {self.ring.expr} into Z_{self.order}>"
 
 
+def _kernel_holds_ideal(char: Character, side: str) -> bool:
+    """Does ker chi contain a nonzero principal ideal Rx (side 'left') or xR?
+
+    Rx = R(ux), so the answer is shared along each unit orbit Ux (xU on
+    the right).  An orbit with a member outside the kernel witnesses
+    itself, as that member lies in every member's ideal; only orbits
+    inside the kernel need one ideal check, at their representative.
+    """
+    ring = char.ring
+    exps = char.exponents
+    reps, orbit_of = ring.unit_orbits(side)
+    witnessed = np.zeros(len(reps), dtype=bool)
+    witnessed[orbit_of[exps != 0]] = True
+    witnessed[0] = True  # the orbit of 0 is {0}
+    for x in reps[~witnessed].tolist():
+        ideal = ring.mul_col(x) if side == "left" else ring.mul_row(x)
+        if not exps[ideal].any():
+            return True
+    return False
+
+
 def is_generating(char: Character) -> bool:
     """True iff the kernel of chi contains no nonzero one-sided ideal.
 
     Equivalently: for every x != 0 some left multiple and some right
-    multiple of x fall outside the kernel.  Elements outside the kernel
-    witness themselves, so only kernel elements need scanning.
+    multiple of x fall outside the kernel.
     """
     cached = getattr(char, "_generating", None)
     if cached is not None:
         return cached
-    ring = char.ring
-    exps = char.exponents
-    result = True
-    for x in np.flatnonzero(exps == 0):
-        x = int(x)
-        if x == 0:
-            continue
-        if not exps[ring.mul_col(x)].any() or not exps[ring.mul_row(x)].any():
-            result = False
-            break
+    result = not (_kernel_holds_ideal(char, "left") or _kernel_holds_ideal(char, "right"))
     object.__setattr__(char, "_generating", result)
     return result
 

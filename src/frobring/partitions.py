@@ -189,13 +189,15 @@ def symmetrized_power_partition(ring: FiniteRing, base: Partition, n: int = 2) -
 
 
 def is_invariant(partition: Partition) -> bool:
-    """Is every block closed under unit multiplication on both sides?"""
-    ring = partition.ring
+    """Is every block closed under unit multiplication on both sides?
+
+    That holds exactly when every left unit orbit Ux and every right
+    unit orbit xU lies inside one block.
+    """
     b = partition.block_of
-    for u in ring.units:
-        if not np.array_equal(b[ring.mul_row(u)], b):
-            return False
-        if not np.array_equal(b[ring.mul_col(u)], b):
+    for side in ("left", "right"):
+        reps, orbit_of = partition.ring.unit_orbits(side)
+        if not np.array_equal(b[reps[orbit_of]], b):
             return False
     return True
 
@@ -227,13 +229,11 @@ _EX5_5_B2 = 4
 _EX5_5_B3 = 5
 
 
-def _unit_orbit(ring: FiniteRing, x: int) -> set[int]:
-    out = set()
-    units = np.asarray(ring.units, dtype=np.int64)
-    for u in ring.units:
-        ux = int(ring.mul_row(u)[x])
-        out.update(int(v) for v in ring.mul_row(ux, units))
-    return out
+def _unit_orbit(ring: FiniteRing, x: int) -> np.ndarray:
+    """The two-sided unit orbit UxU: the right orbits met by the left orbit Ux."""
+    _, left = ring.unit_orbits("left")
+    _, right = ring.unit_orbits("right")
+    return np.flatnonzero(np.isin(right, right[left == left[x]]))
 
 
 def ex5_5_partition(ring: FiniteRing) -> Partition:
@@ -246,6 +246,6 @@ def ex5_5_partition(ring: FiniteRing) -> Partition:
         raise InvalidParameter("this partition is defined on the ex5_5 builtin ring")
     p0 = [0]
     p1 = list(ring.units)
-    p2 = sorted(_unit_orbit(ring, _EX5_5_A1) | {_EX5_5_A2})
-    p3 = sorted(_unit_orbit(ring, _EX5_5_B1) | {_EX5_5_B2, _EX5_5_B3})
+    p2 = np.union1d(_unit_orbit(ring, _EX5_5_A1), [_EX5_5_A2])
+    p3 = np.union1d(_unit_orbit(ring, _EX5_5_B1), [_EX5_5_B2, _EX5_5_B3])
     return Partition(ring, [p0, p1, p2, p3], labels=["P0", "P1", "P2", "P3"])

@@ -13,7 +13,9 @@ constants (Galois fields and full matrix rings over a Galois field are
 the two built in), finite direct products, and explicit table rings
 loaded from Cayley data.  Derived structure (units, Jacobson radical, socles,
 principal ideals, the radical quotient) is computed by the defining
-property in each case, exhaustively over element indices.
+property in each case.  Properties that depend only on a principal
+ideal Rx = R(ux) or xR = (xu)R are decided once per unit orbit, through
+the cached index ``unit_orbits``.
 """
 
 from __future__ import annotations
@@ -58,6 +60,11 @@ def _factorize(n: int) -> list[tuple[int, int]]:
 
 def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
+
+
+def _check_side(side: str) -> None:
+    if side not in ("left", "right"):
+        raise InvalidParameter(f"side must be 'left' or 'right', got {side!r}")
 
 
 def _check_size(size: int, max_size: int | None) -> None:
@@ -224,59 +231,97 @@ class FiniteRing:
         mask[list(self.units)] = True
         return mask
 
+    def unit_orbits(self, side: str = "left") -> tuple[np.ndarray, np.ndarray]:
+        """The unit orbits Ux (side 'left') or xU ('right'), indexed once.
+
+        Returns the representatives, each the least index of its orbit,
+        in increasing order, and the orbit id of every element.  Building
+        the index costs one kernel call over the units per orbit.
+        """
+        _check_side(side)
+        cache = getattr(self, "_orbit_cache", None)
+        if cache is None:
+            cache = self._orbit_cache = {}
+        if side not in cache:
+            units = np.asarray(self.units, dtype=np.int64)
+            orbit_of = np.full(self.size, -1, dtype=np.int64)
+            reps = []
+            for x in range(self.size):
+                if orbit_of[x] < 0:
+                    orbit = self.mul_col(x, units) if side == "left" else self.mul_row(x, units)
+                    orbit_of[orbit] = len(reps)
+                    reps.append(x)
+            reps = np.asarray(reps, dtype=np.int64)
+            reps.setflags(write=False)
+            orbit_of.setflags(write=False)
+            cache[side] = (reps, orbit_of)
+        return cache[side]
+
     @cached_property
     def radical(self) -> tuple[int, ...]:
-        """Jacobson radical: x such that 1 - r*x is a unit for every r."""
+        """Jacobson radical: x such that 1 - r*x is a unit for every r.
+
+        The condition reads only Rx = R(ux), so one representative decides
+        each left unit orbit.
+        """
         one_plus = self.add_row(self.one)
         neg = self.neg_table
         is_unit = self.is_unit_mask
-        out = []
-        for x in range(self.size):
-            rx = self.mul_col(x)
-            if is_unit[one_plus[neg[rx]]].all():
-                out.append(x)
-        return tuple(out)
+        reps, orbit_of = self.unit_orbits("left")
+        inside = np.array([is_unit[one_plus[neg[self.mul_col(int(x))]]].all() for x in reps])
+        return tuple(int(x) for x in np.flatnonzero(inside[orbit_of]))
 
     def socle_members(self, side: str = "left") -> tuple[int, ...]:
-        """Annihilator of the radical: the left or right socle."""
-        if side not in ("left", "right"):
-            raise InvalidParameter(f"side must be 'left' or 'right', got {side!r}")
+        """Annihilator of the radical: the left or right socle.
+
+        The radical is a union of unit orbits on each side, and
+        (uj)x = u(jx), x(ju) = (xj)u, so one radical element per orbit of
+        that side suffices as annihilator.
+        """
+        _check_side(side)
         cache = getattr(self, "_socle_cache", None)
         if cache is None:
             cache = self._socle_cache = {}
         if side not in cache:
+            reps, _ = self.unit_orbits(side)
             mask = np.ones(self.size, dtype=bool)
-            for j in self.radical:
-                jr = self.mul_row(j) if side == "left" else self.mul_col(j)
+            for j in reps[np.isin(reps, self.radical)]:
+                jr = self.mul_row(int(j)) if side == "left" else self.mul_col(int(j))
                 mask &= jr == 0
             cache[side] = tuple(int(x) for x in np.flatnonzero(mask))
         return cache[side]
 
-    def principal_ideal_members(self, x: int, side: str = "left") -> tuple[int, ...]:
-        if side not in ("left", "right"):
-            raise InvalidParameter(f"side must be 'left' or 'right', got {side!r}")
+    def principal_ideal_mask(self, x: int, side: str = "left") -> np.ndarray:
+        """Boolean membership mask of Rx (side 'left') or xR ('right')."""
+        _check_side(side)
         if not 0 <= x < self.size:
             raise InvalidParameter(f"element index {x} out of range")
-        products = self.mul_col(x) if side == "left" else self.mul_row(x)
-        return tuple(int(v) for v in np.unique(products))
+        mask = np.zeros(self.size, dtype=bool)
+        mask[self.mul_col(x) if side == "left" else self.mul_row(x)] = True
+        return mask
+
+    def principal_ideal_members(self, x: int, side: str = "left") -> tuple[int, ...]:
+        return tuple(int(v) for v in np.flatnonzero(self.principal_ideal_mask(x, side)))
+
+    def _socle_is_principal(self, side: str) -> bool:
+        soc = np.zeros(self.size, dtype=bool)
+        soc[list(self.socle_members(side))] = True
+        reps, _ = self.unit_orbits(side)
+        # Ra = R(ua) and aR = (au)R: one candidate generator per orbit in the socle
+        return any(np.array_equal(self.principal_ideal_mask(int(a), side), soc)
+                   for a in reps[soc[reps]])
 
     @cached_property
     def is_frobenius(self) -> bool:
         """True iff each socle is generated by a single element on its side."""
-        soc_l = self.socle_members("left")
-        soc_r = self.socle_members("right")
-        left_ok = any(
-            self.principal_ideal_members(a, "left") == soc_l for a in soc_l
-        )
-        right_ok = any(
-            self.principal_ideal_members(a, "right") == soc_r for a in soc_r
-        )
+        left_ok = self._socle_is_principal("left")
+        right_ok = self._socle_is_principal("right")
         if left_ok != right_ok:
             raise InternalInconsistency(
                 "one-sided principal-socle conditions disagree; they are "
                 "equivalent for finite rings"
             )
-        if left_ok and soc_l != soc_r:
+        if left_ok and self.socle_members("left") != self.socle_members("right"):
             raise InternalInconsistency(
                 "left and right socles differ on a ring with principal socles"
             )

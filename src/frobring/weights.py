@@ -7,8 +7,11 @@ principal left ideal.  It is computed here by the character sum
     w(x) = 1 - (1/|R*|) * sum over units u of chi(x u)
 
 for a generating character chi; the sum over chi(u x) must give the
-same value and both are asserted.  Closed forms for matrix rings and
-products of matrix rings serve as independent cross-checks.
+same value and both are asserted.  Every table is then checked against
+the defining equations on both sides.  The sums and the checks run
+once per unit orbit, since Rx = R(ux) and the unit sum is the same
+along Ux and along xU.  Closed forms for matrix rings and products of
+matrix rings serve as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
@@ -160,65 +163,76 @@ def weight_via_characters(ring: FiniteRing, char: Character, x: int) -> Fraction
 
 
 def _validate_homogeneous(ring: FiniteRing, weights: tuple[Fraction, ...]) -> None:
-    """Check the defining equations on every principal ideal, both sides."""
+    """Check the defining equations on every principal ideal, both sides.
+
+    Rx = R(ux) for every unit u, so each side is decided once per unit
+    orbit: the weight must be constant on every orbit, equal on orbits
+    whose representatives generate the same ideal, and average 1 over
+    each distinct nonzero principal ideal.  That is every equation the
+    definition poses at every element.  Weights are compared as integer
+    numerators over their common denominator.
+    """
     if weights[0] != 0:
-        raise InternalInconsistency("weight of 0 must be 0")
+        raise InternalInconsistency(f"{ring.expr}: weight of 0 is {weights[0]}, not 0")
+    denom = 1
+    for w in set(weights):
+        denom = lcm(denom, w.denominator)
+    nums = [w.numerator * (denom // w.denominator) for w in weights]
+    fits = max(map(abs, nums)) * ring.size < 2**62  # no ideal sum can overflow
+    num = np.array(nums, dtype=np.int64 if fits else object)
     for side in ("left", "right"):
+        reps, orbit_of = ring.unit_orbits(side)
+        off = np.flatnonzero(num[reps[orbit_of]] != num)
+        if len(off):
+            x = int(off[0])
+            raise InternalInconsistency(
+                f"{ring.expr}: weight is not constant on the {side} unit orbit "
+                f"of {reps[orbit_of[x]]} (element {x})"
+            )
         first_seen: dict[bytes, int] = {}
-        ideals: dict[bytes, np.ndarray] = {}
-        for x in range(1, ring.size):
-            col = ring.mul_col(x) if side == "left" else ring.mul_row(x)
-            members = np.unique(col)
-            key = members.tobytes()
+        for r in reps[1:].tolist():  # reps[0] = 0, whose orbit is {0}
+            members = ring.principal_ideal_mask(r, side)
+            key = np.packbits(members).tobytes()
             if key in first_seen:
-                if weights[x] != weights[first_seen[key]]:
+                if num[r] != num[first_seen[key]]:
                     raise InternalInconsistency(
-                        f"weight is not constant on equal {side} principal ideals "
-                        f"(elements {first_seen[key]} and {x})"
+                        f"{ring.expr}: weight is not constant on equal {side} "
+                        f"principal ideals (elements {first_seen[key]} and {r})"
                     )
-            else:
-                first_seen[key] = x
-                ideals[key] = members
-        for key, members in ideals.items():
-            total = sum(weights[int(y)] for y in members)
-            if total != len(members):
+                continue
+            first_seen[key] = r
+            total, size = int(num[members].sum()), int(members.sum())
+            if total != denom * size:
                 raise InternalInconsistency(
-                    f"average over the {side} ideal of {first_seen[key]} "
-                    f"is {total}/{len(members)}, not 1"
+                    f"{ring.expr}: average over the {side} ideal of {r} "
+                    f"is {Fraction(total, denom)}/{size}, not 1"
                 )
 
 
 def _orbit_unit_sums(ring: FiniteRing, char: Character,
-                     units_arr: np.ndarray, side: str) -> list[int]:
+                     units_arr: np.ndarray, side: str) -> np.ndarray:
     """Unit sum at every element, computed once per unit orbit.
 
-    The multiset {x*u : u unit} is the same for every member of the
-    orbit xU (and likewise Ux on the other side), so one character sum
+    Side 'left' sums chi(u*x) over the units, side 'right' chi(x*u).
+    The multiset {u*x : u unit} is the same for every member of the
+    orbit Ux (and {x*u} for every member of xU), so one character sum
     covers the whole orbit.  The rational value is extracted with the
     trace map; validation downstream certifies the table.
     """
     order = char.order
-    exps = char.exponents
     traces = np.asarray(cyclotomic.root_power_traces(order), dtype=np.int64)
     phi = int(traces[0])
-    sums: list[int | None] = [None] * ring.size
-    for x in range(ring.size):
-        if sums[x] is not None:
-            continue
-        if side == "left":
-            prods = ring.mul_row(x, units_arr)  # the orbit xU, with multiplicity
-        else:
-            prods = ring.mul_col(x, units_arr)  # the orbit Ux
-        counts = np.bincount(exps[prods], minlength=order)
-        dot = int(counts @ traces)
+    reps, orbit_of = ring.unit_orbits(side)
+    sums = np.empty(len(reps), dtype=np.int64)
+    for i, x in enumerate(reps.tolist()):
+        prods = ring.mul_col(x, units_arr) if side == "left" else ring.mul_row(x, units_arr)
+        dot = int(np.bincount(char.exponents[prods], minlength=order) @ traces)
         if dot % phi:
             raise InternalInconsistency(
-                f"unit sum at {x} is not a rational integer"
+                f"{ring.expr}: unit sum at {x} is not a rational integer"
             )
-        value = dot // phi
-        for y in np.unique(prods):
-            sums[int(y)] = value
-    return sums
+        sums[i] = dot // phi
+    return sums[orbit_of]
 
 
 def weight_table(ring: FiniteRing, char: Character | None = None,
@@ -239,12 +253,14 @@ def weight_table(ring: FiniteRing, char: Character | None = None,
     nunits = len(units_arr)
     left = _orbit_unit_sums(ring, char, units_arr, "left")
     right = _orbit_unit_sums(ring, char, units_arr, "right")
-    weights = []
-    for x in range(ring.size):
-        if left[x] != right[x]:
-            raise InternalInconsistency(f"one-sided unit sums differ at {x}")
-        weights.append(1 - Fraction(left[x], nunits))
-    table = WeightTable(ring, tuple(weights))
+    differ = np.flatnonzero(left != right)
+    if len(differ):
+        raise InternalInconsistency(
+            f"{ring.expr}: one-sided unit sums differ at {int(differ[0])}"
+        )
+    sums = left.tolist()
+    values = {s: 1 - Fraction(s, nunits) for s in set(sums)}
+    table = WeightTable(ring, tuple(values[s] for s in sums))
     if validate:
         _validate_homogeneous(ring, table.weights)
     cache[key] = table

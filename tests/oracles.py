@@ -6,12 +6,19 @@ enumeration rather than annihilator formulas, weights from solving the
 defining linear equations rather than character sums, subspace counts
 from exhaustive span enumeration, field traces from Frobenius sums and
 matrix products entry by entry rather than from structure constants,
-and cyclotomic reductions from sympy polynomial division.
+and cyclotomic reductions from sympy polynomial division.  The
+element-by-element checks that the unit-orbit index replaced (weight
+validation, the generating test, unit invariance) are kept here too,
+each scanning every element or every unit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
+
+from frobring.errors import InternalInconsistency
 
 
 # -- ideal enumeration -------------------------------------------------------
@@ -108,6 +115,76 @@ def units_oracle(ring) -> list[int]:
                 out.append(x)
                 break
     return out
+
+
+def unit_orbits_oracle(ring, side: str) -> set[frozenset]:
+    """The orbits {u*x} (side 'left') or {x*u} over the units, by scalar products."""
+    units = units_oracle(ring)
+    if side == "left":
+        return {frozenset(ring.mul(u, x) for u in units) for x in range(ring.size)}
+    return {frozenset(ring.mul(x, u) for u in units) for x in range(ring.size)}
+
+
+# -- element-by-element checks ------------------------------------------------
+
+
+def validate_homogeneous_by_element(ring, weights) -> None:
+    """Check the defining weight equations at every element, both sides.
+
+    Raises InternalInconsistency when w(0) != 0, when two elements with
+    the same principal ideal differ in weight, or when the weights over
+    a nonzero principal ideal do not average 1.
+    """
+    if weights[0] != 0:
+        raise InternalInconsistency("weight of 0 must be 0")
+    for side in ("left", "right"):
+        first_seen: dict[bytes, int] = {}
+        ideals: dict[bytes, np.ndarray] = {}
+        for x in range(1, ring.size):
+            col = ring.mul_col(x) if side == "left" else ring.mul_row(x)
+            members = np.unique(col)
+            key = members.tobytes()
+            if key in first_seen:
+                if weights[x] != weights[first_seen[key]]:
+                    raise InternalInconsistency(
+                        f"weight is not constant on equal {side} principal ideals "
+                        f"(elements {first_seen[key]} and {x})"
+                    )
+            else:
+                first_seen[key] = x
+                ideals[key] = members
+        for key, members in ideals.items():
+            total = sum(weights[int(y)] for y in members)
+            if total != len(members):
+                raise InternalInconsistency(
+                    f"average over the {side} ideal of {first_seen[key]} "
+                    f"is {total}/{len(members)}, not 1"
+                )
+
+
+def is_generating_by_kernel_scan(char) -> bool:
+    """Generating test scanning every nonzero kernel element's two ideals."""
+    ring = char.ring
+    exps = char.exponents
+    for x in np.flatnonzero(exps == 0):
+        x = int(x)
+        if x == 0:
+            continue
+        if not exps[ring.mul_col(x)].any() or not exps[ring.mul_row(x)].any():
+            return False
+    return True
+
+
+def is_invariant_by_units(partition) -> bool:
+    """Unit invariance checked unit by unit, on both sides."""
+    ring = partition.ring
+    b = partition.block_of
+    for u in ring.units:
+        if not np.array_equal(b[ring.mul_row(u)], b):
+            return False
+        if not np.array_equal(b[ring.mul_col(u)], b):
+            return False
+    return True
 
 
 # -- homogeneous weight from the defining equations --------------------------

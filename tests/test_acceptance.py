@@ -2,8 +2,7 @@
 
 Every check is exact (tolerance zero); the stated runtime budgets are
 asserted with fresh ring instances so caching cannot flatter them.
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines;
-criterion 6a needs ``--runslow``.
+Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
 import sys
@@ -210,7 +209,6 @@ def test_criterion_5_rank_partition_self_dual():
     )
 
 
-@pytest.mark.slow
 def test_criterion_6a_large_self_dual():
     ring, _ = _matrix_square(3)
     char = canonical_generating_character(ring)

@@ -29,7 +29,7 @@ from frobring.rings import (
 )
 from frobring.cli import _non_frobenius_spec
 
-from oracles import principal_ideal_oracle
+from oracles import is_generating_by_kernel_scan, principal_ideal_oracle
 
 
 def _frobenius_probe_rings():
@@ -157,6 +157,23 @@ def test_zmod_generating_characters_are_exactly_unit_multipliers(n):
         expected = gcd(k, n) == 1
         assert is_generating(char) == expected
         assert oracle_is_generating(char) == expected
+
+
+@pytest.mark.parametrize(
+    "ring", FROBENIUS_RINGS + [build_matrix_ring(2, build_gf(3))], ids=lambda r: r.expr
+)
+def test_translates_generate_exactly_at_units(ring):
+    """chi(.r) and chi(r.) are generating iff r is a unit, on a Frobenius ring."""
+    base = canonical_generating_character(ring)
+    units = set(ring.units)
+    for r in range(ring.size):
+        for side in ("left", "right"):
+            char = translate(base, r, side)
+            expected = r in units
+            assert is_generating(char) == expected, (r, side)
+            assert is_generating_by_kernel_scan(char) == expected, (r, side)
+            if ring.size <= 16:
+                assert oracle_is_generating(char) == expected, (r, side)
 
 
 @pytest.mark.parametrize("ring", FROBENIUS_RINGS, ids=lambda r: r.expr)

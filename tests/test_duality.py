@@ -391,7 +391,6 @@ def test_delsarte_matches_character_sums_m2(q):
             assert table.entry(k, b).as_int() == delsarte_rank_krawtchouk(2, q, i, k)
 
 
-@pytest.mark.slow
 def test_delsarte_matches_character_sums_m3():
     ring = build_matrix_ring(3, build_gf(2), max_size=600000)
     p = rank_partition(ring)

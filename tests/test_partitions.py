@@ -25,9 +25,13 @@ from frobring.rings import (
     build_gf,
     build_matrix_ring,
     build_product,
+    build_table_ring,
     build_zmod,
+    builtin_table_spec,
 )
 from frobring.weights import weight_table
+
+from oracles import is_invariant_by_units, unit_orbits_oracle
 
 
 # -- canonical form and validation ---------------------------------------------
@@ -116,6 +120,25 @@ def test_hom_partition_zero_weight_block(ex5_5_ring):
 )
 def test_hom_partition_is_invariant(build):
     assert is_invariant(hom_partition(build()))
+
+
+@pytest.mark.parametrize(
+    "build,one_sided_invariant",
+    [
+        (lambda: build_table_ring(builtin_table_spec("ex5_5")), False),
+        (lambda: build_matrix_ring(2, build_gf(2)), False),
+        (lambda: build_zmod(12), True),
+    ],
+    ids=["ex5_5", "M2F2", "Z12"],
+)
+def test_is_invariant_matches_unit_scan(build, one_sided_invariant):
+    """Orbit route = unit-by-unit scan, on one-sided orbit partitions too."""
+    ring = build()
+    for side in ("left", "right"):
+        orbits = Partition(ring, unit_orbits_oracle(ring, side))
+        assert is_invariant(orbits) == is_invariant_by_units(orbits) == one_sided_invariant
+    hom = hom_partition(ring)
+    assert is_invariant(hom) and is_invariant_by_units(hom)
 
 
 # -- rank and hamming partitions --------------------------------------------------

@@ -10,6 +10,7 @@ from frobring.errors import (
     ResourceLimit,
 )
 from frobring.rings import (
+    FiniteRing,
     TableRingSpec,
     build_gf,
     build_matrix_ring,
@@ -21,6 +22,8 @@ from frobring.rings import (
 )
 from frobring.characters import canonical_generating_character
 from frobring.cli import _non_frobenius_spec
+from frobring.partitions import hom_partition, is_invariant
+from frobring.weights import weight_table
 
 from oracles import (
     all_ideals,
@@ -29,6 +32,7 @@ from oracles import (
     principal_ideal_oracle,
     radical_oracle,
     socle_oracle,
+    unit_orbits_oracle,
     units_oracle,
 )
 
@@ -156,6 +160,43 @@ def test_principal_ideals_match_oracle(ring, side):
     for x in range(ring.size):
         got = frozenset(map(int, ring.principal_ideal_members(x, side)))
         assert got == principal_ideal_oracle(ring, x, side)
+
+
+@pytest.mark.parametrize("ring", PROBE_RINGS, ids=lambda r: r.expr)
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_unit_orbits_match_oracle(ring, side):
+    reps, orbit_of = ring.unit_orbits(side)
+    orbits = {}
+    for x in range(ring.size):
+        orbits.setdefault(int(orbit_of[x]), set()).add(x)
+    assert {frozenset(o) for o in orbits.values()} == unit_orbits_oracle(ring, side)
+    assert [min(orbits[i]) for i in range(len(reps))] == reps.tolist()
+    assert ring.unit_orbits(side)[1] is orbit_of
+
+
+def test_unit_orbits_rejects_bad_side(z4):
+    with pytest.raises(InvalidParameter):
+        z4.unit_orbits("both")
+
+
+def test_orbit_routes_make_few_kernel_calls(monkeypatch):
+    """Structure, weights and invariance cost kernel calls per orbit, not per element."""
+    f = build_matrix_ring(2, build_gf(3))
+    ring = build_product([f, f])
+    calls = []
+    for name in ("mul_row", "mul_col"):
+        def counting(self, *args, _orig=getattr(FiniteRing, name), **kwargs):
+            if self is ring:
+                calls.append(args[0])
+            return _orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(FiniteRing, name, counting)
+    ring.describe()
+    weight_table(ring)
+    assert is_invariant(hom_partition(ring))
+    orbits = len(ring.unit_orbits("left")[0]) + len(ring.unit_orbits("right")[0])
+    assert orbits == 72
+    assert len(calls) <= 8 * orbits + 50
 
 
 def test_one_sided_ideals_are_closed_under_library_ops(m2f2):

@@ -1,5 +1,6 @@
 """Homogeneous weights: closed forms, defining equations, frozen tables."""
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobring.characters import all_generating_characters
-from frobring.errors import InvalidParameter
+from frobring.errors import InternalInconsistency, InvalidParameter
 from frobring.rings import (
     build_gf,
     build_matrix_ring,
@@ -18,6 +19,7 @@ from frobring.rings import (
     builtin_table_spec,
 )
 from frobring.weights import (
+    _validate_homogeneous,
     alpha,
     cauchy_identity_check,
     gaussian,
@@ -30,7 +32,13 @@ from frobring.weights import (
     weight_via_characters,
 )
 
-from oracles import count_subspaces_oracle, homogeneous_weight_oracle
+from oracles import (
+    count_subspaces_oracle,
+    homogeneous_weight_oracle,
+    principal_ideal_oracle,
+    unit_orbits_oracle,
+    validate_homogeneous_by_element,
+)
 
 
 def _weight_probe_rings():
@@ -46,6 +54,8 @@ def _weight_probe_rings():
         build_gf(8),
         build_gf(9),
         build_product([gf2, gf2]),
+        # one unit, so every unit orbit is a singleton
+        build_product([gf2, gf2, gf2]),
         build_product([build_zmod(4), gf3]),
         build_matrix_ring(2, gf2),
         build_table_ring(builtin_table_spec("ex5_5")),
@@ -210,6 +220,54 @@ def test_weight_table_solves_defining_equations(ring):
     assert list(table.weights) == expected
 
 
+@pytest.mark.parametrize("ring", WEIGHT_RINGS, ids=lambda r: r.expr)
+def test_orbit_validator_and_element_oracle_accept_the_table(ring):
+    weights = weight_table(ring).weights
+    _validate_homogeneous(ring, weights)
+    validate_homogeneous_by_element(ring, weights)
+
+
+# -- the validator on corrupted tables --------------------------------------------
+
+
+def _both_validators_reject(ring, weights, message):
+    with pytest.raises(InternalInconsistency, match=message) as info:
+        _validate_homogeneous(ring, tuple(weights))
+    assert ring.expr in str(info.value)
+    with pytest.raises(InternalInconsistency):
+        validate_homogeneous_by_element(ring, tuple(weights))
+
+
+@pytest.mark.parametrize(
+    "ring", [r for r in WEIGHT_RINGS if len(r.units) > 1], ids=lambda r: r.expr
+)
+def test_validators_reject_a_changed_orbit_member(ring):
+    orbit = next(o for o in unit_orbits_oracle(ring, "left") if len(o) > 1)
+    weights = list(weight_table(ring).weights)
+    member = sorted(orbit)[1]  # not the orbit's least index, its representative
+    weights[member] += 1
+    _both_validators_reject(ring, weights, "not constant on the left unit orbit")
+
+
+@pytest.mark.parametrize("ring", WEIGHT_RINGS, ids=lambda r: r.expr)
+def test_validators_reject_a_shifted_ideal_class(ring):
+    """Shifting every generator of one left ideal keeps the weight constant
+    on orbits and on equal ideals, so only the average check can fail."""
+    weights = list(weight_table(ring).weights)
+    ideal = principal_ideal_oracle(ring, 1, "left")
+    for y in range(ring.size):
+        if principal_ideal_oracle(ring, y, "left") == ideal:
+            weights[y] += Fraction(1, 3)
+    _both_validators_reject(ring, weights, "average over the left ideal")
+
+
+@pytest.mark.parametrize("ring", WEIGHT_RINGS, ids=lambda r: r.expr)
+def test_validators_reject_a_nonzero_weight_at_zero(ring):
+    weights = list(weight_table(ring).weights)
+    weights[0] = Fraction(1, 2)
+    _both_validators_reject(ring, weights, re.escape("weight of 0 is 1/2"))
+
+
 FROZEN_MULTISETS = {
     "Z4": {Fraction(0): 1, Fraction(1): 2, Fraction(2): 1},
     "Z6": {
@@ -231,6 +289,7 @@ FROZEN_MULTISETS = {
     "GF(8)": {Fraction(0): 1, Fraction(8, 7): 7},
     "GF(9)": {Fraction(0): 1, Fraction(9, 8): 8},
     "GF(2) x GF(2)": {Fraction(0): 2, Fraction(2): 2},
+    "GF(2) x GF(2) x GF(2)": {Fraction(0): 4, Fraction(2): 4},
     # isomorphic to Z12, so the multisets must coincide
     "Z4 x GF(3)": {
         Fraction(0): 1,

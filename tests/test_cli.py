@@ -1,6 +1,7 @@
 """Command-line surface: the expression parser, subcommands, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -313,6 +314,38 @@ def test_verify_axioms_suite(capsys):
     assert payload["all_pass"] is True
     assert all(check["pass"] for check in payload["checks"])
     assert all("anchor" in check and "seconds" in check for check in payload["checks"])
+
+
+FROZEN = json.loads((Path(__file__).parent / "cli_frozen.json").read_text())
+
+
+def _rows(payload):
+    return [[c["check"], c["anchor"], c["pass"]] for c in payload["checks"]]
+
+
+def test_verify_all_rows_are_frozen(capsys):
+    """Every claim, in order, with its anchor and verdict, as first recorded."""
+    code, payload, _ = run_json(capsys, "verify", "all")
+    assert code == FROZEN["verify_all_exit"] == 0
+    assert _rows(payload) == FROZEN["verify_all_rows"]
+    assert len(payload["checks"]) == 86
+    assert payload["all_pass"] is True
+
+
+@pytest.mark.parametrize("suite", sorted(FROZEN["suite_slices"]))
+def test_verify_suite_is_its_slice_of_all(capsys, suite):
+    start, stop = FROZEN["suite_slices"][suite]
+    code, payload, _ = run_json(capsys, "verify", suite)
+    assert code == 0
+    assert _rows(payload) == FROZEN["verify_all_rows"][start:stop]
+
+
+@pytest.mark.parametrize("example_id", sorted(FROZEN["reproduce"]))
+def test_reproduce_payload_is_frozen(capsys, example_id):
+    frozen = FROZEN["reproduce"][example_id]
+    code, payload, _ = run_json(capsys, "reproduce", example_id)
+    assert code == frozen["exit"] == 0
+    assert payload == frozen["payload"]
 
 
 def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):

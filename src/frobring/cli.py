@@ -16,12 +16,14 @@ verify, reproduce.  Exit codes: 0 success or all checks passed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import duality, partitions, weights
 from .characters import (all_generating_characters,
@@ -29,9 +31,9 @@ from .characters import (all_generating_characters,
 from .errors import (CharacterSearchFailed, InternalInconsistency,
                      InvalidParameter, InvalidRing, ResourceLimit)
 from .rings import (FiniteRing, GaloisField, MatrixRing, ProductRing,
-                    TableRing, build_gf, build_matrix_ring, build_product,
+                    TableRingSpec, build_gf, build_matrix_ring, build_product,
                     build_table_ring, build_zmod, builtin_table_spec,
-                    load_table_spec)
+                    load_table_spec, validate_tables)
 
 
 # -- ring expressions -------------------------------------------------------
@@ -285,6 +287,9 @@ def _natural_factor_partition(ring: FiniteRing) -> partitions.Partition:
     return partitions.hom_partition(ring)
 
 
+PARTITION_KINDS = ("hom", "rank", "hamming", "product", "sym2", "ex5_5")
+
+
 def select_partition(ring: FiniteRing, kind: str, char=None) -> partitions.Partition:
     if kind == "hom":
         return partitions.hom_partition(ring, char)
@@ -310,7 +315,8 @@ def select_partition(ring: FiniteRing, kind: str, char=None) -> partitions.Parti
         )
     if kind == "ex5_5":
         return partitions.ex5_5_partition(ring)
-    raise InvalidParameter(f"unknown partition kind {kind!r}")
+    raise InvalidParameter(f"unknown partition kind {kind!r}, choose from "
+                           f"{', '.join(PARTITION_KINDS)}")
 
 
 # -- subcommands ------------------------------------------------------------
@@ -417,88 +423,187 @@ def cmd_krawtchouk(args) -> int:
     return 0
 
 
+def _ring_memo():
+    """One built ring per expression text, for the life of one command.
+
+    Checks that name the same ring share its unit orbits, characters and
+    weight tables.  Each command call makes its own memo, so separate
+    ``main()`` calls never share a ring.
+    """
+    return functools.cache(lambda expr: build_ring(parse_ring(expr)))
+
+
+def _cases(claim) -> list[tuple]:
+    return [case if isinstance(case, tuple) else (case,) for case in claim.cases]
+
+
+def _run(claim, case: tuple, ring):
+    return claim.check(*(ring(a) if isinstance(a, str) else a for a in case))
+
+
+def _examples() -> dict:
+    """Reproduction id -> its paper-examples claim, titled 'reproduce <id>'."""
+    return {claim.title.removeprefix("reproduce "): claim
+            for claim in CLAIMS if claim.suite == "paper-examples"}
+
+
 def cmd_verify(args) -> int:
-    checks = SUITES[args.suite]
+    ring = _ring_memo()
     results = []
-    all_pass = True
-    for name, anchor, fn in checks:
-        start = time.perf_counter()
-        try:
-            ok = bool(fn())
-            detail = ""
-        except (InternalInconsistency, AssertionError) as exc:
-            ok = False
-            detail = str(exc)
-        elapsed = time.perf_counter() - start
-        all_pass &= ok
-        results.append({
-            "check": name,
-            "anchor": anchor,
-            "pass": ok,
-            "seconds": round(elapsed, 3),
-            **({"detail": detail} if detail else {}),
-        })
+    for claim in CLAIMS:
+        if args.suite not in ("all", claim.suite):
+            continue
+        for case in _cases(claim):
+            start = time.perf_counter()
+            try:
+                outcome = _run(claim, case, ring)
+                ok = bool(outcome[1] if isinstance(outcome, tuple) else outcome)
+                detail = ""
+            except (InternalInconsistency, AssertionError) as exc:
+                ok = False
+                detail = str(exc)
+            elapsed = time.perf_counter() - start
+            results.append({
+                "check": claim.title.format(*case),
+                "anchor": claim.anchor,
+                "pass": ok,
+                "seconds": round(elapsed, 3),
+                **({"detail": detail} if detail else {}),
+            })
     payload = {
         "command": f"verify {args.suite}",
         "checks": results,
-        "all_pass": all_pass,
+        "all_pass": all(r["pass"] for r in results),
     }
     _emit(args, payload)
-    return 0 if all_pass else 1
+    return 0 if payload["all_pass"] else 1
 
 
 def cmd_reproduce(args) -> int:
-    fn = REPRODUCIBLES[args.id]
-    payload, match = fn()
+    claim = _examples()[args.id]
+    (case,) = _cases(claim)
+    payload, match = _run(claim, case, _ring_memo())
     payload = {"command": f"reproduce {args.id}", **payload, "match": match}
     _emit(args, payload)
     return 0 if match else 1
 
 
-# -- named example reproductions --------------------------------------------
+# -- paper claims -------------------------------------------------------------
+
+
+class Claim(NamedTuple):
+    """One row of the claim table.
+
+    ``cases`` holds the inputs the check runs on, one verify row each: a
+    tuple of arguments, or a lone ring expression.  String arguments are
+    ring expressions and reach the check as rings built once per
+    command; the title is formatted with the case as written.  A check
+    returns its verdict, or a (payload, verdict) pair when it is a
+    reproduction.
+    """
+
+    suite: str
+    anchor: str
+    title: str
+    check: Callable
+    cases: tuple = ((),)
 
 
 def _blocks_as_sets(part: partitions.Partition) -> set[frozenset]:
     return {frozenset(b) for b in part.blocks}
 
 
-def _repro_local() -> tuple[dict, bool]:
+def _tables_and_frobenius(ring: FiniteRing) -> bool:
+    validate_tables(ring.add_table, ring.mul_table, ring.one)
+    return ring.is_frobenius
+
+
+def _non_frobenius_detected() -> bool:
+    return not build_table_ring(_non_frobenius_spec()).is_frobenius
+
+
+def _non_frobenius_spec():
+    """The 8-element algebra F_2[x,y]/(x^2, y^2, xy, yx): socle not principal."""
+    size = 8
+
+    def unpack(i):
+        return (i >> 2) & 1, (i >> 1) & 1, i & 1
+
+    def pack(a, b, c):
+        return a * 4 + b * 2 + c
+
+    add = [[pack((a1 + a2) % 2, (b1 + b2) % 2, (c1 + c2) % 2)
+            for a2, b2, c2 in map(unpack, range(size))]
+           for a1, b1, c1 in map(unpack, range(size))]
+    mul = [[pack(a1 * a2, (a1 * b2 + a2 * b1) % 2, (a1 * c2 + a2 * c1) % 2)
+            for a2, b2, c2 in map(unpack, range(size))]
+           for a1, b1, c1 in map(unpack, range(size))]
+    return TableRingSpec(size=size, add=add, mul=mul, one=4,
+                         name="non_frobenius_8")
+
+
+def _weight_equations(ring: FiniteRing) -> bool:
+    weights.weight_table(ring)  # validation runs inside
+    return weights.socle_weight_consistency(ring)
+
+
+def _zero_weight_criterion(ring: FiniteRing) -> bool:
+    weights.has_zero_weight_nonzero(ring)  # raises on predicate disagreement
+    return True
+
+
+def _counting_identities() -> bool:
+    return (
+        all(weights.cauchy_identity_check(r, q)
+            for q in (2, 3, 4, 5) for r in range(1, 7))
+        and all(sum(weights.s_count(j, m, r, q) for j in range(r + 1)) == q ** (r * m)
+                for q in (2, 3) for m in range(1, 5) for r in range(m + 1))
+    )
+
+
+def _delsarte_coefficients(ring: MatrixRing, m: int, q: int) -> bool:
+    char = canonical_generating_character(ring)
+    table = duality.krawtchouk_table(partitions.rank_partition(ring), char, "left")
+    return all(
+        table.entry(k, a).as_int() == duality.delsarte_rank_krawtchouk(m, q, ring.rank(a), k)
+        for a in range(ring.size) for k in range(m + 1)
+    )
+
+
+def _block_count_criterion(ring: FiniteRing, kind: str = "hom") -> bool:
+    char = canonical_generating_character(ring)
+    part = select_partition(ring, kind)
+    dual = duality.dual_partition(part, char, "left")
+    if part.num_blocks > dual.num_blocks:
+        return False
+    return duality.is_reflexive(part, char) == (part.num_blocks == dual.num_blocks)
+
+
+def _local_weights(*rings: FiniteRing) -> tuple[dict, bool]:
     """Local rings: weight q/(q-1) on the nonzero socle, 1 elsewhere."""
     cases = []
-    match = True
-    for expr in ("Z4", "Z8", "Z9", "GF(4)"):
-        ring = build_ring(parse_ring(expr))
+    for ring in rings:
         q = ring.quotient_by_radical()[0].size
         table = weights.weight_table(ring)
         soc = set(ring.socle_members("left"))
-        expected = {
-            x: (Fraction(0) if x == 0 else
-                Fraction(q, q - 1) if x in soc else Fraction(1))
-            for x in range(ring.size)
-        }
-        ok = all(table.weights[x] == expected[x] for x in range(ring.size))
-        match &= ok
+        expected = [Fraction(0) if x == 0 else
+                    Fraction(q, q - 1) if x in soc else Fraction(1)
+                    for x in range(ring.size)]
         cases.append({
-            "ring": expr,
+            "ring": ring.expr,
             "residue_field_size": q,
             "expected_socle_weight": _frac(Fraction(q, q - 1)),
             "computed": [_frac(w) for w in table.weights],
-            "match": ok,
+            "match": list(table.weights) == expected,
         })
-    return {"cases": cases}, match
+    return {"cases": cases}, all(case["match"] for case in cases)
 
 
-def _ex4_5_rings(q: int):
-    fld = build_gf(q)
-    mat = build_matrix_ring(2, fld)
-    ring = build_product([mat, mat])
-    return ring, mat
-
-
-def _repro_ex4_5(q: int) -> tuple[dict, bool]:
-    ring, mat = _ex4_5_rings(q)
+def _symmetrized_square(ring: ProductRing, q: int) -> tuple[dict, bool]:
+    """Ex. 4.5 on M_2(F_q)^2: weight versus symmetrized rank partition."""
     hom = partitions.hom_partition(ring)
-    sym = partitions.symmetrized_power_partition(ring, partitions.rank_partition(mat))
+    sym = partitions.symmetrized_power_partition(
+        ring, partitions.rank_partition(ring.factors[0]))
     table = weights.weight_table(ring)
     block_weights = [table.weights[b[0]] for b in hom.blocks]
     payload = {
@@ -521,66 +626,49 @@ def _repro_ex4_5(q: int) -> tuple[dict, bool]:
             and frozenset(merged) in _blocks_as_sets(hom)
             and all(table.weights[x] == Fraction(8, 9) for x in merged)
         )
-        payload["expected"] = (
-            "blocks {{1,1}} and {{2,2}} merge at weight 8/9, 5 blocks"
-        )
+        payload["expected"] = "blocks {{1,1}} and {{2,2}} merge at weight 8/9, 5 blocks"
     return payload, match
 
 
-def _ex4_6_rings(q: int):
-    fld = build_gf(q)
-    mat = build_matrix_ring(2, fld)
-    ring = build_product([mat, fld])
-    return ring, mat, fld
-
-
-def _ex4_6_expected_blocks(ring, mat, fld, q: int) -> set[frozenset]:
+def _rank_hamming_blocks(ring: ProductRing) -> dict:
+    """Blocks of M_2(F_q) x F_q by (rank, Hamming weight) label."""
+    mat, fld = ring.factors
     prod = partitions.product_partition(
         ring, partitions.rank_partition(mat), partitions.hamming_partition(fld)
     )
-    lab = {l: set(b) for l, b in zip(prod.labels, prod.blocks)}
+    return {l: frozenset(b) for l, b in zip(prod.labels, prod.blocks)}
+
+
+def _matrix_times_field(ring: ProductRing, q: int) -> tuple[dict, bool]:
+    """Ex. 4.6 on M_2(F_q) x F_q: which rank-weight blocks merge."""
+    hom = partitions.hom_partition(ring)
+    lab = _rank_hamming_blocks(ring)
     merged_11_20 = lab[(1, (1,))] | lab[(2, (0,))]
     if q == 2:
-        return {
-            frozenset(lab[(0, (0,))]),
-            frozenset(lab[(0, (1,))]),
-            frozenset(lab[(1, (0,))] | lab[(2, (1,))]),
-            frozenset(merged_11_20),
-        }
-    return {
-        frozenset(lab[(0, (0,))]),
-        frozenset(lab[(0, (1,))]),
-        frozenset(lab[(1, (0,))]),
-        frozenset(lab[(2, (1,))]),
-        frozenset(merged_11_20),
-    }
-
-
-def _repro_ex4_6(q: int) -> tuple[dict, bool]:
-    ring, mat, fld = _ex4_6_rings(q)
-    hom = partitions.hom_partition(ring)
-    expected = _ex4_6_expected_blocks(ring, mat, fld, q)
-    match = _blocks_as_sets(hom) == expected
+        groups = (lab[(0, (0,))], lab[(0, (1,))],
+                  lab[(1, (0,))] | lab[(2, (1,))], merged_11_20)
+    else:
+        groups = (lab[(0, (0,))], lab[(0, (1,))], lab[(1, (0,))],
+                  lab[(2, (1,))], merged_11_20)
+    expected = set(groups)
     payload = {
         "ring": ring.expr,
         "hom_blocks": hom.num_blocks,
         "expected_blocks": len(expected),
         "expected": "rank-weight pairs merged as stated for this q",
     }
-    return payload, match
+    return payload, _blocks_as_sets(hom) == expected
 
 
-def _repro_ex5_5() -> tuple[dict, bool]:
-    ring = build_table_ring(builtin_table_spec("ex5_5"))
+def _one_sided_duals(ring: FiniteRing) -> tuple[dict, bool]:
+    """Ex. 5.5: an invariant partition whose one-sided duals differ."""
     part = partitions.ex5_5_partition(ring)
     char = canonical_generating_character(ring)
     left = duality.dual_partition(part, char, "left")
     right = duality.dual_partition(part, char, "right")
-    hom = partitions.hom_partition(ring)
     invariant = partitions.is_invariant(part)
     duals_differ = not partitions.equals(left, right)
-    hom_agrees = duality.left_right_agreement(hom, char)
-    match = invariant and duals_differ and hom_agrees
+    hom_agrees = duality.left_right_agreement(partitions.hom_partition(ring), char)
     payload = {
         "ring": ring.expr,
         "partition_blocks": [list(b) for b in part.blocks],
@@ -592,15 +680,16 @@ def _repro_ex5_5() -> tuple[dict, bool]:
         "expected": "invariant partition with distinct one-sided duals; "
                     "weight partition with equal tables",
     }
-    return payload, match
+    return payload, invariant and duals_differ and hom_agrees
 
 
-def _repro_ex5_10(q: int) -> tuple[dict, bool]:
-    ring, mat = _ex4_5_rings(q)
+def _square_duality(ring: ProductRing, q: int) -> tuple[dict, bool]:
+    """Ex. 5.10 on M_2(F_q)^2: the dual of the weight partition."""
     char = canonical_generating_character(ring)
     hom = partitions.hom_partition(ring)
     dual = duality.dual_partition(hom, char, "left")
-    sym = partitions.symmetrized_power_partition(ring, partitions.rank_partition(mat))
+    sym = partitions.symmetrized_power_partition(
+        ring, partitions.rank_partition(ring.factors[0]))
     if q > 2:
         match = partitions.equals(dual, hom) and duality.is_reflexive(hom, char)
         expected = "weight partition self-dual"
@@ -618,26 +707,19 @@ def _repro_ex5_10(q: int) -> tuple[dict, bool]:
     return payload, match
 
 
-def _repro_ex5_11(q: int) -> tuple[dict, bool]:
-    ring, mat, fld = _ex4_6_rings(q)
+def _product_duality(ring: ProductRing, q: int) -> tuple[dict, bool]:
+    """Ex. 5.11 on M_2(F_q) x F_q: the dual of the weight partition."""
     char = canonical_generating_character(ring)
     hom = partitions.hom_partition(ring)
     dual = duality.dual_partition(hom, char, "left")
-    prod = partitions.product_partition(
-        ring, partitions.rank_partition(mat), partitions.hamming_partition(fld)
-    )
-    lab = {l: set(b) for l, b in zip(prod.labels, prod.blocks)}
+    lab = _rank_hamming_blocks(ring)
     if q > 2:
-        match = (partitions.equals(dual, prod)
+        match = (_blocks_as_sets(dual) == set(lab.values())
                  and not duality.is_reflexive(hom, char))
         expected = "dual equals the 6-block product partition; not reflexive"
     else:
-        stated = {
-            frozenset(lab[(0, (0,))]),
-            frozenset(lab[(0, (1,))] | lab[(1, (1,))]),
-            frozenset(lab[(1, (0,))] | lab[(2, (0,))]),
-            frozenset(lab[(2, (1,))]),
-        }
+        stated = {lab[(0, (0,))], lab[(0, (1,))] | lab[(1, (1,))],
+                  lab[(1, (0,))] | lab[(2, (0,))], lab[(2, (1,))]}
         match = (
             _blocks_as_sets(dual) == stated
             and hom.num_blocks == 4 == dual.num_blocks
@@ -654,288 +736,88 @@ def _repro_ex5_11(q: int) -> tuple[dict, bool]:
     return payload, match
 
 
-REPRODUCIBLES = {
-    "ex2_3_local": _repro_local,
-    "ex4_5_q2": lambda: _repro_ex4_5(2),
-    "ex4_5_q3": lambda: _repro_ex4_5(3),
-    "ex4_6_q2": lambda: _repro_ex4_6(2),
-    "ex4_6_q3": lambda: _repro_ex4_6(3),
-    "ex5_5": _repro_ex5_5,
-    "ex5_10a": lambda: _repro_ex5_10(3),
-    "ex5_10b": lambda: _repro_ex5_10(2),
-    "ex5_11a": lambda: _repro_ex5_11(3),
-    "ex5_11b": lambda: _repro_ex5_11(2),
-}
+_STRUCTURED = ("Z2", "Z4", "Z6", "Z8", "Z9", "Z12", "GF(4)", "GF(8)", "GF(9)",
+               "M(2,GF(2))", "M(2,GF(3))", "ex5_5", "GF(2) x GF(2)",
+               "GF(2) x GF(3)", "M(2,GF(2)) x GF(2)")
+_LOCAL = ("Z4", "Z8", "Z9", "GF(4)")
+_SQUARE = {q: (f"M(2,GF({q})) x M(2,GF({q}))", q) for q in (2, 3)}
+_MAT_FIELD = {q: (f"M(2,GF({q})) x GF({q})", q) for q in (2, 3)}
+_MATRICES = ("M(2,GF(2))", "M(2,GF(3))", "M(3,GF(2))")
 
-
-# -- verification suites -----------------------------------------------------
-
-
-_AXIOM_RING_EXPRS = (
-    "Z2", "Z4", "Z6", "Z8", "Z9", "Z12", "GF(4)", "GF(8)", "GF(9)",
-    "M(2,GF(2))", "M(2,GF(3))", "ex5_5", "GF(2) x GF(2)", "GF(2) x GF(3)",
-    "M(2,GF(2)) x GF(2)",
+CLAIMS = (
+    Claim("axioms", "thm_2_1", "cayley tables and frobenius: {}",
+          _tables_and_frobenius, _STRUCTURED),
+    Claim("axioms", "thm_2_1", "non-frobenius 8-element algebra detected",
+          _non_frobenius_detected),
+    Claim("weights", "def_2_2", "defining equations and socle reduction: {}",
+          _weight_equations, _STRUCTURED + ("M(3,GF(2))",)),
+    Claim("weights", "cor_4_3", "zero-weight criterion: {}", _zero_weight_criterion,
+          ("Z4", "Z6", "GF(2) x GF(2)", "GF(2) x GF(2) x GF(3)", "M(2,GF(2)) x GF(2)")),
+    Claim("weights", "lem_3_1", "rank counting identities", _counting_identities),
+    Claim("weights", "ex_2_3", "local ring weights", _local_weights, (_LOCAL,)),
+    Claim("partitions", "rem_3_7", "weight partition invariant: {}",
+          lambda ring: partitions.is_invariant(partitions.hom_partition(ring)),
+          ("Z4", "Z12", "M(2,GF(2))", "ex5_5", "M(2,GF(2)) x GF(2)")),
+    Claim("partitions", "cor_3_5", "rank partition equals weight partition: {}",
+          lambda ring: partitions.equals(partitions.rank_partition(ring),
+                                         partitions.hom_partition(ring)),
+          _MATRICES),
+    Claim("partitions", "ex_5_5", "16-element example partition invariant",
+          lambda ring: partitions.is_invariant(partitions.ex5_5_partition(ring)),
+          ("ex5_5",)),
+    Claim("partitions", "eq_4_4", "block merge structure, q={1}",
+          _matrix_times_field, (_MAT_FIELD[2], _MAT_FIELD[3])),
+    Claim("partitions", "ex_4_5", "symmetrized partition dichotomy, q={1}",
+          _symmetrized_square, (_SQUARE[2], _SQUARE[3])),
+    Claim("duality", "thm_5_9", "weight partition self-dual: {}",
+          lambda ring: duality.is_self_dual(partitions.hom_partition(ring)),
+          _MATRICES),
+    Claim("duality", "cor_5_4", "character independence of tables: {}",
+          lambda ring: duality.character_independence_check(
+              partitions.hom_partition(ring)),
+          ("Z4", "Z6", "GF(4)", "M(2,GF(2))")),
+    Claim("duality", "thm_5_8", "symmetric canonical character: {}",
+          lambda ring: is_symmetric(canonical_generating_character(ring)),
+          ("GF(4)", "M(2,GF(2))", "M(2,GF(3))", "M(2,GF(2)) x GF(2)")),
+    Claim("duality", "delsarte_a10", "closed-form rank coefficients, m={1} q={2}",
+          _delsarte_coefficients,
+          tuple((f"M({m},GF({q}))", m, q)
+                for m, q in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2)))),
+    Claim("duality", "prop_5_6", "block-count reflexivity criterion: {} (hom)",
+          _block_count_criterion,
+          ("Z4", "Z6", "M(2,GF(2))", "M(2,GF(2)) x GF(2)", _SQUARE[2][0])),
+    Claim("duality", "prop_5_6", "block-count reflexivity criterion: {} (hamming)",
+          lambda ring: _block_count_criterion(ring, "hamming"), ("GF(2) x GF(3)",)),
+    Claim("duality", "ex_5_5", "one-sided duals differ on the 16-element example",
+          _one_sided_duals, ("ex5_5",)),
+    Claim("duality", "thm_5_13", "weight-partition tables agree on both sides",
+          lambda ring: duality.left_right_agreement(partitions.hom_partition(ring)),
+          ("ex5_5",)),
+    Claim("paper-examples", "ex_2_3", "reproduce ex2_3_local", _local_weights, (_LOCAL,)),
+    Claim("paper-examples", "ex_4_5", "reproduce ex4_5_q2", _symmetrized_square,
+          (_SQUARE[2],)),
+    Claim("paper-examples", "ex_4_5", "reproduce ex4_5_q3", _symmetrized_square,
+          (_SQUARE[3],)),
+    Claim("paper-examples", "ex_4_6", "reproduce ex4_6_q2", _matrix_times_field,
+          (_MAT_FIELD[2],)),
+    Claim("paper-examples", "ex_4_6", "reproduce ex4_6_q3", _matrix_times_field,
+          (_MAT_FIELD[3],)),
+    Claim("paper-examples", "ex_5_5", "reproduce ex5_5", _one_sided_duals, ("ex5_5",)),
+    Claim("paper-examples", "ex_5_10", "reproduce ex5_10a", _square_duality,
+          (_SQUARE[3],)),
+    Claim("paper-examples", "ex_5_10", "reproduce ex5_10b", _square_duality,
+          (_SQUARE[2],)),
+    Claim("paper-examples", "ex_5_11", "reproduce ex5_11a", _product_duality,
+          (_MAT_FIELD[3],)),
+    Claim("paper-examples", "ex_5_11", "reproduce ex5_11b", _product_duality,
+          (_MAT_FIELD[2],)),
 )
-
-
-def _check_axioms_ring(expr: str) -> bool:
-    from .rings import validate_tables
-
-    ring = build_ring(parse_ring(expr))
-    validate_tables(ring.add_table, ring.mul_table, ring.one)
-    return ring.is_frobenius
-
-
-def _check_non_frobenius_detected() -> bool:
-    spec = _non_frobenius_spec()
-    ring = build_table_ring(spec)
-    return not ring.is_frobenius
-
-
-def _non_frobenius_spec():
-    """The 8-element algebra F_2[x,y]/(x^2, y^2, xy, yx): socle not principal."""
-    from .rings import TableRingSpec
-
-    size = 8
-
-    def unpack(i):
-        return (i >> 2) & 1, (i >> 1) & 1, i & 1
-
-    def pack(a, b, c):
-        return a * 4 + b * 2 + c
-
-    add = [[pack((a1 + a2) % 2, (b1 + b2) % 2, (c1 + c2) % 2)
-            for a2, b2, c2 in map(unpack, range(size))]
-           for a1, b1, c1 in map(unpack, range(size))]
-    mul = [[pack(a1 * a2, (a1 * b2 + a2 * b1) % 2, (a1 * c2 + a2 * c1) % 2)
-            for a2, b2, c2 in map(unpack, range(size))]
-           for a1, b1, c1 in map(unpack, range(size))]
-    return TableRingSpec(size=size, add=add, mul=mul, one=4,
-                         name="non_frobenius_8")
-
-
-def _check_weight_equations(expr: str) -> bool:
-    ring = build_ring(parse_ring(expr))
-    weights.weight_table(ring)  # validation runs inside
-    return weights.socle_weight_consistency(ring)
-
-
-def _check_zero_weight(expr: str) -> bool:
-    ring = build_ring(parse_ring(expr))
-    weights.has_zero_weight_nonzero(ring)  # raises on predicate disagreement
-    return True
-
-
-def _check_counting() -> bool:
-    for q in (2, 3, 4, 5):
-        for r in range(1, 7):
-            if not weights.cauchy_identity_check(r, q):
-                return False
-    for q in (2, 3):
-        for m in range(1, 5):
-            for r in range(m + 1):
-                if sum(weights.s_count(j, m, r, q) for j in range(r + 1)) != q ** (r * m):
-                    return False
-    return True
-
-
-def _check_hom_invariant(expr: str) -> bool:
-    ring = build_ring(parse_ring(expr))
-    return partitions.is_invariant(partitions.hom_partition(ring))
-
-
-def _check_rank_equals_hom(expr: str) -> bool:
-    ring = build_ring(parse_ring(expr))
-    return partitions.equals(
-        partitions.rank_partition(ring), partitions.hom_partition(ring)
-    )
-
-
-def _check_self_dual(expr: str) -> bool:
-    ring = build_ring(parse_ring(expr))
-    return duality.is_self_dual(partitions.hom_partition(ring))
-
-
-def _check_char_independent(expr: str) -> bool:
-    ring = build_ring(parse_ring(expr))
-    return duality.character_independence_check(partitions.hom_partition(ring))
-
-
-def _check_delsarte(m: int, q: int) -> bool:
-    ring = build_matrix_ring(m, build_gf(q))
-    char = canonical_generating_character(ring)
-    table = duality.krawtchouk_table(partitions.rank_partition(ring), char, "left")
-    for a in range(ring.size):
-        i = ring.rank(a)
-        for k in range(m + 1):
-            if table.entry(k, a).as_int() != duality.delsarte_rank_krawtchouk(m, q, i, k):
-                return False
-    return True
-
-
-def _check_prop_5_6(expr: str, kind: str) -> bool:
-    ring = build_ring(parse_ring(expr))
-    char = canonical_generating_character(ring)
-    part = select_partition(ring, kind)
-    dual = duality.dual_partition(part, char, "left")
-    if part.num_blocks > dual.num_blocks:
-        return False
-    return duality.is_reflexive(part, char) == (part.num_blocks == dual.num_blocks)
-
-
-def _check_symmetric_char(expr: str) -> bool:
-    ring = build_ring(parse_ring(expr))
-    return is_symmetric(canonical_generating_character(ring))
-
-
-def _repro_check(example_id: str):
-    def run() -> bool:
-        return REPRODUCIBLES[example_id]()[1]
-
-    return run
-
-
-def _suite_axioms() -> list:
-    checks = [
-        (f"cayley tables and frobenius: {expr}", "thm_2_1",
-         lambda e=expr: _check_axioms_ring(e))
-        for expr in _AXIOM_RING_EXPRS
-    ]
-    checks.append(
-        ("non-frobenius 8-element algebra detected", "thm_2_1",
-         _check_non_frobenius_detected)
-    )
-    return checks
-
-
-def _suite_weights() -> list:
-    exprs = ("Z2", "Z4", "Z6", "Z8", "Z9", "Z12", "GF(4)", "GF(8)", "GF(9)",
-             "M(2,GF(2))", "M(2,GF(3))", "ex5_5", "GF(2) x GF(2)",
-             "GF(2) x GF(3)", "M(2,GF(2)) x GF(2)", "M(3,GF(2))")
-    checks = [
-        (f"defining equations and socle reduction: {expr}", "def_2_2",
-         lambda e=expr: _check_weight_equations(e))
-        for expr in exprs
-    ]
-    checks += [
-        (f"zero-weight criterion: {expr}", "cor_4_3",
-         lambda e=expr: _check_zero_weight(e))
-        for expr in ("Z4", "Z6", "GF(2) x GF(2)", "GF(2) x GF(2) x GF(3)",
-                     "M(2,GF(2)) x GF(2)")
-    ]
-    checks.append(("rank counting identities", "lem_3_1", _check_counting))
-    checks.append(("local ring weights", "ex_2_3", _repro_check("ex2_3_local")))
-    return checks
-
-
-def _suite_partitions() -> list:
-    checks = [
-        (f"weight partition invariant: {expr}", "rem_3_7",
-         lambda e=expr: _check_hom_invariant(e))
-        for expr in ("Z4", "Z12", "M(2,GF(2))", "ex5_5", "M(2,GF(2)) x GF(2)")
-    ]
-    checks += [
-        (f"rank partition equals weight partition: {expr}", "cor_3_5",
-         lambda e=expr: _check_rank_equals_hom(e))
-        for expr in ("M(2,GF(2))", "M(2,GF(3))", "M(3,GF(2))")
-    ]
-    checks.append(
-        ("16-element example partition invariant", "ex_5_5",
-         lambda: partitions.is_invariant(
-             partitions.ex5_5_partition(
-                 build_table_ring(builtin_table_spec("ex5_5")))))
-    )
-    checks.append(("block merge structure, q=2", "eq_4_4", _repro_check("ex4_6_q2")))
-    checks.append(("block merge structure, q=3", "eq_4_4", _repro_check("ex4_6_q3")))
-    checks.append(("symmetrized partition dichotomy, q=2", "ex_4_5",
-                   _repro_check("ex4_5_q2")))
-    checks.append(("symmetrized partition dichotomy, q=3", "ex_4_5",
-                   _repro_check("ex4_5_q3")))
-    return checks
-
-
-def _suite_duality() -> list:
-    checks = [
-        (f"weight partition self-dual: {expr}", "thm_5_9",
-         lambda e=expr: _check_self_dual(e))
-        for expr in ("M(2,GF(2))", "M(2,GF(3))", "M(3,GF(2))")
-    ]
-    checks += [
-        (f"character independence of tables: {expr}", "cor_5_4",
-         lambda e=expr: _check_char_independent(e))
-        for expr in ("Z4", "Z6", "GF(4)", "M(2,GF(2))")
-    ]
-    checks += [
-        (f"symmetric canonical character: {expr}", "thm_5_8",
-         lambda e=expr: _check_symmetric_char(e))
-        for expr in ("GF(4)", "M(2,GF(2))", "M(2,GF(3))", "M(2,GF(2)) x GF(2)")
-    ]
-    checks += [
-        (f"closed-form rank coefficients, m={m} q={q}", "delsarte_a10",
-         lambda m=m, q=q: _check_delsarte(m, q))
-        for m, q in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2))
-    ]
-    checks += [
-        (f"block-count reflexivity criterion: {expr} ({kind})", "prop_5_6",
-         lambda e=expr, k=kind: _check_prop_5_6(e, k))
-        for expr, kind in (
-            ("Z4", "hom"), ("Z6", "hom"), ("M(2,GF(2))", "hom"),
-            ("M(2,GF(2)) x GF(2)", "hom"), ("M(2,GF(2)) x M(2,GF(2))", "hom"),
-            ("GF(2) x GF(3)", "hamming"),
-        )
-    ]
-    checks.append(("one-sided duals differ on the 16-element example", "ex_5_5",
-                   _repro_check("ex5_5")))
-    checks.append(("weight-partition tables agree on both sides", "thm_5_13",
-                   lambda: duality.left_right_agreement(
-                       partitions.hom_partition(
-                           build_table_ring(builtin_table_spec("ex5_5"))))))
-    return checks
-
-
-def _suite_examples() -> list:
-    order = ("ex2_3_local", "ex4_5_q2", "ex4_5_q3", "ex4_6_q2", "ex4_6_q3",
-             "ex5_5", "ex5_10a", "ex5_10b", "ex5_11a", "ex5_11b")
-    anchors = {
-        "ex2_3_local": "ex_2_3", "ex4_5_q2": "ex_4_5", "ex4_5_q3": "ex_4_5",
-        "ex4_6_q2": "ex_4_6", "ex4_6_q3": "ex_4_6", "ex5_5": "ex_5_5",
-        "ex5_10a": "ex_5_10", "ex5_10b": "ex_5_10",
-        "ex5_11a": "ex_5_11", "ex5_11b": "ex_5_11",
-    }
-    return [(f"reproduce {i}", anchors[i], _repro_check(i)) for i in order]
-
-
-def _build_suites() -> dict:
-    suites = {
-        "axioms": _suite_axioms(),
-        "weights": _suite_weights(),
-        "partitions": _suite_partitions(),
-        "duality": _suite_duality(),
-        "paper-examples": _suite_examples(),
-    }
-    suites["all"] = [c for name in
-                     ("axioms", "weights", "partitions", "duality", "paper-examples")
-                     for c in suites[name]]
-    return suites
-
-
-class _LazySuites:
-    def __init__(self):
-        self._suites = None
-
-    def __getitem__(self, name: str):
-        if self._suites is None:
-            self._suites = _build_suites()
-        return self._suites[name]
-
-
-SUITES = _LazySuites()
 
 
 # -- argument parsing --------------------------------------------------------
 
 
-def _add_common(parser, ring_required: bool = True) -> None:
+def _add_common(parser) -> None:
     parser.add_argument("--ring", help="ring expression, e.g. 'M(2,GF(2)) x GF(2)'")
     parser.add_argument("--json", action="store_true", help="emit JSON")
     parser.add_argument("--char", default="canonical",
@@ -963,34 +845,30 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_weights)
 
     p = sub.add_parser("partition", help="build a named partition")
-    p.add_argument("kind", choices=["hom", "rank", "hamming", "product",
-                                    "sym2", "ex5_5"])
+    p.add_argument("kind", choices=PARTITION_KINDS)
     _add_common(p)
     p.set_defaults(handler=cmd_partition)
 
     p = sub.add_parser("dual", help="dual partition(s) of a partition")
-    p.add_argument("--partition", default="hom",
-                   choices=["hom", "rank", "hamming", "product", "sym2", "ex5_5"])
+    p.add_argument("--partition", default="hom", choices=PARTITION_KINDS)
     p.add_argument("--side", default="left", choices=["left", "right", "both"])
     _add_common(p)
     p.set_defaults(handler=cmd_dual)
 
     p = sub.add_parser("krawtchouk", help="exact character-sum coefficient tables")
-    p.add_argument("--partition", default="hom",
-                   choices=["hom", "rank", "hamming", "product", "sym2", "ex5_5"])
+    p.add_argument("--partition", default="hom", choices=PARTITION_KINDS)
     p.add_argument("--side", default="left", choices=["left", "right", "both"])
     _add_common(p)
     p.set_defaults(handler=cmd_krawtchouk)
 
     p = sub.add_parser("verify", help="run a named check suite")
-    p.add_argument("suite", choices=["axioms", "weights", "partitions",
-                                     "duality", "paper-examples", "all"])
+    p.add_argument("suite", choices=[*dict.fromkeys(c.suite for c in CLAIMS), "all"])
     p.add_argument("--json", action="store_true")
     p.add_argument("--no-timestamp", action="store_true")
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("reproduce", help="recompute a named worked example")
-    p.add_argument("id", choices=sorted(REPRODUCIBLES))
+    p.add_argument("id", choices=sorted(_examples()))
     p.add_argument("--json", action="store_true")
     p.add_argument("--no-timestamp", action="store_true")
     p.set_defaults(handler=cmd_reproduce)

@@ -323,13 +323,6 @@ def _rows(payload):
     return [[c["check"], c["anchor"], c["pass"]] for c in payload["checks"]]
 
 
-def test_verify_all_rows_are_frozen(capsys):
-    """Every claim, in order, with its anchor and verdict, as first recorded."""
-    code, payload, _ = run_json(capsys, "verify", "all")
-    assert code == FROZEN["verify_all_exit"] == 0
-    assert _rows(payload) == FROZEN["verify_all_rows"]
-    assert len(payload["checks"]) == 86
-    assert payload["all_pass"] is True
 
 
 @pytest.mark.parametrize("suite", sorted(FROZEN["suite_slices"]))
@@ -348,9 +341,50 @@ def test_reproduce_payload_is_frozen(capsys, example_id):
     assert payload == frozen["payload"]
 
 
+@pytest.fixture
+def built_rings(monkeypatch):
+    """Record (expression text, ring) for every ring the CLI builds."""
+    built = []
+
+    def recording(expr, max_size=None):
+        ring = build_ring(expr, max_size)
+        built.append((expr.unparse(), ring))
+        return ring
+
+    monkeypatch.setattr(cli, "build_ring", recording)
+    return built
+
+
+def test_verify_all_rows_are_frozen(capsys, built_rings):
+    """Every claim, in order, with its anchor and verdict, as first recorded.
+
+    The run builds each ring expression the claim table names once.
+    """
+    code, payload, _ = run_json(capsys, "verify", "all")
+    assert code == FROZEN["verify_all_exit"] == 0
+    assert _rows(payload) == FROZEN["verify_all_rows"]
+    assert len(payload["checks"]) == 86
+    assert payload["all_pass"] is True
+    texts = [text for text, _ in built_rings]
+    named = {arg for claim in cli.CLAIMS for case in cli._cases(claim)
+             for arg in case if isinstance(arg, str)}
+    assert sorted(texts) == sorted(named)
+    assert "M(2,GF(3)) x M(2,GF(3))" in texts
+
+
+def test_separate_main_calls_share_no_ring(capsys, built_rings):
+    assert run_json(capsys, "verify", "axioms")[0] == 0
+    calls = len(built_rings)
+    assert run_json(capsys, "verify", "axioms")[0] == 0
+    first = {id(ring) for _, ring in built_rings[:calls]}  # the list keeps
+    second = {id(ring) for _, ring in built_rings[calls:]}  # every ring alive
+    assert len(first) == len(second) == calls == 15
+    assert first.isdisjoint(second)
+
+
 def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
-    broken = {"axioms": [("always-fails", "anchor_x", lambda: False)]}
-    monkeypatch.setattr(cli, "SUITES", broken)
+    broken = (cli.Claim("axioms", "anchor_x", "always-fails", lambda: False),)
+    monkeypatch.setattr(cli, "CLAIMS", broken)
     code, payload, _ = run_json(capsys, "verify", "axioms")
     assert code == 1
     assert payload["all_pass"] is False
@@ -363,9 +397,7 @@ def test_verify_captures_check_exceptions(capsys, monkeypatch):
     def boom():
         raise InternalInconsistency("synthetic defect")
 
-    monkeypatch.setattr(
-        cli, "SUITES", {"axioms": [("raises", "anchor_y", boom)]}
-    )
+    monkeypatch.setattr(cli, "CLAIMS", (cli.Claim("axioms", "anchor_y", "raises", boom),))
     code, payload, _ = run_json(capsys, "verify", "axioms")
     assert code == 1
     assert payload["checks"][0]["pass"] is False
@@ -379,12 +411,13 @@ def test_reproduce_known_id(capsys):
 
 
 def test_reproduce_mismatch_exits_1(capsys, monkeypatch):
-    monkeypatch.setitem(
-        cli.REPRODUCIBLES, "ex5_5", lambda: ({"note": "forced"}, False)
-    )
+    forced = cli.Claim("paper-examples", "ex_5_5", "reproduce ex5_5",
+                       lambda ring: ({"note": ring.expr}, False), ("ex5_5",))
+    monkeypatch.setattr(cli, "CLAIMS", (forced,))
     code, payload, _ = run_json(capsys, "reproduce", "ex5_5")
     assert code == 1
     assert payload["match"] is False
+    assert payload["note"] == "ex5_5"
 
 
 def test_unknown_choices_exit_2(capsys):

@@ -29,8 +29,7 @@ from .rings import (FiniteRing, GaloisField, MatrixRing, ProductRing,
 from .weights import (WeightTable, alpha, cauchy_identity_check, gaussian,
                       has_zero_weight_nonzero, s_count,
                       socle_weight_consistency, weight_matrix_rank,
-                      weight_rank_profile, weight_table,
-                      weight_via_characters)
+                      weight_rank_profile, weight_table)
 
 __version__ = "0.1.0"
 
@@ -54,5 +53,4 @@ __all__ = [
     "semisimple_lr_agreement", "socle_weight_consistency",
     "symmetrized_power_partition", "translate", "validate_tables",
     "weight_matrix_rank", "weight_rank_profile", "weight_table",
-    "weight_via_characters",
 ]

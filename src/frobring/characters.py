@@ -17,20 +17,54 @@ from .errors import CharacterSearchFailed, InternalInconsistency, InvalidParamet
 from .rings import AlgebraRing, FiniteRing, ProductRing, TableRing, ZmodRing
 
 
+def _grow_span(ring: FiniteRing, in_span: np.ndarray, g: int) -> None:
+    """Extend the subgroup H marked in the mask ``in_span`` to H + <g>.
+
+    The cosets H + jg are pairwise disjoint until one falls back into
+    H, so the walk marks each new coset until it meets a marked one.
+    """
+    shift = ring.add_row(g)
+    coset = np.flatnonzero(in_span)
+    while not in_span[shift[coset[0]]]:
+        coset = shift[coset]
+        in_span[coset] = True
+
+
+def _additive_generators(ring: FiniteRing) -> list[int]:
+    """A generating set of (R,+) with at most log2 |R| members, cached.
+
+    Greedy: the least element outside the span so far joins the set,
+    and the span at least doubles with each member.
+    """
+    cached = getattr(ring, "_additive_generators", None)
+    if cached is not None:
+        return cached
+    in_span = np.arange(ring.size) == 0
+    gens: list[int] = []
+    while not in_span.all():
+        gens.append(int(np.argmin(in_span)))
+        _grow_span(ring, in_span, gens[-1])
+    ring._additive_generators = gens
+    return gens
+
+
 def _check_hom(ring: FiniteRing, exponents: np.ndarray, order: int) -> bool:
-    """Exhaustive check that the exponent map is additive, pair by pair."""
-    for a in range(ring.size):
-        sums = exponents[ring.add_row(a)]
-        if not np.array_equal(sums, (exponents[a] + exponents) % order):
-            return False
-    return True
+    """Is the exponent map additive?  Checked on an additive generating set.
+
+    With e(0) = 0, e(x + g) = e(x) + e(g) for every x and every
+    generator g gives e(x + y) = e(x) + e(y) for all y, by induction on
+    the number of generators summing to y.  One add_row per generator.
+    """
+    return all(
+        np.array_equal(exponents[ring.add_row(g)], (exponents + exponents[g]) % order)
+        for g in _additive_generators(ring)
+    )
 
 
 class Character:
     """An additive character, evaluated through its exponent map."""
 
-    def __init__(self, ring: FiniteRing, exponents, order: int | None = None,
-                 validate: bool = True):
+    def __init__(self, ring: FiniteRing, exponents, order: int | None = None):
         self.ring = ring
         self.order = ring.characteristic if order is None else order
         exps = np.asarray(exponents, dtype=np.int64) % self.order
@@ -39,7 +73,7 @@ class Character:
         self.exponents = exps
         if self.exponents[0] != 0:
             raise InvalidParameter("a character must send 0 to exponent 0")
-        if validate and not _check_hom(ring, self.exponents, self.order):
+        if not _check_hom(ring, self.exponents, self.order):
             raise InvalidParameter(
                 "exponent map is not an additive homomorphism into "
                 f"Z_{self.order}"
@@ -118,11 +152,7 @@ def is_symmetric(char: Character) -> bool:
 
 
 def translate(char: Character, r: int, side: str = "left") -> Character:
-    """The character x -> chi(x*r) (side 'left') or x -> chi(r*x) ('right').
-
-    Translates of an additive character are additive, so no revalidation
-    is needed.
-    """
+    """The character x -> chi(x*r) (side 'left') or x -> chi(r*x) ('right')."""
     ring = char.ring
     if side == "left":
         exps = char.exponents[ring.mul_col(r)]
@@ -130,7 +160,7 @@ def translate(char: Character, r: int, side: str = "left") -> Character:
         exps = char.exponents[ring.mul_row(r)]
     else:
         raise InvalidParameter(f"side must be 'left' or 'right', got {side!r}")
-    return Character(ring, exps, char.order, validate=False)
+    return Character(ring, exps, char.order)
 
 
 def canonical_generating_character(ring: FiniteRing) -> Character:
@@ -157,10 +187,7 @@ def _canonical(ring: FiniteRing) -> Character:
     if isinstance(ring, ZmodRing):
         return Character(ring, np.arange(ring.size, dtype=np.int64), ring.modulus)
     if isinstance(ring, AlgebraRing):
-        # the trace form is F_p-linear, so the quadratic additivity check
-        # is kept only for fields and for rings small enough to table
-        return Character(ring, ring.trace_exponents, ring.p,
-                         validate=ring.is_field or ring.size <= 4096)
+        return Character(ring, ring.trace_exponents, ring.p)
     if isinstance(ring, ProductRing):
         order = ring.characteristic
         acc = np.zeros(ring.size, dtype=np.int64)
@@ -168,9 +195,7 @@ def _canonical(ring: FiniteRing) -> Character:
             fc = canonical_generating_character(factor)
             scale = order // fc.order
             acc += scale * fc.exponents[ring._dec[:, i]]
-        # each factor map is validated exhaustively; the scaled sum of
-        # additive maps is additive, so skip the quadratic recheck
-        return Character(ring, acc % order, order, validate=False)
+        return Character(ring, acc % order, order)
     if isinstance(ring, TableRing):
         if ring.char_exponents is not None:
             char = Character(ring, ring.char_exponents, ring.characteristic)
@@ -198,19 +223,6 @@ def _additive_order(ring: FiniteRing, x: int) -> int:
     return c
 
 
-def _closure(ring: FiniteRing, gens) -> frozenset[int]:
-    members = {0}
-    frontier = [0]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = ring.add(cur, g)
-            if nxt not in members:
-                members.add(nxt)
-                frontier.append(nxt)
-    return frozenset(members)
-
-
 def _abelian_basis(ring: FiniteRing) -> list[tuple[int, int]]:
     """Generators and orders with (R,+) the direct sum of the cyclic parts.
 
@@ -218,25 +230,24 @@ def _abelian_basis(ring: FiniteRing) -> list[tuple[int, int]]:
     complement, then shrink the complement to a maximal subgroup meeting
     the new cyclic part trivially (scanning elements in index order).
     """
-    ambient = frozenset(range(ring.size))
-    orders = {x: _additive_order(ring, x) for x in range(ring.size)}
+    ambient = np.ones(ring.size, dtype=bool)
+    orders = [_additive_order(ring, x) for x in range(ring.size)]
     basis: list[tuple[int, int]] = []
-    taken: list[int] = []
-    while len(ambient) > 1:
-        best = max(sorted(ambient), key=lambda x: (orders[x], -x))
+    in_taken = np.arange(ring.size) == 0
+    while np.count_nonzero(ambient) > 1:
+        candidates = np.flatnonzero(ambient).tolist()
+        best = max(candidates, key=lambda x: (orders[x], -x))
         basis.append((best, orders[best]))
-        taken.append(best)
-        span_taken = _closure(ring, taken)
-        comp = frozenset([0])
-        comp_gens: list[int] = []
-        for x in sorted(ambient):
-            if x in comp:
+        _grow_span(ring, in_taken, best)
+        in_comp = np.arange(ring.size) == 0
+        for x in candidates:
+            if in_comp[x]:
                 continue
-            cand = _closure(ring, comp_gens + [x])
-            if len(cand & span_taken) == 1:
-                comp = cand
-                comp_gens.append(x)
-        ambient = comp
+            in_cand = in_comp.copy()
+            _grow_span(ring, in_cand, x)
+            if np.count_nonzero(in_cand & in_taken) == 1:
+                in_comp = in_cand
+        ambient = in_comp
     total = 1
     for _, d in basis:
         total *= d
@@ -276,10 +287,8 @@ def search_generating_character(ring: FiniteRing) -> Character | None:
     for images in iter_product(*(range(d) for d in dims)):
         weights = np.array([t * s for t, s in zip(images, scales)], dtype=np.int64)
         exps = (coords @ weights) % order
-        char = Character(ring, exps, order, validate=False)
+        char = Character(ring, exps, order)
         if is_generating(char):
-            if not _check_hom(ring, char.exponents, order):
-                raise InternalInconsistency("search produced a non-additive map")
             return char
     return None
 

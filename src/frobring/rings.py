@@ -1010,8 +1010,7 @@ def build_product(factors, max_size: int | None = None,
     return ProductRing(factors, table_threshold, max_size=max_size)
 
 
-def build_table_ring(spec: TableRingSpec | dict, max_size: int | None = None,
-                     validate: bool = True) -> TableRing:
+def build_table_ring(spec: TableRingSpec | dict, max_size: int | None = None) -> TableRing:
     if isinstance(spec, dict):
         spec = TableRingSpec(**spec)
     if not isinstance(spec.size, int) or spec.size < 1:
@@ -1021,8 +1020,7 @@ def build_table_ring(spec: TableRingSpec | dict, max_size: int | None = None,
     mul = _as_table(spec.mul, spec.size, "mul")
     if not isinstance(spec.one, int):
         raise InvalidParameter("one must be an element index")
-    if validate:
-        validate_tables(add, mul, spec.one)
+    validate_tables(add, mul, spec.one)
     exps = spec.char_exponents
     if exps is not None:
         if len(exps) != spec.size or not all(isinstance(e, int) for e in exps):

@@ -129,39 +129,6 @@ class WeightTable:
         }
 
 
-def _unit_sum(ring: FiniteRing, char: Character, x: int, units_arr: np.ndarray,
-              side: str) -> cyclotomic.CycInt:
-    if side == "left":
-        prods = ring.mul_row(x, units_arr)  # x * u
-    else:
-        prods = ring.mul_col(x, units_arr)  # u * x
-    counts = np.bincount(char.exponents[prods], minlength=char.order)
-    return cyclotomic.from_exponent_counts(char.order, counts)
-
-
-def weight_via_characters(ring: FiniteRing, char: Character, x: int) -> Fraction:
-    """w(x) from the generating-character sum over units.
-
-    Both one-sided sums are computed; they must agree and be rational
-    integers, else the inputs are inconsistent.
-    """
-    if not 0 <= x < ring.size:
-        raise InvalidParameter(f"element index {x} out of range")
-    units_arr = np.asarray(ring.units, dtype=np.int64)
-    left = _unit_sum(ring, char, x, units_arr, "left")
-    right = _unit_sum(ring, char, x, units_arr, "right")
-    if left.coeffs != right.coeffs:
-        raise InternalInconsistency(
-            f"unit sums over x*u and u*x differ at element {x}"
-        )
-    value = left.as_int()
-    if value is None:
-        raise InternalInconsistency(
-            f"character sum at element {x} is not a rational integer"
-        )
-    return 1 - Fraction(value, len(units_arr))
-
-
 def _validate_homogeneous(ring: FiniteRing, weights: tuple[Fraction, ...]) -> None:
     """Check the defining equations on every principal ideal, both sides.
 
@@ -235,8 +202,7 @@ def _orbit_unit_sums(ring: FiniteRing, char: Character,
     return sums[orbit_of]
 
 
-def weight_table(ring: FiniteRing, char: Character | None = None,
-                 validate: bool = True) -> WeightTable:
+def weight_table(ring: FiniteRing, char: Character | None = None) -> WeightTable:
     """All weights at once; validated against the defining equations.
 
     Results are cached per character on the ring instance.
@@ -261,8 +227,7 @@ def weight_table(ring: FiniteRing, char: Character | None = None,
     sums = left.tolist()
     values = {s: 1 - Fraction(s, nunits) for s in set(sums)}
     table = WeightTable(ring, tuple(values[s] for s in sums))
-    if validate:
-        _validate_homogeneous(ring, table.weights)
+    _validate_homogeneous(ring, table.weights)
     cache[key] = table
     return table
 

@@ -9,7 +9,10 @@ matrix products entry by entry rather than from structure constants,
 and cyclotomic reductions from sympy polynomial division.  The
 element-by-element checks that the unit-orbit index replaced (weight
 validation, the generating test, unit invariance) are kept here too,
-each scanning every element or every unit.
+each scanning every element or every unit.  So are the pair-by-pair
+additivity check that the check on generators replaced, the cyclic
+decomposition by set closure that the coset walk replaced, and the
+weight of one element from its own character sum over the units.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from frobring.errors import InternalInconsistency
+from frobring import cyclotomic
+from frobring.errors import InternalInconsistency, InvalidParameter
 
 
 # -- ideal enumeration -------------------------------------------------------
@@ -187,6 +191,59 @@ def is_invariant_by_units(partition) -> bool:
     return True
 
 
+def is_additive_by_pairs(ring, exponents, order: int) -> bool:
+    """Is the exponent map additive?  Checked on every pair (x, y)."""
+    for x in range(ring.size):
+        if not np.array_equal(exponents[ring.add_row(x)], (exponents[x] + exponents) % order):
+            return False
+    return True
+
+
+def additive_closure(ring, gens) -> frozenset:
+    """Subgroup of (R,+) generated by gens, by breadth-first closure."""
+    members = {0}
+    frontier = [0]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = ring.add(cur, g)
+            if nxt not in members:
+                members.add(nxt)
+                frontier.append(nxt)
+    return frozenset(members)
+
+
+def abelian_basis_by_closure(ring) -> list[tuple[int, int]]:
+    """The greedy cyclic decomposition the character search uses, on sets.
+
+    Same choices as the library: a lowest-index element of maximal
+    order, then a maximal complement built in index order; every span
+    here is a set closure instead of a coset walk on masks.
+    """
+    orders = {}
+    for x in range(ring.size):
+        c, acc = 1, x
+        while acc != 0:
+            acc, c = ring.add(acc, x), c + 1
+        orders[x] = c
+    ambient = frozenset(range(ring.size))
+    basis, taken = [], []
+    while len(ambient) > 1:
+        best = max(sorted(ambient), key=lambda x: (orders[x], -x))
+        basis.append((best, orders[best]))
+        taken.append(best)
+        span_taken = additive_closure(ring, taken)
+        comp, comp_gens = frozenset([0]), []
+        for x in sorted(ambient):
+            if x not in comp:
+                cand = additive_closure(ring, comp_gens + [x])
+                if len(cand & span_taken) == 1:
+                    comp = cand
+                    comp_gens.append(x)
+        ambient = comp
+    return basis
+
+
 # -- homogeneous weight from the defining equations --------------------------
 
 
@@ -250,6 +307,38 @@ def homogeneous_weight_oracle(ring) -> list[Fraction]:
     for x in range(1, n):
         weights[x] = values[class_of[ideal_of[x]]]
     return weights
+
+
+def _unit_sum(ring, char, x: int, units_arr: np.ndarray, side: str):
+    if side == "left":
+        prods = ring.mul_row(x, units_arr)  # x * u
+    else:
+        prods = ring.mul_col(x, units_arr)  # u * x
+    counts = np.bincount(char.exponents[prods], minlength=char.order)
+    return cyclotomic.from_exponent_counts(char.order, counts)
+
+
+def weight_via_characters(ring, char, x: int) -> Fraction:
+    """w(x) from the generating-character sum over units, at one element.
+
+    Both one-sided sums are computed; they must agree and be rational
+    integers, else the inputs are inconsistent.
+    """
+    if not 0 <= x < ring.size:
+        raise InvalidParameter(f"element index {x} out of range")
+    units_arr = np.asarray(ring.units, dtype=np.int64)
+    left = _unit_sum(ring, char, x, units_arr, "left")
+    right = _unit_sum(ring, char, x, units_arr, "right")
+    if left.coeffs != right.coeffs:
+        raise InternalInconsistency(
+            f"unit sums over x*u and u*x differ at element {x}"
+        )
+    value = left.as_int()
+    if value is None:
+        raise InternalInconsistency(
+            f"character sum at element {x} is not a rational integer"
+        )
+    return 1 - Fraction(value, len(units_arr))
 
 
 # -- linear algebra over small fields ----------------------------------------

@@ -29,7 +29,14 @@ from frobring.rings import (
 )
 from frobring.cli import _non_frobenius_spec
 
-from oracles import is_generating_by_kernel_scan, principal_ideal_oracle
+from frobring.characters import _abelian_basis, _additive_generators, _check_hom
+from oracles import (
+    abelian_basis_by_closure,
+    additive_closure,
+    is_additive_by_pairs,
+    is_generating_by_kernel_scan,
+    principal_ideal_oracle,
+)
 
 
 def _frobenius_probe_rings():
@@ -115,6 +122,108 @@ def test_constructor_rejections(z4):
         Character(z4, [1, 2, 3, 0])  # nonzero at 0
     with pytest.raises(InvalidParameter):
         Character(z4, [0, 1, 3, 2])  # not additive
+
+
+# -- additivity on a generating set -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "ring",
+    FROBENIUS_RINGS + [build_matrix_ring(2, build_gf(3)),
+                       build_product([build_matrix_ring(2, build_gf(2)), build_gf(2)])],
+    ids=lambda r: r.expr,
+)
+def test_additive_generators_generate_and_are_few(ring):
+    gens = _additive_generators(ring)
+    assert 2 ** len(gens) <= ring.size
+    assert additive_closure(ring, gens) == frozenset(range(ring.size))
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [build_zmod(12), build_gf(8), build_product([build_zmod(2), build_zmod(4)]),
+     build_product([build_zmod(4), build_gf(3)]), build_matrix_ring(2, build_gf(2)),
+     build_table_ring(builtin_table_spec("ex5_5")), build_table_ring(_non_frobenius_spec())],
+    ids=lambda r: r.expr,
+)
+def test_abelian_basis_matches_set_closure_route(ring):
+    assert _abelian_basis(ring) == abelian_basis_by_closure(ring)
+
+
+@pytest.mark.parametrize("ring", FROBENIUS_RINGS, ids=lambda r: r.expr)
+def test_generator_check_matches_pairwise_oracle(ring):
+    """Additive maps (multiples, translates by any element) and broken ones."""
+    char = canonical_generating_character(ring)
+    order = char.order
+    rng = np.random.default_rng(7)
+    candidates = [char.exponents * k % order for k in range(min(order, 5))]
+    candidates += [char.exponents[ring.mul_col(r)] for r in range(ring.size)]
+    for _ in range(20):
+        exps = rng.integers(0, order, ring.size)
+        exps[0] = 0
+        candidates.append(exps)
+    verdicts = [_check_hom(ring, e, order) for e in candidates]
+    assert verdicts == [is_additive_by_pairs(ring, e, order) for e in candidates]
+    assert sum(verdicts) >= ring.size
+
+
+def _cosets(ring, subgroup, g):
+    """Index j of the coset subgroup + j*g holding each element, or -1."""
+    label = np.full(ring.size, -1)
+    coset, j = subgroup, 0
+    while label[next(iter(coset))] < 0:
+        label[list(coset)] = j
+        coset, j = frozenset(ring.add(x, g) for x in coset), j + 1
+    return label
+
+
+@pytest.mark.parametrize("ring", FROBENIUS_RINGS, ids=lambda r: r.expr)
+def test_maps_additive_along_some_generators_only(ring):
+    """Every generator is needed: maps additive along all but one, or
+    along one only, get the pairwise verdict."""
+    char = canonical_generating_character(ring)
+    e, order = char.exponents, char.order
+    gens = _additive_generators(ring)
+    rng = np.random.default_rng(11)
+    candidates = []
+    for g in gens:
+        # e + f(x + <g>) with f(<g>) = 0 is additive along g
+        cyclic = additive_closure(ring, [g])
+        f = {cyclic: 0}
+        coset_of = [frozenset(ring.add(x, c) for c in cyclic) for x in range(ring.size)]
+        candidates.append((e + [f.setdefault(c, int(rng.integers(order)))
+                                for c in coset_of]) % order)
+        # e + d(j) on the cosets S + jg of S = <other generators>, d(0) = 0,
+        # is additive along every generator but g
+        label = _cosets(ring, additive_closure(ring, [h for h in gens if h != g]), g)
+        if label.min() >= 0 and label.max() >= 1:
+            candidates.append((e + (label == 1)) % order)
+    verdicts = [_check_hom(ring, c, order) for c in candidates]
+    assert verdicts == [is_additive_by_pairs(ring, c, order) for c in candidates]
+    if len(gens) > 1 and order > 2:  # over F_2 every such map is additive
+        assert not all(verdicts)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [build_zmod(12), build_gf(4), build_table_ring(builtin_table_spec("ex5_5")),
+     build_product([build_zmod(4), build_gf(3)]),
+     build_matrix_ring(2, build_gf(9))],  # 6561 elements, above the old 4096 cutoff
+    ids=lambda r: r.expr,
+)
+def test_one_changed_exponent_is_rejected(ring):
+    """Changing e at one element off the generating set breaks additivity."""
+    char = canonical_generating_character(ring)
+    gens = set(_additive_generators(ring))
+    others = [x for x in range(1, ring.size) if x not in gens]
+    assert others
+    for x in others[:: max(1, len(others) // 40)]:
+        exps = char.exponents.copy()
+        exps[x] = (exps[x] + 1) % char.order
+        if ring.size <= 100:
+            assert not is_additive_by_pairs(ring, exps, char.order)
+        with pytest.raises(InvalidParameter, match="not an additive"):
+            Character(ring, exps, char.order)
 
 
 def test_galois_field_character_is_frobenius_stable():

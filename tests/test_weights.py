@@ -29,7 +29,6 @@ from frobring.weights import (
     weight_matrix_rank,
     weight_rank_profile,
     weight_table,
-    weight_via_characters,
 )
 
 from oracles import (
@@ -38,6 +37,7 @@ from oracles import (
     principal_ideal_oracle,
     unit_orbits_oracle,
     validate_homogeneous_by_element,
+    weight_via_characters,
 )
 
 
@@ -351,6 +351,17 @@ def test_weight_via_characters_single_element(z12):
     assert weight_via_characters(z12, char, 6) == 2
     assert weight_via_characters(z12, char, 4) == Fraction(3, 2)
     assert weight_via_characters(z12, char, 0) == 0
+
+
+@pytest.mark.parametrize("ring", WEIGHT_RINGS, ids=lambda r: r.expr)
+def test_orbit_unit_sums_match_per_element_sums(ring):
+    """weight_table sums once per unit orbit; the oracle sums at every element."""
+    chars = all_generating_characters(ring)
+    for char in (chars[0], chars[-1]):
+        table = weight_table(ring, char)
+        assert [weight_via_characters(ring, char, x) for x in range(ring.size)] == list(
+            table.weights
+        )
 
 
 # -- zero-weight criterion ------------------------------------------------------

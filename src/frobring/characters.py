@@ -17,21 +17,24 @@ from .errors import CharacterSearchFailed, InternalInconsistency, InvalidParamet
 from .rings import AlgebraRing, FiniteRing, ProductRing, TableRing, ZmodRing
 
 
-def _grow_span(ring: FiniteRing, in_span: np.ndarray, g: int) -> None:
+def _grow_span(ring: FiniteRing, in_span: np.ndarray, g: int) -> np.ndarray:
     """Extend the subgroup H marked in the mask ``in_span`` to H + <g>.
 
     The cosets H + jg are pairwise disjoint until one falls back into
     H, so the walk marks each new coset until it meets a marked one.
+    Returns the translation x -> x + g it walked with.
     """
     shift = ring.add_row(g)
     coset = np.flatnonzero(in_span)
     while not in_span[shift[coset[0]]]:
         coset = shift[coset]
         in_span[coset] = True
+    return shift
 
 
-def _additive_generators(ring: FiniteRing) -> list[int]:
-    """A generating set of (R,+) with at most log2 |R| members, cached.
+def _additive_generators(ring: FiniteRing) -> tuple[list[int], np.ndarray]:
+    """A generating set of (R,+) with at most log2 |R| members, cached
+    with the translation x -> x + g by each member g, one row each.
 
     Greedy: the least element outside the span so far joins the set,
     and the span at least doubles with each member.
@@ -41,11 +44,12 @@ def _additive_generators(ring: FiniteRing) -> list[int]:
         return cached
     in_span = np.arange(ring.size) == 0
     gens: list[int] = []
+    shifts = []
     while not in_span.all():
         gens.append(int(np.argmin(in_span)))
-        _grow_span(ring, in_span, gens[-1])
-    ring._additive_generators = gens
-    return gens
+        shifts.append(_grow_span(ring, in_span, gens[-1]))
+    ring._additive_generators = gens, np.array(shifts, dtype=np.int32).reshape(-1, ring.size)
+    return ring._additive_generators
 
 
 def _check_hom(ring: FiniteRing, exponents: np.ndarray, order: int) -> bool:
@@ -53,12 +57,10 @@ def _check_hom(ring: FiniteRing, exponents: np.ndarray, order: int) -> bool:
 
     With e(0) = 0, e(x + g) = e(x) + e(g) for every x and every
     generator g gives e(x + y) = e(x) + e(y) for all y, by induction on
-    the number of generators summing to y.  One add_row per generator.
+    the number of generators summing to y.  O(n) per generator.
     """
-    return all(
-        np.array_equal(exponents[ring.add_row(g)], (exponents + exponents[g]) % order)
-        for g in _additive_generators(ring)
-    )
+    gens, shifts = _additive_generators(ring)
+    return np.array_equal(exponents[shifts], (exponents + exponents[gens, None]) % order)
 
 
 class Character:
@@ -304,7 +306,7 @@ def all_generating_characters(ring: FiniteRing) -> list[Character]:
     for u in ring.units:
         cand = translate(base, u, "left")
         seen.setdefault(cand.key(), cand)
-    chars = sorted(seen.values(), key=lambda c: tuple(c.exponents))
+    chars = sorted(seen.values(), key=lambda c: c.exponents.tolist())
     if len(chars) != len(ring.units):
         raise InternalInconsistency(
             "unit translates of a generating character must be pairwise distinct"

@@ -518,10 +518,6 @@ def _tables_and_frobenius(ring: FiniteRing) -> bool:
     return ring.is_frobenius
 
 
-def _non_frobenius_detected() -> bool:
-    return not build_table_ring(_non_frobenius_spec()).is_frobenius
-
-
 def _non_frobenius_spec():
     """The 8-element algebra F_2[x,y]/(x^2, y^2, xy, yx): socle not principal."""
     size = 8
@@ -748,7 +744,7 @@ CLAIMS = (
     Claim("axioms", "thm_2_1", "cayley tables and frobenius: {}",
           _tables_and_frobenius, _STRUCTURED),
     Claim("axioms", "thm_2_1", "non-frobenius 8-element algebra detected",
-          _non_frobenius_detected),
+          lambda: not build_table_ring(_non_frobenius_spec()).is_frobenius),
     Claim("weights", "def_2_2", "defining equations and socle reduction: {}",
           _weight_equations, _STRUCTURED + ("M(3,GF(2))",)),
     Claim("weights", "cor_4_3", "zero-weight criterion: {}", _zero_weight_criterion,
@@ -817,7 +813,7 @@ CLAIMS = (
 # -- argument parsing --------------------------------------------------------
 
 
-def _add_common(parser) -> None:
+def _add_common(parser, ring_required: bool = True) -> None:
     parser.add_argument("--ring", help="ring expression, e.g. 'M(2,GF(2)) x GF(2)'")
     parser.add_argument("--json", action="store_true", help="emit JSON")
     parser.add_argument("--char", default="canonical",

@@ -126,8 +126,13 @@ class FiniteRing:
         return np.asarray(sel, dtype=np.int64)
 
     def add_row(self, a: int, cols=None) -> np.ndarray:
-        """Vector of a + b over b in cols (all elements by default)."""
-        table = self.add_table
+        """Vector of a + b over b in cols (all elements by default).
+
+        Reads the addition table once something has built it; a row
+        costs the kernel about as much as one row of that table, so a
+        row alone does not build it.
+        """
+        table = self.__dict__.get("add_table")
         if table is not None:
             row = table[a] if cols is None else table[a, np.asarray(cols)]
             return row.astype(np.int64)

@@ -83,6 +83,20 @@ def test_axioms_hold_on_probe_rings(ring):
     validate_tables(add, mul, ring.one)
 
 
+@pytest.mark.parametrize("moduli", [(4, 3), (8, 9, 5)], ids=str)
+def test_add_row_from_kernel_matches_table(moduli):
+    """A row alone comes from the kernel; once the table exists, from it."""
+    ring = build_product([build_zmod(n) for n in moduli])
+    before = [ring.add_row(a) for a in range(ring.size)]
+    assert "add_table" not in ring.__dict__
+    table = ring.add_table
+    assert table is not None
+    for a in range(ring.size):
+        assert np.array_equal(before[a], table[a])
+        assert np.array_equal(ring.add_row(a), table[a])
+        assert np.array_equal(ring.add_row(a, [0, a]), table[a, [0, a]])
+
+
 def test_validate_rejects_broken_zero():
     add = np.array([[1, 0], [0, 1]])
     mul = np.array([[0, 0], [0, 1]])

@@ -32,12 +32,12 @@ def _grow_span(ring: FiniteRing, in_span: np.ndarray, g: int) -> np.ndarray:
     return shift
 
 
-def _additive_generators(ring: FiniteRing) -> tuple[list[int], np.ndarray]:
-    """A generating set of (R,+) with at most log2 |R| members, cached
-    with the translation x -> x + g by each member g, one row each.
+def _additive_generators(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
+    """A generating set of (R,+) and the translation by each member, cached.
 
-    Greedy: the least element outside the span so far joins the set,
-    and the span at least doubles with each member.
+    Row i of the array is x -> x + gens[i].  Greedy: the least element
+    outside the span so far joins the set, and the span at least
+    doubles with each member, so there are at most log2 |R| of them.
     """
     cached = getattr(ring, "_additive_generators", None)
     if cached is not None:
@@ -48,7 +48,8 @@ def _additive_generators(ring: FiniteRing) -> tuple[list[int], np.ndarray]:
     while not in_span.all():
         gens.append(int(np.argmin(in_span)))
         shifts.append(_grow_span(ring, in_span, gens[-1]))
-    ring._additive_generators = gens, np.array(shifts, dtype=np.int32).reshape(-1, ring.size)
+    ring._additive_generators = (np.array(gens, dtype=np.int64),
+                                 np.array(shifts, dtype=np.int64).reshape(-1, ring.size))
     return ring._additive_generators
 
 
@@ -60,7 +61,7 @@ def _check_hom(ring: FiniteRing, exponents: np.ndarray, order: int) -> bool:
     the number of generators summing to y.  O(n) per generator.
     """
     gens, shifts = _additive_generators(ring)
-    return np.array_equal(exponents[shifts], (exponents + exponents[gens, None]) % order)
+    return bool((exponents[shifts] == (exponents + exponents[gens, None]) % order).all())
 
 
 class Character:

@@ -59,9 +59,12 @@ def _check_hom(ring: FiniteRing, exponents: np.ndarray, order: int) -> bool:
     With e(0) = 0, e(x + g) = e(x) + e(g) for every x and every
     generator g gives e(x + y) = e(x) + e(y) for all y, by induction on
     the number of generators summing to y.  O(n) per generator.
+    Exponents lie in [0, order), so e(x) + e(g) - e(x + g) must be 0 or
+    order.
     """
     gens, shifts = _additive_generators(ring)
-    return bool((exponents[shifts] == (exponents + exponents[gens, None]) % order).all())
+    d = exponents[gens, None] + exponents - exponents[shifts]
+    return bool(((d == 0) | (d == order)).all())
 
 
 class Character:

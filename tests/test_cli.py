@@ -323,24 +323,6 @@ def _rows(payload):
     return [[c["check"], c["anchor"], c["pass"]] for c in payload["checks"]]
 
 
-
-
-@pytest.mark.parametrize("suite", sorted(FROZEN["suite_slices"]))
-def test_verify_suite_is_its_slice_of_all(capsys, suite):
-    start, stop = FROZEN["suite_slices"][suite]
-    code, payload, _ = run_json(capsys, "verify", suite)
-    assert code == 0
-    assert _rows(payload) == FROZEN["verify_all_rows"][start:stop]
-
-
-@pytest.mark.parametrize("example_id", sorted(FROZEN["reproduce"]))
-def test_reproduce_payload_is_frozen(capsys, example_id):
-    frozen = FROZEN["reproduce"][example_id]
-    code, payload, _ = run_json(capsys, "reproduce", example_id)
-    assert code == frozen["exit"] == 0
-    assert payload == frozen["payload"]
-
-
 @pytest.fixture
 def built_rings(monkeypatch):
     """Record (expression text, ring) for every ring the CLI builds."""
@@ -370,6 +352,22 @@ def test_verify_all_rows_are_frozen(capsys, built_rings):
              for arg in case if isinstance(arg, str)}
     assert sorted(texts) == sorted(named)
     assert "M(2,GF(3)) x M(2,GF(3))" in texts
+
+
+@pytest.mark.parametrize("suite", sorted(FROZEN["suite_slices"]))
+def test_verify_suite_is_its_slice_of_all(capsys, suite):
+    start, stop = FROZEN["suite_slices"][suite]
+    code, payload, _ = run_json(capsys, "verify", suite)
+    assert code == 0
+    assert _rows(payload) == FROZEN["verify_all_rows"][start:stop]
+
+
+@pytest.mark.parametrize("example_id", sorted(FROZEN["reproduce"]))
+def test_reproduce_payload_is_frozen(capsys, example_id):
+    frozen = FROZEN["reproduce"][example_id]
+    code, payload, _ = run_json(capsys, "reproduce", example_id)
+    assert code == frozen["exit"] == 0
+    assert payload == frozen["payload"]
 
 
 def test_separate_main_calls_share_no_ring(capsys, built_rings):

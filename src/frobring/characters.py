@@ -10,6 +10,9 @@ family; arbitrary table rings fall back to a deterministic search.
 
 from __future__ import annotations
 
+from itertools import product as iter_product
+from math import prod
+
 import numpy as np
 
 from . import cyclotomic
@@ -88,11 +91,8 @@ class Character:
     def exponent(self, x: int) -> int:
         return int(self.exponents[x])
 
-    def value(self, x: int) -> cyclotomic.CycInt:
-        return cyclotomic.root_power(self.order, self.exponent(x))
-
     def __call__(self, x: int) -> cyclotomic.CycInt:
-        return self.value(x)
+        return cyclotomic.root_power(self.order, self.exponent(x))
 
     def key(self) -> bytes:
         return self.exponents.tobytes()
@@ -254,10 +254,7 @@ def _abelian_basis(ring: FiniteRing) -> list[tuple[int, int]]:
             if np.count_nonzero(in_cand & in_taken) == 1:
                 in_comp = in_cand
         ambient = in_comp
-    total = 1
-    for _, d in basis:
-        total *= d
-    if total != ring.size:
+    if prod(d for _, d in basis) != ring.size:
         raise InternalInconsistency("cyclic decomposition does not span the group")
     return basis
 
@@ -273,20 +270,19 @@ def search_generating_character(ring: FiniteRing) -> Character | None:
     n = ring.size
     order = ring.characteristic
     basis = _abelian_basis(ring)
-    gens = [g for g, _ in basis]
     dims = [d for _, d in basis]
+    # x + j*g_i has the coordinates of x, with j at position i
     coords = np.zeros((n, len(basis)), dtype=np.int64)
-    from itertools import product as iter_product
-
-    seen = 0
-    for combo in iter_product(*(range(d) for d in dims)):
-        x = 0
-        for g, c in zip(gens, combo):
-            for _ in range(c):
-                x = ring.add(x, g)
-        coords[x] = combo
-        seen += 1
-    if seen != n:
+    reached = np.zeros(1, dtype=np.int64)
+    for i, (g, d) in enumerate(basis):
+        shift = ring.add_row(g)
+        walk = [reached]
+        for j in range(1, d):
+            walk.append(shift[walk[-1]])
+            coords[walk[-1]] = coords[walk[-2]]
+            coords[walk[-1], i] = j
+        reached = np.concatenate(walk)
+    if len(np.unique(reached)) != n:
         raise InternalInconsistency("coordinate enumeration missed elements")
 
     scales = [order // d for d in dims]

@@ -128,9 +128,7 @@ class FiniteRing:
     def add_row(self, a: int, cols=None) -> np.ndarray:
         """Vector of a + b over b in cols (all elements by default).
 
-        Reads the addition table once something has built it; a row
-        costs the kernel about as much as one row of that table, so a
-        row alone does not build it.
+        From the addition table once built; a row alone does not build it.
         """
         table = self.__dict__.get("add_table")
         if table is not None:

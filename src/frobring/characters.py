@@ -16,43 +16,26 @@ from math import prod
 import numpy as np
 
 from . import cyclotomic
-from .errors import CharacterSearchFailed, InternalInconsistency, InvalidParameter
-from .rings import AlgebraRing, FiniteRing, ProductRing, TableRing, ZmodRing
-
-
-def _grow_span(ring: FiniteRing, in_span: np.ndarray, g: int) -> np.ndarray:
-    """Extend the subgroup H marked in the mask ``in_span`` to H + <g>.
-
-    The cosets H + jg are pairwise disjoint until one falls back into
-    H, so the walk marks each new coset until it meets a marked one.
-    Returns the translation x -> x + g it walked with.
-    """
-    shift = ring.add_row(g)
-    coset = np.flatnonzero(in_span)
-    while not in_span[shift[coset[0]]]:
-        coset = shift[coset]
-        in_span[coset] = True
-    return shift
+from .errors import (CharacterSearchFailed, InternalInconsistency, InvalidParameter,
+                     ResourceLimit)
+from .rings import (AlgebraRing, FiniteRing, ProductRing, TableRing, ZmodRing,
+                    _greedy_generators, _grow_span)
 
 
 def _additive_generators(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
     """A generating set of (R,+) and the translation by each member, cached.
 
-    Row i of the array is x -> x + gens[i].  Greedy: the least element
-    outside the span so far joins the set, and the span at least
-    doubles with each member, so there are at most log2 |R| of them.
+    Row i of the array is x -> x + gens[i].  The set is the greedy one
+    of ``rings._greedy_generators``, at most log2 |R| members.
     """
     cached = getattr(ring, "_additive_generators", None)
     if cached is not None:
         return cached
-    in_span = np.arange(ring.size) == 0
-    gens: list[int] = []
-    shifts = []
-    while not in_span.all():
-        gens.append(int(np.argmin(in_span)))
-        shifts.append(_grow_span(ring, in_span, gens[-1]))
-    ring._additive_generators = (np.array(gens, dtype=np.int64),
-                                 np.array(shifts, dtype=np.int64).reshape(-1, ring.size))
+    pairs = list(_greedy_generators(ring.size, ring.add_row))
+    ring._additive_generators = (
+        np.array([g for g, _ in pairs], dtype=np.int64),
+        np.array([shift for _, shift in pairs], dtype=np.int64).reshape(-1, ring.size),
+    )
     return ring._additive_generators
 
 
@@ -220,13 +203,24 @@ def _canonical(ring: FiniteRing) -> Character:
     raise InvalidParameter(f"no canonical character rule for {type(ring).__name__}")
 
 
-def _additive_order(ring: FiniteRing, x: int) -> int:
-    c = 1
-    acc = x
-    while acc != 0:
-        acc = ring.add(acc, x)
-        c += 1
-    return c
+def _additive_orders(ring: FiniteRing) -> np.ndarray:
+    """Additive order of every element, in one vectorized walk x, 2x, 3x, ...
+
+    Each step adds x to the multiple of x reached so far, over the
+    addition table, for the elements whose multiples have not yet
+    returned to 0.
+    """
+    table = ring.add_table
+    if table is None:
+        raise ResourceLimit(f"{ring.expr}: too large for an addition table")
+    orders = np.ones(ring.size, dtype=np.int64)
+    acc = np.arange(ring.size)
+    live = np.arange(1, ring.size)
+    while live.size:
+        acc[live] = table[acc[live], live]
+        orders[live] += 1
+        live = live[acc[live] != 0]
+    return orders
 
 
 def _abelian_basis(ring: FiniteRing) -> list[tuple[int, int]]:
@@ -237,20 +231,20 @@ def _abelian_basis(ring: FiniteRing) -> list[tuple[int, int]]:
     the new cyclic part trivially (scanning elements in index order).
     """
     ambient = np.ones(ring.size, dtype=bool)
-    orders = [_additive_order(ring, x) for x in range(ring.size)]
+    orders = _additive_orders(ring).tolist()
     basis: list[tuple[int, int]] = []
     in_taken = np.arange(ring.size) == 0
     while np.count_nonzero(ambient) > 1:
         candidates = np.flatnonzero(ambient).tolist()
         best = max(candidates, key=lambda x: (orders[x], -x))
         basis.append((best, orders[best]))
-        _grow_span(ring, in_taken, best)
+        _grow_span(in_taken, ring.add_row(best))
         in_comp = np.arange(ring.size) == 0
         for x in candidates:
             if in_comp[x]:
                 continue
             in_cand = in_comp.copy()
-            _grow_span(ring, in_cand, x)
+            _grow_span(in_cand, ring.add_row(x))
             if np.count_nonzero(in_cand & in_taken) == 1:
                 in_comp = in_cand
         ambient = in_comp
@@ -264,9 +258,12 @@ def search_generating_character(ring: FiniteRing) -> Character | None:
 
     Decomposes (R,+) into cyclic parts, then walks all homomorphisms
     into Z_N in lexicographic order of their generator images until one
-    passes the generating test.  Returns None when the walk finishes
-    without a hit, which happens exactly for non-Frobenius rings.
+    passes the generating test.  Returns None, without walking, on a
+    non-Frobenius ring: only those have no generating character.  The
+    ring must be small enough to have an addition table.
     """
+    if not ring.is_frobenius:
+        return None
     n = ring.size
     order = ring.characteristic
     basis = _abelian_basis(ring)

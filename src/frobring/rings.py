@@ -39,6 +39,7 @@ DEFAULT_SIZE_GUARD = 10000
 DEFAULT_TABLE_THRESHOLD = 4096
 
 _EXHAUSTIVE_CHECK_LIMIT = 512
+_COMPARE_BLOCK = 1 << 17  # table entries compared per step in validate_tables
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -861,10 +862,82 @@ def _as_table(data, size, what) -> np.ndarray:
     return arr.astype(np.int32)
 
 
-def validate_tables(add: np.ndarray, mul: np.ndarray, one: int) -> None:
-    """Check all ring axioms on the given tables, exhaustively.
+def _first_mismatch(lhs: np.ndarray, rhs: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first entry where two equal-shaped arrays differ, or None."""
+    diff = lhs != rhs
+    if not diff.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(np.argmax(diff), diff.shape))
 
-    Raises InvalidRing with the first offending element pair or triple.
+
+def _first_mismatch_by_rows(n: int, lhs, rhs) -> tuple[int, int] | None:
+    """First (row, column) where two n x n arrays differ, or None.
+
+    ``lhs(rows)`` and ``rhs(rows)`` build the given rows only; a block of
+    rows at a time keeps the operands small enough to stay in cache.
+    """
+    step = max(1, _COMPARE_BLOCK // n)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        bad = _first_mismatch(lhs(rows), rhs(rows))
+        if bad:
+            return bad[0] + start, bad[1]
+    return None
+
+
+def _grow_span(in_span: np.ndarray, shift: np.ndarray) -> None:
+    """Extend the subgroup H marked in the mask ``in_span`` to H + <g>.
+
+    ``shift`` is the translation x -> x + g.  The cosets H + jg are
+    pairwise disjoint until one falls back into H, so the walk marks
+    each new coset until it meets a marked one.  Sound wherever H and g
+    lie in an associative part of the addition.
+    """
+    coset = np.flatnonzero(in_span)
+    while not in_span[shift[coset[0]]]:
+        coset = shift[coset]
+        in_span[coset] = True
+
+
+def _greedy_generators(size: int, translation):
+    """Yield a generating set of (R,+) as pairs (g, x -> x + g).
+
+    The least element outside the span so far joins the set; the span
+    grows by it only after the caller resumes, so a caller can check g
+    first.  Each span at least doubles, so at most log2(size) members.
+    ``translation(g)`` returns the translation by g.
+    """
+    in_span = np.arange(size) == 0
+    while not in_span.all():
+        g = int(np.argmin(in_span))
+        shift = translation(g)
+        yield g, shift
+        _grow_span(in_span, shift)
+
+
+def validate_tables(add: np.ndarray, mul: np.ndarray, one: int) -> None:
+    """Check every ring axiom on the given tables, exactly, in O(n^2 log n).
+
+    Raises InvalidRing with an offending element pair or triple.  After
+    the O(n^2) checks (0 is neutral, + is commutative, every row of + is
+    a permutation, ``one`` is a two-sided identity), the remaining
+    axioms are checked on a greedy additive generating set S:
+
+    * Associativity of + by Light's test: (x+g)+y = x+(g+y) for all x, y
+      and each g in S, run before the span grows by g.  The elements
+      passing it are closed under +, and with permutation rows they form
+      a group.  So each span is a subgroup, the coset walk that grows it
+      is sound, it at least doubles per generator (|S| <= log2 n), and
+      + is associative once S spans.
+    * Right distributivity (x+g)a = xa+ga for all x, a and g in S: for
+      fixed a, the g satisfying it for all x are closed under +.
+    * Left distributivity a(x+g) = ax+ag for a, g in S and all x: for
+      fixed a the g are closed under +, and given right distributivity
+      so are the a, as (a+b)(x+y) = a(x+y) + b(x+y).
+    * Associativity of * on S^3: with both distributive laws the
+      associator (xy)z - x(yz) is additive in each argument.
+
+    Cost: k n^2 for the first two, k^2 n and k^3 for the last, k = |S|.
     """
     n = add.shape[0]
     arange = np.arange(n)
@@ -872,46 +945,52 @@ def validate_tables(add: np.ndarray, mul: np.ndarray, one: int) -> None:
         b = int(np.flatnonzero(add[0] != arange)[0])
         raise InvalidRing(f"0 + {b} != {b}", witness=(0, b))
     if not np.array_equal(add, add.T):
-        a, b = map(int, np.argwhere(add != add.T)[0])
+        a, b = _first_mismatch(add, add.T)
         raise InvalidRing(f"{a} + {b} != {b} + {a}", witness=(a, b))
-    counts = np.apply_along_axis(np.bincount, 1, add, minlength=n)
-    if not (counts == 1).all():
-        a = int(np.argwhere(counts != 1)[0][0])
+    seen = np.zeros((n, n), dtype=bool)
+    np.put_along_axis(seen, add, True, axis=1)
+    if not seen.all():
+        a = int(np.flatnonzero(~seen.all(axis=1))[0])
         raise InvalidRing(f"row {a} of the addition table is not a permutation",
                           witness=(a,))
     if not (0 <= one < n) or not np.array_equal(mul[one], arange) or not np.array_equal(
         mul[:, one], arange
     ):
         raise InvalidRing(f"element {one} is not a two-sided identity", witness=(one,))
-    add64 = add.astype(np.int64)
-    mul64 = mul.astype(np.int64)
-    for a in range(n):
-        lhs = add64[add64[a]]
-        rhs = add64[a][add64]
-        if not np.array_equal(lhs, rhs):
-            b, c = map(int, np.argwhere(lhs != rhs)[0])
-            raise InvalidRing(f"addition is not associative at ({a},{b},{c})",
-                              witness=(a, b, c))
-        lhs = mul64[mul64[a]]
-        rhs = mul64[a][mul64]
-        if not np.array_equal(lhs, rhs):
-            b, c = map(int, np.argwhere(lhs != rhs)[0])
-            raise InvalidRing(f"multiplication is not associative at ({a},{b},{c})",
-                              witness=(a, b, c))
-        row = mul64[a]
-        lhs = row[add64]
-        rhs = add64[np.ix_(row, row)]
-        if not np.array_equal(lhs, rhs):
-            b, c = map(int, np.argwhere(lhs != rhs)[0])
-            raise InvalidRing(f"left distributivity fails at ({a},{b},{c})",
-                              witness=(a, b, c))
-        col = mul64[:, a]
-        lhs = col[add64]
-        rhs = add64[np.ix_(col, col)]
-        if not np.array_equal(lhs, rhs):
-            b, c = map(int, np.argwhere(lhs != rhs)[0])
-            raise InvalidRing(f"right distributivity fails at ({a},{b},{c})",
-                              witness=(a, b, c))
+    gens = []
+    for g, shift in _greedy_generators(n, add.__getitem__):
+        # (x+g)+y against x+(g+y) at [x, y]
+        bad = _first_mismatch_by_rows(n, lambda rows: add[shift[rows]],
+                                      lambda rows: add[rows][:, shift])
+        if bad:
+            x, y = bad
+            raise InvalidRing(f"addition is not associative at ({x},{g},{y})",
+                              witness=(x, g, y))
+        gens.append(g)
+    for g in gens:
+        # (x+g)a against xa + ga at [x, a]
+        shift, by_g = add[g], mul[g]
+        bad = _first_mismatch_by_rows(n, lambda rows: mul[shift[rows]],
+                                      lambda rows: add[mul[rows], by_g])
+        if bad:
+            x, a = bad
+            raise InvalidRing(f"right distributivity fails at ({a},{x},{g})",
+                              witness=(a, x, g))
+    s = np.array(gens, dtype=np.intp)
+    ss = mul[np.ix_(s, s)]
+    # a(g+x) at [a, g, x] against ax + ag, for a, g in S
+    bad = _first_mismatch(mul[s[:, None, None], add[s]],
+                          add[mul[s][:, None, :], ss[:, :, None]])
+    if bad:
+        a, g, x = int(s[bad[0]]), int(s[bad[1]]), bad[2]
+        raise InvalidRing(f"left distributivity fails at ({a},{x},{g})",
+                          witness=(a, x, g))
+    # (ab)c against a(bc) at [a, b, c], for a, b, c in S
+    bad = _first_mismatch(mul[ss[:, :, None], s], mul[s[:, None, None], ss])
+    if bad:
+        a, b, c = (int(s[i]) for i in bad)
+        raise InvalidRing(f"multiplication is not associative at ({a},{b},{c})",
+                          witness=(a, b, c))
 
 
 def _ex5_5_spec() -> TableRingSpec:
@@ -1023,7 +1102,11 @@ def build_table_ring(spec: TableRingSpec | dict, max_size: int | None = None) ->
     mul = _as_table(spec.mul, spec.size, "mul")
     if not isinstance(spec.one, int):
         raise InvalidParameter("one must be an element index")
-    validate_tables(add, mul, spec.one)
+    try:
+        validate_tables(add, mul, spec.one)
+    except InvalidRing as exc:
+        name = spec.name or f"table ring of size {spec.size}"
+        raise InvalidRing(f"{name}: {exc}", witness=exc.witness) from None
     exps = spec.char_exponents
     if exps is not None:
         if len(exps) != spec.size or not all(isinstance(e, int) for e in exps):

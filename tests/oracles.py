@@ -10,7 +10,8 @@ and cyclotomic reductions from sympy polynomial division.  The
 element-by-element checks that the unit-orbit index replaced (weight
 validation, the generating test, unit invariance) are kept here too,
 each scanning every element or every unit.  So are the pair-by-pair
-additivity check that the check on generators replaced, the cyclic
+additivity check that the check on generators replaced, the ring-axiom
+check on every triple that the checks on generators replaced, the cyclic
 decomposition by set closure that the coset walk replaced, and the
 weight of one element from its own character sum over the units.
 """
@@ -22,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from frobring import cyclotomic
-from frobring.errors import InternalInconsistency, InvalidParameter
+from frobring.errors import InternalInconsistency, InvalidParameter, InvalidRing
 
 
 # -- ideal enumeration -------------------------------------------------------
@@ -242,6 +243,59 @@ def abelian_basis_by_closure(ring) -> list[tuple[int, int]]:
                     comp_gens.append(x)
         ambient = comp
     return basis
+
+
+def validate_tables_exhaustive(add: np.ndarray, mul: np.ndarray, one: int) -> None:
+    """Check all ring axioms on the given tables, on every triple: O(n^3).
+
+    Raises InvalidRing with the first offending element pair or triple.
+    """
+    n = add.shape[0]
+    arange = np.arange(n)
+    if not np.array_equal(add[0], arange):
+        b = int(np.flatnonzero(add[0] != arange)[0])
+        raise InvalidRing(f"0 + {b} != {b}", witness=(0, b))
+    if not np.array_equal(add, add.T):
+        a, b = map(int, np.argwhere(add != add.T)[0])
+        raise InvalidRing(f"{a} + {b} != {b} + {a}", witness=(a, b))
+    counts = np.apply_along_axis(np.bincount, 1, add, minlength=n)
+    if not (counts == 1).all():
+        a = int(np.argwhere(counts != 1)[0][0])
+        raise InvalidRing(f"row {a} of the addition table is not a permutation",
+                          witness=(a,))
+    if not (0 <= one < n) or not np.array_equal(mul[one], arange) or not np.array_equal(
+        mul[:, one], arange
+    ):
+        raise InvalidRing(f"element {one} is not a two-sided identity", witness=(one,))
+    add64 = add.astype(np.int64)
+    mul64 = mul.astype(np.int64)
+    for a in range(n):
+        lhs = add64[add64[a]]
+        rhs = add64[a][add64]
+        if not np.array_equal(lhs, rhs):
+            b, c = map(int, np.argwhere(lhs != rhs)[0])
+            raise InvalidRing(f"addition is not associative at ({a},{b},{c})",
+                              witness=(a, b, c))
+        lhs = mul64[mul64[a]]
+        rhs = mul64[a][mul64]
+        if not np.array_equal(lhs, rhs):
+            b, c = map(int, np.argwhere(lhs != rhs)[0])
+            raise InvalidRing(f"multiplication is not associative at ({a},{b},{c})",
+                              witness=(a, b, c))
+        row = mul64[a]
+        lhs = row[add64]
+        rhs = add64[np.ix_(row, row)]
+        if not np.array_equal(lhs, rhs):
+            b, c = map(int, np.argwhere(lhs != rhs)[0])
+            raise InvalidRing(f"left distributivity fails at ({a},{b},{c})",
+                              witness=(a, b, c))
+        col = mul64[:, a]
+        lhs = col[add64]
+        rhs = add64[np.ix_(col, col)]
+        if not np.array_equal(lhs, rhs):
+            b, c = map(int, np.argwhere(lhs != rhs)[0])
+            raise InvalidRing(f"right distributivity fails at ({a},{b},{c})",
+                              witness=(a, b, c))
 
 
 # -- homogeneous weight from the defining equations --------------------------

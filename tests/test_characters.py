@@ -17,7 +17,7 @@ from frobring.characters import (
     translate,
 )
 from frobring.cyclotomic import root_power, zero
-from frobring.errors import InvalidParameter
+from frobring.errors import InvalidParameter, ResourceLimit
 from frobring.rings import (
     TableRingSpec,
     build_gf,
@@ -312,6 +312,11 @@ def test_search_finds_character_without_supplied_exponents():
 def test_search_returns_none_on_non_frobenius():
     ring = build_table_ring(_non_frobenius_spec())
     assert search_generating_character(ring) is None
+
+
+def test_search_needs_an_addition_table():
+    with pytest.raises(ResourceLimit, match="Z12"):
+        search_generating_character(build_zmod(12, table_threshold=0))
 
 
 # -- symmetry -----------------------------------------------------------------

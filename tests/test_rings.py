@@ -1,5 +1,7 @@
 """Ring construction, axioms, and derived structure vs oracle enumeration."""
 
+from time import perf_counter
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from frobring.rings import (
     builtin_table_spec,
     validate_tables,
 )
+from frobring import characters
 from frobring.characters import canonical_generating_character
 from frobring.cli import _non_frobenius_spec
 from frobring.partitions import hom_partition, is_invariant
@@ -34,6 +37,7 @@ from oracles import (
     socle_oracle,
     unit_orbits_oracle,
     units_oracle,
+    validate_tables_exhaustive,
 )
 
 
@@ -67,20 +71,243 @@ PROBE_RINGS = _probe_rings()
 
 
 def _tables_of(ring):
-    n = ring.size
-    add = np.array([[ring.add(a, b) for b in range(n)] for a in range(n)])
-    mul = np.array([[ring.mul(a, b) for b in range(n)] for a in range(n)])
-    return add, mul
+    return ring.add_table, ring.mul_table
 
 
 @pytest.mark.parametrize(
     "ring", PROBE_RINGS, ids=lambda r: r.expr
 )
 def test_axioms_hold_on_probe_rings(ring):
-    if ring.size > 16:
-        pytest.skip("table extraction is quadratic; small rings suffice here")
     add, mul = _tables_of(ring)
     validate_tables(add, mul, ring.one)
+    validate_tables_exhaustive(add, mul, ring.one)
+
+
+@pytest.fixture(scope="module")
+def ring1024():
+    return build_product([build_matrix_ring(2, build_gf(4)), build_gf(4)])
+
+
+def test_validate_1024_element_tables_within_budget(ring1024):
+    """M(2,GF(4)) x GF(4): the exhaustive route took 48 s at this size."""
+    add, mul = _tables_of(ring1024)
+    assert add.shape == (1024, 1024)
+    start = perf_counter()
+    validate_tables(add, mul, ring1024.one)
+    assert perf_counter() - start < 5.0
+
+
+def test_late_rows_rejected_with_genuine_witness(ring1024):
+    """Changes far from row 0 are found past the first block of rows."""
+    add0, mul0 = _tables_of(ring1024)
+    add = add0.copy()
+    _swap_intercalate(add, 1000, 1001, 1002)
+    cases = [(add, mul0)]
+    for row in (700, 1023):
+        mul = mul0.copy()
+        mul[row, 900] ^= 1
+        cases.append((add0, mul))
+    for add, mul in cases:
+        with pytest.raises(InvalidRing) as info:
+            validate_tables(add, mul, ring1024.one)
+        _assert_genuine(info.value, add, mul, ring1024.one)
+
+
+def _verdict(route, add, mul, one):
+    try:
+        route(add, mul, one)
+    except InvalidRing as exc:
+        return exc
+    return None
+
+
+def _assert_genuine(exc, add, mul, one):
+    """The axiom the message names fails at the reported witness."""
+    msg, w = str(exc), exc.witness
+    n = add.shape[0]
+    if msg == f"0 + {w[-1]} != {w[-1]}":
+        assert add[0, w[1]] != w[1]
+    elif msg.startswith("row "):
+        assert len(set(add[w[0]].tolist())) < n
+    elif "identity" in msg:
+        assert not (np.array_equal(mul[one], np.arange(n))
+                    and np.array_equal(mul[:, one], np.arange(n)))
+    elif msg.startswith("addition is not associative"):
+        a, b, c = w
+        assert add[add[a, b], c] != add[a, add[b, c]]
+    elif msg.startswith("multiplication is not associative"):
+        a, b, c = w
+        assert mul[mul[a, b], c] != mul[a, mul[b, c]]
+    elif msg.startswith("left distributivity"):
+        a, b, c = w
+        assert mul[a, add[b, c]] != add[mul[a, b], mul[a, c]]
+    elif msg.startswith("right distributivity"):
+        a, b, c = w
+        assert mul[add[b, c], a] != add[mul[b, a], mul[c, a]]
+    else:
+        a, b = w
+        assert msg == f"{a} + {b} != {b} + {a}" and add[a, b] != add[b, a]
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [build_table_ring(builtin_table_spec("ex5_5")), build_zmod(12),
+     build_product([build_zmod(4), build_gf(3)]),
+     build_product([build_table_ring(builtin_table_spec("ex5_5")), build_gf(2)])],
+    ids=lambda r: r.expr,
+)
+def test_generator_route_matches_exhaustive_on_mutations(ring):
+    """Seeded single-entry changes to either table: same verdict both ways."""
+    rng = np.random.default_rng(ring.size)
+    add0, mul0 = (np.array(t) for t in _tables_of(ring))
+    n = ring.size
+    rejected = 0
+    for trial in range(200):
+        add, mul = add0.copy(), mul0.copy()
+        table = add if trial % 2 else mul
+        a, b = rng.integers(0, n, 2)
+        table[a, b] = (table[a, b] + rng.integers(1, n)) % n
+        fast = _verdict(validate_tables, add, mul, ring.one)
+        slow = _verdict(validate_tables_exhaustive, add, mul, ring.one)
+        assert (fast is None) == (slow is None), (trial, fast, slow)
+        if fast is not None:
+            _assert_genuine(fast, add, mul, ring.one)
+            rejected += 1
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_relabelled_tables_pass_both_routes(seed):
+    """Shuffled labels (0 fixed) move the generators and keep a ring."""
+    ring = build_product([build_table_ring(builtin_table_spec("ex5_5")), build_gf(2)])
+    perm = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(ring.size - 1)])
+    inv = np.argsort(perm)
+    add, mul = (inv[t[np.ix_(perm, perm)]] for t in _tables_of(ring))
+    validate_tables(add, mul, int(inv[ring.one]))
+    validate_tables_exhaustive(add, mul, int(inv[ring.one]))
+
+
+# The first commutative loop of order 6 in lexicographic order: 0 is
+# neutral and every row is a permutation, but + is not associative.
+# Every commutative loop of smaller order is a group.
+_LOOP6 = np.array([[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1],
+                   [3, 2, 5, 4, 1, 0], [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3]])
+
+
+def _unit_only_mul(n, one):
+    mul = np.zeros((n, n), dtype=int)
+    mul[one] = mul[:, one] = np.arange(n)
+    return mul
+
+
+def _f2_algebra(uu, uv, vu, vv):
+    """Unital F_2-algebra on 1, u, v, index c1 + 2cu + 4cv, from the
+    products of u and v given as indices.  Bilinear, so distributive."""
+    basis = [[1, 2, 4], [2, uu, uv], [4, vu, vv]]
+
+    def mul(x, y):
+        out = 0
+        for i in range(3):
+            for j in range(3):
+                if (x >> i) & (y >> j) & 1:
+                    out ^= basis[i][j]
+        return out
+
+    add = np.array([[x ^ y for y in range(8)] for x in range(8)])
+    return add, np.array([[mul(x, y) for y in range(8)] for x in range(8)])
+
+
+def _swap_intercalate(out, a, b, c):
+    """Swap the two values of the 2x2 subsquare on rows a, c through
+    (a, b), and of its mirror image, if it lies away from row and
+    column 0: + stays commutative with permutation rows."""
+    d = int(np.flatnonzero(out[c] == out[a, b])[0])
+    if d == 0 or out[a, d] != out[c, b]:
+        return
+    x, y = out[a, b], out[a, d]
+    for r, k in ((a, b), (c, d), (a, d), (c, b)):
+        out[r, k] = out[k, r] = y if out[r, k] == x else x
+
+
+def _intercalate_swaps(rng, add, count):
+    out = add.copy()
+    for _ in range(count):
+        _swap_intercalate(out, *rng.choice(np.arange(1, len(add)), 3, replace=False))
+    return out
+
+
+def _structured_corpus():
+    """Tables that pass the O(n^2) checks and fail, if at all, deeper:
+    random unital F_2-algebras (associativity of *), intercalate swaps in
+    the addition of ex5_5 x GF(2) (associativity of +), and two kinds of
+    changes to the multiplication of ex5_5 that keep it additive along
+    the first generator 1 (distributivity along the later ones)."""
+    rng = np.random.default_rng(5)
+    for products in rng.integers(0, 8, (400, 4)):
+        add, mul = _f2_algebra(*products.tolist())
+        yield add, mul, 1
+    ring = build_product([build_table_ring(builtin_table_spec("ex5_5")), build_gf(2)])
+    for count in range(1, 41):
+        yield _intercalate_swaps(rng, ring.add_table, count % 3 + 1), ring.mul_table, ring.one
+    spec = builtin_table_spec("ex5_5")
+    add, mul, one = np.array(spec.add), np.array(spec.mul), spec.one
+    # + is xor here; x -> parity(x & m) is additive and vanishes at one = 0b1010
+    parities = [np.array([bin(x & m).count("1") % 2 for x in range(16)], dtype=bool)
+                for m in (1, 4, 5, 10, 11, 14, 15)]
+
+    def constant_on_pairs(values):
+        """Constant on each coset {2j, 2j+1} of <1>, 0 on those of 0 and one."""
+        values[[0, one >> 1]] = 0
+        return values[np.arange(16) >> 1]
+
+    for _ in range(40):
+        # x*y + z(y) where mu(x): each row x -> xy stays additive along 1
+        rows = parities[rng.integers(len(parities))][:, None]
+        yield add, np.where(rows, add[mul, constant_on_pairs(rng.integers(0, 16, 8))], mul), one
+        # x*y + c where f(x) and mu(y): each column x -> xy stays additive along 1
+        cells = constant_on_pairs(rng.integers(0, 2, 8)).astype(bool)[:, None] & \
+            parities[rng.integers(len(parities))]
+        yield add, np.where(cells, add[mul, rng.integers(1, 16)], mul), one
+
+
+def test_generator_route_matches_exhaustive_on_structured_corpus():
+    reached = set()
+    for add, mul, one in _structured_corpus():
+        fast = _verdict(validate_tables, add, mul, one)
+        slow = _verdict(validate_tables_exhaustive, add, mul, one)
+        assert (fast is None) == (slow is None), (add, mul, fast, slow)
+        if fast is not None:
+            _assert_genuine(fast, add, mul, one)
+        reached.add(str(fast).split(" at ")[0])
+    assert {"None", "addition is not associative", "right distributivity fails",
+            "left distributivity fails", "multiplication is not associative"} <= reached
+
+
+def _ex5_5_skewed_rows():
+    """ex5_5 with x*y + z(y) wherever bit 2 of x is set, z = 3 on {2, 3}
+    and 0 elsewhere.  Every column stays additive, and so does every row
+    but those with bit 2 set, as of the third additive generator 4."""
+    spec = builtin_table_spec("ex5_5")
+    add, mul = np.array(spec.add), np.array(spec.mul)
+    z = np.where(np.arange(16) >> 1 == 1, 3, 0)
+    return add, np.where((np.arange(16)[:, None] >> 2) & 1 == 1, add[mul, z], mul)
+
+
+@pytest.mark.parametrize(
+    "tables, one, message",
+    [((_LOOP6, _unit_only_mul(6, 1)), 1, "addition is not associative"),
+     # u*u = v, u*v = 0, v*u = u, v*v = 0
+     (_f2_algebra(4, 0, 2, 0), 1, "multiplication is not associative at \\(2,2,2\\)"),
+     (_ex5_5_skewed_rows(), 10, "left distributivity fails at \\(4,")],
+    ids=["commutative-loop-6", "distributive-nonassociative-8", "skewed-rows-16"],
+)
+def test_negatives_past_the_cheap_checks(tables, one, message):
+    add, mul = tables
+    with pytest.raises(InvalidRing, match=message) as info:
+        validate_tables(add, mul, one)
+    _assert_genuine(info.value, add, mul, one)
+    with pytest.raises(InvalidRing):
+        validate_tables_exhaustive(add, mul, one)
 
 
 @pytest.mark.parametrize("moduli", [(4, 3), (8, 9, 5)], ids=str)
@@ -128,6 +355,15 @@ def test_validate_rejects_broken_distributivity():
         validate_tables(add, mul, 1)
 
 
+def test_validate_rejects_boolean_lattice():
+    # or and and on 3 bits: every axiom holds but additive inverses
+    add = np.array([[x | y for y in range(8)] for x in range(8)])
+    mul = np.array([[x & y for y in range(8)] for x in range(8)])
+    for route in (validate_tables, validate_tables_exhaustive):
+        with pytest.raises(InvalidRing, match="row 1 of the addition table"):
+            route(add, mul, 7)
+
+
 def test_table_ring_build_validates():
     spec = builtin_table_spec("ex5_5")
     broken = [list(row) for row in spec.mul]
@@ -135,6 +371,22 @@ def test_table_ring_build_validates():
     bad = TableRingSpec(size=16, add=spec.add, mul=broken, one=spec.one)
     with pytest.raises(InvalidRing):
         build_table_ring(bad)
+
+
+@pytest.mark.parametrize("name, prefix", [("ex5_5", "ex5_5: "),
+                                          (None, "table ring of size 16: ")],
+                         ids=["named", "unnamed"])
+def test_table_ring_errors_name_the_ring(name, prefix):
+    spec = builtin_table_spec("ex5_5")
+    broken = np.array(spec.mul)
+    broken[3, 7] ^= 1
+    with pytest.raises(InvalidRing) as direct:
+        validate_tables(np.array(spec.add), broken, spec.one)
+    bad = TableRingSpec(size=16, add=spec.add, mul=broken.tolist(), one=spec.one, name=name)
+    with pytest.raises(InvalidRing) as built:
+        build_table_ring(bad)
+    assert str(built.value) == prefix + str(direct.value)
+    assert built.value.witness == direct.value.witness
 
 
 # -- derived structure vs oracles --------------------------------------------
@@ -166,6 +418,18 @@ def test_non_frobenius_detected():
     assert not ring.is_frobenius
     with pytest.raises(CharacterSearchFailed):
         canonical_generating_character(ring)
+
+
+def test_search_skips_non_frobenius_rings(monkeypatch):
+    """The Frobenius test comes first: no candidate is generating-tested."""
+    calls = []
+    original = characters.is_generating
+    monkeypatch.setattr(characters, "is_generating",
+                        lambda char: calls.append(char) or original(char))
+    ring = build_table_ring(_non_frobenius_spec())
+    with pytest.raises(CharacterSearchFailed):
+        canonical_generating_character(ring)
+    assert calls == []
 
 
 @pytest.mark.parametrize("ring", PROBE_RINGS, ids=lambda r: r.expr)

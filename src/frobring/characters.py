@@ -239,6 +239,8 @@ def _abelian_basis(ring: FiniteRing) -> list[tuple[int, int]]:
         best = max(candidates, key=lambda x: (orders[x], -x))
         basis.append((best, orders[best]))
         _grow_span(in_taken, ring.add_row(best))
+        if in_taken.all():  # the complement is {0}
+            break
         in_comp = np.arange(ring.size) == 0
         for x in candidates:
             if in_comp[x]:

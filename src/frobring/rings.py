@@ -944,8 +944,9 @@ def validate_tables(add: np.ndarray, mul: np.ndarray, one: int) -> None:
     if not np.array_equal(add[0], arange):
         b = int(np.flatnonzero(add[0] != arange)[0])
         raise InvalidRing(f"0 + {b} != {b}", witness=(0, b))
-    if not np.array_equal(add, add.T):
-        a, b = _first_mismatch(add, add.T)
+    bad = _first_mismatch(add, add.T)
+    if bad:
+        a, b = bad
         raise InvalidRing(f"{a} + {b} != {b} + {a}", witness=(a, b))
     seen = np.zeros((n, n), dtype=bool)
     np.put_along_axis(seen, add, True, axis=1)

@@ -165,8 +165,10 @@ def canonical_generating_character(ring: FiniteRing) -> Character:
         return cached
     char = _canonical(ring)
     if not is_generating(char):
+        side = "left" if _kernel_holds_ideal(char, "left") else "right"
         raise InternalInconsistency(
-            f"canonical character of {ring.expr} failed the generating check"
+            f"{ring.expr}: the kernel of the canonical character of order "
+            f"{char.order} holds a nonzero {side} ideal"
         )
     ring._canonical_char = char
     return char
@@ -251,7 +253,8 @@ def _abelian_basis(ring: FiniteRing) -> list[tuple[int, int]]:
                 in_comp = in_cand
         ambient = in_comp
     if prod(d for _, d in basis) != ring.size:
-        raise InternalInconsistency("cyclic decomposition does not span the group")
+        raise InternalInconsistency(f"{ring.expr}: cyclic decomposition does not "
+                                    "span the additive group")
     return basis
 
 
@@ -282,7 +285,8 @@ def search_generating_character(ring: FiniteRing) -> Character | None:
             coords[walk[-1], i] = j
         reached = np.concatenate(walk)
     if len(np.unique(reached)) != n:
-        raise InternalInconsistency("coordinate enumeration missed elements")
+        raise InternalInconsistency(f"{ring.expr}: coordinate enumeration for "
+                                    f"characters of order {order} missed elements")
 
     scales = [order // d for d in dims]
     for images in iter_product(*(range(d) for d in dims)):
@@ -306,13 +310,11 @@ def all_generating_characters(ring: FiniteRing) -> list[Character]:
         cand = translate(base, u, "left")
         seen.setdefault(cand.key(), cand)
     chars = sorted(seen.values(), key=lambda c: c.exponents.tolist())
+    where = f"{ring.expr}: left unit translates of the character of order {base.order}"
     if len(chars) != len(ring.units):
-        raise InternalInconsistency(
-            "unit translates of a generating character must be pairwise distinct"
-        )
-    for c in chars:
-        if not is_generating(c):
-            raise InternalInconsistency("a unit translate lost the generating property")
+        raise InternalInconsistency(f"{where} must be pairwise distinct")
+    if not all(is_generating(c) for c in chars):
+        raise InternalInconsistency(f"{where} must all be generating")
     return chars
 
 

@@ -209,7 +209,7 @@ def build_ring(expr, max_size: int | None = None) -> FiniteRing:
         elif isinstance(node, BuiltinExpr):
             ring = build_table_ring(builtin_table_spec(node.name), max_size)
         elif isinstance(node, TableFileExpr):
-            ring = build_table_ring(load_table_spec(node.path), max_size)
+            ring = build_table_ring(load_table_spec(node.path, max_size), max_size)
         else:
             raise InvalidParameter(f"unknown ring expression node {node!r}")
         memo[node] = ring

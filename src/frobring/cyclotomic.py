@@ -5,45 +5,28 @@ coordinate vectors with respect to the power basis 1, zeta, ...,
 zeta^(phi(N)-1).  Vectors are reduced modulo the N-th cyclotomic
 polynomial, which is the minimal polynomial of zeta_N, so two values are
 the same algebraic number exactly when their reduced coordinates match.
-No floating point appears anywhere; every coefficient is a Python int.
+One vectorized reducer, ``reduce_exponent_counts``, builds every value
+from exponent counts in int64 under a bound that refuses any overflow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
-from .errors import InvalidParameter
+import numpy as np
 
-
-def _poly_divmod(num, den):
-    """Quotient and remainder of integer polynomial division by a monic divisor.
-
-    Polynomials are lists of coefficients, constant term first.
-    """
-    num = list(num)
-    deg_d = len(den) - 1
-    assert den[-1] == 1, "divisor must be monic"
-    quot = [0] * max(len(num) - deg_d, 0)
-    for i in range(len(num) - 1, deg_d - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        quot[i - deg_d] = c
-        for j in range(deg_d + 1):
-            num[i - deg_d + j] -= c * den[j]
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
+from .errors import InvalidParameter, ResourceLimit
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(order: int) -> tuple[int, ...]:
     """Coefficients of the cyclotomic polynomial, constant term first.
 
-    Computed by exact division of x^order - 1 by the cyclotomic
-    polynomials of all proper divisors of ``order``.
+    The product of (x^d - 1)^mu(order/d) over the divisors d of the
+    order: the factors with mu = 1 are multiplied out first, then each
+    with mu = -1 divides exactly, as a running sum with stride d.
 
     >>> cyclotomic_poly(1)
     (-1, 1)
@@ -54,17 +37,17 @@ def cyclotomic_poly(order: int) -> tuple[int, ...]:
     """
     if not isinstance(order, int) or order < 1:
         raise InvalidParameter(f"order must be a positive integer, got {order!r}")
-    if order == 1:
-        return (-1, 1)
-    num = [0] * (order + 1)
-    num[0] = -1
-    num[order] = 1
-    num = list(num)
-    for d in range(1, order):
-        if order % d == 0:
-            num, rem = _poly_divmod(num, list(cyclotomic_poly(d)))
-            assert all(c == 0 for c in rem)
-    return tuple(num)
+    divisors = [d for d in range(1, order + 1) if order % d == 0 and _mobius(order // d)]
+    poly = np.ones(1, dtype=np.int64)
+    for d in sorted(divisors, key=lambda d: -_mobius(order // d)):
+        if _mobius(order // d) == 1:  # times x^d - 1
+            pad = np.zeros(d, dtype=np.int64)
+            poly = np.concatenate([pad, poly]) - np.concatenate([poly, pad])
+        else:  # over x^d - 1: q_i = q_(i-d) - p_i
+            head = np.zeros(-(-(len(poly) - d) // d) * d, dtype=np.int64)
+            head[: len(poly) - d] = poly[: len(poly) - d]
+            poly = -np.cumsum(head.reshape(-1, d), axis=0).ravel()[: len(poly) - d]
+    return tuple(poly.tolist())
 
 
 def degree(order: int) -> int:
@@ -138,38 +121,57 @@ def root_power_traces(order: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class _Reduction:
-    """Per-order reduction context: powers of zeta in the power basis.
-
-    Row k holds the coordinates of zeta^k; rows are generated
-    incrementally by multiplying by x and reducing modulo the
-    cyclotomic polynomial, and cached for reuse.
-    """
-
-    def __init__(self, order):
-        self.order = order
-        self.poly = cyclotomic_poly(order)
-        self.degree = len(self.poly) - 1
-        first = [0] * self.degree
-        first[0] = 1
-        self._rows = [tuple(first)]
-
-    def row(self, k):
-        rows = self._rows
-        while len(rows) <= k:
-            prev = rows[-1]
-            nxt = [0] + list(prev[:-1])
-            lead = prev[-1]
-            if lead:
-                for j in range(self.degree):
-                    nxt[j] -= lead * self.poly[j]
-            rows.append(tuple(nxt))
-        return rows[k]
-
-
 @lru_cache(maxsize=None)
-def _reduction(order: int) -> _Reduction:
-    return _Reduction(order)
+def _power_height(r: int) -> int:
+    """Largest |coordinate| of any power of zeta_r in the power basis."""
+    tail = np.asarray(cyclotomic_poly(r)[:-1], dtype=np.int64)
+    power = np.zeros(len(tail), dtype=np.int64)
+    power[0] = height = 1
+    for _ in range(r - 1):  # x^k -> x^(k+1), reduced
+        lead = power[-1]
+        power = np.concatenate(([0], power[:-1])) - lead * tail
+        height = max(height, int(np.abs(power).max()))
+    return height
+
+
+def reduce_exponent_counts(order: int, counts) -> np.ndarray:
+    """Exact coordinates of sum_e counts[..., e] * zeta_order^e.
+
+    Maps an integer array [..., order] to [..., phi(order)] by sparse
+    long division by the order-th cyclotomic polynomial over the last
+    axis.  With r the product of the primes dividing the order and
+    s = order / r, Phi_order(x) = Phi_r(x^s), so the exponents fall into
+    s residue classes mod s, each divided by Phi_r in r - phi(r)
+    vectorized steps, with no per-order basis matrix.
+
+    Dividing one power x^e from the top, the coordinates held after each
+    step are those of a reduced power of zeta_r, shifted; so every
+    intermediate value is at most the row's l1 norm times the height of
+    those powers.  Input whose bound reaches int64 raises ResourceLimit
+    before any arithmetic, so the reduction never wraps.
+    """
+    if not isinstance(order, int) or order < 1:
+        raise InvalidParameter(f"order must be a positive integer, got {order!r}")
+    try:
+        counts = np.asarray(counts, dtype=np.int64)
+    except OverflowError:
+        raise ResourceLimit(f"exponent counts at order {order} exceed int64") from None
+    if counts.shape[-1:] != (order,):
+        raise InvalidParameter(f"need {order} exponent counts per row, got {counts.shape}")
+    r = prod(p for p, _ in _factorization(order))
+    if counts.size:
+        peak = max(int(counts.max()), -int(counts.min()))
+        if 2 * peak * r * _power_height(r) >= 2**63:
+            raise ResourceLimit(
+                f"exponent counts up to {peak} at order {order} could overflow "
+                "int64 in the cyclotomic reduction"
+            )
+    tail = np.asarray(cyclotomic_poly(r)[:-1], dtype=np.int64)[:, None]
+    deg = len(tail)
+    work = counts.reshape(-1, r, order // r).copy()  # [row, e // s, e % s]
+    for q in range(r - 1, deg - 1, -1):
+        work[:, q - deg:q] -= work[:, q, None] * tail
+    return work[:, :deg].reshape(counts.shape[:-1] + (deg * (order // r),))
 
 
 @dataclass(frozen=True)
@@ -241,28 +243,23 @@ def root_power(order: int, k: int) -> CycInt:
     >>> root_power(2, 1).coeffs
     (-1,)
     """
-    red = _reduction(order)
-    return CycInt(order, red.row(k % order))
+    counts = [0] * order
+    counts[k % order] = 1
+    return from_exponent_counts(order, counts)
 
 
 def from_exponent_counts(order: int, counts) -> CycInt:
     """Sum of counts[e] * zeta_order^e over all exponents e.
 
-    ``counts`` is indexed by exponent, 0 <= e < order; entries may be
-    negative.  This is the bulk constructor used for character sums.
+    ``counts`` is indexed by exponent and may be shorter than the order;
+    entries may be negative.
     """
-    red = _reduction(order)
-    acc = [0] * red.degree
-    for e, c in enumerate(counts):
-        c = int(c)
-        if c == 0:
-            continue
-        if e >= order:
-            raise InvalidParameter(f"exponent {e} out of range for order {order}")
-        row = red.row(e)
-        for j in range(red.degree):
-            acc[j] += c * row[j]
-    return CycInt(order, tuple(acc))
+    counts = list(counts)
+    beyond = [e for e in range(order, len(counts)) if counts[e]]
+    if beyond:
+        raise InvalidParameter(f"exponent {beyond[0]} out of range for order {order}")
+    counts = counts[:order] + [0] * (order - len(counts))
+    return CycInt(order, tuple(reduce_exponent_counts(order, counts).tolist()))
 
 
 def lift(a: CycInt, order: int) -> CycInt:
@@ -271,10 +268,9 @@ def lift(a: CycInt, order: int) -> CycInt:
         raise InvalidParameter(f"{order} is not a multiple of {a.order}")
     if order == a.order:
         return a
-    step = order // a.order
     counts = [0] * order
-    for j, c in enumerate(a.coeffs):
-        counts[j * step] += c
+    step = order // a.order
+    counts[: len(a.coeffs) * step : step] = a.coeffs
     return from_exponent_counts(order, counts)
 
 

@@ -2,10 +2,16 @@
 
 The left coefficient of block P_m at element b is the exact cyclotomic
 sum of chi(a b) over a in P_m; the right coefficient sums chi(b a).
-Grouping elements by their full coefficient column yields the left and
-right dual partitions.  Everything is exact; two invariants are
-asserted on every table: the b = 0 column lists the block sizes, and
-each column sums to |R| exactly at b = 0 and to 0 elsewhere.
+When every block is closed under unit multiplication on the other side
+(P_m u = P_m for the left table, u P_m = P_m for the right), the left
+column at ub equals the one at b, so a table keeps one column per unit
+orbit of its side and maps elements to orbits.  Otherwise every element
+is its own orbit, through the same code.  All columns are reduced in one
+vectorized pass of ``cyclotomic.reduce_exponent_counts`` into a dense
+integer array, on which the two invariants are checked once per table:
+the b = 0 column lists the block sizes, and each column sums to |R|
+exactly at b = 0 and to 0 elsewhere.  Grouping orbits by their full
+column yields the left and right dual partitions, unions of orbits.
 """
 
 from __future__ import annotations
@@ -24,21 +30,30 @@ from .partitions import Partition, equals, is_invariant
 from .rings import FiniteRing
 from .weights import gaussian
 
+_COUNT_CHUNK = 1 << 21  # exponent counts held at once, in int64 entries
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class KrawtchoukTable:
-    """Exact character sums indexed by (block, element)."""
+    """Exact character sums indexed by (block, element), stored per orbit.
+
+    ``coeffs[k, m]`` holds the reduced coordinates of the sum over block
+    m at every element of orbit k, and ``orbit_of`` gives each element's
+    orbit.
+    """
 
     partition: Partition
     char: Character
     side: str
-    entries: tuple[tuple[cyclotomic.CycInt, ...], ...]
+    coeffs: np.ndarray
+    orbit_of: np.ndarray
 
     def entry(self, m: int, b: int) -> cyclotomic.CycInt:
-        return self.entries[m][b]
+        return self.column(b)[m]
 
     def column(self, b: int) -> tuple[cyclotomic.CycInt, ...]:
-        return tuple(row[b] for row in self.entries)
+        return tuple(cyclotomic.CycInt(self.char.order, tuple(e))
+                     for e in self.coeffs[self.orbit_of[b]].tolist())
 
     def to_json(self) -> dict:
         return {
@@ -46,19 +61,16 @@ class KrawtchoukTable:
             "side": self.side,
             "order": self.char.order,
             "partition": self.partition.to_json(),
-            "entries": [[list(e.coeffs) for e in row] for row in self.entries],
+            "entries": self.coeffs[self.orbit_of].transpose(1, 0, 2).tolist(),
         }
 
 
 def same_entries(a: KrawtchoukTable, b: KrawtchoukTable) -> bool:
     """Entrywise exact equality of two tables over the same partition."""
-    if a.partition.blocks != b.partition.blocks:
+    if a.partition.blocks != b.partition.blocks or a.char.order != b.char.order:
         return False
-    return all(
-        ea.order == eb.order and ea.coeffs == eb.coeffs
-        for ra, rb in zip(a.entries, b.entries)
-        for ea, eb in zip(ra, rb)
-    )
+    pairs = np.unique(np.stack([a.orbit_of, b.orbit_of]), axis=1)
+    return np.array_equal(a.coeffs[pairs[0]], b.coeffs[pairs[1]])
 
 
 def krawtchouk_table(partition: Partition, char: Character, side: str) -> KrawtchoukTable:
@@ -69,50 +81,70 @@ def krawtchouk_table(partition: Partition, char: Character, side: str) -> Krawtc
         raise InvalidParameter("character lives on a different ring")
     if not is_generating(char):
         raise InvalidParameter("character is not generating")
-    cache = getattr(partition, "_kraw_cache", None)
-    if cache is None:
-        cache = partition._kraw_cache = {}
+    cache = partition.__dict__.setdefault("_kraw_cache", {})
     cache_key = (char.key(), side)
     if cache_key in cache:
         return cache[cache_key]
-    nblocks = partition.num_blocks
-    order = char.order
+    block_of = partition.block_of
+    reps, orbit_of = ring.unit_orbits("right" if side == "left" else "left")
+    if np.array_equal(block_of[reps[orbit_of]], block_of):
+        reps, orbit_of = ring.unit_orbits(side)
+    else:  # not invariant on the other side: every element is its own orbit
+        reps = orbit_of = np.arange(ring.size)
+    nblocks, order = partition.num_blocks, char.order
+    base = block_of * order
     exps = char.exponents
-    base = partition.block_of * order
-    sizes = partition.block_sizes()
-    rows: list[list] = [[None] * ring.size for _ in range(nblocks)]
-    for b in range(ring.size):
-        col = ring.mul_col(b) if side == "left" else ring.mul_row(b)
-        counts = np.bincount(base + exps[col], minlength=nblocks * order)
-        counts = counts.reshape(nblocks, order)
-        column_total = 0
-        for m in range(nblocks):
-            ent = cyclotomic.from_exponent_counts(order, counts[m])
-            rows[m][b] = ent
-            if b == 0 and ent.as_int() != sizes[m]:
-                raise InternalInconsistency(
-                    f"column at 0 must list block sizes, block {m} gave {ent}"
-                )
-        total = cyclotomic.from_exponent_counts(order, counts.sum(axis=0)).as_int()
-        if total != (ring.size if b == 0 else 0):
-            raise InternalInconsistency(
-                f"column at {b} sums to {total}, violating orthogonality"
-            )
-    table = KrawtchoukTable(
-        partition, char, side, tuple(tuple(row) for row in rows)
-    )
+    kernel = ring.mul_col if side == "left" else ring.mul_row
+    step = max(1, _COUNT_CHUNK // (nblocks * order))
+    parts = []
+    for start in range(0, len(reps), step):
+        counts = np.stack([np.bincount(base + exps[kernel(b)], minlength=nblocks * order)
+                           for b in reps[start:start + step].tolist()])
+        parts.append(cyclotomic.reduce_exponent_counts(
+            order, counts.reshape(-1, nblocks, order)))
+    table = KrawtchoukTable(partition, char, side, np.concatenate(parts), orbit_of)
+    _check_table(table)
     cache[cache_key] = table
     return table
 
 
+def _check_table(table: KrawtchoukTable) -> None:
+    """The column at 0 lists the block sizes; every other column sums to 0.
+
+    Then the column at 0 sums to |R|, as orthogonality asks.
+    """
+    coeffs, zero = table.coeffs, table.orbit_of[0]
+    where = (f"{table.partition.ring.expr}, character of order {table.char.order}, "
+             f"{table.side} table")
+    sizes = np.zeros_like(coeffs[0])
+    sizes[:, 0] = table.partition.block_sizes()
+    if not np.array_equal(coeffs[zero], sizes):
+        raise InternalInconsistency(f"{where}: column at 0 gives {coeffs[zero].tolist()}, "
+                                    f"not the block sizes {sizes[:, 0].tolist()}")
+    totals = coeffs.sum(axis=1)
+    totals[zero] = 0
+    bad = np.flatnonzero(totals.any(axis=1))
+    if len(bad):
+        total = cyclotomic.CycInt(table.char.order, tuple(totals[bad[0]].tolist()))
+        raise InternalInconsistency(
+            f"{where}: column at {np.flatnonzero(table.orbit_of == bad[0])[0]} sums to "
+            f"{total}, violating orthogonality"
+        )
+
+
 def dual_partition(partition: Partition, char: Character, side: str) -> Partition:
-    """Group elements by exact equality of their full coefficient column."""
+    """Group elements by exact equality of their full coefficient column.
+
+    Equal orbit columns are found as equal rows of the dense array, so
+    each dual block is a union of orbits.
+    """
     table = krawtchouk_table(partition, char, side)
-    groups: dict = {}
-    for b in range(partition.ring.size):
-        key = tuple(row[b].coeffs for row in table.entries)
-        groups.setdefault(key, []).append(b)
-    return Partition(partition.ring, list(groups.values()))
+    _, group = np.unique(table.coeffs.reshape(len(table.coeffs), -1), axis=0,
+                         return_inverse=True)
+    labels = group.reshape(-1)[table.orbit_of]
+    members = np.argsort(labels, kind="stable")
+    return Partition(partition.ring,
+                     np.split(members, np.flatnonzero(np.diff(labels[members])) + 1))
 
 
 def is_self_dual(partition: Partition, char: Character | None = None) -> bool:
@@ -136,7 +168,8 @@ def is_reflexive(partition: Partition, char: Character | None = None) -> bool:
     by_count = partition.num_blocks == left_dual.num_blocks
     if by_bidual != by_count:
         raise InternalInconsistency(
-            "bidual comparison and block-count criterion disagree"
+            f"{partition.ring.expr}, character of order {char.order}: the right dual "
+            "of the left dual and the block-count criterion disagree"
         )
     return by_bidual
 
@@ -159,14 +192,9 @@ def character_independence_check(partition: Partition, ring: FiniteRing | None =
     if ring is not partition.ring:
         raise InvalidParameter("partition lives on a different ring")
     chars = all_generating_characters(ring)
-    ref_left = krawtchouk_table(partition, chars[0], "left")
-    ref_right = krawtchouk_table(partition, chars[0], "right")
-    for char in chars[1:]:
-        if not same_entries(ref_left, krawtchouk_table(partition, char, "left")):
-            return False
-        if not same_entries(ref_right, krawtchouk_table(partition, char, "right")):
-            return False
-    return True
+    refs = {side: krawtchouk_table(partition, chars[0], side) for side in ("left", "right")}
+    return all(same_entries(refs[side], krawtchouk_table(partition, char, side))
+               for char in chars[1:] for side in refs)
 
 
 def delsarte_rank_krawtchouk(m: int, q: int, i: int, k: int) -> int:
@@ -200,6 +228,7 @@ def semisimple_lr_agreement(ring: FiniteRing, partition: Partition) -> bool:
                 break
         else:
             raise InternalInconsistency(
-                "semisimple ring without a symmetric generating character"
+                f"{ring.expr}: semisimple, but no generating character of order "
+                f"{char.order} gives equal left and right values chi(ab), chi(ba)"
             )
     return left_right_agreement(partition, char)

@@ -1,7 +1,7 @@
 """Finite unital rings on dense integer indices.
 
 Every ring here has elements 0..size-1 with index 0 the zero element.
-Arithmetic is exposed three ways: scalar ``add``/``mul``/``neg``,
+Arithmetic is exposed three ways: scalar ``add``/``mul``,
 whole Cayley tables (cached as numpy arrays when the ring is small
 enough), and vector kernels ``add_row``/``mul_row``/``mul_col`` that
 compute one row or column of a table on demand.  The kernels are what
@@ -21,6 +21,7 @@ the cached index ``unit_orbits``.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iter_product
@@ -28,6 +29,7 @@ from math import gcd
 
 import numpy as np
 
+from .cyclotomic import _factorization
 from .errors import (
     InternalInconsistency,
     InvalidParameter,
@@ -40,23 +42,6 @@ DEFAULT_TABLE_THRESHOLD = 4096
 
 _EXHAUSTIVE_CHECK_LIMIT = 512
 _COMPARE_BLOCK = 1 << 17  # table entries compared per step in validate_tables
-
-
-def _factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization as (prime, multiplicity) pairs, ascending."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            k = 0
-            while n % d == 0:
-                n //= d
-                k += 1
-            out.append((d, k))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def _lcm(a: int, b: int) -> int:
@@ -108,12 +93,6 @@ class FiniteRing:
         if table is not None:
             return table.item(a, b)
         return int(self._mul_row_impl(a, (b,))[0])
-
-    def neg(self, a: int) -> int:
-        return int(self.neg_table[a])
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     # -- vector kernels ----------------------------------------------------
 
@@ -406,7 +385,7 @@ class ZmodRing(FiniteRing):
         self.size = n
         self.one = 1 % n
         self.expr = f"Z{n}"
-        self.structure = [(p, 1) for p, _ in _factorize(n)] if n > 1 else []
+        self.structure = [(p, 1) for p, _ in _factorization(n)]
 
     def add(self, a, b):
         return (a + b) % self.modulus
@@ -432,7 +411,7 @@ class ZmodRing(FiniteRing):
 
     @property
     def is_field(self):
-        return self.modulus > 1 and _factorize(self.modulus)[0] == (self.modulus, 1)
+        return self.modulus > 1 and _factorization(self.modulus)[0] == (self.modulus, 1)
 
     def _compute_units(self):
         return tuple(x for x in range(self.size) if gcd(x, self.modulus) == 1)
@@ -539,7 +518,7 @@ class GaloisField(AlgebraRing):
     """
 
     def __init__(self, q: int, table_threshold: int | None = None):
-        factors = _factorize(q) if q > 1 else []
+        factors = _factorization(q)
         if len(factors) != 1:
             raise InvalidParameter(f"{q} is not a prime power")
         p, k = factors[0]
@@ -616,21 +595,6 @@ class GaloisField(AlgebraRing):
     def _compute_units(self):
         return tuple(range(1, self.size))
 
-    def pow(self, x: int, e: int) -> int:
-        acc = self.one
-        base = x
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
-
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise InvalidParameter("0 has no inverse")
-        return self.pow(x, self.size - 2)
-
 
 class MatrixRing(AlgebraRing):
     """Full m-by-m matrix ring over a Galois field.
@@ -678,33 +642,31 @@ class MatrixRing(AlgebraRing):
         return self.m == 1
 
     def rank(self, a: int) -> int:
-        """Rank of the matrix, by Gaussian elimination over the field."""
-        fld = self.field
-        rows = [list(map(int, r)) for r in self.matrix_of(a)]
-        m = self.m
-        rank = 0
-        col = 0
-        while rank < m and col < m:
-            pivot = next((r for r in range(rank, m) if rows[r][col] != 0), None)
-            if pivot is None:
-                col += 1
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            inv = fld.inv(rows[rank][col])
-            rows[rank] = [fld.mul(inv, v) for v in rows[rank]]
-            for r in range(m):
-                if r != rank and rows[r][col] != 0:
-                    c = rows[r][col]
-                    rows[r] = [
-                        fld.sub(v, fld.mul(c, w)) for v, w in zip(rows[r], rows[rank])
-                    ]
-            rank += 1
-            col += 1
-        return rank
+        return int(self.ranks[a])
 
     @cached_property
     def ranks(self) -> np.ndarray:
-        return np.array([self.rank(a) for a in range(self.size)], dtype=np.int64)
+        """Rank of every matrix, by one Gaussian elimination over all of them.
+
+        Column by column, each matrix with a nonzero entry there takes the
+        first such row as pivot and subtracts from every row the multiple
+        of the pivot that clears the column.  That turns the pivot row to
+        zero, which drops it for the later columns, so the rank is the
+        number of pivots.  Field arithmetic reads the field's tables.
+        """
+        fld, m = self.field, self.m
+        add, mul, neg = fld.add_table, fld.mul_table, fld.neg_table
+        inv = np.argmax(mul == fld.one, axis=1)
+        mats = (np.arange(self.size)[:, None] // self._weights % fld.size).reshape(-1, m, m)
+        rank = np.zeros(self.size, dtype=np.int64)
+        for col in range(m):
+            nonzero = mats[:, :, col] != 0
+            idx = np.flatnonzero(nonzero.any(axis=1))
+            pivot = mats[idx, nonzero[idx].argmax(axis=1)]
+            factor = mul[mats[idx, :, col], inv[pivot[:, col]][:, None]]
+            mats[idx] = add[mats[idx], neg[mul[factor[:, :, None], pivot[:, None, :]]]]
+            rank[idx] += 1
+        return rank
 
     def _compute_units(self):
         return tuple(int(x) for x in np.flatnonzero(self.ranks == self.m))
@@ -1039,8 +1001,18 @@ def builtin_table_spec(name: str) -> TableRingSpec:
         raise InvalidParameter(f"unknown builtin ring {name!r}") from None
 
 
-def load_table_spec(path: str) -> TableRingSpec:
-    """Read a table-ring JSON file: size, add, mul, one, optional extras."""
+def load_table_spec(path: str, max_size: int | None = None) -> TableRingSpec:
+    """Read a table-ring JSON file: size, add, mul, one, optional extras.
+
+    A file larger than two tables and an exponent list at the size guard
+    could need, at 16 bytes of separators and indentation per entry, is
+    refused before it is parsed.
+    """
+    guard = DEFAULT_SIZE_GUARD if max_size is None else max_size
+    budget = (2 * guard + 1) * guard * (len(str(guard)) + 16) + (1 << 16)
+    if os.path.getsize(path) > budget:
+        raise ResourceLimit(f"{path} is larger than {budget} bytes, the most a "
+                            f"ring within the size guard {guard} needs")
     with open(path) as fh:
         try:
             data = json.load(fh)

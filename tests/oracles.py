@@ -13,7 +13,9 @@ each scanning every element or every unit.  So are the pair-by-pair
 additivity check that the check on generators replaced, the ring-axiom
 check on every triple that the checks on generators replaced, the cyclic
 decomposition by set closure that the coset walk replaced, and the
-weight of one element from its own character sum over the units.
+weight of one element from its own character sum over the units.  The
+Krawtchouk table by one column per element, each entry reduced on its
+own, is kept for the orbit-indexed tables that replaced it.
 """
 
 from __future__ import annotations
@@ -483,7 +485,10 @@ def frobenius_trace_oracle(field) -> list[int]:
         acc, conj = 0, x
         for _ in range(field.k):
             acc = field.add(acc, conj)
-            conj = field.pow(conj, field.p)
+            power = field.one
+            for _ in range(field.p):
+                power = field.mul(power, conj)
+            conj = power
         out.append(acc)
     return out
 
@@ -536,10 +541,37 @@ def sympy_reduce_exponents(order: int, counts) -> tuple[int, ...]:
     import sympy
 
     x = sympy.Symbol("x")
-    expr = sum(int(c) * x**k for k, c in enumerate(counts))
     phi = sympy.Poly(sympy.cyclotomic_poly(order, x), x)
-    rem = sympy.Poly(expr, x).rem(phi)
+    rem = sympy.Poly([int(c) for c in reversed(counts)] or [0], x).rem(phi)
     coeffs = [int(c) for c in reversed(rem.all_coeffs())]
     degree = phi.degree()
     coeffs += [0] * (degree - len(coeffs))
     return tuple(coeffs[:degree])
+
+
+# -- Krawtchouk tables, one column per element --------------------------------
+
+
+def krawtchouk_table_by_element(partition, char, side: str) -> list[list]:
+    """Entries [block][element] as CycInts, one O(n) column per element.
+
+    Asserts both table invariants on every column: the column at 0 lists
+    the block sizes, and every column sums to |R| at 0 and to 0 elsewhere.
+    """
+    ring = partition.ring
+    order, nblocks = char.order, partition.num_blocks
+    base = partition.block_of * order
+    sizes = partition.block_sizes()
+    rows = [[None] * ring.size for _ in range(nblocks)]
+    for b in range(ring.size):
+        col = ring.mul_col(b) if side == "left" else ring.mul_row(b)
+        counts = np.bincount(base + char.exponents[col], minlength=nblocks * order)
+        counts = counts.reshape(nblocks, order)
+        for m in range(nblocks):
+            rows[m][b] = cyclotomic.from_exponent_counts(order, counts[m])
+            if b == 0 and rows[m][b].as_int() != sizes[m]:
+                raise InternalInconsistency(f"column at 0 gave {rows[m][b]} for block {m}")
+        total = cyclotomic.from_exponent_counts(order, counts.sum(axis=0)).as_int()
+        if total != (ring.size if b == 0 else 0):
+            raise InternalInconsistency(f"column at {b} sums to {total}")
+    return rows

@@ -17,7 +17,7 @@ from frobring.characters import (
     translate,
 )
 from frobring.cyclotomic import root_power, zero
-from frobring.errors import InvalidParameter, ResourceLimit
+from frobring.errors import InternalInconsistency, InvalidParameter, ResourceLimit
 from frobring.rings import (
     TableRingSpec,
     build_gf,
@@ -426,3 +426,15 @@ def test_translate_by_unit_preserves_generating(data):
     u = data.draw(st.sampled_from([int(v) for v in ring.units]))
     side = data.draw(st.sampled_from(["left", "right"]))
     assert is_generating(translate(char, u, side))
+
+
+def test_non_generating_canonical_character_names_ring_order_and_side(monkeypatch):
+    from frobring import characters
+
+    z4 = build_zmod(4)
+    monkeypatch.setattr(characters, "_canonical", lambda ring: Character(ring, [0, 2, 0, 2]))
+    with pytest.raises(InternalInconsistency) as err:
+        canonical_generating_character(z4)
+    assert str(err.value) == (
+        "Z4: the kernel of the canonical character of order 4 holds a nonzero left ideal"
+    )

@@ -466,6 +466,26 @@ def test_exit_3_on_size_guard(capsys):
     assert json.loads(out)["size"] == 20000
 
 
+def test_exit_3_on_table_file_above_byte_budget(capsys, tmp_path):
+    """The budget follows the size guard and is checked before parsing."""
+    from frobring.errors import ResourceLimit
+    from frobring.rings import load_table_spec
+
+    spec = {"size": 2, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]], "one": 1}
+    small = tmp_path / "f2.json"
+    small.write_text(json.dumps(spec))
+    code, out, _ = run_cli(capsys, "info", "--ring", f"table:{small}", "--max-size", "2",
+                           "--json", "--no-timestamp")
+    assert code == 0 and json.loads(out)["size"] == 2
+    padded = tmp_path / "padded.json"
+    padded.write_text(json.dumps({**spec, "name": "F" * 70000}))
+    with pytest.raises(ResourceLimit, match="size guard 2"):
+        load_table_spec(str(padded), max_size=2)
+    code, _, err = run_cli(capsys, "info", "--ring", f"table:{padded}", "--max-size", "2")
+    assert code == 3 and "bytes" in err
+    assert load_table_spec(str(padded)).name == "F" * 70000  # within the default guard
+
+
 def test_exit_1_on_internal_inconsistency(capsys, monkeypatch):
     from frobring.errors import InternalInconsistency
 

@@ -12,13 +12,16 @@ from frobring.cyclotomic import (
     from_exponent_counts,
     from_json,
     lift,
+    reduce_exponent_counts,
     root_power,
     root_power_traces,
     to_json,
     totient,
     zero,
 )
-from frobring.errors import InvalidParameter
+import numpy as np
+
+from frobring.errors import InvalidParameter, ResourceLimit
 
 from oracles import sympy_cyclotomic_coeffs, sympy_reduce_exponents
 
@@ -207,3 +210,27 @@ def test_trace_projects_rational_sums(order, data):
     dot = sum(c * t for c, t in zip(counts, traces))
     if value is not None:
         assert dot == value * totient(order)
+
+
+@pytest.mark.parametrize("order", [105, 360, 1000])
+def test_vectorized_reduction_matches_sympy(order):
+    """Phi_105 has a coefficient -2; 360 and 1000 reduce through Phi_r(x^s)."""
+    counts = np.random.default_rng(order).integers(-40, 41, size=(2, 1, order))
+    out = reduce_exponent_counts(order, counts)
+    assert out.shape == (2, 1, totient(order))
+    for row, reduced in zip(counts.reshape(-1, order), out.reshape(-1, totient(order))):
+        assert tuple(reduced.tolist()) == sympy_reduce_exponents(order, row)
+
+
+def test_reduction_refuses_counts_that_could_overflow():
+    """The a-priori bound refuses before any arithmetic; just below it is exact."""
+    edge = 2**61 - 1  # order 2: 2 * peak * r * height = 4 * peak < 2**63
+    assert reduce_exponent_counts(2, [[edge, edge]]).tolist() == [[0]]
+    with pytest.raises(ResourceLimit, match="order 2"):
+        reduce_exponent_counts(2, [[edge + 1, 0]])
+    with pytest.raises(ResourceLimit, match="order 360"):
+        reduce_exponent_counts(360, np.full((1, 360), -(2**58)))
+    with pytest.raises(ResourceLimit):
+        from_exponent_counts(4, [2**70])
+    with pytest.raises(InvalidParameter):
+        reduce_exponent_counts(4, [1, 2, 3])

@@ -1,9 +1,14 @@
 """Krawtchouk tables, dual partitions, reflexivity, and worked dualities."""
 
+import json
+import time
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobring import cyclotomic, duality
 from frobring.characters import (
     all_generating_characters,
     canonical_generating_character,
@@ -22,10 +27,12 @@ from frobring.duality import (
     same_entries,
     semisimple_lr_agreement,
 )
-from frobring.errors import InvalidParameter
+from frobring.cli import build_ring, main, parse_ring
+from frobring.errors import InternalInconsistency, InvalidParameter
 from frobring.partitions import (
     Partition,
     equals,
+    is_invariant,
     ex5_5_partition,
     hamming_partition,
     hom_partition,
@@ -40,6 +47,9 @@ from frobring.rings import (
     build_product,
     build_zmod,
 )
+
+from oracles import krawtchouk_table_by_element
+from test_partitions import _partition_from_assignment, _random_partition_data
 
 
 def _named_invariant_partitions():
@@ -430,3 +440,140 @@ def test_merging_weight_blocks_keeps_dual_block_bound(data):
     char = canonical_generating_character(ring)
     dual = dual_partition(merged, char, "left")
     assert merged.num_blocks <= dual.num_blocks
+
+
+# -- the orbit route against the element-by-element oracle ---------------------------
+
+
+CHAIN_RINGS = ["GF(3) x GF(9) x Z25", "Z125", "Z27 x GF(7)", "Z8 x Z9 x GF(5)", "Z9 x Z25"]
+
+
+def _assert_matches_oracle(partition):
+    """Every entry on both sides equals the per-element route's; returns the tables."""
+    char = canonical_generating_character(partition.ring)
+    tables = []
+    for side in ("left", "right"):
+        table = krawtchouk_table(partition, char, side)
+        rows = krawtchouk_table_by_element(partition, char, side)
+        assert table.to_json()["entries"] == [[list(e.coeffs) for e in row] for row in rows]
+        assert all(table.entry(m, b) == rows[m][b]
+                   for m in range(partition.num_blocks) for b in (0, partition.ring.size - 1))
+        tables.append(table)
+    return tables
+
+
+@pytest.mark.parametrize(
+    "partition", INVARIANT_PARTITIONS, ids=lambda p: f"{p.ring.expr}-{p.num_blocks}"
+)
+def test_orbit_tables_match_oracle_on_invariant_partitions(partition):
+    for table in _assert_matches_oracle(partition):
+        reps, _ = partition.ring.unit_orbits(table.side)
+        assert len(table.coeffs) == len(reps)
+
+
+def test_orbit_tables_match_oracle_on_ex5_5(ex5_5_ring):
+    _assert_matches_oracle(ex5_5_partition(ex5_5_ring))
+    _assert_matches_oracle(hom_partition(ex5_5_ring))
+
+
+@pytest.mark.parametrize("expr", CHAIN_RINGS)
+def test_orbit_tables_match_oracle_on_chain_rings(expr):
+    _assert_matches_oracle(hom_partition(build_ring(parse_ring(expr))))
+
+
+@pytest.mark.parametrize("expr", ["ex5_5", "M(2,GF(2))", "M(2,GF(3))"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_one_sided_orbit_partitions_match_oracle(expr, side):
+    """Blocks = the unit orbits of one side: invariant on that side only.
+
+    The table of the other side runs per orbit, this side's per element.
+    """
+    ring = build_ring(parse_ring(expr))
+    reps, orbit_of = ring.unit_orbits(side)
+    part = Partition(ring, [np.flatnonzero(orbit_of == k) for k in range(len(reps))])
+    assert not is_invariant(part)
+    tables = dict(zip(("left", "right"), _assert_matches_oracle(part)))
+    other = "right" if side == "left" else "left"
+    assert len(tables[side].coeffs) == ring.size
+    assert len(tables[other].coeffs) == len(ring.unit_orbits(other)[0])
+
+
+def test_singletons_take_the_identity_index(z8):
+    """Singletons are not unit-invariant, so every element is its own orbit."""
+    for table in _assert_matches_oracle(Partition(z8, [[x] for x in range(8)])):
+        assert len(table.coeffs) == z8.size
+        assert table.orbit_of.tolist() == list(range(8))
+
+
+@given(data=_random_partition_data(), merge=st.integers(min_value=0, max_value=10))
+@settings(max_examples=40, deadline=None)
+def test_orbit_tables_match_oracle_on_random_merges(m2f2, data, merge):
+    """Random partitions, two blocks merged, on Z_n and on M(2,GF(2)) at 16."""
+    size, assignment = data
+    ring = m2f2 if size == 16 else build_zmod(size)
+    part = _partition_from_assignment(ring, assignment)
+    if part.num_blocks > 1:
+        i, j = merge % part.num_blocks, (merge + 1) % part.num_blocks
+        blocks = [b for k, b in enumerate(part.blocks) if k not in (i, j)]
+        part = Partition(ring, blocks + [part.blocks[i] + part.blocks[j]])
+    _assert_matches_oracle(part)
+    dual = dual_partition(part, canonical_generating_character(ring), "left")
+    assert part.num_blocks <= dual.num_blocks
+
+
+def test_small_count_chunks_give_the_same_table(monkeypatch):
+    ring, _ = _matrix_square(2)
+    char = canonical_generating_character(ring)
+    whole = krawtchouk_table(hom_partition(ring), char, "left")
+    monkeypatch.setattr(duality, "_COUNT_CHUNK", 1)
+    chunked = krawtchouk_table(Partition(ring, hom_partition(ring).blocks), char, "left")
+    assert same_entries(whole, chunked)
+    assert chunked.coeffs.shape == whole.coeffs.shape
+
+
+def test_size_guard_ring_dual_finishes(capsys):
+    """Z10000 sits at the size guard; both duals and reflexivity run in seconds."""
+    start = time.perf_counter()
+    code = main(["dual", "--ring", "Z10000", "--side", "both", "--json", "--no-timestamp"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ring"] == "Z10000" and payload["left_equals_right"]
+    assert elapsed < 10
+
+
+# -- inconsistency messages name the ring, the character order and the side -----------
+
+
+def test_broken_zero_column_names_ring_order_and_side(monkeypatch):
+    z4 = build_zmod(4)
+    reduce = cyclotomic.reduce_exponent_counts
+    monkeypatch.setattr(cyclotomic, "reduce_exponent_counts",
+                        lambda order, counts: reduce(order, counts) * 2)
+    with pytest.raises(InternalInconsistency) as err:
+        krawtchouk_table(hom_partition(z4), canonical_generating_character(z4), "right")
+    assert "Z4, character of order 4, right table" in str(err.value)
+    assert "column at 0" in str(err.value)
+
+
+def test_broken_orthogonality_names_ring_order_and_side(monkeypatch):
+    z9 = build_zmod(9)
+    reduce = cyclotomic.reduce_exponent_counts
+
+    def shifted(order, counts):
+        out = reduce(order, counts)
+        out[1:, 0, 0] += 1  # every orbit but that of 0
+        return out
+
+    monkeypatch.setattr(cyclotomic, "reduce_exponent_counts", shifted)
+    with pytest.raises(InternalInconsistency) as err:
+        krawtchouk_table(hom_partition(z9), canonical_generating_character(z9), "left")
+    assert "Z9, character of order 9, left table: column at 1 sums to" in str(err.value)
+
+
+def test_reflexivity_disagreement_names_ring_and_order(monkeypatch):
+    z4 = build_zmod(4)
+    monkeypatch.setattr(duality, "equals", lambda p, q: False)
+    with pytest.raises(InternalInconsistency, match="Z4, character of order 4: the right "
+                       "dual of the left dual"):
+        is_reflexive(hom_partition(z4))

@@ -631,11 +631,23 @@ def test_describe_surface():
 # -- matrix rank --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("q", [2, 3])
-def test_matrix_rank_matches_row_space_oracle(q):
-    ring = build_matrix_ring(2, build_gf(q))
+@pytest.mark.parametrize(
+    "m, q", [pytest.param(2, 2, id="2"), pytest.param(2, 3, id="3"), (2, 4), (3, 2)]
+)
+def test_matrix_rank_matches_row_space_oracle(m, q):
+    ring = build_matrix_ring(m, build_gf(q))
     for a in range(ring.size):
         assert ring.rank(a) == matrix_rank_oracle(ring, a)
+
+
+def test_matrix_rank_over_gf9_matches_row_space_oracle():
+    """Every matrix of rank below 2, and a seeded sample of the invertible ones."""
+    ring = build_matrix_ring(2, build_gf(9))
+    ranks = ring.ranks
+    assert np.bincount(ranks).tolist() == [1, 800, 5760]
+    sample = np.random.default_rng(9).choice(np.flatnonzero(ranks == 2), 40, replace=False)
+    for a in [*np.flatnonzero(ranks < 2), *sample]:
+        assert ranks[a] == matrix_rank_oracle(ring, int(a))
 
 
 def test_matrix_rank_3x3_spot_checks():

@@ -165,15 +165,14 @@ class _Parser:
         terms = [self.term()]
         while True:
             self.skip_ws()
-            if self.peek() == "x":
-                mark = self.pos
-                self.pos += 1
-                try:
-                    terms.append(self.term())
-                except RingSyntaxError:
-                    self.pos = mark
-                    break
-            else:
+            if self.peek() != "x":
+                break
+            mark = self.pos
+            self.pos += 1
+            try:
+                terms.append(self.term())
+            except RingSyntaxError:
+                self.pos = mark
                 break
         self.skip_ws()
         if self.pos != len(self.text):
@@ -247,10 +246,8 @@ def _char_from_args(ring: FiniteRing, args):
 
 def _emit(args, payload: dict) -> None:
     if not args.no_timestamp:
-        payload = dict(payload)
-        payload["timestamp"] = datetime.now(timezone.utc).isoformat(
-            timespec="seconds"
-        )
+        now = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        payload = {**payload, "timestamp": now}
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -258,8 +255,7 @@ def _emit(args, payload: dict) -> None:
 
 
 def _emit_text(payload: dict, indent: str = "") -> None:
-    for key in payload:
-        value = payload[key]
+    for key, value in payload.items():
         if isinstance(value, dict):
             print(f"{indent}{key}:")
             _emit_text(value, indent + "  ")
@@ -345,9 +341,7 @@ def cmd_weights(args) -> int:
             {"index": i, "element": ring.element_label(i), "weight": _frac(w)}
             for i, w in enumerate(table.weights)
         ],
-        "multiset": {
-            _frac(w): n for w, n in sorted(table.multiset().items())
-        },
+        "multiset": {_frac(w): n for w, n in sorted(table.multiset().items())},
     }
     _emit(args, payload)
     return 0
@@ -385,8 +379,7 @@ def cmd_dual(args) -> int:
     }
     duals = {}
     for side in _sides(args):
-        d = duality.dual_partition(part, char, side)
-        duals[side] = d
+        d = duals[side] = duality.dual_partition(part, char, side)
         payload[side] = {
             "num_blocks": d.num_blocks,
             "block_sizes": list(d.block_sizes()),
@@ -405,20 +398,13 @@ def cmd_krawtchouk(args) -> int:
     ring = _ring_from_args(args)
     char = _char_from_args(ring, args)
     part = select_partition(ring, args.partition, char if args.partition == "hom" else None)
-    payload = {
-        "command": "krawtchouk",
-        "ring": ring.expr,
-        "partition_kind": args.partition,
-    }
+    payload = {"command": "krawtchouk", "ring": ring.expr, "partition_kind": args.partition}
     tables = {}
     for side in _sides(args):
-        table = duality.krawtchouk_table(part, char, side)
-        tables[side] = table
-        payload[side] = table.to_json()
+        tables[side] = duality.krawtchouk_table(part, char, side)
+        payload[side] = tables[side].to_json()
     if len(tables) == 2:
-        payload["left_equals_right"] = duality.same_entries(
-            tables["left"], tables["right"]
-        )
+        payload["left_equals_right"] = duality.same_entries(tables["left"], tables["right"])
     _emit(args, payload)
     return 0
 
@@ -629,9 +615,8 @@ def _symmetrized_square(ring: ProductRing, q: int) -> tuple[dict, bool]:
 def _rank_hamming_blocks(ring: ProductRing) -> dict:
     """Blocks of M_2(F_q) x F_q by (rank, Hamming weight) label."""
     mat, fld = ring.factors
-    prod = partitions.product_partition(
-        ring, partitions.rank_partition(mat), partitions.hamming_partition(fld)
-    )
+    prod = partitions.product_partition(ring, partitions.rank_partition(mat),
+                                        partitions.hamming_partition(fld))
     return {l: frozenset(b) for l, b in zip(prod.labels, prod.blocks)}
 
 
@@ -690,8 +675,7 @@ def _square_duality(ring: ProductRing, q: int) -> tuple[dict, bool]:
         match = partitions.equals(dual, hom) and duality.is_reflexive(hom, char)
         expected = "weight partition self-dual"
     else:
-        match = (partitions.equals(dual, sym)
-                 and not duality.is_reflexive(hom, char))
+        match = partitions.equals(dual, sym) and not duality.is_reflexive(hom, char)
         expected = "dual equals symmetrized rank partition; not reflexive"
     payload = {
         "ring": ring.expr,
@@ -813,7 +797,7 @@ CLAIMS = (
 # -- argument parsing --------------------------------------------------------
 
 
-def _add_common(parser, ring_required: bool = True) -> None:
+def _add_common(parser) -> None:
     parser.add_argument("--ring", help="ring expression, e.g. 'M(2,GF(2)) x GF(2)'")
     parser.add_argument("--json", action="store_true", help="emit JSON")
     parser.add_argument("--char", default="canonical",
@@ -877,10 +861,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except RingSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidParameter, InvalidRing, CharacterSearchFailed,
+    except (RingSyntaxError, InvalidParameter, InvalidRing, CharacterSearchFailed,
             FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

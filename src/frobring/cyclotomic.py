@@ -6,7 +6,9 @@ zeta^(phi(N)-1).  Vectors are reduced modulo the N-th cyclotomic
 polynomial, which is the minimal polynomial of zeta_N, so two values are
 the same algebraic number exactly when their reduced coordinates match.
 One vectorized reducer, ``reduce_exponent_counts``, builds every value
-from exponent counts in int64 under a bound that refuses any overflow.
+from exponent counts in int64 under a bound that refuses any overflow;
+the scalar constructors run the same division on Python integers when
+that bound fails, so they stay exact for every integer.
 """
 
 from __future__ import annotations
@@ -166,7 +168,13 @@ def reduce_exponent_counts(order: int, counts) -> np.ndarray:
                 f"exponent counts up to {peak} at order {order} could overflow "
                 "int64 in the cyclotomic reduction"
             )
-    tail = np.asarray(cyclotomic_poly(r)[:-1], dtype=np.int64)[:, None]
+    return _divide(order, counts)
+
+
+def _divide(order: int, counts: np.ndarray) -> np.ndarray:
+    """The long division of reduce_exponent_counts, in the dtype of counts."""
+    r = prod(p for p, _ in _factorization(order))
+    tail = np.asarray(cyclotomic_poly(r)[:-1], dtype=counts.dtype)[:, None]
     deg = len(tail)
     work = counts.reshape(-1, r, order // r).copy()  # [row, e // s, e % s]
     for q in range(r - 1, deg - 1, -1):
@@ -252,14 +260,18 @@ def from_exponent_counts(order: int, counts) -> CycInt:
     """Sum of counts[e] * zeta_order^e over all exponents e.
 
     ``counts`` is indexed by exponent and may be shorter than the order;
-    entries may be negative.
+    entries may be negative and of any size.
     """
     counts = list(counts)
     beyond = [e for e in range(order, len(counts)) if counts[e]]
     if beyond:
         raise InvalidParameter(f"exponent {beyond[0]} out of range for order {order}")
     counts = counts[:order] + [0] * (order - len(counts))
-    return CycInt(order, tuple(reduce_exponent_counts(order, counts).tolist()))
+    try:
+        coeffs = reduce_exponent_counts(order, counts)
+    except ResourceLimit:  # beyond int64: the same division on Python integers
+        coeffs = _divide(order, np.array(counts, dtype=object))
+    return CycInt(order, tuple(int(c) for c in coeffs.tolist()))
 
 
 def lift(a: CycInt, order: int) -> CycInt:

@@ -25,12 +25,13 @@ from . import cyclotomic
 from .characters import (Character, all_generating_characters,
                          canonical_generating_character, is_generating,
                          is_symmetric)
-from .errors import InternalInconsistency, InvalidParameter
+from .errors import InternalInconsistency, InvalidParameter, ResourceLimit
 from .partitions import Partition, equals, is_invariant
 from .rings import FiniteRing
 from .weights import gaussian
 
 _COUNT_CHUNK = 1 << 21  # exponent counts held at once, in int64 entries
+_TABLE_ENTRIES = 1 << 25  # most int64 coordinates one table may hold
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,6 +93,10 @@ def krawtchouk_table(partition: Partition, char: Character, side: str) -> Krawtc
     else:  # not invariant on the other side: every element is its own orbit
         reps = orbit_of = np.arange(ring.size)
     nblocks, order = partition.num_blocks, char.order
+    if len(reps) * nblocks * cyclotomic.totient(order) > _TABLE_ENTRIES:
+        raise ResourceLimit(f"{ring.expr}: a {side} table of {len(reps)} columns, {nblocks} "
+                            f"blocks and character order {order} exceeds "
+                            f"{_TABLE_ENTRIES} coordinates")
     base = block_of * order
     exps = char.exponents
     kernel = ring.mul_col if side == "left" else ring.mul_row
@@ -181,9 +186,8 @@ def left_right_agreement(partition: Partition, char: Character | None = None) ->
     """
     if char is None:
         char = canonical_generating_character(partition.ring)
-    left = krawtchouk_table(partition, char, "left")
-    right = krawtchouk_table(partition, char, "right")
-    return same_entries(left, right)
+    return same_entries(krawtchouk_table(partition, char, "left"),
+                        krawtchouk_table(partition, char, "right"))
 
 
 def character_independence_check(partition: Partition, ring: FiniteRing | None = None) -> bool:
@@ -205,11 +209,8 @@ def delsarte_rank_krawtchouk(m: int, q: int, i: int, k: int) -> int:
     """
     if not (0 <= i <= m and 0 <= k <= m):
         raise InvalidParameter(f"need 0 <= i, k <= m, got i={i}, k={k}, m={m}")
-    total = 0
-    for j in range(k + 1):
-        total += ((-1) ** (k - j) * q ** (j * m + comb(k - j, 2))
-                  * gaussian(m - j, m - k, q) * gaussian(m - i, j, q))
-    return total
+    return sum((-1) ** (k - j) * q ** (j * m + comb(k - j, 2))
+               * gaussian(m - j, m - k, q) * gaussian(m - i, j, q) for j in range(k + 1))
 
 
 def semisimple_lr_agreement(ring: FiniteRing, partition: Partition) -> bool:

@@ -649,22 +649,28 @@ class MatrixRing(AlgebraRing):
         """Rank of every matrix, by one Gaussian elimination over all of them.
 
         Column by column, each matrix with a nonzero entry there takes the
-        first such row as pivot and subtracts from every row the multiple
-        of the pivot that clears the column.  That turns the pivot row to
-        zero, which drops it for the later columns, so the rank is the
-        number of pivots.  Field arithmetic reads the field's tables.
+        first such row as pivot and replaces every row r by
+        pivot[col] * r - r[col] * pivot.  That clears the column without
+        dividing and turns the pivot row to zero, which drops it for the
+        later columns, so the rank is the number of pivots.  Entries are
+        F_p digit vectors multiplied through the field's structure tensor.
         """
-        fld, m = self.field, self.m
-        add, mul, neg = fld.add_table, fld.mul_table, fld.neg_table
-        inv = np.argmax(mul == fld.one, axis=1)
-        mats = (np.arange(self.size)[:, None] // self._weights % fld.size).reshape(-1, m, m)
+        m, k = self.m, self.field.dim
+        tensor = self.field.tensor.reshape(k * k, k)
+
+        def times(x, y):  # entrywise field product of digit vectors
+            xy = x[..., :, None] * y[..., None, :]
+            return xy.reshape(*xy.shape[:-2], k * k) @ tensor
+
+        mats = self._digits.reshape(self.size, m * m, k)[:, ::-1].copy().reshape(-1, m, m, k)
         rank = np.zeros(self.size, dtype=np.int64)
         for col in range(m):
-            nonzero = mats[:, :, col] != 0
+            nonzero = mats[:, :, col].any(axis=-1)
             idx = np.flatnonzero(nonzero.any(axis=1))
-            pivot = mats[idx, nonzero[idx].argmax(axis=1)]
-            factor = mul[mats[idx, :, col], inv[pivot[:, col]][:, None]]
-            mats[idx] = add[mats[idx], neg[mul[factor[:, :, None], pivot[:, None, :]]]]
+            rows = mats[idx]
+            pivot = rows[np.arange(len(idx)), nonzero[idx].argmax(axis=1)][:, None]
+            cleared = times(pivot[:, :, col, None], rows) - times(rows[:, :, col, None], pivot)
+            mats[idx] = cleared % self.p
             rank[idx] += 1
         return rank
 

@@ -230,7 +230,16 @@ def test_reduction_refuses_counts_that_could_overflow():
         reduce_exponent_counts(2, [[edge + 1, 0]])
     with pytest.raises(ResourceLimit, match="order 360"):
         reduce_exponent_counts(360, np.full((1, 360), -(2**58)))
-    with pytest.raises(ResourceLimit):
-        from_exponent_counts(4, [2**70])
     with pytest.raises(InvalidParameter):
         reduce_exponent_counts(4, [1, 2, 3])
+
+
+def test_scalar_constructors_stay_exact_beyond_int64():
+    """from_exponent_counts, lift and equals divide in Python integers there."""
+    big = 3**80
+    assert from_exponent_counts(4, [big, 0, big + 1]).coeffs == (-1, 0)
+    assert from_exponent_counts(3, [0, -big, big]).coeffs == (-big, -2 * big)
+    a = big * root_power(3, 1)
+    assert lift(a, 6).coeffs == (-big, big)
+    assert equals(a, -big * root_power(6, 5))
+    assert not equals(a, (big + 1) * root_power(6, 2))

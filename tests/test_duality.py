@@ -28,7 +28,7 @@ from frobring.duality import (
     semisimple_lr_agreement,
 )
 from frobring.cli import build_ring, main, parse_ring
-from frobring.errors import InternalInconsistency, InvalidParameter
+from frobring.errors import InternalInconsistency, InvalidParameter, ResourceLimit
 from frobring.partitions import (
     Partition,
     equals,
@@ -529,6 +529,15 @@ def test_small_count_chunks_give_the_same_table(monkeypatch):
     chunked = krawtchouk_table(Partition(ring, hom_partition(ring).blocks), char, "left")
     assert same_entries(whole, chunked)
     assert chunked.coeffs.shape == whole.coeffs.shape
+
+
+def test_oversized_table_is_refused_before_counting(monkeypatch):
+    """Singletons on Z9973 would need 9973 x 9973 x 9972 coordinates."""
+    ring = build_zmod(9973)
+    char = canonical_generating_character(ring)
+    monkeypatch.setattr(ring, "mul_col", None)  # no column may be computed
+    with pytest.raises(ResourceLimit, match="Z9973: a left table of 9973 columns"):
+        krawtchouk_table(Partition(ring, [[x] for x in range(ring.size)]), char, "left")
 
 
 def test_size_guard_ring_dual_finishes(capsys):

@@ -650,6 +650,23 @@ def test_matrix_rank_over_gf9_matches_row_space_oracle():
         assert ranks[a] == matrix_rank_oracle(ring, int(a))
 
 
+def test_matrix_rank_over_a_field_without_tables():
+    ring = build_matrix_ring(2, build_gf(4, table_threshold=0))
+    assert ring.field.mul_table is None
+    for a in range(ring.size):
+        assert ring.rank(a) == matrix_rank_oracle(ring, a)
+
+
+def test_matrix_ring_over_a_field_above_the_table_threshold():
+    """GF(8192) keeps no tables; ranks must not disturb the ring's digits."""
+    ring = build_matrix_ring(1, build_gf(8192))
+    assert ring.field.mul_table is None and ring.mul_table is None
+    assert ring.rank(0) == 0 and (ring.ranks[1:] == 1).all()
+    assert ring.add_row(ring.one)[:3].tolist() == [1, 0, 3]
+    assert ring.radical == (0,)
+    assert ring.is_frobenius
+
+
 def test_matrix_rank_3x3_spot_checks():
     ring = build_matrix_ring(3, build_gf(2), max_size=600000)
     assert ring.rank(0) == 0

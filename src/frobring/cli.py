@@ -268,10 +268,6 @@ def _emit_text(payload: dict, indent: str = "") -> None:
             print(f"{indent}{key}: {value}")
 
 
-def _frac(w: Fraction) -> str:
-    return f"{w.numerator}/{w.denominator}" if w.denominator != 1 else str(w.numerator)
-
-
 # -- partition selection ----------------------------------------------------
 
 
@@ -338,10 +334,10 @@ def cmd_weights(args) -> int:
         "ring": ring.expr,
         "character_order": char.order,
         "weights": [
-            {"index": i, "element": ring.element_label(i), "weight": _frac(w)}
+            {"index": i, "element": ring.element_label(i), "weight": str(w)}
             for i, w in enumerate(table.weights)
         ],
-        "multiset": {_frac(w): n for w, n in sorted(table.multiset().items())},
+        "multiset": {str(w): n for w, n in sorted(table.multiset().items())},
     }
     _emit(args, payload)
     return 0
@@ -574,8 +570,8 @@ def _local_weights(*rings: FiniteRing) -> tuple[dict, bool]:
         cases.append({
             "ring": ring.expr,
             "residue_field_size": q,
-            "expected_socle_weight": _frac(Fraction(q, q - 1)),
-            "computed": [_frac(w) for w in table.weights],
+            "expected_socle_weight": str(Fraction(q, q - 1)),
+            "computed": [str(w) for w in table.weights],
             "match": list(table.weights) == expected,
         })
     return {"cases": cases}, all(case["match"] for case in cases)
@@ -592,7 +588,7 @@ def _symmetrized_square(ring: ProductRing, q: int) -> tuple[dict, bool]:
         "ring": ring.expr,
         "hom_blocks": hom.num_blocks,
         "sym_blocks": sym.num_blocks,
-        "block_weights": sorted(_frac(w) for w in block_weights),
+        "block_weights": sorted(str(w) for w in block_weights),
     }
     if q > 2:
         match = (partitions.equals(hom, sym)

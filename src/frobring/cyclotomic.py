@@ -52,11 +52,6 @@ def cyclotomic_poly(order: int) -> tuple[int, ...]:
     return tuple(poly.tolist())
 
 
-def degree(order: int) -> int:
-    """Degree of the order-th cyclotomic polynomial (Euler's totient)."""
-    return len(cyclotomic_poly(order)) - 1
-
-
 @lru_cache(maxsize=None)
 def _factorization(n: int) -> tuple[tuple[int, int], ...]:
     out = []
@@ -198,9 +193,9 @@ class CycInt:
     def __post_init__(self):
         if self.order < 1:
             raise InvalidParameter(f"order must be positive, got {self.order}")
-        if len(self.coeffs) != degree(self.order):
+        if len(self.coeffs) != totient(self.order):
             raise InvalidParameter(
-                f"expected {degree(self.order)} coordinates for order "
+                f"expected {totient(self.order)} coordinates for order "
                 f"{self.order}, got {len(self.coeffs)}"
             )
 
@@ -240,7 +235,7 @@ class CycInt:
 
 
 def zero(order: int) -> CycInt:
-    return CycInt(order, (0,) * degree(order))
+    return CycInt(order, (0,) * totient(order))
 
 
 def root_power(order: int, k: int) -> CycInt:

@@ -146,10 +146,7 @@ def dual_partition(partition: Partition, char: Character, side: str) -> Partitio
     table = krawtchouk_table(partition, char, side)
     _, group = np.unique(table.coeffs.reshape(len(table.coeffs), -1), axis=0,
                          return_inverse=True)
-    labels = group.reshape(-1)[table.orbit_of]
-    members = np.argsort(labels, kind="stable")
-    return Partition(partition.ring,
-                     np.split(members, np.flatnonzero(np.diff(labels[members])) + 1))
+    return Partition.from_keys(partition.ring, group.reshape(-1)[table.orbit_of])
 
 
 def is_self_dual(partition: Partition, char: Character | None = None) -> bool:

@@ -3,10 +3,14 @@
 A partition is stored in canonical form: each block is a sorted tuple
 of element indices, blocks are ordered by smallest member, and a dense
 element-to-block lookup is kept alongside for the character-sum code
-that indexes by element in tight loops.
+that indexes by element in tight loops.  Every builder keys each element
+by an integer array (a weight numerator, a rank, a row of factor blocks)
+and one ``np.unique`` pass turns the keys into that canonical form.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -19,31 +23,51 @@ class Partition:
     """Disjoint nonempty blocks covering all element indices of a ring."""
 
     def __init__(self, ring: FiniteRing, blocks, labels=None):
-        raw = [tuple(sorted(int(x) for x in block)) for block in blocks]
+        blocks = [np.fromiter(block, dtype=np.int64) for block in blocks]
         if labels is not None:
             labels = list(labels)
-            if len(labels) != len(raw):
+            if len(labels) != len(blocks):
                 raise InvalidParameter("one label per block required")
-            order = sorted(range(len(raw)), key=lambda i: raw[i][0] if raw[i] else -1)
-            labels = tuple(labels[i] for i in order)
-        for block in raw:
-            if not block:
-                raise InvalidParameter("empty block")
-        raw.sort(key=lambda b: b[0])
-        block_of = np.full(ring.size, -1, dtype=np.int64)
-        for m, block in enumerate(raw):
-            for x in block:
-                if not 0 <= x < ring.size:
-                    raise InvalidParameter(f"element index {x} out of range")
-                if block_of[x] != -1:
-                    raise InvalidParameter(f"element {x} appears in two blocks")
-                block_of[x] = m
-        if (block_of == -1).any():
-            missing = int(np.flatnonzero(block_of == -1)[0])
-            raise InvalidParameter(f"element {missing} not covered")
+        if any(len(block) == 0 for block in blocks):
+            raise InvalidParameter("empty block")
+        members = np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
+        outside = members[(members < 0) | (members >= ring.size)]
+        if len(outside):
+            raise InvalidParameter(f"element index {outside[0]} out of range")
+        seen = np.bincount(members, minlength=ring.size)
+        if (seen > 1).any():
+            raise InvalidParameter(f"element {np.flatnonzero(seen > 1)[0]} appears in two blocks")
+        if (seen == 0).any():
+            raise InvalidParameter(f"element {np.flatnonzero(seen == 0)[0]} not covered")
+        owner = np.empty(ring.size, dtype=np.int64)
+        owner[members] = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+        self._group(ring, owner, None if labels is None else labels.__getitem__)
+
+    @classmethod
+    def from_keys(cls, ring: FiniteRing, keys, label=None) -> "Partition":
+        """Blocks of elements with equal keys.
+
+        ``keys`` holds one key per element: a length-n array, or an n x k
+        array whose rows are the keys.  ``label``, if given, maps a
+        block's key to that block's label.
+        """
+        self = cls.__new__(cls)
+        self._group(ring, np.asarray(keys), label)
+        return self
+
+    def _group(self, ring: FiniteRing, keys: np.ndarray, label) -> None:
+        """The canonical form: group equal keys, order blocks by least member."""
+        distinct, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                             return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        block_of = rank[inverse.reshape(-1)]
+        members = np.argsort(block_of, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(block_of)).tolist()
         self.ring = ring
-        self.blocks = tuple(raw)
-        self.labels = labels
+        self.blocks = tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends))
+        self.labels = None if label is None else tuple(label(distinct[k]) for k in order)
         self.block_of = block_of
         block_of.setflags(write=False)
 
@@ -83,18 +107,10 @@ def _label_json(label):
     return label
 
 
-def _group_by_key(ring: FiniteRing, key_of) -> tuple[list, list]:
-    groups: dict = {}
-    for x in range(ring.size):
-        groups.setdefault(key_of(x), []).append(x)
-    keys = sorted(groups, key=lambda k: groups[k][0])
-    return [groups[k] for k in keys], keys
-
-
 def partition_from_weight(table: WeightTable) -> Partition:
     """Group elements by exact weight equality; labels are the weights."""
-    blocks, keys = _group_by_key(table.ring, lambda x: table.weights[x])
-    return Partition(table.ring, blocks, labels=[str(k) for k in keys])
+    return Partition.from_keys(table.ring, table.num,
+                               lambda num: str(Fraction(int(num), table.denom)))
 
 
 def hom_partition(ring: FiniteRing, char=None) -> Partition:
@@ -106,18 +122,7 @@ def rank_partition(ring: FiniteRing) -> Partition:
     """Blocks of a matrix ring by matrix rank, labelled 0..m."""
     if not isinstance(ring, MatrixRing):
         raise InvalidParameter("rank_partition needs a matrix ring")
-    ranks = ring.ranks
-    blocks = [np.flatnonzero(ranks == r) for r in range(ring.m + 1)]
-    return Partition(ring, blocks, labels=list(range(ring.m + 1)))
-
-
-def _field_factors(ring: FiniteRing) -> list[GaloisField]:
-    if isinstance(ring, GaloisField):
-        return [ring]
-    if isinstance(ring, ProductRing):
-        if all(isinstance(f, GaloisField) for f in ring.factors):
-            return list(ring.factors)
-    raise InvalidParameter("hamming_partition needs a product of fields")
+    return Partition.from_keys(ring, ring.ranks, int)
 
 
 def hamming_partition(ring: FiniteRing) -> Partition:
@@ -127,20 +132,19 @@ def hamming_partition(ring: FiniteRing) -> Partition:
     for each q in increasing order, how many components of that order
     are nonzero.
     """
-    factors = _field_factors(ring)
-    sizes = sorted({f.size for f in factors})
-    pos = {q: i for i, q in enumerate(sizes)}
+    if isinstance(ring, GaloisField):
+        sizes, comps = np.array([ring.size]), np.arange(ring.size)[:, None]
+    elif isinstance(ring, ProductRing) and all(isinstance(f, GaloisField) for f in ring.factors):
+        sizes, comps = np.array(ring.sizes), ring._dec
+    else:
+        raise InvalidParameter("hamming_partition needs a product of fields")
+    profile = np.stack([(comps[:, sizes == q] != 0).sum(axis=1) for q in np.unique(sizes)],
+                       axis=1)
+    return Partition.from_keys(ring, profile, lambda key: tuple(key.tolist()))
 
-    def profile(x: int) -> tuple:
-        comps = ring.decode(x) if isinstance(ring, ProductRing) else [x]
-        counts = [0] * len(sizes)
-        for f, c in zip(factors, comps):
-            if c != 0:
-                counts[pos[f.size]] += 1
-        return tuple(counts)
 
-    blocks, keys = _group_by_key(ring, profile)
-    return Partition(ring, blocks, labels=keys)
+def _labelled(partition: Partition, m: int):
+    return partition.labels[m] if partition.labels is not None else m
 
 
 def product_partition(ring: FiniteRing, left: Partition, right: Partition) -> Partition:
@@ -149,19 +153,9 @@ def product_partition(ring: FiniteRing, left: Partition, right: Partition) -> Pa
         raise InvalidParameter("product_partition needs a two-factor product ring")
     if left.ring is not ring.factors[0] or right.ring is not ring.factors[1]:
         raise InvalidParameter("partitions must live on the ring's two factors")
-    size2 = ring.factors[1].size
-    blocks = []
-    labels = []
-    for i, bi in enumerate(left.blocks):
-        ai = np.asarray(bi, dtype=np.int64)
-        for j, bj in enumerate(right.blocks):
-            aj = np.asarray(bj, dtype=np.int64)
-            blocks.append((ai[:, None] * size2 + aj[None, :]).ravel())
-            labels.append((
-                left.labels[i] if left.labels is not None else i,
-                right.labels[j] if right.labels is not None else j,
-            ))
-    return Partition(ring, blocks, labels=labels)
+    pairs = np.stack([left.block_of[ring._dec[:, 0]], right.block_of[ring._dec[:, 1]]], axis=1)
+    return Partition.from_keys(ring, pairs, lambda key: (_labelled(left, int(key[0])),
+                                                         _labelled(right, int(key[1]))))
 
 
 def symmetrized_power_partition(ring: FiniteRing, base: Partition, n: int = 2) -> Partition:
@@ -175,17 +169,9 @@ def symmetrized_power_partition(ring: FiniteRing, base: Partition, n: int = 2) -
         raise InvalidParameter(f"need a product ring with {n} factors")
     if any(f is not base.ring for f in ring.factors):
         raise InvalidParameter("all factors must carry the base partition's ring")
-    if n < 1:
-        raise InvalidParameter("need n >= 1")
-
-    def multiset(x: int) -> tuple:
-        comps = ring.decode(x)
-        return tuple(sorted(int(base.block_of[c]) for c in comps))
-
-    blocks, keys = _group_by_key(ring, multiset)
-    if base.labels is not None:
-        keys = [tuple(base.labels[m] for m in k) for k in keys]
-    return Partition(ring, blocks, labels=keys)
+    multisets = np.sort(base.block_of[ring._dec], axis=1)
+    return Partition.from_keys(ring, multisets,
+                               lambda key: tuple(_labelled(base, m) for m in key.tolist()))
 
 
 def is_invariant(partition: Partition) -> bool:
@@ -206,11 +192,8 @@ def is_finer(p: Partition, q: Partition) -> bool:
     """Is every block of p contained in a block of q?"""
     if p.ring is not q.ring:
         raise InvalidParameter("partitions live on different rings")
-    for block in p.blocks:
-        target = q.block_of[block[0]]
-        if any(q.block_of[x] != target for x in block[1:]):
-            return False
-    return True
+    # each block of p meets one block of q: as many (p, q) block pairs as p blocks
+    return len(np.unique(p.block_of * q.num_blocks + q.block_of)) == p.num_blocks
 
 
 def equals(p: Partition, q: Partition) -> bool:

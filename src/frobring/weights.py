@@ -7,11 +7,13 @@ principal left ideal.  It is computed here by the character sum
     w(x) = 1 - (1/|R*|) * sum over units u of chi(x u)
 
 for a generating character chi; the sum over chi(u x) must give the
-same value and both are asserted.  Every table is then checked against
-the defining equations on both sides.  The sums and the checks run
-once per unit orbit, since Rx = R(ux) and the unit sum is the same
-along Ux and along xU.  Closed forms for matrix rings and products of
-matrix rings serve as independent cross-checks.
+same value and both are asserted.  The unit sum is a rational integer,
+so a table holds one integer numerator |R*| - s(x) per element over the
+single denominator |R*|, and is checked against the defining equations
+on both sides in that integer form.  The sums and the checks run once
+per unit orbit, since Rx = R(ux) and the unit sum is the same along Ux
+and along xU.  Closed forms for matrix rings and products of matrix
+rings serve as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from functools import cached_property
+from math import comb
 
 import numpy as np
 
@@ -106,47 +109,49 @@ def weight_rank_profile(profile) -> Fraction:
     return 1 - prod
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightTable:
-    """Weights of all ring elements, indexed by element."""
+    """Weights of all ring elements: w(x) = num[x] / denom, exactly.
+
+    ``num`` is a read-only int64 array holding |R*| - s(x) for the unit
+    sum s(x), and ``denom`` is |R*|.
+    """
 
     ring: FiniteRing
-    weights: tuple[Fraction, ...]
+    num: np.ndarray
+    denom: int
+
+    @cached_property
+    def weights(self) -> tuple[Fraction, ...]:
+        """The weights as Fractions, one object per distinct value."""
+        values, inverse = np.unique(self.num, return_inverse=True)
+        fracs = [Fraction(v, self.denom) for v in values.tolist()]
+        return tuple(map(fracs.__getitem__, inverse.tolist()))
 
     def __getitem__(self, x: int) -> Fraction:
-        return self.weights[x]
+        return Fraction(int(self.num[x]), self.denom)
 
     def multiset(self) -> Counter:
-        return Counter(self.weights)
-
-    def to_json(self) -> dict:
-        return {
-            "ring": self.ring.expr,
-            "weights": [
-                {"index": i, "weight": f"{w.numerator}/{w.denominator}"}
-                for i, w in enumerate(self.weights)
-            ],
-        }
+        values, counts = np.unique(self.num, return_counts=True)
+        return Counter({Fraction(v, self.denom): c
+                        for v, c in zip(values.tolist(), counts.tolist())})
 
 
-def _validate_homogeneous(ring: FiniteRing, weights: tuple[Fraction, ...]) -> None:
+def _validate_homogeneous(ring: FiniteRing, num: np.ndarray, denom: int) -> None:
     """Check the defining equations on every principal ideal, both sides.
 
-    Rx = R(ux) for every unit u, so each side is decided once per unit
-    orbit: the weight must be constant on every orbit, equal on orbits
-    whose representatives generate the same ideal, and average 1 over
-    each distinct nonzero principal ideal.  That is every equation the
-    definition poses at every element.  Weights are compared as integer
-    numerators over their common denominator.
+    The weights are num / denom.  Rx = R(ux) for every unit u, so each
+    side is decided once per unit orbit: the weight must be constant on
+    every orbit, equal on orbits whose representatives generate the same
+    ideal, and average 1 over each distinct nonzero principal ideal.
+    That is every equation the definition poses at every element.  A
+    unit sum lies in [-|R*|, |R*|], so 0 <= num <= 2|R*| and an ideal sum
+    of numerators stays below 2|R|^2, far inside int64 for every ring
+    under the size guard.
     """
-    if weights[0] != 0:
-        raise InternalInconsistency(f"{ring.expr}: weight of 0 is {weights[0]}, not 0")
-    denom = 1
-    for w in set(weights):
-        denom = lcm(denom, w.denominator)
-    nums = [w.numerator * (denom // w.denominator) for w in weights]
-    fits = max(map(abs, nums)) * ring.size < 2**62  # no ideal sum can overflow
-    num = np.array(nums, dtype=np.int64 if fits else object)
+    if num[0] != 0:
+        raise InternalInconsistency(
+            f"{ring.expr}: weight of 0 is {Fraction(int(num[0]), denom)}, not 0")
     for side in ("left", "right"):
         reps, orbit_of = ring.unit_orbits(side)
         off = np.flatnonzero(num[reps[orbit_of]] != num)
@@ -224,11 +229,10 @@ def weight_table(ring: FiniteRing, char: Character | None = None) -> WeightTable
         raise InternalInconsistency(
             f"{ring.expr}: one-sided unit sums differ at {int(differ[0])}"
         )
-    sums = left.tolist()
-    values = {s: 1 - Fraction(s, nunits) for s in set(sums)}
-    table = WeightTable(ring, tuple(values[s] for s in sums))
-    _validate_homogeneous(ring, table.weights)
-    cache[key] = table
+    num = nunits - left
+    num.setflags(write=False)
+    _validate_homogeneous(ring, num, nunits)
+    table = cache[key] = WeightTable(ring, num, nunits)
     return table
 
 
@@ -240,14 +244,14 @@ def socle_weight_consistency(ring: FiniteRing, char: Character | None = None) ->
     that quotient's own generating character.
     """
     table = weight_table(ring, char)
-    soc = set(ring.socle_members("left"))
-    for x in range(ring.size):
-        if x not in soc and table.weights[x] != 1:
-            return False
-    quotient, _ = ring.quotient_by_radical()
-    qtable = weight_table(quotient)
-    on_socle = Counter(table.weights[x] for x in sorted(soc))
-    return on_socle == qtable.multiset()
+    soc = np.zeros(ring.size, dtype=bool)
+    soc[list(ring.socle_members("left"))] = True
+    if (table.num[~soc] != table.denom).any():
+        return False
+    qtable = weight_table(ring.quotient_by_radical()[0])
+    # equal multisets of num/denom and qnum/qdenom, cross-multiplied
+    return np.array_equal(np.sort(table.num[soc]) * qtable.denom,
+                          np.sort(qtable.num) * table.denom)
 
 
 def has_zero_weight_nonzero(ring: FiniteRing, char: Character | None = None) -> bool:
@@ -258,7 +262,7 @@ def has_zero_weight_nonzero(ring: FiniteRing, char: Character | None = None) -> 
     agree with the scan.
     """
     table = weight_table(ring, char)
-    scan = any(w == 0 for w in table.weights[1:])
+    scan = bool((table.num[1:] == 0).any())
     if ring.structure is not None:
         predicted = sum(1 for t in ring.structure if tuple(t) == (2, 1)) >= 2
         if predicted != scan:

@@ -15,7 +15,10 @@ check on every triple that the checks on generators replaced, the cyclic
 decomposition by set closure that the coset walk replaced, and the
 weight of one element from its own character sum over the units.  The
 Krawtchouk table by one column per element, each entry reduced on its
-own, is kept for the orbit-indexed tables that replaced it.
+own, is kept for the orbit-indexed tables that replaced it.  The
+grouping of elements by a per-element Python key, which every partition
+builder and the dual partition used before they keyed elements by
+integer arrays grouped in one ``np.unique`` pass, is kept as well.
 """
 
 from __future__ import annotations
@@ -167,6 +170,18 @@ def validate_homogeneous_by_element(ring, weights) -> None:
                     f"average over the {side} ideal of {first_seen[key]} "
                     f"is {total}/{len(members)}, not 1"
                 )
+
+
+def group_by_key_oracle(ring, key_of) -> tuple[list[list[int]], list]:
+    """Elements grouped by equal ``key_of(x)``, blocks ordered by least member.
+
+    Returns the blocks and, in the same order, the key of each block.
+    """
+    groups: dict = {}
+    for x in range(ring.size):
+        groups.setdefault(key_of(x), []).append(x)
+    keys = sorted(groups, key=lambda k: groups[k][0])
+    return [groups[k] for k in keys], keys
 
 
 def is_generating_by_kernel_scan(char) -> bool:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from frobring.cyclotomic import (
     CycInt,
     cyclotomic_poly,
-    degree,
     equals,
     from_exponent_counts,
     from_json,
@@ -52,7 +51,7 @@ def test_cyclotomic_poly_rejects_bad_order():
 @pytest.mark.parametrize("order", ORDERS)
 def test_degree_is_totient(order):
     count = sum(1 for k in range(1, order + 1) if __import__("math").gcd(k, order) == 1)
-    assert degree(order) == count
+    assert totient(order) == count
 
 
 @given(
@@ -158,7 +157,7 @@ def test_root_power_addition_is_exponent_counts(order, k1, k2):
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_totient_matches_polynomial_degree(order):
-    assert totient(order) == degree(order)
+    assert totient(order) == len(cyclotomic_poly(order)) - 1
 
 
 def test_totient_rejects_bad_argument():

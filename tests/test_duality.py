@@ -49,7 +49,8 @@ from frobring.rings import (
 )
 
 from oracles import krawtchouk_table_by_element
-from test_partitions import _partition_from_assignment, _random_partition_data
+from test_partitions import (_PRODUCT_RINGS, _assert_matches_grouping,
+                             _partition_from_assignment, _random_partition_data)
 
 
 def _named_invariant_partitions():
@@ -449,7 +450,8 @@ CHAIN_RINGS = ["GF(3) x GF(9) x Z25", "Z125", "Z27 x GF(7)", "Z8 x Z9 x GF(5)", 
 
 
 def _assert_matches_oracle(partition):
-    """Every entry on both sides equals the per-element route's; returns the tables."""
+    """Every entry on both sides equals the per-element route's, and each dual
+    groups the elements by their per-element column; returns the tables."""
     char = canonical_generating_character(partition.ring)
     tables = []
     for side in ("left", "right"):
@@ -458,6 +460,8 @@ def _assert_matches_oracle(partition):
         assert table.to_json()["entries"] == [[list(e.coeffs) for e in row] for row in rows]
         assert all(table.entry(m, b) == rows[m][b]
                    for m in range(partition.num_blocks) for b in (0, partition.ring.size - 1))
+        _assert_matches_grouping(dual_partition(partition, char, side),
+                                 lambda x: tuple(row[x] for row in rows))
         tables.append(table)
     return tables
 
@@ -474,6 +478,11 @@ def test_orbit_tables_match_oracle_on_invariant_partitions(partition):
 def test_orbit_tables_match_oracle_on_ex5_5(ex5_5_ring):
     _assert_matches_oracle(ex5_5_partition(ex5_5_ring))
     _assert_matches_oracle(hom_partition(ex5_5_ring))
+
+
+@pytest.mark.parametrize("ring", _PRODUCT_RINGS, ids=lambda r: r.expr)
+def test_orbit_tables_match_oracle_on_products(ring):
+    _assert_matches_oracle(hom_partition(ring))
 
 
 @pytest.mark.parametrize("expr", CHAIN_RINGS)

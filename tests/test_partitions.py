@@ -22,6 +22,8 @@ from frobring.partitions import (
     symmetrized_power_partition,
 )
 from frobring.rings import (
+    GaloisField,
+    MatrixRing,
     build_gf,
     build_matrix_ring,
     build_product,
@@ -31,7 +33,8 @@ from frobring.rings import (
 )
 from frobring.weights import weight_table
 
-from oracles import is_invariant_by_units, unit_orbits_oracle
+from oracles import group_by_key_oracle, is_invariant_by_units, unit_orbits_oracle
+from test_weights import WEIGHT_RINGS
 
 
 # -- canonical form and validation ---------------------------------------------
@@ -354,6 +357,112 @@ def test_ex5_5_partition_blocks(ex5_5_ring):
 def test_ex5_5_partition_rejects_other_rings(z4):
     with pytest.raises(InvalidParameter):
         ex5_5_partition(z4)
+
+
+# -- every builder against the per-element grouping oracle --------------------------
+
+
+def _assert_matches_grouping(partition, key_of, label=None):
+    """Same blocks, in the same order, and the same labels as the oracle's grouping."""
+    blocks, keys = group_by_key_oracle(partition.ring, key_of)
+    assert partition.blocks == tuple(map(tuple, blocks))
+    assert partition.labels == (None if label is None else tuple(map(label, keys)))
+    block_of = np.empty(partition.ring.size, dtype=np.int64)
+    for m, block in enumerate(blocks):
+        block_of[block] = m
+    assert np.array_equal(partition.block_of, block_of)
+
+
+def _labelled(partition, m):
+    return m if partition.labels is None else partition.labels[m]
+
+
+_GF2, _GF3 = build_gf(2), build_gf(3)
+_M2F2, _M2F3 = build_matrix_ring(2, _GF2), build_matrix_ring(2, _GF3)
+_PRODUCT_RINGS = [
+    build_product([_GF2, _GF3]),
+    build_product([_GF3, _GF3]),
+    build_product([_M2F2, _GF2]),
+    build_product([_M2F3, _GF3]),
+    build_product([_M2F2, _M2F2]),
+    build_product([build_zmod(4), build_zmod(6)]),
+]
+
+
+@pytest.mark.parametrize("ring", WEIGHT_RINGS + _PRODUCT_RINGS, ids=lambda r: r.expr)
+def test_weight_partition_matches_grouping_oracle(ring):
+    table = weight_table(ring)
+    _assert_matches_grouping(partition_from_weight(table), table.__getitem__, str)
+
+
+@pytest.mark.parametrize("ring", [_M2F2, _M2F3, build_matrix_ring(2, build_gf(4)),
+                                  build_matrix_ring(3, _GF2)], ids=lambda r: r.expr)
+def test_rank_partition_matches_grouping_oracle(ring):
+    _assert_matches_grouping(rank_partition(ring), ring.rank, lambda k: k)
+
+
+@pytest.mark.parametrize("factors", [[2], [4], [8], [9], [2, 2], [2, 2, 2], [2, 3, 2],
+                                     [3, 3], [4, 2, 4]], ids=str)
+def test_hamming_partition_matches_grouping_oracle(factors):
+    ring = build_product([build_gf(q) for q in factors])
+    sizes = sorted(set(factors))
+
+    def profile(x):
+        comps = ring.decode(x) if len(factors) > 1 else [x]
+        return tuple(sum(c != 0 for q, c in zip(factors, comps) if q == size)
+                     for size in sizes)
+
+    _assert_matches_grouping(hamming_partition(ring), profile, lambda k: k)
+
+
+def _factor_partitions(ring):
+    """Labelled and unlabelled partitions of each factor of a two-factor product."""
+    def natural(f):
+        if isinstance(f, MatrixRing):
+            return rank_partition(f)
+        return hamming_partition(f) if isinstance(f, GaloisField) else hom_partition(f)
+
+    def unlabelled(f):
+        return Partition(f, hom_partition(f).blocks)
+
+    a, b = ring.factors
+    return [(natural(a), natural(b)), (unlabelled(a), natural(b)),
+            (unlabelled(a), unlabelled(b))]
+
+
+@pytest.mark.parametrize("ring", _PRODUCT_RINGS, ids=lambda r: r.expr)
+def test_product_partition_matches_grouping_oracle(ring):
+    for left, right in _factor_partitions(ring):
+        def pair(x):
+            a, b = ring.decode(x)
+            return int(left.block_of[a]), int(right.block_of[b])
+
+        _assert_matches_grouping(product_partition(ring, left, right), pair,
+                                 lambda k: (_labelled(left, k[0]), _labelled(right, k[1])))
+
+
+@pytest.mark.parametrize("ring,n", [(_GF3, 2), (_M2F2, 2), (_M2F3, 2), (build_zmod(6), 2),
+                                    (build_zmod(12), 3), (_M2F2, 3)],
+                         ids=lambda v: getattr(v, "expr", v))
+def test_symmetrized_power_matches_grouping_oracle(ring, n):
+    power = build_product([ring] * n)
+    bases = [hom_partition(ring), Partition(ring, hom_partition(ring).blocks)]
+    if isinstance(ring, MatrixRing):
+        bases.append(rank_partition(ring))
+    for base in bases:
+        def multiset(x):
+            return tuple(sorted(int(base.block_of[c]) for c in power.decode(x)))
+
+        _assert_matches_grouping(symmetrized_power_partition(power, base, n), multiset,
+                                 lambda k: tuple(_labelled(base, m) for m in k))
+
+
+def test_from_keys_orders_blocks_by_least_member(z6):
+    p = Partition.from_keys(z6, [7, 3, 7, 5, 3, 5], label=lambda k: int(k) * 10)
+    assert p.blocks == ((0, 2), (1, 4), (3, 5))
+    assert p.labels == (70, 30, 50)
+    rows = Partition.from_keys(z6, [[1, 2], [0, 0], [1, 2], [0, 0], [1, 3], [1, 3]])
+    assert rows.blocks == ((0, 2), (1, 3), (4, 5)) and rows.labels is None
 
 
 # -- refinement order ---------------------------------------------------------------

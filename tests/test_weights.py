@@ -2,8 +2,9 @@
 
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -222,17 +223,23 @@ def test_weight_table_solves_defining_equations(ring):
 
 @pytest.mark.parametrize("ring", WEIGHT_RINGS, ids=lambda r: r.expr)
 def test_orbit_validator_and_element_oracle_accept_the_table(ring):
-    weights = weight_table(ring).weights
-    _validate_homogeneous(ring, weights)
-    validate_homogeneous_by_element(ring, weights)
+    table = weight_table(ring)
+    _validate_homogeneous(ring, table.num, table.denom)
+    validate_homogeneous_by_element(ring, table.weights)
 
 
 # -- the validator on corrupted tables --------------------------------------------
 
 
+def _over_common_denominator(weights):
+    """Integer numerators over one common denominator, as the validator takes them."""
+    denom = lcm(*(w.denominator for w in weights))
+    return np.array([w.numerator * (denom // w.denominator) for w in weights]), denom
+
+
 def _both_validators_reject(ring, weights, message):
     with pytest.raises(InternalInconsistency, match=message) as info:
-        _validate_homogeneous(ring, tuple(weights))
+        _validate_homogeneous(ring, *_over_common_denominator(weights))
     assert ring.expr in str(info.value)
     with pytest.raises(InternalInconsistency):
         validate_homogeneous_by_element(ring, tuple(weights))
@@ -389,14 +396,13 @@ def test_zero_weight_criterion():
 
 
 def test_weight_table_is_cached(z12):
-    assert weight_table(z12) is weight_table(z12)
-
-
-def test_weight_table_json(z4):
-    data = weight_table(z4).to_json()
-    assert data["ring"] == "Z4"
-    assert data["weights"][2] == {"index": 2, "weight": "2/1"}
-    assert len(data["weights"]) == 4
+    table = weight_table(z12)
+    assert table is weight_table(z12)
+    assert table.weights is table.weights
+    assert not table.num.flags.writeable
+    assert table.denom == len(z12.units)
+    # one Fraction object per distinct weight
+    assert len({id(w) for w in table.weights}) == len(table.multiset())
 
 
 def test_zero_element_weight_is_zero():

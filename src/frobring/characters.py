@@ -302,17 +302,18 @@ def all_generating_characters(ring: FiniteRing) -> list[Character]:
     """Every generating character: the unit translates of the canonical one.
 
     Distinct units give distinct translates, so the count equals the
-    number of units.
+    number of units.  The translates come in lexicographic order of their
+    exponent rows, found for all rows at once.
     """
     base = canonical_generating_character(ring)
-    seen: dict[bytes, Character] = {}
-    for u in ring.units:
-        cand = translate(base, u, "left")
-        seen.setdefault(cand.key(), cand)
-    chars = sorted(seen.values(), key=lambda c: c.exponents.tolist())
+    table = ring.mul_table
+    rows = (base.exponents[table[:, list(ring.units)].T] if table is not None
+            else np.stack([base.exponents[ring.mul_col(u)] for u in ring.units]))
+    rows = rows[np.lexsort(rows.T[::-1])]
     where = f"{ring.expr}: left unit translates of the character of order {base.order}"
-    if len(chars) != len(ring.units):
+    if not (rows[1:] != rows[:-1]).any(axis=1).all():
         raise InternalInconsistency(f"{where} must be pairwise distinct")
+    chars = [Character(ring, row, base.order) for row in rows]
     if not all(is_generating(c) for c in chars):
         raise InternalInconsistency(f"{where} must all be generating")
     return chars

@@ -249,9 +249,59 @@ def _emit(args, payload: dict) -> None:
         now = datetime.now(timezone.utc).isoformat(timespec="seconds")
         payload = {**payload, "timestamp": now}
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload))
     else:
         _emit_text(payload)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_encode_leaf = json.JSONEncoder().encode
+
+
+def _json_text(payload) -> str:
+    """The text of ``json.dumps(payload, indent=2, sort_keys=True)``.
+
+    Each list object is rendered once per nesting depth, so a row shared
+    by many entries (a Krawtchouk column shared by a unit orbit) costs
+    one rendering, and a list of plain ints one ``join``.  Strings, keys
+    and other leaves go through json's own encoders.
+    """
+    memo: dict[tuple[int, int], str] = {}
+
+    def render(value, depth: int) -> str:
+        if isinstance(value, str):
+            return _encode_str(value)
+        if type(value) is int:
+            return str(value)
+        if not isinstance(value, (list, tuple, dict)):
+            return _encode_leaf(value)
+        pad = "\n" + "  " * (depth + 1)
+        if isinstance(value, dict):
+            return "{" + pad + ("," + pad).join([
+                _encode_str(_key_text(k)) + ": " + render(v, depth + 1)
+                for k, v in sorted(value.items())]) + pad[:-2] + "}" if value else "{}"
+        text = memo.get((id(value), depth))
+        if text is None:
+            if not value:
+                text = "[]"
+            elif all(type(x) is int for x in value):
+                text = "[" + pad + ("," + pad).join(map(str, value)) + pad[:-2] + "]"
+            else:
+                text = "[" + pad + ("," + pad).join([
+                    render(x, depth + 1) for x in value]) + pad[:-2] + "]"
+            memo[id(value), depth] = text
+        return text
+
+    return render(payload, 0)
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it: str as is; int, float, bool, None as JSON."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _encode_leaf(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _emit_text(payload: dict, indent: str = "") -> None:

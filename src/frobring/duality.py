@@ -57,12 +57,18 @@ class KrawtchoukTable:
                      for e in self.coeffs[self.orbit_of[b]].tolist())
 
     def to_json(self) -> dict:
+        """The table as nested lists, ``entries[m][b]`` at every element b.
+
+        The members of one orbit share one list object per block.
+        """
+        orbits = self.orbit_of.tolist()
         return {
             "ring": self.partition.ring.expr,
             "side": self.side,
             "order": self.char.order,
             "partition": self.partition.to_json(),
-            "entries": self.coeffs[self.orbit_of].transpose(1, 0, 2).tolist(),
+            "entries": [[row[k] for k in orbits]
+                        for row in self.coeffs.transpose(1, 0, 2).tolist()],
         }
 
 

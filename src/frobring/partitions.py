@@ -56,18 +56,28 @@ class Partition:
         return self
 
     def _group(self, ring: FiniteRing, keys: np.ndarray, label) -> None:
-        """The canonical form: group equal keys, order blocks by least member."""
-        distinct, first, inverse = np.unique(keys, axis=0, return_index=True,
-                                             return_inverse=True)
+        """The canonical form: group equal keys, order blocks by least member.
+
+        The first key column is ranked densely; each further column is
+        ranked too and folded into the code, which is re-ranked after each
+        fold.  The code stays below n, so the fold is exact for any integer
+        keys, and equal codes mean equal keys.
+        """
+        columns = keys.reshape(len(keys), -1).T
+        _, first, code = np.unique(columns[0], return_index=True, return_inverse=True)
+        for column in columns[1:]:
+            _, digit = np.unique(column, return_inverse=True)
+            _, first, code = np.unique(code * (digit.max() + 1) + digit,
+                                       return_index=True, return_inverse=True)
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-        block_of = rank[inverse.reshape(-1)]
+        block_of = rank[code]
         members = np.argsort(block_of, kind="stable").tolist()
         ends = np.cumsum(np.bincount(block_of)).tolist()
         self.ring = ring
         self.blocks = tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends))
-        self.labels = None if label is None else tuple(label(distinct[k]) for k in order)
+        self.labels = None if label is None else tuple(label(keys[first[k]]) for k in order)
         self.block_of = block_of
         block_of.setflags(write=False)
 

@@ -936,13 +936,15 @@ def validate_tables(add: np.ndarray, mul: np.ndarray, one: int) -> None:
             raise InvalidRing(f"addition is not associative at ({x},{g},{y})",
                               witness=(x, g, y))
         gens.append(g)
+    by_col, flat_add = np.ascontiguousarray(mul.T), add.ravel()
     for g in gens:
-        # (x+g)a against xa + ga at [x, a]
-        shift, by_g = add[g], mul[g]
-        bad = _first_mismatch_by_rows(n, lambda rows: mul[shift[rows]],
-                                      lambda rows: add[mul[rows], by_g])
+        # (x+g)a against xa + ga at [a, x]: row a reads the one addition row of ga
+        shift, row_of_ga = add[g], mul[g].astype(np.intp) * n
+        bad = _first_mismatch_by_rows(n, lambda rows: by_col[rows][:, shift],
+                                      lambda rows: flat_add.take(
+                                          row_of_ga[rows, None] + by_col[rows]))
         if bad:
-            x, a = bad
+            a, x = bad
             raise InvalidRing(f"right distributivity fails at ({a},{x},{g})",
                               witness=(a, x, g))
     s = np.array(gens, dtype=np.intp)

@@ -18,11 +18,16 @@ Krawtchouk table by one column per element, each entry reduced on its
 own, is kept for the orbit-indexed tables that replaced it.  The
 grouping of elements by a per-element Python key, which every partition
 builder and the dual partition used before they keyed elements by
-integer arrays grouped in one ``np.unique`` pass, is kept as well.
+integer arrays grouped in one ``np.unique`` pass, is kept as well.  So
+are the generating characters as unit translates built, deduplicated and
+sorted one at a time, which one vectorized sort of all their exponent
+rows replaced, and ``json.dumps`` with two-space indent and sorted keys,
+the text the CLI's ``--json`` renderer must reproduce byte for byte.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -182,6 +187,34 @@ def group_by_key_oracle(ring, key_of) -> tuple[list[list[int]], list]:
         groups.setdefault(key_of(x), []).append(x)
     keys = sorted(groups, key=lambda k: groups[k][0])
     return [groups[k] for k in keys], keys
+
+
+def generating_characters_by_translate(ring) -> list:
+    """The unit translates of the canonical character, one at a time.
+
+    Deduplicated by exponent bytes and sorted by exponent list; raises
+    if two units give one translate or a translate is not generating.
+    """
+    from frobring.characters import (canonical_generating_character,
+                                     is_generating, translate)
+
+    base = canonical_generating_character(ring)
+    seen: dict = {}
+    for u in ring.units:
+        cand = translate(base, u, "left")
+        seen.setdefault(cand.key(), cand)
+    chars = sorted(seen.values(), key=lambda c: c.exponents.tolist())
+    where = f"{ring.expr}: left unit translates of the character of order {base.order}"
+    if len(chars) != len(ring.units):
+        raise InternalInconsistency(f"{where} must be pairwise distinct")
+    if not all(is_generating(c) for c in chars):
+        raise InternalInconsistency(f"{where} must all be generating")
+    return chars
+
+
+def json_text_oracle(payload) -> str:
+    """The CLI's ``--json`` text as the standard library writes it."""
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def is_generating_by_kernel_scan(char) -> bool:

@@ -27,12 +27,13 @@ from frobring.rings import (
     build_zmod,
     builtin_table_spec,
 )
-from frobring.cli import _non_frobenius_spec
+from frobring.cli import _non_frobenius_spec, build_ring, parse_ring
 
 from frobring.characters import _abelian_basis, _additive_generators, _check_hom
 from oracles import (
     abelian_basis_by_closure,
     additive_closure,
+    generating_characters_by_translate,
     is_additive_by_pairs,
     is_generating_by_kernel_scan,
     principal_ideal_oracle,
@@ -293,6 +294,44 @@ def test_generating_character_count_equals_unit_count(ring):
     assert len(keys) == len(chars)
     for c in chars:
         assert oracle_is_generating(c)
+
+
+CHAIN_RINGS = ["Z8 x Z9 x GF(5)", "Z9 x Z25", "Z27 x GF(7)", "GF(3) x GF(9) x Z25", "Z125"]
+
+
+@pytest.mark.parametrize("ring", FROBENIUS_RINGS + [build_ring(parse_ring(e)) for e in CHAIN_RINGS],
+                         ids=lambda r: r.expr)
+def test_generating_characters_match_translate_oracle(ring):
+    """The same characters in the same order as translating unit by unit."""
+    fast = all_generating_characters(ring)
+    slow = generating_characters_by_translate(ring)
+    assert [c.order for c in fast] == [c.order for c in slow]
+    assert [c.exponents.tolist() for c in fast] == [c.exponents.tolist() for c in slow]
+
+
+def test_generating_characters_report_equal_translates(monkeypatch):
+    """x -> 2x on Z4 has the translates by 1 and 3 equal, so it cannot be generating."""
+    from frobring import characters
+
+    z4 = build_zmod(4)
+    monkeypatch.setattr(characters, "canonical_generating_character",
+                        lambda ring: Character(ring, [0, 2, 0, 2]))
+    with pytest.raises(InternalInconsistency) as err:
+        all_generating_characters(z4)
+    assert str(err.value) == ("Z4: left unit translates of the character of order 4 "
+                              "must be pairwise distinct")
+
+
+def test_generating_characters_report_non_generating_translates(monkeypatch):
+    from frobring import characters
+
+    gf4 = build_gf(4)
+    canonical_generating_character(gf4)
+    monkeypatch.setattr(characters, "is_generating", lambda char: False)
+    with pytest.raises(InternalInconsistency) as err:
+        all_generating_characters(gf4)
+    assert str(err.value) == ("GF(4): left unit translates of the character of order 2 "
+                              "must all be generating")
 
 
 def test_search_finds_character_without_supplied_exponents():

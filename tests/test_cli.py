@@ -1,8 +1,12 @@
 """Command-line surface: the expression parser, subcommands, exit codes."""
 
+import argparse
+import enum
 import json
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +24,7 @@ from frobring.cli import (
     main,
     parse_ring,
 )
+from oracles import json_text_oracle
 
 
 # -- expression parsing ---------------------------------------------------------
@@ -151,7 +156,18 @@ def run_cli(capsys, *argv):
 
 
 def run_json(capsys, *argv):
-    code, out, err = run_cli(capsys, *argv, "--json", "--no-timestamp")
+    """Run with ``--json``; the text must be the oracle's for the payload, byte for byte."""
+    payloads = []
+    emit = cli._emit
+
+    def recording(args, payload):
+        payloads.append(payload)
+        emit(args, payload)
+
+    with mock.patch.object(cli, "_emit", recording):
+        code, out, err = run_cli(capsys, *argv, "--json", "--no-timestamp")
+    assert len(payloads) == 1
+    assert out == json_text_oracle(payloads[0]) + "\n"
     return code, json.loads(out), err
 
 
@@ -303,6 +319,90 @@ def test_timestamp_appears_by_default(capsys):
     code, out, _ = run_cli(capsys, "info", "--ring", "Z4", "--json")
     assert code == 0
     assert "timestamp" in json.loads(out)
+
+
+# -- the --json text -------------------------------------------------------------------
+#
+# ``run_json`` compares every output with ``json.dumps(indent=2, sort_keys=True)``
+# byte for byte, so the ``verify`` and ``reproduce`` tests below cover those
+# subcommands; the matrix here covers the others.
+
+CHAIN_RINGS = ["Z8 x Z9 x GF(5)", "Z9 x Z25", "Z27 x GF(7)", "GF(3) x GF(9) x Z25", "Z125"]
+SUBCOMMANDS = [("info",), ("weights",), ("partition", "hom"), ("dual", "--side", "both"),
+               ("krawtchouk", "--side", "both")]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("expr", ["Z4", "ex5_5", "M(2,GF(2))", *CHAIN_RINGS])
+def test_json_text_is_the_oracle_text(capsys, expr, command):
+    assert run_json(capsys, *command, "--ring", expr)[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("partition", "rank", "--ring", "M(2,GF(2))"),
+    ("krawtchouk", "--ring", "ex5_5", "--partition", "ex5_5", "--side", "both"),
+    ("dual", "--ring", "ex5_5", "--partition", "ex5_5", "--side", "right"),
+    ("krawtchouk", "--ring", "Z9 x Z25", "--char", "index:7", "--side", "both"),
+])
+def test_json_text_is_the_oracle_text_on_other_options(capsys, argv):
+    assert run_json(capsys, *argv)[0] == 0
+
+
+def emit_json(capsys, payload) -> str:
+    cli._emit(argparse.Namespace(json=True, no_timestamp=True), payload)
+    return capsys.readouterr().out
+
+
+class Small(enum.IntEnum):
+    ONE = 1
+
+
+_SHARED = [3, 1, 2]
+
+SYNTHETIC = {
+    "tuples": {"t": (1, (2, 3), ()), "pairs": [(1, "a"), (2, "b")]},
+    "bools in int lists": {"b": [1, True, False, 2], "only": [True, False], "n": [None, 0]},
+    "empty containers": {"l": [], "d": {}, "nested": [[], {}, [[]], {"e": []}], "": ""},
+    "non-str keys": {10: "ten", 9: "nine", 2.5: "x", -1: [1]},
+    "bool keys": {True: 1, False: 0, 3: 2},
+    "null key": {None: [None]},
+    "non-ascii": {"naïve": "café — ✓", "emoji": ["😀", "\u0000\n\t\"\\"], "ü": {"ß": 1}},
+    "floats": {"f": [1.5, -0.0, 1e300, float("inf"), float("-inf"), float("nan")], "g": 0.1},
+    "ints": {"i": [0, -7, 2 ** 70, -(2 ** 70)], "enum": [Small.ONE, 2], "e": Small.ONE},
+    "shared list at two depths": {"a": _SHARED, "b": [_SHARED, [_SHARED]], "c": {"d": _SHARED}},
+    "top-level list": [[_SHARED], _SHARED, "s", 1],
+    "scalar": 5,
+}
+
+
+@pytest.mark.parametrize("payload", SYNTHETIC.values(), ids=SYNTHETIC.keys())
+def test_emit_matches_json_on_edge_cases(capsys, payload):
+    assert emit_json(capsys, payload) == json_text_oracle(payload) + "\n"
+
+
+@pytest.mark.parametrize("payload", [{"x": object()}, {(1, 2): 0}, {"n": [1, np.int64(2)]},
+                                     {"n": np.int64(2)}, {1: 0, "a": 1}, {None: 0, 1: 1}])
+def test_emit_raises_where_json_raises(capsys, payload):
+    with pytest.raises(TypeError):
+        json_text_oracle(payload)
+    with pytest.raises(TypeError):
+        emit_json(capsys, payload)
+
+
+_json_leaves = (st.none() | st.booleans() | st.integers() | st.floats() | st.text())
+_json_values = st.recursive(
+    _json_leaves,
+    lambda children: (st.lists(children) | st.tuples(children, children)
+                      | st.dictionaries(st.text(), children)
+                      | st.dictionaries(st.integers() | st.floats(allow_nan=False), children)),
+    max_leaves=20,
+)
+
+
+@given(_json_values)
+@settings(max_examples=80, deadline=None)
+def test_emit_matches_json_on_random_payloads(payload):
+    assert cli._json_text(payload) == json_text_oracle(payload)
 
 
 # -- verify and reproduce -----------------------------------------------------------

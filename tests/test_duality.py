@@ -159,6 +159,20 @@ def test_table_json(z4):
     assert data["entries"][1][0] == [2, 0]  # block {1,3} at b = 0
 
 
+def test_table_json_shares_one_row_per_orbit_and_block():
+    """Every element of a unit orbit shares its orbit's row object in each block."""
+    ring = build_ring(parse_ring("GF(3) x GF(9) x Z25"))
+    partition = hom_partition(ring)
+    char = canonical_generating_character(ring)
+    for side in ("left", "right"):
+        table = krawtchouk_table(partition, char, side)
+        entries = table.to_json()["entries"]
+        assert len(table.coeffs) < ring.size
+        assert len({id(r) for block in entries for r in block}) == \
+            len(table.coeffs) * partition.num_blocks
+        assert entries == table.coeffs[table.orbit_of].transpose(1, 0, 2).tolist()
+
+
 # -- dual partitions -------------------------------------------------------------
 
 

@@ -465,6 +465,18 @@ def test_from_keys_orders_blocks_by_least_member(z6):
     assert rows.blocks == ((0, 2), (1, 3), (4, 5)) and rows.labels is None
 
 
+@given(st.integers(1, 40), st.integers(1, 4), st.sampled_from([2, 5, 1 << 62]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_from_keys_groups_any_integer_key_rows(n, k, bound, data):
+    """Folding key columns into one code is exact for keys up to the int64 limits."""
+    ring = build_zmod(n)
+    keys = np.array(data.draw(st.lists(st.lists(st.integers(-bound, bound), min_size=k,
+                                                max_size=k), min_size=n, max_size=n)),
+                    dtype=np.int64)
+    partition = Partition.from_keys(ring, keys, label=lambda key: tuple(key.tolist()))
+    _assert_matches_grouping(partition, lambda x: tuple(keys[x].tolist()), label=lambda key: key)
+
+
 # -- refinement order ---------------------------------------------------------------
 
 

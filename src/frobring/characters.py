@@ -306,14 +306,14 @@ def all_generating_characters(ring: FiniteRing) -> list[Character]:
     exponent rows, found for all rows at once.
     """
     base = canonical_generating_character(ring)
-    table = ring.mul_table
-    rows = (base.exponents[table[:, list(ring.units)].T] if table is not None
-            else np.stack([base.exponents[ring.mul_col(u)] for u in ring.units]))
-    rows = rows[np.lexsort(rows.T[::-1])]
+    rows = np.empty((len(ring.units), ring.size), dtype=np.int64)
+    for i, u in enumerate(ring.units):
+        rows[i] = base.exponents[ring.mul_col(u)]
+    order = np.lexsort(rows.T[::-1]).tolist()
     where = f"{ring.expr}: left unit translates of the character of order {base.order}"
-    if not (rows[1:] != rows[:-1]).any(axis=1).all():
+    if any(np.array_equal(rows[i], rows[j]) for i, j in zip(order, order[1:])):
         raise InternalInconsistency(f"{where} must be pairwise distinct")
-    chars = [Character(ring, row, base.order) for row in rows]
+    chars = [Character(ring, rows[i], base.order) for i in order]
     if not all(is_generating(c) for c in chars):
         raise InternalInconsistency(f"{where} must all be generating")
     return chars

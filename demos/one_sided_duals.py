@@ -10,9 +10,9 @@ identical dual tables on both sides.
 from frobring.characters import canonical_generating_character
 from frobring.duality import dual_partition, krawtchouk_table, same_entries
 from frobring.partitions import equals, ex5_5_partition, hom_partition
-from frobring.rings import build_table_ring, builtin_table_spec
+from frobring.rings import builtin_ring
 
-ring = build_table_ring(builtin_table_spec("ex5_5"))
+ring = builtin_ring("ex5_5")
 char = canonical_generating_character(ring)
 
 part = ex5_5_partition(ring)

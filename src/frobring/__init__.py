@@ -22,9 +22,9 @@ from .partitions import (Partition, equals, ex5_5_partition,
                          product_partition, rank_partition,
                          symmetrized_power_partition)
 from .rings import (FiniteRing, GaloisField, MatrixRing, ProductRing,
-                    TableRing, TableRingSpec, ZmodRing, build_gf,
+                    TableRing, ZmodRing, build_gf,
                     build_matrix_ring, build_product, build_table_ring,
-                    build_zmod, builtin_table_spec, load_table_spec,
+                    build_zmod, builtin_ring, load_table_spec,
                     validate_tables)
 from .weights import (WeightTable, alpha, cauchy_identity_check, gaussian,
                       has_zero_weight_nonzero, s_count,
@@ -37,9 +37,9 @@ __all__ = [
     "Character", "CycInt", "CharacterSearchFailed", "FiniteRing",
     "GaloisField", "InternalInconsistency", "InvalidParameter", "InvalidRing",
     "KrawtchoukTable", "MatrixRing", "Partition", "ProductRing",
-    "ResourceLimit", "TableRing", "TableRingSpec", "WeightTable", "ZmodRing",
+    "ResourceLimit", "TableRing", "WeightTable", "ZmodRing",
     "all_generating_characters", "alpha", "build_gf", "build_matrix_ring",
-    "build_product", "build_table_ring", "build_zmod", "builtin_table_spec",
+    "build_product", "build_table_ring", "build_zmod", "builtin_ring",
     "canonical_generating_character", "cauchy_identity_check",
     "character_independence_check", "cyclotomic_poly",
     "delsarte_rank_krawtchouk", "dual_partition", "equals",

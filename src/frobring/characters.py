@@ -155,16 +155,21 @@ def translate(char: Character, r: int, side: str = "left") -> Character:
 def canonical_generating_character(ring: FiniteRing) -> Character:
     """The canonical generating character of a structured ring.
 
-    Z_n uses e(a) = a.  Galois fields and matrix rings use their trace
-    form: the absolute trace, and the field trace of the matrix trace.
-    A product scales each factor character into Z_lcm.  A table ring uses
-    its supplied exponents, else falls back to the search.
+    Z_n uses e(a) = a.  F_p-algebras (Galois fields, matrix rings and
+    the builtin rings) use their trace form: for fields the absolute
+    trace, for matrix rings the field trace of the matrix trace.  A
+    product scales each factor character into Z_lcm.  A table ring (user
+    tables, a radical quotient) uses its supplied exponents, else falls
+    back to the search.
     """
     cached = getattr(ring, "_canonical_char", None)
     if cached is not None:
         return cached
     char = _canonical(ring)
     if not is_generating(char):
+        if not ring.is_frobenius:  # then no character is generating
+            raise CharacterSearchFailed(f"{ring.expr}: no generating character "
+                                        "(ring is not Frobenius)")
         side = "left" if _kernel_holds_ideal(char, "left") else "right"
         raise InternalInconsistency(
             f"{ring.expr}: the kernel of the canonical character of order "

@@ -7,7 +7,7 @@ Ring expressions follow the grammar
           | identifier | "table:" path
 
 where whitespace is ignored, M's inner term must be a GF term,
-identifiers name builtin table rings, and "table:" loads a JSON Cayley
+identifiers name builtin rings, and "table:" loads a JSON Cayley
 table file.  Subcommands: info, weights, partition, dual, krawtchouk,
 verify, reproduce.  Exit codes: 0 success or all checks passed,
 1 a check failed, 2 usage or parse error, 3 resource limit exceeded.
@@ -25,15 +25,16 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import duality, partitions, weights
-from .characters import (all_generating_characters,
-                         canonical_generating_character, is_symmetric)
+from .characters import (canonical_generating_character, is_generating,
+                         is_symmetric, translate)
 from .errors import (CharacterSearchFailed, InternalInconsistency,
                      InvalidParameter, InvalidRing, ResourceLimit)
-from .rings import (FiniteRing, GaloisField, MatrixRing, ProductRing,
-                    TableRingSpec, build_gf, build_matrix_ring, build_product,
-                    build_table_ring, build_zmod, builtin_table_spec,
-                    load_table_spec, validate_tables)
+from .rings import (AlgebraRing, FiniteRing, GaloisField, MatrixRing, ProductRing,
+                    build_gf, build_matrix_ring, build_product, build_table_ring,
+                    build_zmod, builtin_ring, load_table_spec, validate_tables)
 
 
 # -- ring expressions -------------------------------------------------------
@@ -206,7 +207,7 @@ def build_ring(expr, max_size: int | None = None) -> FiniteRing:
         elif isinstance(node, ProductExpr):
             ring = build_product([rec(t) for t in node.terms], max_size)
         elif isinstance(node, BuiltinExpr):
-            ring = build_table_ring(builtin_table_spec(node.name), max_size)
+            ring = builtin_ring(node.name, max_size)
         elif isinstance(node, TableFileExpr):
             ring = build_table_ring(load_table_spec(node.path, max_size), max_size)
         else:
@@ -232,12 +233,18 @@ def _char_from_args(ring: FiniteRing, args):
             k = int(spec[6:])
         except ValueError:
             raise InvalidParameter(f"bad character index in {spec!r}") from None
-        chars = all_generating_characters(ring)
-        if not 0 <= k < len(chars):
+        canonical = canonical_generating_character(ring)
+        if not 0 <= k < len(ring.units):
             raise InvalidParameter(
-                f"character index {k} out of range, ring has {len(chars)}"
+                f"character index {k} out of range, ring has {len(ring.units)}"
             )
-        return chars[k]
+        unit = ring.units[k]
+        char = translate(canonical, unit, "left")
+        if not is_generating(char):
+            raise InternalInconsistency(
+                f"{ring.expr}: the left translate of the character of order "
+                f"{char.order} by the unit {unit} is not generating")
+        return char
     raise InvalidParameter(f"--char must be canonical or index:<k>, got {spec!r}")
 
 
@@ -550,24 +557,18 @@ def _tables_and_frobenius(ring: FiniteRing) -> bool:
     return ring.is_frobenius
 
 
-def _non_frobenius_spec():
-    """The 8-element algebra F_2[x,y]/(x^2, y^2, xy, yx): socle not principal."""
-    size = 8
+def _non_frobenius_ring() -> AlgebraRing:
+    """The 8-element algebra F_2[x,y]/(x^2, y^2, xy, yx): socle not principal.
 
-    def unpack(i):
-        return (i >> 2) & 1, (i >> 1) & 1, i & 1
-
-    def pack(a, b, c):
-        return a * 4 + b * 2 + c
-
-    add = [[pack((a1 + a2) % 2, (b1 + b2) % 2, (c1 + c2) % 2)
-            for a2, b2, c2 in map(unpack, range(size))]
-           for a1, b1, c1 in map(unpack, range(size))]
-    mul = [[pack(a1 * a2, (a1 * b2 + a2 * b1) % 2, (a1 * c2 + a2 * c1) % 2)
-            for a2, b2, c2 in map(unpack, range(size))]
-           for a1, b1, c1 in map(unpack, range(size))]
-    return TableRingSpec(size=size, add=add, mul=mul, one=4,
-                         name="non_frobenius_8")
+    On the basis e_0, e_1, e_2 = y, x, 1, so the element a + bx + cy has
+    index 4a + 2b + c.
+    """
+    tensor = np.zeros((3, 3, 3), dtype=np.int64)
+    for i in range(3):
+        tensor[2, i, i] = tensor[i, 2, i] = 1  # 1 e_i = e_i 1 = e_i
+    ring = AlgebraRing(2, tensor, 4, np.einsum("ijj->i", tensor))
+    ring.expr = "non_frobenius_8"
+    return ring
 
 
 def _weight_equations(ring: FiniteRing) -> bool:
@@ -774,7 +775,7 @@ CLAIMS = (
     Claim("axioms", "thm_2_1", "cayley tables and frobenius: {}",
           _tables_and_frobenius, _STRUCTURED),
     Claim("axioms", "thm_2_1", "non-frobenius 8-element algebra detected",
-          lambda: not build_table_ring(_non_frobenius_spec()).is_frobenius),
+          lambda: not _non_frobenius_ring().is_frobenius),
     Claim("weights", "def_2_2", "defining equations and socle reduction: {}",
           _weight_equations, _STRUCTURED + ("M(3,GF(2))",)),
     Claim("weights", "cor_4_3", "zero-weight criterion: {}", _zero_weight_criterion,

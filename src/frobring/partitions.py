@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParameter
-from .rings import FiniteRing, GaloisField, MatrixRing, ProductRing, TableRing
+from .rings import FiniteRing, GaloisField, MatrixRing, ProductRing
 from .weights import WeightTable, weight_table
 
 
@@ -235,7 +235,7 @@ def ex5_5_partition(ring: FiniteRing) -> Partition:
     Blocks: {0}, the units, the two-sided unit orbit of A1 plus {A2},
     and the orbit of B1 plus {B2, B3}.
     """
-    if not (isinstance(ring, TableRing) and ring.spec_name == "ex5_5"):
+    if ring.expr != "ex5_5":
         raise InvalidParameter("this partition is defined on the ex5_5 builtin ring")
     p0 = [0]
     p1 = list(ring.units)

@@ -9,11 +9,11 @@ keep character sums and weight computations fast on rings too large to
 table, e.g. products of matrix rings.
 
 Families: integers mod n, finite algebras over F_p given by structure
-constants (Galois fields and full matrix rings over a Galois field are
-the two built in), finite direct products, and explicit table rings
-loaded from Cayley data.  Derived structure (units, Jacobson radical, socles,
-principal ideals, the radical quotient) is computed by the defining
-property in each case.  Properties that depend only on a principal
+constants (Galois fields, full matrix rings over a Galois field, and the
+builtin rings such as ex5_5), finite direct products, and explicit table
+rings built from user Cayley data.  Derived structure (units, Jacobson
+radical, socles, principal ideals, the radical quotient) is computed by
+the defining property in each case.  Properties that depend only on a principal
 ideal Rx = R(ux) or xR = (xu)R are decided once per unit orbit, through
 the cached index ``unit_orbits``.
 """
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iter_product
 from math import gcd
@@ -73,7 +72,6 @@ class FiniteRing:
     one: int
     expr: str
     structure: list[tuple[int, int]] | None = None
-    zero = 0
 
     def __init__(self, table_threshold: int | None = None):
         self.table_threshold = (
@@ -188,10 +186,6 @@ class FiniteRing:
             if not np.array_equal(self.mul_row(a), self.mul_col(a)):
                 return False
         return True
-
-    @property
-    def is_field(self) -> bool:
-        return False
 
     @cached_property
     def units(self) -> tuple[int, ...]:
@@ -337,13 +331,8 @@ class FiniteRing:
         m = len(reps)
         qadd = [[pi[self.add(a, b)] for b in reps] for a in reps]
         qmul = [[pi[self.mul(a, b)] for b in reps] for a in reps]
-        spec = TableRingSpec(
-            size=m,
-            add=qadd,
-            mul=qmul,
-            one=pi[self.one],
-            name=f"{self.expr} mod radical",
-        )
+        spec = {"size": m, "add": qadd, "mul": qmul, "one": pi[self.one],
+                "name": f"{self.expr} mod radical"}
         qring = build_table_ring(spec, max_size=self.size)
         qring.structure = self.structure
         self._quotient_cache = (qring, pi)
@@ -408,10 +397,6 @@ class ZmodRing(FiniteRing):
     @cached_property
     def is_commutative(self):
         return True
-
-    @property
-    def is_field(self):
-        return self.modulus > 1 and _factorization(self.modulus)[0] == (self.modulus, 1)
 
     def _compute_units(self):
         return tuple(x for x in range(self.size) if gcd(x, self.modulus) == 1)
@@ -588,10 +573,6 @@ class GaloisField(AlgebraRing):
     def is_commutative(self):
         return True
 
-    @property
-    def is_field(self):
-        return True
-
     def _compute_units(self):
         return tuple(range(1, self.size))
 
@@ -635,10 +616,6 @@ class MatrixRing(AlgebraRing):
 
     @cached_property
     def is_commutative(self):
-        return self.m == 1
-
-    @property
-    def is_field(self):
         return self.m == 1
 
     def rank(self, a: int) -> int:
@@ -800,25 +777,12 @@ class TableRing(FiniteRing):
         super().__init__(table_threshold=add_table.shape[0])
         self.size = add_table.shape[0]
         self.one = one
-        self.spec_name = name
         self.expr = name or f"table ring of size {self.size}"
         self.add_table = add_table
         self.mul_table = mul_table
         self.char_exponents = (
             None if char_exponents is None else np.asarray(char_exponents, dtype=np.int64)
         )
-
-
-@dataclass
-class TableRingSpec:
-    """Cayley data for a table ring, as carried by the JSON format."""
-
-    size: int
-    add: list
-    mul: list
-    one: int
-    char_exponents: list | None = None
-    name: str | None = None
 
 
 def _as_table(data, size, what) -> np.ndarray:
@@ -964,57 +928,19 @@ def validate_tables(add: np.ndarray, mul: np.ndarray, one: int) -> None:
                           witness=(a, b, c))
 
 
-def _ex5_5_spec() -> TableRingSpec:
-    """A 16-element noncommutative Frobenius ring that is not semisimple.
-
-    Elements are parameterized by four bits (a,b,c,d), realized as the
-    4x4 binary matrices with rows (a,0,0,0), (0,a,b,0), (0,0,c,0),
-    (d,0,0,c).  Index packs the bits as a*8 + b*4 + c*2 + d.  The
-    supplied character exponents a+b+c+d mod 2 define a generating
-    character.
-    """
-    def params(i):
-        return ((i >> 3) & 1, (i >> 2) & 1, (i >> 1) & 1, i & 1)
-
-    def index(t):
-        a, b, c, d = t
-        return a * 8 + b * 4 + c * 2 + d
-
-    def mul(x, y):
-        a, b, c, d = params(x)
-        e, f, g, h = params(y)
-        return index(((a * e) % 2, (a * f + b * g) % 2, (c * g) % 2, (d * e + c * h) % 2))
-
-    def add(x, y):
-        return x ^ y  # componentwise mod 2 on packed bits
-
-    n = 16
-    return TableRingSpec(
-        size=n,
-        add=[[add(x, y) for y in range(n)] for x in range(n)],
-        mul=[[mul(x, y) for y in range(n)] for x in range(n)],
-        one=index((1, 0, 1, 0)),
-        char_exponents=[sum(params(x)) % 2 for x in range(n)],
-        name="ex5_5",
-    )
+def _require_fields(spec: dict, where: str) -> None:
+    missing = {"size", "add", "mul", "one"} - set(spec)
+    if missing:
+        raise InvalidParameter(f"{where}: missing fields {sorted(missing)}")
 
 
-BUILTIN_TABLE_SPECS = {"ex5_5": _ex5_5_spec}
-
-
-def builtin_table_spec(name: str) -> TableRingSpec:
-    try:
-        return BUILTIN_TABLE_SPECS[name]()
-    except KeyError:
-        raise InvalidParameter(f"unknown builtin ring {name!r}") from None
-
-
-def load_table_spec(path: str, max_size: int | None = None) -> TableRingSpec:
+def load_table_spec(path: str, max_size: int | None = None) -> dict:
     """Read a table-ring JSON file: size, add, mul, one, optional extras.
 
-    A file larger than two tables and an exponent list at the size guard
-    could need, at 16 bytes of separators and indentation per entry, is
-    refused before it is parsed.
+    Returns the object read, for ``build_table_ring``.  A file larger
+    than two tables and an exponent list at the size guard could need,
+    at 16 bytes of separators and indentation per entry, is refused
+    before it is parsed.
     """
     guard = DEFAULT_SIZE_GUARD if max_size is None else max_size
     budget = (2 * guard + 1) * guard * (len(str(guard)) + 16) + (1 << 16)
@@ -1028,17 +954,8 @@ def load_table_spec(path: str, max_size: int | None = None) -> TableRingSpec:
             raise InvalidParameter(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidParameter(f"{path}: expected a JSON object")
-    missing = {"size", "add", "mul", "one"} - set(data)
-    if missing:
-        raise InvalidParameter(f"{path}: missing fields {sorted(missing)}")
-    return TableRingSpec(
-        size=data["size"],
-        add=data["add"],
-        mul=data["mul"],
-        one=data["one"],
-        char_exponents=data.get("char_exponents"),
-        name=data.get("name"),
-    )
+    _require_fields(data, path)
+    return data
 
 
 # -- builders ------------------------------------------------------------
@@ -1073,23 +990,49 @@ def build_product(factors, max_size: int | None = None,
     return ProductRing(factors, table_threshold, max_size=max_size)
 
 
-def build_table_ring(spec: TableRingSpec | dict, max_size: int | None = None) -> TableRing:
-    if isinstance(spec, dict):
-        spec = TableRingSpec(**spec)
-    if not isinstance(spec.size, int) or spec.size < 1:
-        raise InvalidParameter(f"size must be a positive integer, got {spec.size!r}")
-    _check_size(spec.size, max_size)
-    add = _as_table(spec.add, spec.size, "add")
-    mul = _as_table(spec.mul, spec.size, "mul")
-    if not isinstance(spec.one, int):
+def builtin_ring(name: str, max_size: int | None = None) -> AlgebraRing:
+    """The builtin ring of that name; ``ex5_5`` is the one there is.
+
+    ex5_5 is a 16-element noncommutative Frobenius ring that is not
+    semisimple: the 4x4 binary matrices with rows (a,0,0,0), (0,a,b,0),
+    (0,0,c,0), (d,0,0,c), indexed a*8 + b*4 + c*2 + d.  That index is
+    the F_2-algebra on the basis e_0..e_3 = d, c, b, a, whose product
+    (a,b,c,d)(e,f,g,h) = (ae, af+bg, cg, de+ch) has the structure
+    constants e_3e_3 = e_3, e_3e_2 = e_2e_1 = e_2, e_1e_1 = e_1 and
+    e_0e_3 = e_1e_0 = e_0.  The unit is a = c = 1, and the trace form
+    (1,1,1,1) gives the generating character a+b+c+d mod 2.
+    """
+    if name != "ex5_5":
+        raise InvalidParameter(f"unknown builtin ring {name!r}")
+    _check_size(16, max_size)
+    tensor = np.zeros((4, 4, 4), dtype=np.int64)
+    for i, j, k in ((3, 3, 3), (3, 2, 2), (2, 1, 2), (1, 1, 1), (0, 3, 0), (1, 0, 0)):
+        tensor[i, j, k] = 1  # e_i e_j = e_k
+    ring = AlgebraRing(2, tensor, 0b1010, np.ones(4, dtype=np.int64))
+    ring.expr = name
+    return ring
+
+
+def build_table_ring(spec: dict, max_size: int | None = None) -> TableRing:
+    """A table ring from Cayley data: ``size``, ``add``, ``mul`` and ``one``,
+    with optional ``char_exponents`` and ``name``, as the JSON format has them."""
+    name = spec.get("name")
+    _require_fields(spec, name or "table ring")
+    size, one = spec["size"], spec["one"]
+    if not isinstance(size, int) or size < 1:
+        raise InvalidParameter(f"size must be a positive integer, got {size!r}")
+    _check_size(size, max_size)
+    add = _as_table(spec["add"], size, "add")
+    mul = _as_table(spec["mul"], size, "mul")
+    if not isinstance(one, int):
         raise InvalidParameter("one must be an element index")
     try:
-        validate_tables(add, mul, spec.one)
+        validate_tables(add, mul, one)
     except InvalidRing as exc:
-        name = spec.name or f"table ring of size {spec.size}"
-        raise InvalidRing(f"{name}: {exc}", witness=exc.witness) from None
-    exps = spec.char_exponents
+        label = name or f"table ring of size {size}"
+        raise InvalidRing(f"{label}: {exc}", witness=exc.witness) from None
+    exps = spec.get("char_exponents")
     if exps is not None:
-        if len(exps) != spec.size or not all(isinstance(e, int) for e in exps):
+        if len(exps) != size or not all(isinstance(e, int) for e in exps):
             raise InvalidParameter("char_exponents must list one integer per element")
-    return TableRing(add, mul, spec.one, name=spec.name, char_exponents=exps)
+    return TableRing(add, mul, one, name=name, char_exponents=exps)

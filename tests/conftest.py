@@ -6,7 +6,9 @@ from frobring import (
     build_product,
     build_zmod,
 )
-from frobring.rings import build_table_ring, builtin_table_spec
+from frobring.rings import builtin_ring
+
+from oracles import table_twin
 
 
 @pytest.fixture(scope="session")
@@ -70,5 +72,7 @@ def f2xf2(gf2):
 
 
 @pytest.fixture(scope="session")
-def ex5_5_ring():
-    return build_table_ring(builtin_table_spec("ex5_5"), max_size=10000)
+def ex5_5_rings():
+    """The builtin algebra ex5_5 and its twin built from the same Cayley tables."""
+    ring = builtin_ring("ex5_5")
+    return ring, table_twin(ring)

@@ -23,6 +23,10 @@ are the generating characters as unit translates built, deduplicated and
 sorted one at a time, which one vectorized sort of all their exponent
 rows replaced, and ``json.dumps`` with two-space indent and sorted keys,
 the text the CLI's ``--json`` renderer must reproduce byte for byte.
+The builtin algebras are pinned to their definitions: ex5_5 by products
+of its 4x4 binary matrices, the 8-element non-Frobenius algebra by
+packed-bit arithmetic.  Any ring can be rebuilt as a table ring from its
+own Cayley tables, a twin on which every result must come out the same.
 """
 
 from __future__ import annotations
@@ -623,3 +627,74 @@ def krawtchouk_table_by_element(partition, char, side: str) -> list[list]:
         if total != (ring.size if b == 0 else 0):
             raise InternalInconsistency(f"column at {b} sums to {total}")
     return rows
+
+
+# -- the builtin algebras from their definitions, and table twins ----------------
+
+
+def ex5_5_tables_from_matrices() -> tuple[np.ndarray, np.ndarray, int]:
+    """Cayley tables of ex5_5 from 4x4 binary matrix arithmetic.
+
+    Element a*8 + b*4 + c*2 + d is the matrix with rows (a,0,0,0),
+    (0,a,b,0), (0,0,c,0), (d,0,0,c).  Raises if a sum or product leaves
+    that shape.
+    """
+    def matrix(i):
+        a, b, c, d = (i >> 3) & 1, (i >> 2) & 1, (i >> 1) & 1, i & 1
+        return np.array([[a, 0, 0, 0], [0, a, b, 0], [0, 0, c, 0], [d, 0, 0, c]])
+
+    index = {matrix(i).tobytes(): i for i in range(16)}
+
+    def element(m):
+        key = (m % 2).tobytes()
+        if key not in index:
+            raise InternalInconsistency(f"not an ex5_5 matrix:\n{m % 2}")
+        return index[key]
+
+    mats = [matrix(i) for i in range(16)]
+    add = np.array([[element(x + y) for y in mats] for x in mats])
+    mul = np.array([[element(x @ y) for y in mats] for x in mats])
+    return add, mul, element(np.eye(4, dtype=np.int64))
+
+
+def non_frobenius_tables_from_bits() -> tuple[np.ndarray, np.ndarray, int]:
+    """Cayley tables of F_2[x,y]/(x^2, y^2, xy, yx), element a + bx + cy
+    packed as 4a + 2b + c, multiplied as (a1 a2, a1 b2 + a2 b1, a1 c2 + a2 c1)."""
+    def unpack(i):
+        return (i >> 2) & 1, (i >> 1) & 1, i & 1
+
+    def pack(a, b, c):
+        return a % 2 * 4 + b % 2 * 2 + c % 2
+
+    elems = [unpack(i) for i in range(8)]
+    add = np.array([[pack(a1 + a2, b1 + b2, c1 + c2) for a2, b2, c2 in elems]
+                    for a1, b1, c1 in elems])
+    mul = np.array([[pack(a1 * a2, a1 * b2 + a2 * b1, a1 * c2 + a2 * c1)
+                     for a2, b2, c2 in elems] for a1, b1, c1 in elems])
+    return add, mul, pack(1, 0, 0)
+
+
+def table_twin(ring, exponents: bool = True):
+    """The ring rebuilt as a table ring from its own Cayley tables.
+
+    The twin keeps the ring's name and structure.  With ``exponents`` it
+    carries the canonical character's exponents; without, its character
+    comes from the search.
+    """
+    from frobring.characters import canonical_generating_character
+    from frobring.rings import build_table_ring
+
+    spec = {"size": ring.size, "add": ring.add_table, "mul": ring.mul_table,
+            "one": ring.one, "name": ring.expr}
+    if exponents:
+        spec["char_exponents"] = canonical_generating_character(ring).exponents.tolist()
+    twin = build_table_ring(spec)
+    twin.structure = ring.structure
+    return twin
+
+
+def ring_id(ring) -> str:
+    """A test id that tells a table twin from the ring it copies."""
+    from frobring.rings import TableRing
+
+    return f"{ring.expr} as tables" if isinstance(ring, TableRing) else ring.expr

@@ -38,9 +38,8 @@ from frobring.rings import (
     build_gf,
     build_matrix_ring,
     build_product,
-    build_table_ring,
     build_zmod,
-    builtin_table_spec,
+    builtin_ring,
 )
 from frobring.weights import (
     cauchy_identity_check,
@@ -49,7 +48,7 @@ from frobring.weights import (
     weight_table,
 )
 
-from oracles import all_ideals
+from oracles import all_ideals, table_twin
 
 
 def _report(number: str, ok: bool, detail: str) -> None:
@@ -164,7 +163,7 @@ def test_criterion_3_matrix_by_field_structure():
 
 def test_criterion_4_sixteen_element_ring():
     start = time.perf_counter()
-    ring = build_table_ring(builtin_table_spec("ex5_5"))
+    ring = builtin_ring("ex5_5")
     char = canonical_generating_character(ring)
     part = ex5_5_partition(ring)
     left = dual_partition(part, char, "left")
@@ -325,7 +324,8 @@ def _builtin_rings_up_to(limit):
         build_product([gf2, gf2]),
         build_product([build_zmod(4), gf3]),
         build_matrix_ring(2, gf2),
-        build_table_ring(builtin_table_spec("ex5_5")),
+        builtin_ring("ex5_5"),
+        table_twin(builtin_ring("ex5_5")),
         build_matrix_ring(2, gf3),
         build_matrix_ring(3, gf2, max_size=600000),
     ]

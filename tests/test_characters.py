@@ -19,15 +19,13 @@ from frobring.characters import (
 from frobring.cyclotomic import root_power, zero
 from frobring.errors import InternalInconsistency, InvalidParameter, ResourceLimit
 from frobring.rings import (
-    TableRingSpec,
     build_gf,
     build_matrix_ring,
     build_product,
-    build_table_ring,
     build_zmod,
-    builtin_table_spec,
+    builtin_ring,
 )
-from frobring.cli import _non_frobenius_spec, build_ring, parse_ring
+from frobring.cli import _non_frobenius_ring, build_ring, parse_ring
 
 from frobring.characters import _abelian_basis, _additive_generators, _check_hom
 from oracles import (
@@ -37,6 +35,8 @@ from oracles import (
     is_additive_by_pairs,
     is_generating_by_kernel_scan,
     principal_ideal_oracle,
+    ring_id,
+    table_twin,
 )
 
 
@@ -53,7 +53,8 @@ def _frobenius_probe_rings():
         build_product([build_gf(2), build_gf(2)]),
         build_product([build_zmod(4), build_gf(3)]),
         build_matrix_ring(2, build_gf(2)),
-        build_table_ring(builtin_table_spec("ex5_5")),
+        builtin_ring("ex5_5"),
+        table_twin(builtin_ring("ex5_5")),
     ]
 
 
@@ -75,7 +76,7 @@ def oracle_is_generating(char) -> bool:
 # -- construction -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("ring", FROBENIUS_RINGS, ids=lambda r: r.expr)
+@pytest.mark.parametrize("ring", FROBENIUS_RINGS, ids=ring_id)
 def test_canonical_character_is_additive(ring):
     char = canonical_generating_character(ring)
     for a in range(ring.size):
@@ -84,7 +85,7 @@ def test_canonical_character_is_additive(ring):
             assert char.exponent(ring.add(a, b)) == expected
 
 
-@pytest.mark.parametrize("ring", FROBENIUS_RINGS, ids=lambda r: r.expr)
+@pytest.mark.parametrize("ring", FROBENIUS_RINGS, ids=ring_id)
 def test_canonical_character_is_generating_by_definition(ring):
     char = canonical_generating_character(ring)
     assert is_generating(char)
@@ -132,7 +133,7 @@ def test_constructor_rejections(z4):
     "ring",
     FROBENIUS_RINGS + [build_matrix_ring(2, build_gf(3)),
                        build_product([build_matrix_ring(2, build_gf(2)), build_gf(2)])],
-    ids=lambda r: r.expr,
+    ids=ring_id,
 )
 def test_additive_generators_generate_and_are_few(ring):
     gens, _ = _additive_generators(ring)
@@ -144,14 +145,15 @@ def test_additive_generators_generate_and_are_few(ring):
     "ring",
     [build_zmod(12), build_gf(8), build_product([build_zmod(2), build_zmod(4)]),
      build_product([build_zmod(4), build_gf(3)]), build_matrix_ring(2, build_gf(2)),
-     build_table_ring(builtin_table_spec("ex5_5")), build_table_ring(_non_frobenius_spec())],
-    ids=lambda r: r.expr,
+     builtin_ring("ex5_5"), table_twin(builtin_ring("ex5_5")), _non_frobenius_ring(),
+     table_twin(_non_frobenius_ring(), exponents=False)],
+    ids=ring_id,
 )
 def test_abelian_basis_matches_set_closure_route(ring):
     assert _abelian_basis(ring) == abelian_basis_by_closure(ring)
 
 
-@pytest.mark.parametrize("ring", FROBENIUS_RINGS, ids=lambda r: r.expr)
+@pytest.mark.parametrize("ring", FROBENIUS_RINGS, ids=ring_id)
 def test_generator_check_matches_pairwise_oracle(ring):
     """Additive maps (multiples, translates by any element) and broken ones."""
     char = canonical_generating_character(ring)
@@ -178,7 +180,7 @@ def _cosets(ring, subgroup, g):
     return label
 
 
-@pytest.mark.parametrize("ring", FROBENIUS_RINGS, ids=lambda r: r.expr)
+@pytest.mark.parametrize("ring", FROBENIUS_RINGS, ids=ring_id)
 def test_maps_additive_along_some_generators_only(ring):
     """Every generator is needed: maps additive along all but one, or
     along one only, get the pairwise verdict."""
@@ -207,10 +209,10 @@ def test_maps_additive_along_some_generators_only(ring):
 
 @pytest.mark.parametrize(
     "ring",
-    [build_zmod(12), build_gf(4), build_table_ring(builtin_table_spec("ex5_5")),
+    [build_zmod(12), build_gf(4), builtin_ring("ex5_5"), table_twin(builtin_ring("ex5_5")),
      build_product([build_zmod(4), build_gf(3)]),
      build_matrix_ring(2, build_gf(9))],  # 6561 elements, above the old 4096 cutoff
-    ids=lambda r: r.expr,
+    ids=ring_id,
 )
 def test_one_changed_exponent_is_rejected(ring):
     """Changing e at one element off the generating set breaks additivity."""
@@ -270,7 +272,7 @@ def test_zmod_generating_characters_are_exactly_unit_multipliers(n):
 
 
 @pytest.mark.parametrize(
-    "ring", FROBENIUS_RINGS + [build_matrix_ring(2, build_gf(3))], ids=lambda r: r.expr
+    "ring", FROBENIUS_RINGS + [build_matrix_ring(2, build_gf(3))], ids=ring_id
 )
 def test_translates_generate_exactly_at_units(ring):
     """chi(.r) and chi(r.) are generating iff r is a unit, on a Frobenius ring."""
@@ -286,7 +288,7 @@ def test_translates_generate_exactly_at_units(ring):
                 assert oracle_is_generating(char) == expected, (r, side)
 
 
-@pytest.mark.parametrize("ring", FROBENIUS_RINGS, ids=lambda r: r.expr)
+@pytest.mark.parametrize("ring", FROBENIUS_RINGS, ids=ring_id)
 def test_generating_character_count_equals_unit_count(ring):
     chars = all_generating_characters(ring)
     assert len(chars) == len(ring.units)
@@ -300,7 +302,7 @@ CHAIN_RINGS = ["Z8 x Z9 x GF(5)", "Z9 x Z25", "Z27 x GF(7)", "GF(3) x GF(9) x Z2
 
 
 @pytest.mark.parametrize("ring", FROBENIUS_RINGS + [build_ring(parse_ring(e)) for e in CHAIN_RINGS],
-                         ids=lambda r: r.expr)
+                         ids=ring_id)
 def test_generating_characters_match_translate_oracle(ring):
     """The same characters in the same order as translating unit by unit."""
     fast = all_generating_characters(ring)
@@ -335,11 +337,7 @@ def test_generating_characters_report_non_generating_translates(monkeypatch):
 
 
 def test_search_finds_character_without_supplied_exponents():
-    spec = builtin_table_spec("ex5_5")
-    bare = TableRingSpec(
-        size=spec.size, add=spec.add, mul=spec.mul, one=spec.one, name="bare"
-    )
-    ring = build_table_ring(bare)
+    ring = table_twin(builtin_ring("ex5_5"), exponents=False)
     found = search_generating_character(ring)
     assert found is not None
     assert is_generating(found)
@@ -349,8 +347,9 @@ def test_search_finds_character_without_supplied_exponents():
 
 
 def test_search_returns_none_on_non_frobenius():
-    ring = build_table_ring(_non_frobenius_spec())
+    ring = _non_frobenius_ring()
     assert search_generating_character(ring) is None
+    assert search_generating_character(table_twin(ring, exponents=False)) is None
 
 
 def test_search_needs_an_addition_table():
@@ -380,10 +379,11 @@ def test_matrix_ring_has_exactly_one_symmetric_generating_character(m2f2):
     assert symmetric[0] == canonical_generating_character(m2f2)
 
 
-def test_ex5_5_has_no_symmetric_generating_character(ex5_5_ring):
-    chars = all_generating_characters(ex5_5_ring)
-    assert len(chars) == 4
-    assert not any(is_symmetric(c) for c in chars)
+def test_ex5_5_has_no_symmetric_generating_character(ex5_5_rings):
+    for ring in ex5_5_rings:
+        chars = all_generating_characters(ring)
+        assert len(chars) == 4
+        assert not any(is_symmetric(c) for c in chars)
 
 
 # -- translates ---------------------------------------------------------------
@@ -415,13 +415,14 @@ def test_translate_rejects_bad_side(z4):
         translate(char, 1, "middle")
 
 
-def test_unit_translates_stay_generating(ex5_5_ring):
-    char = canonical_generating_character(ex5_5_ring)
-    for u in ex5_5_ring.units:
-        for side in ("left", "right"):
-            t = translate(char, int(u), side)
-            assert is_generating(t)
-            assert oracle_is_generating(t)
+def test_unit_translates_stay_generating(ex5_5_rings):
+    for ring in ex5_5_rings:
+        char = canonical_generating_character(ring)
+        for u in ring.units:
+            for side in ("left", "right"):
+                t = translate(char, int(u), side)
+                assert is_generating(t)
+                assert oracle_is_generating(t)
 
 
 # -- serialization ------------------------------------------------------------

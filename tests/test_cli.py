@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobring import cli
+from frobring.characters import canonical_generating_character, translate
 from frobring.cli import (
     BuiltinExpr,
     GFExpr,
@@ -182,17 +183,17 @@ def test_info_command(capsys):
 
 
 def test_info_non_frobenius_table(tmp_path, capsys):
-    from frobring.cli import _non_frobenius_spec
+    from frobring.cli import _non_frobenius_ring
 
-    spec = _non_frobenius_spec()
+    ring = _non_frobenius_ring()
     path = tmp_path / "nf.json"
     path.write_text(
         json.dumps(
             {
-                "size": spec.size,
-                "add": spec.add,
-                "mul": spec.mul,
-                "one": spec.one,
+                "size": ring.size,
+                "add": ring.add_table.tolist(),
+                "mul": ring.mul_table.tolist(),
+                "one": ring.one,
             }
         )
     )
@@ -225,6 +226,36 @@ def test_weights_rejects_bad_char(capsys):
     assert "out of range" in err
     code, _, err = run_cli(capsys, "weights", "--ring", "Z4", "--char", "random")
     assert code == 2
+
+
+def test_char_index_is_the_left_translate_by_the_kth_unit():
+    """On ex5_5 no generating character is symmetric, so the sides differ."""
+    ring = build_ring(parse_ring("ex5_5"))
+    base = canonical_generating_character(ring)
+    chars = [cli._char_from_args(ring, argparse.Namespace(char=f"index:{k}"))
+             for k in range(len(ring.units))]
+    assert chars == [translate(base, u, "left") for u in ring.units]
+    assert chars != [translate(base, u, "right") for u in ring.units]
+
+
+def test_char_index_reports_a_translate_that_is_not_generating(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "is_generating", lambda char: False)
+    code, _, err = run_cli(capsys, "weights", "--ring", "Z9 x Z25", "--char", "index:3")
+    assert code == 1
+    assert err == ("check failed: Z9 x Z25: the left translate of the character of "
+                   "order 225 by the unit 29 is not generating\n")
+
+
+@pytest.mark.parametrize("command", ["dual", "krawtchouk"])
+@pytest.mark.parametrize("expr, kind", [("ex5_5", "ex5_5"), ("Z9 x Z25", "hom")])
+def test_every_char_index_gives_the_canonical_output(capsys, expr, kind, command):
+    """The partitions are unit-invariant, so by Cor. 5.4 the character does not matter."""
+    argv = (command, "--ring", expr, "--partition", kind, "--side", "both", "--json",
+            "--no-timestamp")
+    code, canonical, _ = run_cli(capsys, *argv)
+    assert code == 0
+    for k in range(len(build_ring(parse_ring(expr)).units)):
+        assert run_cli(capsys, *argv, "--char", f"index:{k}") == (0, canonical, ""), k
 
 
 def test_partition_command(capsys):
@@ -583,7 +614,7 @@ def test_exit_3_on_table_file_above_byte_budget(capsys, tmp_path):
         load_table_spec(str(padded), max_size=2)
     code, _, err = run_cli(capsys, "info", "--ring", f"table:{padded}", "--max-size", "2")
     assert code == 3 and "bytes" in err
-    assert load_table_spec(str(padded)).name == "F" * 70000  # within the default guard
+    assert load_table_spec(str(padded))["name"] == "F" * 70000  # within the default guard
 
 
 def test_exit_1_on_internal_inconsistency(capsys, monkeypatch):

@@ -272,11 +272,12 @@ def test_matrix_ring_rank_partition_left_equals_right(m2f2):
     assert semisimple_lr_agreement(m2f2, p)
 
 
-def test_semisimple_checker_rejections(z4, m2f2, ex5_5_ring):
+def test_semisimple_checker_rejections(z4, m2f2, ex5_5_rings):
     with pytest.raises(InvalidParameter):
         semisimple_lr_agreement(z4, hom_partition(z4))
-    with pytest.raises(InvalidParameter):
-        semisimple_lr_agreement(ex5_5_ring, ex5_5_partition(ex5_5_ring))
+    for ring in ex5_5_rings:
+        with pytest.raises(InvalidParameter):
+            semisimple_lr_agreement(ring, ex5_5_partition(ring))
     with pytest.raises(InvalidParameter):
         semisimple_lr_agreement(m2f2, hom_partition(build_matrix_ring(2, build_gf(2))))
     # isolating the identity splits its unit orbit, breaking invariance
@@ -290,32 +291,34 @@ def test_semisimple_checker_rejections(z4, m2f2, ex5_5_ring):
 # -- the 16-element ring with asymmetric duals ---------------------------------------
 
 
-def test_ex5_5_left_and_right_duals_differ(ex5_5_ring):
-    p = ex5_5_partition(ex5_5_ring)
-    char = canonical_generating_character(ex5_5_ring)
-    left = dual_partition(p, char, "left")
-    right = dual_partition(p, char, "right")
-    assert left.num_blocks == 6
-    assert right.num_blocks == 6
-    assert sorted(left.block_sizes()) == [1, 1, 1, 1, 4, 8]
-    assert sorted(right.block_sizes()) == [1, 1, 1, 1, 4, 8]
-    assert not equals(left, right)
-    # the size-4 and size-8 blocks swap between the two sides
-    left_sets = {frozenset(b) for b in left.blocks}
-    right_sets = {frozenset(b) for b in right.blocks}
-    assert left_sets != right_sets
+def test_ex5_5_left_and_right_duals_differ(ex5_5_rings):
+    for ring in ex5_5_rings:
+        p = ex5_5_partition(ring)
+        char = canonical_generating_character(ring)
+        left = dual_partition(p, char, "left")
+        right = dual_partition(p, char, "right")
+        assert left.num_blocks == 6
+        assert right.num_blocks == 6
+        assert sorted(left.block_sizes()) == [1, 1, 1, 1, 4, 8]
+        assert sorted(right.block_sizes()) == [1, 1, 1, 1, 4, 8]
+        assert not equals(left, right)
+        # the size-4 and size-8 blocks swap between the two sides
+        left_sets = {frozenset(b) for b in left.blocks}
+        right_sets = {frozenset(b) for b in right.blocks}
+        assert left_sets != right_sets
 
 
-def test_ex5_5_weight_partition_tables_agree(ex5_5_ring):
+def test_ex5_5_weight_partition_tables_agree(ex5_5_rings):
     """The weight partition's left and right tables coincide entrywise,
 
     even though the ring itself tells left from right."""
-    p = hom_partition(ex5_5_ring)
-    char = canonical_generating_character(ex5_5_ring)
-    left = krawtchouk_table(p, char, "left")
-    right = krawtchouk_table(p, char, "right")
-    assert same_entries(left, right)
-    assert left_right_agreement(p, char)
+    for ring in ex5_5_rings:
+        p = hom_partition(ring)
+        char = canonical_generating_character(ring)
+        left = krawtchouk_table(p, char, "left")
+        right = krawtchouk_table(p, char, "right")
+        assert same_entries(left, right)
+        assert left_right_agreement(p, char)
 
 
 def test_same_entries_distinguishes_partitions(z4, z6):
@@ -489,9 +492,10 @@ def test_orbit_tables_match_oracle_on_invariant_partitions(partition):
         assert len(table.coeffs) == len(reps)
 
 
-def test_orbit_tables_match_oracle_on_ex5_5(ex5_5_ring):
-    _assert_matches_oracle(ex5_5_partition(ex5_5_ring))
-    _assert_matches_oracle(hom_partition(ex5_5_ring))
+def test_orbit_tables_match_oracle_on_ex5_5(ex5_5_rings):
+    for ring in ex5_5_rings:
+        _assert_matches_oracle(ex5_5_partition(ring))
+        _assert_matches_oracle(hom_partition(ring))
 
 
 @pytest.mark.parametrize("ring", _PRODUCT_RINGS, ids=lambda r: r.expr)

@@ -27,13 +27,13 @@ from frobring.rings import (
     build_gf,
     build_matrix_ring,
     build_product,
-    build_table_ring,
     build_zmod,
-    builtin_table_spec,
+    builtin_ring,
 )
 from frobring.weights import weight_table
 
-from oracles import group_by_key_oracle, is_invariant_by_units, unit_orbits_oracle
+from oracles import (group_by_key_oracle, is_invariant_by_units, ring_id, table_twin,
+                     unit_orbits_oracle)
 from test_weights import WEIGHT_RINGS
 
 
@@ -102,13 +102,14 @@ def test_weight_partition_blocks_share_weight(z12):
     assert len(set(weights_seen)) == p.num_blocks
 
 
-def test_hom_partition_zero_weight_block(ex5_5_ring):
+def test_hom_partition_zero_weight_block(ex5_5_rings):
     """Two elements share weight zero here, so zero's block has size 2."""
-    p = hom_partition(ex5_5_ring)
-    assert p.num_blocks == 3
-    assert p.blocks[0] == (0, 5)
-    assert p.labels[0] == "0"
-    assert sorted(p.block_sizes()) == [2, 2, 12]
+    for ring in ex5_5_rings:
+        p = hom_partition(ring)
+        assert p.num_blocks == 3
+        assert p.blocks[0] == (0, 5)
+        assert p.labels[0] == "0"
+        assert sorted(p.block_sizes()) == [2, 2, 12]
 
 
 @pytest.mark.parametrize(
@@ -128,11 +129,12 @@ def test_hom_partition_is_invariant(build):
 @pytest.mark.parametrize(
     "build,one_sided_invariant",
     [
-        (lambda: build_table_ring(builtin_table_spec("ex5_5")), False),
+        (lambda: builtin_ring("ex5_5"), False),
+        (lambda: table_twin(builtin_ring("ex5_5")), False),
         (lambda: build_matrix_ring(2, build_gf(2)), False),
         (lambda: build_zmod(12), True),
     ],
-    ids=["ex5_5", "M2F2", "Z12"],
+    ids=["ex5_5", "ex5_5 as tables", "M2F2", "Z12"],
 )
 def test_is_invariant_matches_unit_scan(build, one_sided_invariant):
     """Orbit route = unit-by-unit scan, on one-sided orbit partitions too."""
@@ -342,21 +344,24 @@ def test_matrix_by_field_merges(q):
     assert is_finer(prod, hom)
 
 
-def test_ex5_5_partition_blocks(ex5_5_ring):
-    p = ex5_5_partition(ex5_5_ring)
-    assert p.blocks == (
-        (0,),
-        (1, 2, 3, 6, 7),
-        (4, 5, 8, 9, 12, 13),
-        (10, 11, 14, 15),
-    )
-    assert is_invariant(p)
-    assert not equals(p, hom_partition(ex5_5_ring))
+def test_ex5_5_partition_blocks(ex5_5_rings):
+    for ring in ex5_5_rings:
+        p = ex5_5_partition(ring)
+        assert p.blocks == (
+            (0,),
+            (1, 2, 3, 6, 7),
+            (4, 5, 8, 9, 12, 13),
+            (10, 11, 14, 15),
+        )
+        assert is_invariant(p)
+        assert not equals(p, hom_partition(ring))
 
 
 def test_ex5_5_partition_rejects_other_rings(z4):
     with pytest.raises(InvalidParameter):
         ex5_5_partition(z4)
+    with pytest.raises(InvalidParameter, match="defined on the ex5_5 builtin ring"):
+        ex5_5_partition(build_product([builtin_ring("ex5_5"), build_gf(2)]))
 
 
 # -- every builder against the per-element grouping oracle --------------------------
@@ -389,7 +394,7 @@ _PRODUCT_RINGS = [
 ]
 
 
-@pytest.mark.parametrize("ring", WEIGHT_RINGS + _PRODUCT_RINGS, ids=lambda r: r.expr)
+@pytest.mark.parametrize("ring", WEIGHT_RINGS + _PRODUCT_RINGS, ids=ring_id)
 def test_weight_partition_matches_grouping_oracle(ring):
     table = weight_table(ring)
     _assert_matches_grouping(partition_from_weight(table), table.__getitem__, str)

@@ -13,28 +13,32 @@ from frobring.errors import (
 )
 from frobring.rings import (
     FiniteRing,
-    TableRingSpec,
     build_gf,
     build_matrix_ring,
     build_product,
     build_table_ring,
     build_zmod,
-    builtin_table_spec,
+    builtin_ring,
+    load_table_spec,
     validate_tables,
 )
 from frobring import characters
 from frobring.characters import canonical_generating_character
-from frobring.cli import _non_frobenius_spec
+from frobring.cli import _non_frobenius_ring
 from frobring.partitions import hom_partition, is_invariant
 from frobring.weights import weight_table
 
 from oracles import (
     all_ideals,
+    ex5_5_tables_from_matrices,
     is_frobenius_oracle,
     matrix_rank_oracle,
+    non_frobenius_tables_from_bits,
     principal_ideal_oracle,
     radical_oracle,
+    ring_id,
     socle_oracle,
+    table_twin,
     unit_orbits_oracle,
     units_oracle,
     validate_tables_exhaustive,
@@ -59,8 +63,10 @@ def _probe_rings():
         build_product([gf2, gf2]),
         build_product([build_zmod(4), gf3]),
         build_matrix_ring(2, gf2),
-        build_table_ring(builtin_table_spec("ex5_5")),
-        build_table_ring(_non_frobenius_spec()),
+        builtin_ring("ex5_5"),
+        table_twin(builtin_ring("ex5_5")),
+        _non_frobenius_ring(),
+        table_twin(_non_frobenius_ring(), exponents=False),
     ]
 
 
@@ -74,9 +80,7 @@ def _tables_of(ring):
     return ring.add_table, ring.mul_table
 
 
-@pytest.mark.parametrize(
-    "ring", PROBE_RINGS, ids=lambda r: r.expr
-)
+@pytest.mark.parametrize("ring", PROBE_RINGS, ids=ring_id)
 def test_axioms_hold_on_probe_rings(ring):
     add, mul = _tables_of(ring)
     validate_tables(add, mul, ring.one)
@@ -151,9 +155,9 @@ def _assert_genuine(exc, add, mul, one):
 
 @pytest.mark.parametrize(
     "ring",
-    [build_table_ring(builtin_table_spec("ex5_5")), build_zmod(12),
+    [builtin_ring("ex5_5"), build_zmod(12),
      build_product([build_zmod(4), build_gf(3)]),
-     build_product([build_table_ring(builtin_table_spec("ex5_5")), build_gf(2)])],
+     build_product([builtin_ring("ex5_5"), build_gf(2)])],
     ids=lambda r: r.expr,
 )
 def test_generator_route_matches_exhaustive_on_mutations(ring):
@@ -179,7 +183,7 @@ def test_generator_route_matches_exhaustive_on_mutations(ring):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_relabelled_tables_pass_both_routes(seed):
     """Shuffled labels (0 fixed) move the generators and keep a ring."""
-    ring = build_product([build_table_ring(builtin_table_spec("ex5_5")), build_gf(2)])
+    ring = build_product([builtin_ring("ex5_5"), build_gf(2)])
     perm = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(ring.size - 1)])
     inv = np.argsort(perm)
     add, mul = (inv[t[np.ix_(perm, perm)]] for t in _tables_of(ring))
@@ -246,11 +250,12 @@ def _structured_corpus():
     for products in rng.integers(0, 8, (400, 4)):
         add, mul = _f2_algebra(*products.tolist())
         yield add, mul, 1
-    ring = build_product([build_table_ring(builtin_table_spec("ex5_5")), build_gf(2)])
+    ring = build_product([builtin_ring("ex5_5"), build_gf(2)])
     for count in range(1, 41):
         yield _intercalate_swaps(rng, ring.add_table, count % 3 + 1), ring.mul_table, ring.one
-    spec = builtin_table_spec("ex5_5")
-    add, mul, one = np.array(spec.add), np.array(spec.mul), spec.one
+    ex5_5 = builtin_ring("ex5_5")
+    add, mul = (t.astype(np.int64) for t in _tables_of(ex5_5))
+    one = ex5_5.one
     # + is xor here; x -> parity(x & m) is additive and vanishes at one = 0b1010
     parities = [np.array([bin(x & m).count("1") % 2 for x in range(16)], dtype=bool)
                 for m in (1, 4, 5, 10, 11, 14, 15)]
@@ -287,8 +292,7 @@ def _ex5_5_skewed_rows():
     """ex5_5 with x*y + z(y) wherever bit 2 of x is set, z = 3 on {2, 3}
     and 0 elsewhere.  Every column stays additive, and so does every row
     but those with bit 2 set, as of the third additive generator 4."""
-    spec = builtin_table_spec("ex5_5")
-    add, mul = np.array(spec.add), np.array(spec.mul)
+    add, mul = (t.astype(np.int64) for t in _tables_of(builtin_ring("ex5_5")))
     z = np.where(np.arange(16) >> 1 == 1, 3, 0)
     return add, np.where((np.arange(16)[:, None] >> 2) & 1 == 1, add[mul, z], mul)
 
@@ -364,11 +368,49 @@ def test_validate_rejects_boolean_lattice():
             route(add, mul, 7)
 
 
+def test_ex5_5_is_its_matrix_ring():
+    """The structure constants give exactly the tables of the 4x4 matrices,
+    and the trace form the character a+b+c+d mod 2."""
+    add, mul, one = ex5_5_tables_from_matrices()
+    ring = builtin_ring("ex5_5")
+    assert np.array_equal(ring.add_table, add)
+    assert np.array_equal(ring.mul_table, mul)
+    assert ring.one == one
+    validate_tables(add, mul, one)
+    validate_tables_exhaustive(add, mul, one)
+    char = canonical_generating_character(ring)
+    assert char.order == 2
+    assert char.exponents.tolist() == [bin(x).count("1") % 2 for x in range(16)]
+
+
+def test_non_frobenius_algebra_is_its_bit_arithmetic():
+    add, mul, one = non_frobenius_tables_from_bits()
+    ring = _non_frobenius_ring()
+    assert np.array_equal(ring.add_table, add)
+    assert np.array_equal(ring.mul_table, mul)
+    assert ring.one == one
+    validate_tables(add, mul, one)
+    validate_tables_exhaustive(add, mul, one)
+    assert not ring.is_frobenius
+
+
+def test_missing_table_fields_are_named(tmp_path):
+    """The builder and the file loader refuse an incomplete spec alike."""
+    with pytest.raises(InvalidParameter, match=r"^tiny: missing fields \['mul', 'one'\]$"):
+        build_table_ring({"size": 1, "add": [[0]], "name": "tiny"})
+    with pytest.raises(InvalidParameter, match=r"^table ring: missing fields \['size'\]$"):
+        build_table_ring({"add": [[0]], "mul": [[0]], "one": 0})
+    path = tmp_path / "tiny.json"
+    path.write_text('{"size": 1, "add": [[0]], "name": "tiny"}')
+    with pytest.raises(InvalidParameter, match=r"tiny.json: missing fields \['mul', 'one'\]$"):
+        load_table_spec(str(path))
+
+
 def test_table_ring_build_validates():
-    spec = builtin_table_spec("ex5_5")
-    broken = [list(row) for row in spec.mul]
+    ring = builtin_ring("ex5_5")
+    broken = ring.mul_table.tolist()
     broken[3][7] = (broken[3][7] + 1) % 16
-    bad = TableRingSpec(size=16, add=spec.add, mul=broken, one=spec.one)
+    bad = {"size": 16, "add": ring.add_table.tolist(), "mul": broken, "one": ring.one}
     with pytest.raises(InvalidRing):
         build_table_ring(bad)
 
@@ -377,12 +419,13 @@ def test_table_ring_build_validates():
                                           (None, "table ring of size 16: ")],
                          ids=["named", "unnamed"])
 def test_table_ring_errors_name_the_ring(name, prefix):
-    spec = builtin_table_spec("ex5_5")
-    broken = np.array(spec.mul)
+    ring = builtin_ring("ex5_5")
+    add, broken = (t.astype(np.int64) for t in _tables_of(ring))
     broken[3, 7] ^= 1
     with pytest.raises(InvalidRing) as direct:
-        validate_tables(np.array(spec.add), broken, spec.one)
-    bad = TableRingSpec(size=16, add=spec.add, mul=broken.tolist(), one=spec.one, name=name)
+        validate_tables(add, broken, ring.one)
+    bad = {"size": 16, "add": add.tolist(), "mul": broken.tolist(), "one": ring.one,
+           "name": name}
     with pytest.raises(InvalidRing) as built:
         build_table_ring(bad)
     assert str(built.value) == prefix + str(direct.value)
@@ -392,32 +435,33 @@ def test_table_ring_errors_name_the_ring(name, prefix):
 # -- derived structure vs oracles --------------------------------------------
 
 
-@pytest.mark.parametrize("ring", PROBE_RINGS, ids=lambda r: r.expr)
+@pytest.mark.parametrize("ring", PROBE_RINGS, ids=ring_id)
 def test_units_match_oracle(ring):
     assert sorted(map(int, ring.units)) == units_oracle(ring)
 
 
-@pytest.mark.parametrize("ring", PROBE_RINGS, ids=lambda r: r.expr)
+@pytest.mark.parametrize("ring", PROBE_RINGS, ids=ring_id)
 def test_radical_matches_ideal_enumeration(ring):
     assert frozenset(map(int, ring.radical)) == radical_oracle(ring)
 
 
-@pytest.mark.parametrize("ring", PROBE_RINGS, ids=lambda r: r.expr)
+@pytest.mark.parametrize("ring", PROBE_RINGS, ids=ring_id)
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_socle_matches_ideal_enumeration(ring, side):
     assert frozenset(map(int, ring.socle_members(side))) == socle_oracle(ring, side)
 
 
-@pytest.mark.parametrize("ring", PROBE_RINGS, ids=lambda r: r.expr)
+@pytest.mark.parametrize("ring", PROBE_RINGS, ids=ring_id)
 def test_frobenius_flag_matches_oracle(ring):
     assert ring.is_frobenius == is_frobenius_oracle(ring)
 
 
 def test_non_frobenius_detected():
-    ring = build_table_ring(_non_frobenius_spec())
-    assert not ring.is_frobenius
-    with pytest.raises(CharacterSearchFailed):
-        canonical_generating_character(ring)
+    ring = _non_frobenius_ring()
+    for r in (ring, table_twin(ring, exponents=False)):
+        assert not r.is_frobenius
+        with pytest.raises(CharacterSearchFailed, match="non_frobenius_8: no generating"):
+            canonical_generating_character(r)
 
 
 def test_search_skips_non_frobenius_rings(monkeypatch):
@@ -426,13 +470,13 @@ def test_search_skips_non_frobenius_rings(monkeypatch):
     original = characters.is_generating
     monkeypatch.setattr(characters, "is_generating",
                         lambda char: calls.append(char) or original(char))
-    ring = build_table_ring(_non_frobenius_spec())
+    ring = table_twin(_non_frobenius_ring(), exponents=False)
     with pytest.raises(CharacterSearchFailed):
         canonical_generating_character(ring)
     assert calls == []
 
 
-@pytest.mark.parametrize("ring", PROBE_RINGS, ids=lambda r: r.expr)
+@pytest.mark.parametrize("ring", PROBE_RINGS, ids=ring_id)
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_principal_ideals_match_oracle(ring, side):
     for x in range(ring.size):
@@ -440,7 +484,7 @@ def test_principal_ideals_match_oracle(ring, side):
         assert got == principal_ideal_oracle(ring, x, side)
 
 
-@pytest.mark.parametrize("ring", PROBE_RINGS, ids=lambda r: r.expr)
+@pytest.mark.parametrize("ring", PROBE_RINGS, ids=ring_id)
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_unit_orbits_match_oracle(ring, side):
     reps, orbit_of = ring.unit_orbits(side)
@@ -519,11 +563,12 @@ def test_quotient_by_radical_zmod12():
             assert pi[ring.mul(a, b)] == qring.mul(pi[a], pi[b])
 
 
-def test_quotient_by_radical_table_ring(ex5_5_ring):
-    qring, pi = ex5_5_ring.quotient_by_radical()
-    assert qring.size == 4
-    assert tuple(qring.radical) == (0,)
-    assert len(qring.units) == 1  # F_2 x F_2 has a single unit
+def test_quotient_by_radical_table_ring(ex5_5_rings):
+    for ring in ex5_5_rings:
+        qring, pi = ring.quotient_by_radical()
+        assert qring.size == 4
+        assert tuple(qring.radical) == (0,)
+        assert len(qring.units) == 1  # F_2 x F_2 has a single unit
 
 
 # -- size guards and parameters ----------------------------------------------
@@ -559,8 +604,10 @@ def test_bad_parameters():
 
 
 def test_builtin_spec_unknown_name():
-    with pytest.raises(InvalidParameter):
-        builtin_table_spec("no_such_ring")
+    with pytest.raises(InvalidParameter, match="unknown builtin ring 'no_such_ring'"):
+        builtin_ring("no_such_ring")
+    with pytest.raises(ResourceLimit, match="size guard 15"):
+        builtin_ring("ex5_5", max_size=15)
 
 
 # -- element presentation and product structure -------------------------------
@@ -609,7 +656,8 @@ def test_commutativity_flags():
     assert build_gf(8).is_commutative
     assert not build_matrix_ring(2, build_gf(2)).is_commutative
     assert build_matrix_ring(1, build_gf(5)).is_commutative
-    assert not build_table_ring(builtin_table_spec("ex5_5")).is_commutative
+    assert not builtin_ring("ex5_5").is_commutative
+    assert not table_twin(builtin_ring("ex5_5")).is_commutative
 
 
 def test_describe_surface():

@@ -15,9 +15,8 @@ from frobring.rings import (
     build_gf,
     build_matrix_ring,
     build_product,
-    build_table_ring,
     build_zmod,
-    builtin_table_spec,
+    builtin_ring,
 )
 from frobring.weights import (
     _validate_homogeneous,
@@ -36,6 +35,8 @@ from oracles import (
     count_subspaces_oracle,
     homogeneous_weight_oracle,
     principal_ideal_oracle,
+    ring_id,
+    table_twin,
     unit_orbits_oracle,
     validate_homogeneous_by_element,
     weight_via_characters,
@@ -59,7 +60,8 @@ def _weight_probe_rings():
         build_product([gf2, gf2, gf2]),
         build_product([build_zmod(4), gf3]),
         build_matrix_ring(2, gf2),
-        build_table_ring(builtin_table_spec("ex5_5")),
+        builtin_ring("ex5_5"),
+        table_twin(builtin_ring("ex5_5")),
         build_matrix_ring(2, gf3),
     ]
 
@@ -213,7 +215,7 @@ def test_weight_rank_profile_rejects_bad_entries():
 # -- the weight table against its defining equations ---------------------------
 
 
-@pytest.mark.parametrize("ring", WEIGHT_RINGS, ids=lambda r: r.expr)
+@pytest.mark.parametrize("ring", WEIGHT_RINGS, ids=ring_id)
 def test_weight_table_solves_defining_equations(ring):
     """The character-sum table equals the unique linear-system solution."""
     table = weight_table(ring)
@@ -221,7 +223,7 @@ def test_weight_table_solves_defining_equations(ring):
     assert list(table.weights) == expected
 
 
-@pytest.mark.parametrize("ring", WEIGHT_RINGS, ids=lambda r: r.expr)
+@pytest.mark.parametrize("ring", WEIGHT_RINGS, ids=ring_id)
 def test_orbit_validator_and_element_oracle_accept_the_table(ring):
     table = weight_table(ring)
     _validate_homogeneous(ring, table.num, table.denom)
@@ -246,7 +248,7 @@ def _both_validators_reject(ring, weights, message):
 
 
 @pytest.mark.parametrize(
-    "ring", [r for r in WEIGHT_RINGS if len(r.units) > 1], ids=lambda r: r.expr
+    "ring", [r for r in WEIGHT_RINGS if len(r.units) > 1], ids=ring_id
 )
 def test_validators_reject_a_changed_orbit_member(ring):
     orbit = next(o for o in unit_orbits_oracle(ring, "left") if len(o) > 1)
@@ -256,7 +258,7 @@ def test_validators_reject_a_changed_orbit_member(ring):
     _both_validators_reject(ring, weights, "not constant on the left unit orbit")
 
 
-@pytest.mark.parametrize("ring", WEIGHT_RINGS, ids=lambda r: r.expr)
+@pytest.mark.parametrize("ring", WEIGHT_RINGS, ids=ring_id)
 def test_validators_reject_a_shifted_ideal_class(ring):
     """Shifting every generator of one left ideal keeps the weight constant
     on orbits and on equal ideals, so only the average check can fail."""
@@ -268,7 +270,7 @@ def test_validators_reject_a_shifted_ideal_class(ring):
     _both_validators_reject(ring, weights, "average over the left ideal")
 
 
-@pytest.mark.parametrize("ring", WEIGHT_RINGS, ids=lambda r: r.expr)
+@pytest.mark.parametrize("ring", WEIGHT_RINGS, ids=ring_id)
 def test_validators_reject_a_nonzero_weight_at_zero(ring):
     weights = list(weight_table(ring).weights)
     weights[0] = Fraction(1, 2)
@@ -315,7 +317,7 @@ FROZEN_MULTISETS = {
 }
 
 
-@pytest.mark.parametrize("ring", WEIGHT_RINGS, ids=lambda r: r.expr)
+@pytest.mark.parametrize("ring", WEIGHT_RINGS, ids=ring_id)
 def test_frozen_weight_multisets(ring):
     assert dict(weight_table(ring).multiset()) == FROZEN_MULTISETS[ring.expr]
 
@@ -338,12 +340,12 @@ def test_field_weight_is_constant():
             assert table[x] == Fraction(q, q - 1)
 
 
-@pytest.mark.parametrize("ring", WEIGHT_RINGS, ids=lambda r: r.expr)
+@pytest.mark.parametrize("ring", WEIGHT_RINGS, ids=ring_id)
 def test_weight_one_off_socle_and_socle_matches_quotient(ring):
     assert socle_weight_consistency(ring)
 
 
-@pytest.mark.parametrize("ring", WEIGHT_RINGS, ids=lambda r: r.expr)
+@pytest.mark.parametrize("ring", WEIGHT_RINGS, ids=ring_id)
 def test_character_choice_does_not_matter(ring):
     if ring.size > 81:
         pytest.skip("all-character sweep kept to small rings")
@@ -360,7 +362,7 @@ def test_weight_via_characters_single_element(z12):
     assert weight_via_characters(z12, char, 0) == 0
 
 
-@pytest.mark.parametrize("ring", WEIGHT_RINGS, ids=lambda r: r.expr)
+@pytest.mark.parametrize("ring", WEIGHT_RINGS, ids=ring_id)
 def test_orbit_unit_sums_match_per_element_sums(ring):
     """weight_table sums once per unit orbit; the oracle sums at every element."""
     chars = all_generating_characters(ring)
@@ -383,7 +385,8 @@ def test_zero_weight_criterion():
         (build_product([gf2, gf2]), True),
         (build_product([gf2, gf2, gf3]), True),
         (build_product([build_matrix_ring(2, gf2), gf2]), False),
-        (build_table_ring(builtin_table_spec("ex5_5")), True),
+        (builtin_ring("ex5_5"), True),
+        (table_twin(builtin_ring("ex5_5")), True),
     ]
     for ring, expected in cases:
         assert has_zero_weight_nonzero(ring) == expected, ring.expr

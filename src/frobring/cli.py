@@ -268,38 +268,52 @@ _encode_leaf = json.JSONEncoder().encode
 def _json_text(payload) -> str:
     """The text of ``json.dumps(payload, indent=2, sort_keys=True)``.
 
+    The text is rendered as one list of parts, joined once at the end.
     Each list object is rendered once per nesting depth, so a row shared
     by many entries (a Krawtchouk column shared by a unit orbit) costs
     one rendering, and a list of plain ints one ``join``.  Strings, keys
     and other leaves go through json's own encoders.
     """
-    memo: dict[tuple[int, int], str] = {}
+    parts: list[str] = []
+    put = parts.append
+    memo: dict[tuple[int, int], tuple[int, int]] = {}  # (id, depth) -> span of parts
 
-    def render(value, depth: int) -> str:
+    def render(value, depth: int) -> None:
         if isinstance(value, str):
-            return _encode_str(value)
-        if type(value) is int:
-            return str(value)
-        if not isinstance(value, (list, tuple, dict)):
-            return _encode_leaf(value)
-        pad = "\n" + "  " * (depth + 1)
-        if isinstance(value, dict):
-            return "{" + pad + ("," + pad).join([
-                _encode_str(_key_text(k)) + ": " + render(v, depth + 1)
-                for k, v in sorted(value.items())]) + pad[:-2] + "}" if value else "{}"
-        text = memo.get((id(value), depth))
-        if text is None:
-            if not value:
-                text = "[]"
-            elif all(type(x) is int for x in value):
-                text = "[" + pad + ("," + pad).join(map(str, value)) + pad[:-2] + "]"
+            put(_encode_str(value))
+        elif type(value) is int:
+            put(str(value))
+        elif not isinstance(value, (list, tuple, dict)):
+            put(_encode_leaf(value))
+        elif not value:
+            put("{}" if isinstance(value, dict) else "[]")
+        elif isinstance(value, dict):
+            pad = "\n" + "  " * (depth + 1)
+            put("{" + pad)
+            for k, v in sorted(value.items()):
+                put(_encode_str(_key_text(k)) + ": ")
+                render(v, depth + 1)
+                put("," + pad)
+            parts[-1] = pad[:-2] + "}"  # the last separator closes the object
+        else:
+            span = memo.get((id(value), depth))
+            if span is not None:
+                parts.extend(parts[span[0]:span[1]])
+                return
+            start = len(parts)
+            pad = "\n" + "  " * (depth + 1)
+            if all(type(x) is int for x in value):
+                put("[" + pad + ("," + pad).join(map(str, value)) + pad[:-2] + "]")
             else:
-                text = "[" + pad + ("," + pad).join([
-                    render(x, depth + 1) for x in value]) + pad[:-2] + "]"
-            memo[id(value), depth] = text
-        return text
+                put("[" + pad)
+                for x in value:
+                    render(x, depth + 1)
+                    put("," + pad)
+                parts[-1] = pad[:-2] + "]"
+            memo[id(value), depth] = start, len(parts)
 
-    return render(payload, 0)
+    render(payload, 0)
+    return "".join(parts)
 
 
 def _key_text(key) -> str:

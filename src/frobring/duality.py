@@ -76,8 +76,9 @@ def same_entries(a: KrawtchoukTable, b: KrawtchoukTable) -> bool:
     """Entrywise exact equality of two tables over the same partition."""
     if a.partition.blocks != b.partition.blocks or a.char.order != b.char.order:
         return False
-    pairs = np.unique(np.stack([a.orbit_of, b.orbit_of]), axis=1)
-    return np.array_equal(a.coeffs[pairs[0]], b.coeffs[pairs[1]])
+    # each (orbit in a, orbit in b) pair met by some element, as one int64 code
+    pairs = np.unique(a.orbit_of * len(b.coeffs) + b.orbit_of)
+    return np.array_equal(a.coeffs[pairs // len(b.coeffs)], b.coeffs[pairs % len(b.coeffs)])
 
 
 def krawtchouk_table(partition: Partition, char: Character, side: str) -> KrawtchoukTable:
@@ -150,9 +151,11 @@ def dual_partition(partition: Partition, char: Character, side: str) -> Partitio
     each dual block is a union of orbits.
     """
     table = krawtchouk_table(partition, char, side)
-    _, group = np.unique(table.coeffs.reshape(len(table.coeffs), -1), axis=0,
-                         return_inverse=True)
-    return Partition.from_keys(partition.ring, group.reshape(-1)[table.orbit_of])
+    rows = np.ascontiguousarray(table.coeffs.reshape(len(table.coeffs), -1))
+    # one opaque byte string per row: equal bytes are equal int64 rows
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, group = np.unique(keys, return_inverse=True)
+    return Partition.from_keys(partition.ring, group[table.orbit_of])
 
 
 def is_self_dual(partition: Partition, char: Character | None = None) -> bool:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParameter
-from .rings import FiniteRing, GaloisField, MatrixRing, ProductRing
+from .rings import FiniteRing, GaloisField, MatrixRing, ProductRing, builtin_ring
 from .weights import WeightTable, weight_table
 
 
@@ -229,13 +229,27 @@ def _unit_orbit(ring: FiniteRing, x: int) -> np.ndarray:
     return np.flatnonzero(np.isin(right, right[left == left[x]]))
 
 
+def _is_ex5_5(ring: FiniteRing) -> bool:
+    """Is the ring the builtin ex5_5 on its own indices?
+
+    The block indices above are fixed, so the ring must have the
+    builtin's Cayley tables; a name proves nothing.  A table twin of the
+    builtin passes, a look-alike does not.
+    """
+    ref = builtin_ring("ex5_5")
+    return ring.size == ref.size and all(
+        table is not None and np.array_equal(table, ref_table)
+        for table, ref_table in ((ring.add_table, ref.add_table),
+                                 (ring.mul_table, ref.mul_table)))
+
+
 def ex5_5_partition(ring: FiniteRing) -> Partition:
     """The invariant 4-block partition whose left and right duals differ.
 
     Blocks: {0}, the units, the two-sided unit orbit of A1 plus {A2},
     and the orbit of B1 plus {B2, B3}.
     """
-    if ring.expr != "ex5_5":
+    if not _is_ex5_5(ring):
         raise InvalidParameter("this partition is defined on the ex5_5 builtin ring")
     p0 = [0]
     p1 = list(ring.units)

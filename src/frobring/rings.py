@@ -15,7 +15,8 @@ rings built from user Cayley data.  Derived structure (units, Jacobson
 radical, socles, principal ideals, the radical quotient) is computed by
 the defining property in each case.  Properties that depend only on a principal
 ideal Rx = R(ux) or xR = (xu)R are decided once per unit orbit, through
-the cached index ``unit_orbits``.
+the cached index ``unit_orbits``.  A direct product takes its Cayley
+tables, units and unit orbits from its factors, in mixed radix.
 """
 
 from __future__ import annotations
@@ -134,15 +135,15 @@ class FiniteRing:
 
     @cached_property
     def add_table(self) -> np.ndarray | None:
-        return self._table(self._add_row_impl)
+        return self._table("add") if self.size <= self.table_threshold else None
 
     @cached_property
     def mul_table(self) -> np.ndarray | None:
-        return self._table(self._mul_row_impl)
+        return self._table("mul") if self.size <= self.table_threshold else None
 
-    def _table(self, row_impl) -> np.ndarray | None:
-        if self.size > self.table_threshold:
-            return None
+    def _table(self, op: str) -> np.ndarray:
+        """The whole ``op`` ('add' or 'mul') table, one kernel row per element."""
+        row_impl = self._add_row_impl if op == "add" else self._mul_row_impl
         out = np.empty((self.size, self.size), dtype=np.int32)
         for a in range(self.size):
             out[a] = row_impl(a, None)
@@ -220,19 +221,22 @@ class FiniteRing:
         if cache is None:
             cache = self._orbit_cache = {}
         if side not in cache:
-            units = np.asarray(self.units, dtype=np.int64)
-            orbit_of = np.full(self.size, -1, dtype=np.int64)
-            reps = []
-            for x in range(self.size):
-                if orbit_of[x] < 0:
-                    orbit = self.mul_col(x, units) if side == "left" else self.mul_row(x, units)
-                    orbit_of[orbit] = len(reps)
-                    reps.append(x)
-            reps = np.asarray(reps, dtype=np.int64)
+            reps, orbit_of = self._compute_unit_orbits(side)
             reps.setflags(write=False)
             orbit_of.setflags(write=False)
             cache[side] = (reps, orbit_of)
         return cache[side]
+
+    def _compute_unit_orbits(self, side: str) -> tuple[np.ndarray, np.ndarray]:
+        units = np.asarray(self.units, dtype=np.int64)
+        orbit_of = np.full(self.size, -1, dtype=np.int64)
+        reps = []
+        for x in range(self.size):
+            if orbit_of[x] < 0:
+                orbit = self.mul_col(x, units) if side == "left" else self.mul_row(x, units)
+                orbit_of[orbit] = len(reps)
+                reps.append(x)
+        return np.asarray(reps, dtype=np.int64), orbit_of
 
     @cached_property
     def radical(self) -> tuple[int, ...]:
@@ -660,12 +664,35 @@ class MatrixRing(AlgebraRing):
         ) + "]"
 
 
+def _mixed_radix(parts, radices) -> np.ndarray:
+    """Every combination of one entry per part, encoded first part most significant.
+
+    1-D parts give the codes of all tuples in increasing order when each
+    part increases.  2-D parts are factor Cayley tables, and the result
+    is the product's table: entry (a, b) is the code of the factor
+    entries at the digits of a and b.  ``radices[i]`` is the base of
+    part i's digit.
+    """
+    out = parts[0]
+    for part, radix in zip(parts[1:], radices[1:]):
+        if part.ndim == 1:
+            out = (out[:, None] * radix + part[None, :]).ravel()
+        else:
+            out = (out[:, None, :, None] * radix + part[None, :, None, :]).reshape(
+                len(out) * len(part), -1)
+    return out
+
+
 class ProductRing(FiniteRing):
     """Direct product of rings with componentwise operations.
 
     Element index is the mixed-radix encoding of the component indices,
     first factor most significant.  The encoding is associative: nesting
-    products yields the same indexing as one flat product.
+    products yields the same indexing as one flat product.  Cayley
+    tables, units and unit orbits come from the factors with no kernel
+    call on the product: its tables are the factor tables in mixed
+    radix, its units are U_1 x ... x U_k, and its unit orbits on either
+    side are the products of the factor orbits.
     """
 
     def __init__(self, factors, table_threshold: int | None = None,
@@ -700,10 +727,7 @@ class ProductRing(FiniteRing):
 
     @cached_property
     def _dec(self) -> np.ndarray:
-        i = np.arange(self.size, dtype=np.int64)
-        return np.stack(
-            [(i // s) % sz for s, sz in zip(self.strides, self.sizes)], axis=1
-        )
+        return np.stack(np.unravel_index(np.arange(self.size), self.sizes), axis=1)
 
     def add(self, a, b):
         da, db = self.decode(a), self.decode(b)
@@ -739,10 +763,21 @@ class ProductRing(FiniteRing):
         )
 
     def _build_neg_table(self):
-        acc = np.zeros(self.size, dtype=np.int64)
-        for i, (f, s) in enumerate(zip(self.factors, self.strides)):
-            acc += s * f.neg_table[self._dec[:, i]]
-        return acc
+        return _mixed_radix([f.neg_table for f in self.factors], self.sizes)
+
+    def _table(self, op):
+        # a factor above its own threshold stacks its rows: its size, not the product's
+        tables = [getattr(f, f"{op}_table") for f in self.factors]
+        return _mixed_radix([f._table(op) if t is None else t
+                             for f, t in zip(self.factors, tables)], self.sizes)
+
+    def _compute_unit_orbits(self, side):
+        # the least member of U_1x_1 x U_2x_2 is the pair of the factors' least
+        # members, and the encoding is lexicographic, so ids follow the reps
+        orbits = [f.unit_orbits(side) for f in self.factors]
+        return (_mixed_radix([reps for reps, _ in orbits], self.sizes),
+                _mixed_radix([orbit_of for _, orbit_of in orbits],
+                             [len(reps) for reps, _ in orbits]))
 
     @cached_property
     def characteristic(self):
@@ -756,11 +791,8 @@ class ProductRing(FiniteRing):
         return all(f.is_commutative for f in self.factors)
 
     def _compute_units(self):
-        out = [
-            self.encode(combo)
-            for combo in iter_product(*(f.units for f in self.factors))
-        ]
-        return tuple(sorted(out))
+        return tuple(_mixed_radix([np.asarray(f.units, dtype=np.int64) for f in self.factors],
+                                  self.sizes).tolist())
 
     def element_label(self, i):
         comps = self.decode(i)

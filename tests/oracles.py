@@ -15,7 +15,11 @@ check on every triple that the checks on generators replaced, the cyclic
 decomposition by set closure that the coset walk replaced, and the
 weight of one element from its own character sum over the units.  The
 Krawtchouk table by one column per element, each entry reduced on its
-own, is kept for the orbit-indexed tables that replaced it.  The
+own, is kept for the orbit-indexed tables that replaced it, and so is
+the dual grouping by ``np.unique(axis=0)`` over the coefficient rows,
+which grouping the rows as opaque byte strings replaced.  A product's
+Cayley tables stacked from its own kernel rows, one per element, are
+kept for the mixed-radix tables built from the factors.  The
 grouping of elements by a per-element Python key, which every partition
 builder and the dual partition used before they keyed elements by
 integer arrays grouped in one ``np.unique`` pass, is kept as well.  So
@@ -627,6 +631,26 @@ def krawtchouk_table_by_element(partition, char, side: str) -> list[list]:
         if total != (ring.size if b == 0 else 0):
             raise InternalInconsistency(f"column at {b} sums to {total}")
     return rows
+
+
+# -- product tables by rows, dual grouping by unique rows -------------------------
+
+
+def product_table_by_rows(ring, op: str) -> np.ndarray:
+    """The ring's whole ``op`` ('add' or 'mul') table, stacked from its own
+    kernel rows, one per element."""
+    row_impl = ring._add_row_impl if op == "add" else ring._mul_row_impl
+    return np.stack([row_impl(a, None) for a in range(ring.size)])
+
+
+def dual_groups_by_unique_rows(table):
+    """The dual partition of a Krawtchouk table, orbits grouped by
+    ``np.unique(axis=0)`` over their coefficient rows."""
+    from frobring.partitions import Partition
+
+    _, group = np.unique(table.coeffs.reshape(len(table.coeffs), -1), axis=0,
+                         return_inverse=True)
+    return Partition.from_keys(table.partition.ring, group.reshape(-1)[table.orbit_of])
 
 
 # -- the builtin algebras from their definitions, and table twins ----------------

@@ -276,6 +276,32 @@ def test_partition_kind_ring_mismatch(capsys):
     assert code == 2
 
 
+def _table_file(path, ring, name):
+    path.write_text(json.dumps({"size": ring.size, "add": ring.add_table.tolist(),
+                                "mul": ring.mul_table.tolist(), "one": ring.one,
+                                "name": name}))
+    return f"table:{path}"
+
+
+@pytest.mark.parametrize("expr", ["Z16", "GF(2) x GF(2) x GF(2) x GF(2)"])
+def test_ex5_5_partition_refuses_a_look_alike_named_ex5_5(tmp_path, capsys, expr):
+    """Another 16-element ring's tables under the name "ex5_5" are refused up front."""
+    ring_arg = _table_file(tmp_path / "lookalike.json", build_ring(parse_ring(expr)), "ex5_5")
+    for argv in (("partition", "ex5_5"), ("dual", "--partition", "ex5_5")):
+        code, out, err = run_cli(capsys, *argv, "--ring", ring_arg)
+        assert code == 2
+        assert out == ""
+        assert err == "error: this partition is defined on the ex5_5 builtin ring\n"
+
+
+def test_ex5_5_partition_accepts_the_builtin_tables_under_any_name(tmp_path, capsys):
+    ring_arg = _table_file(tmp_path / "copy.json", build_ring(parse_ring("ex5_5")), "copy")
+    code, payload, _ = run_json(capsys, "partition", "ex5_5", "--ring", ring_arg)
+    assert code == 0
+    _, builtin, _ = run_json(capsys, "partition", "ex5_5", "--ring", "ex5_5")
+    assert payload["blocks"] == builtin["blocks"]
+
+
 def test_dual_command_both_sides(capsys):
     code, payload, _ = run_json(
         capsys,

@@ -48,7 +48,7 @@ from frobring.rings import (
     build_zmod,
 )
 
-from oracles import krawtchouk_table_by_element
+from oracles import dual_groups_by_unique_rows, krawtchouk_table_by_element
 from test_partitions import (_PRODUCT_RINGS, _assert_matches_grouping,
                              _partition_from_assignment, _random_partition_data)
 
@@ -496,6 +496,37 @@ def test_orbit_tables_match_oracle_on_ex5_5(ex5_5_rings):
     for ring in ex5_5_rings:
         _assert_matches_oracle(ex5_5_partition(ring))
         _assert_matches_oracle(hom_partition(ring))
+
+
+def _entries_equal_by_element(partition, char) -> bool:
+    left, right = (krawtchouk_table_by_element(partition, char, side)
+                   for side in ("left", "right"))
+    return left == right
+
+
+def test_same_entries_matches_the_entrywise_comparison(ex5_5_rings):
+    """On ex5_5 the ex5_5 partition's sides differ and the weight partition's agree."""
+    for ring in ex5_5_rings:
+        char = canonical_generating_character(ring)
+        for partition, agree in ((ex5_5_partition(ring), False), (hom_partition(ring), True)):
+            tables = [krawtchouk_table(partition, char, side) for side in ("left", "right")]
+            assert _entries_equal_by_element(partition, char) is agree
+            assert same_entries(*tables) is agree
+            assert same_entries(tables[0], tables[0])
+
+
+@pytest.mark.parametrize("expr", [*CHAIN_RINGS, "ex5_5 x GF(2)", "M(2,GF(3))"])
+def test_dual_grouping_matches_the_unique_rows_oracle(expr):
+    """Grouping rows as bytes gives the partition np.unique(axis=0) gives, also
+    where the chain rings' reduced coefficients are negative."""
+    ring = build_ring(parse_ring(expr))
+    char = canonical_generating_character(ring)
+    partition = hom_partition(ring)
+    for side in ("left", "right"):
+        table = krawtchouk_table(partition, char, side)
+        if expr in CHAIN_RINGS:
+            assert (table.coeffs < 0).any()
+        assert equals(dual_partition(partition, char, side), dual_groups_by_unique_rows(table))
 
 
 @pytest.mark.parametrize("ring", _PRODUCT_RINGS, ids=lambda r: r.expr)

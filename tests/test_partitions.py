@@ -27,6 +27,7 @@ from frobring.rings import (
     build_gf,
     build_matrix_ring,
     build_product,
+    build_table_ring,
     build_zmod,
     builtin_ring,
 )
@@ -362,6 +363,16 @@ def test_ex5_5_partition_rejects_other_rings(z4):
         ex5_5_partition(z4)
     with pytest.raises(InvalidParameter, match="defined on the ex5_5 builtin ring"):
         ex5_5_partition(build_product([builtin_ring("ex5_5"), build_gf(2)]))
+
+
+def test_ex5_5_partition_rejects_the_opposite_ring():
+    """Same size, identity and addition as ex5_5, the product reversed: refused."""
+    ring = builtin_ring("ex5_5")
+    opposite = build_table_ring({"size": 16, "add": ring.add_table, "mul": ring.mul_table.T,
+                                 "one": ring.one, "name": "ex5_5"})
+    assert not opposite.is_commutative
+    with pytest.raises(InvalidParameter, match="defined on the ex5_5 builtin ring"):
+        ex5_5_partition(opposite)
 
 
 # -- every builder against the per-element grouping oracle --------------------------

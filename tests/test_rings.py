@@ -35,6 +35,7 @@ from oracles import (
     matrix_rank_oracle,
     non_frobenius_tables_from_bits,
     principal_ideal_oracle,
+    product_table_by_rows,
     radical_oracle,
     ring_id,
     socle_oracle,
@@ -501,6 +502,65 @@ def test_unit_orbits_rejects_bad_side(z4):
         z4.unit_orbits("both")
 
 
+# -- products from their factors ---------------------------------------------------
+
+
+def _factor_route_products():
+    ex5_5, gf2 = builtin_ring("ex5_5"), build_gf(2)
+    m2f2 = build_matrix_ring(2, gf2)
+    return [
+        build_product([ex5_5, m2f2, gf2]),  # noncommutative, not semisimple
+        build_product([table_twin(ex5_5), build_zmod(4)]),
+        build_product([build_product([gf2, m2f2]), build_zmod(3)]),
+        build_product([build_zmod(4, table_threshold=0),
+                       build_matrix_ring(2, gf2, table_threshold=0)]),
+        build_product([build_zmod(8), build_zmod(9), build_gf(5)]),
+        build_product([build_gf(4), build_zmod(6)], table_threshold=10),  # above it
+    ]
+
+
+@pytest.mark.parametrize("ring", _factor_route_products(), ids=ring_id)
+def test_product_tables_units_and_orbits_match_oracles(ring):
+    by_rows = {op: product_table_by_rows(ring, op) for op in ("add", "mul")}
+    if ring.size > ring.table_threshold:
+        assert ring.add_table is None and ring.mul_table is None
+    else:
+        assert ring.add_table.dtype == ring.mul_table.dtype == np.int32
+        assert np.array_equal(ring.add_table, by_rows["add"])
+        assert np.array_equal(ring.mul_table, by_rows["mul"])
+    mul = by_rows["mul"]
+    units = np.flatnonzero(((mul == ring.one) & (mul.T == ring.one)).any(axis=1))
+    assert list(ring.units) == units.tolist()
+    small = ring.size <= 256  # the scalar oracles take O(n^2) products
+    if small:
+        assert list(ring.units) == units_oracle(ring)
+    for side in ("left", "right"):
+        reps, orbit_of = ring.unit_orbits(side)
+        by_scan = FiniteRing._compute_unit_orbits(ring, side)
+        assert np.array_equal(reps, by_scan[0]) and np.array_equal(orbit_of, by_scan[1])
+        orbits = {frozenset(np.flatnonzero(orbit_of == k).tolist()) for k in range(len(reps))}
+        by_table = mul[units] if side == "left" else mul[:, units].T  # column x: the orbit of x
+        assert orbits == {frozenset(col.tolist()) for col in by_table.T}
+        if small:
+            assert orbits == unit_orbits_oracle(ring, side)
+        assert [min(o) for o in sorted(orbits, key=min)] == reps.tolist()
+
+
+def test_product_tables_and_orbits_make_no_product_kernel_calls(monkeypatch):
+    ring = build_product([build_gf(3), build_gf(9), build_zmod(25)])
+    calls = []
+    for name in ("_add_row_impl", "_mul_row_impl", "_mul_col_impl"):
+        def counting(*args, _name=name, _orig=getattr(ring, name)):
+            calls.append(_name)
+            return _orig(*args)
+
+        monkeypatch.setattr(ring, name, counting)
+    assert ring.add_table.shape == ring.mul_table.shape == (675, 675)
+    assert len(ring.units) == 320
+    assert len(ring.unit_orbits("left")[0]) == len(ring.unit_orbits("right")[0]) == 12
+    assert calls == []
+
+
 def test_orbit_routes_make_few_kernel_calls(monkeypatch):
     """Structure, weights and invariance cost kernel calls per orbit, not per element."""
     f = build_matrix_ring(2, build_gf(3))
@@ -518,7 +578,7 @@ def test_orbit_routes_make_few_kernel_calls(monkeypatch):
     assert is_invariant(hom_partition(ring))
     orbits = len(ring.unit_orbits("left")[0]) + len(ring.unit_orbits("right")[0])
     assert orbits == 72
-    assert len(calls) <= 8 * orbits + 50
+    assert len(calls) <= 4 * orbits
 
 
 def test_one_sided_ideals_are_closed_under_library_ops(m2f2):

@@ -498,19 +498,15 @@ def test_orbit_tables_match_oracle_on_ex5_5(ex5_5_rings):
         _assert_matches_oracle(hom_partition(ring))
 
 
-def _entries_equal_by_element(partition, char) -> bool:
-    left, right = (krawtchouk_table_by_element(partition, char, side)
-                   for side in ("left", "right"))
-    return left == right
-
-
 def test_same_entries_matches_the_entrywise_comparison(ex5_5_rings):
     """On ex5_5 the ex5_5 partition's sides differ and the weight partition's agree."""
     for ring in ex5_5_rings:
         char = canonical_generating_character(ring)
         for partition, agree in ((ex5_5_partition(ring), False), (hom_partition(ring), True)):
             tables = [krawtchouk_table(partition, char, side) for side in ("left", "right")]
-            assert _entries_equal_by_element(partition, char) is agree
+            left, right = (krawtchouk_table_by_element(partition, char, side)
+                           for side in ("left", "right"))
+            assert (left == right) is agree
             assert same_entries(*tables) is agree
             assert same_entries(tables[0], tables[0])
 

@@ -5,13 +5,15 @@ chi(x) = zeta_N^e(x) where N is the additive exponent of the ring.
 A character is *generating* when its kernel contains no nonzero left
 ideal and no nonzero right ideal; finite Frobenius rings are exactly
 the finite rings admitting one.  Canonical constructions exist per ring
-family; arbitrary table rings fall back to a deterministic search.
+family; arbitrary table rings fall back to a deterministic search.  On a
+direct product every character is the sum of its restrictions to the
+factors, so additivity and the generating test run on the factors.
 """
 
 from __future__ import annotations
 
 from itertools import product as iter_product
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from . import cyclotomic
 from .errors import (CharacterSearchFailed, InternalInconsistency, InvalidParameter,
                      ResourceLimit)
 from .rings import (AlgebraRing, FiniteRing, ProductRing, TableRing, ZmodRing,
-                    _greedy_generators, _grow_span)
+                    _greedy_generators, _grow_span, _outer)
 
 
 def _additive_generators(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
@@ -46,8 +48,14 @@ def _check_hom(ring: FiniteRing, exponents: np.ndarray, order: int) -> bool:
     generator g gives e(x + y) = e(x) + e(y) for all y, by induction on
     the number of generators summing to y.  O(n) per generator.
     Exponents lie in [0, order), so e(x) + e(g) - e(x + g) must be 0 or
-    order.
+    order.  On a product, e is additive iff it is the sum of its values
+    on the factors, e(x) = sum_i e(embed_i x_i), and each of those
+    restrictions is additive; that is checked on the factors.
     """
+    if isinstance(ring, ProductRing):
+        parts = [exponents[_embedding(ring, i)] for i in range(len(ring.leaves))]
+        return (all(_check_hom(leaf, e, order) for leaf, e in zip(ring.leaves, parts))
+                and np.array_equal(_outer(np.add, parts) % order, exponents))
     gens, shifts = _additive_generators(ring)
     d = exponents[gens, None] + exponents - exponents[shifts]
     return bool(((d == 0) | (d == order)).all())
@@ -95,6 +103,42 @@ class Character:
         return f"<Character of {self.ring.expr} into Z_{self.order}>"
 
 
+def _embedding(ring: FiniteRing, i: int) -> np.ndarray:
+    """Index in the ring of every element of its leaf i, the other components 0."""
+    sizes = [leaf.size for leaf in ring.leaves]
+    return np.arange(sizes[i], dtype=np.int64) * prod(sizes[i + 1:])
+
+
+def restrictions(char: Character) -> tuple[Character, ...]:
+    """The restriction x_i -> chi(embed_i x_i) to each leaf of the ring.
+
+    On a ring that is not a product this is (chi,).  The restriction to
+    a leaf of characteristic c takes values in the roots of unity of
+    order g = gcd(order, c), so it is stored in order g.  Every character
+    has them, the unit translates included, and chi(x) is the product of
+    the restrictions at the components of x.
+    """
+    cached = getattr(char, "_restrictions", None)
+    if cached is not None:
+        return cached
+    ring = char.ring
+    if not isinstance(ring, ProductRing):
+        out = (char,)
+    else:
+        out = []
+        for i, leaf in enumerate(ring.leaves):
+            order = gcd(char.order, leaf.characteristic)
+            exps, scale = char.exponents[_embedding(ring, i)], char.order // order
+            if (exps % scale).any():
+                raise InternalInconsistency(
+                    f"{ring.expr}: the character of order {char.order} takes a value "
+                    f"of order above {order} on the factor {leaf.expr}")
+            out.append(Character(leaf, exps // scale, order))
+        out = tuple(out)
+    char._restrictions = out
+    return out
+
+
 def _kernel_holds_ideal(char: Character, side: str) -> bool:
     """Does ker chi contain a nonzero principal ideal Rx (side 'left') or xR?
 
@@ -120,13 +164,18 @@ def is_generating(char: Character) -> bool:
     """True iff the kernel of chi contains no nonzero one-sided ideal.
 
     Equivalently: for every x != 0 some left multiple and some right
-    multiple of x fall outside the kernel.
+    multiple of x fall outside the kernel.  Every one-sided ideal of a
+    product is a product I_1 x I_2 of the factors' ones, so on a product
+    chi is generating iff every restriction is.
     """
     cached = getattr(char, "_generating", None)
     if cached is not None:
         return cached
-    result = not (_kernel_holds_ideal(char, "left") or _kernel_holds_ideal(char, "right"))
-    object.__setattr__(char, "_generating", result)
+    if isinstance(char.ring, ProductRing):
+        result = all(is_generating(c) for c in restrictions(char))
+    else:
+        result = not (_kernel_holds_ideal(char, "left") or _kernel_holds_ideal(char, "right"))
+    char._generating = result
     return result
 
 
@@ -186,12 +235,9 @@ def _canonical(ring: FiniteRing) -> Character:
         return Character(ring, ring.trace_exponents, ring.p)
     if isinstance(ring, ProductRing):
         order = ring.characteristic
-        acc = np.zeros(ring.size, dtype=np.int64)
-        for i, factor in enumerate(ring.factors):
-            fc = canonical_generating_character(factor)
-            scale = order // fc.order
-            acc += scale * fc.exponents[ring._dec[:, i]]
-        return Character(ring, acc % order, order)
+        chars = [canonical_generating_character(factor) for factor in ring.factors]
+        return Character(ring, _outer(np.add, [c.exponents * (order // c.order)
+                                               for c in chars]) % order, order)
     if isinstance(ring, TableRing):
         if ring.char_exponents is not None:
             char = Character(ring, ring.char_exponents, ring.characteristic)

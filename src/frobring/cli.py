@@ -271,12 +271,25 @@ def _json_text(payload) -> str:
     The text is rendered as one list of parts, joined once at the end.
     Each list object is rendered once per nesting depth, so a row shared
     by many entries (a Krawtchouk column shared by a unit orbit) costs
-    one rendering, and a list of plain ints one ``join``.  Strings, keys
-    and other leaves go through json's own encoders.
+    one rendering.  A list of plain ints is one ``join``, and a list
+    whose items are all such lists takes their memoized texts with no
+    call per item.  Strings, keys and other leaves go through json's own
+    encoders.
     """
     parts: list[str] = []
     put = parts.append
     memo: dict[tuple[int, int], tuple[int, int]] = {}  # (id, depth) -> span of parts
+    int_texts: dict[tuple[int, int], str] = {}  # (id, depth) -> text of a list of ints
+
+    def int_list_text(value, depth: int) -> str | None:
+        """The text of a nonempty list of plain ints, memoized; None for anything else."""
+        if not (isinstance(value, (list, tuple)) and value
+                and all(type(x) is int for x in value)):
+            return None
+        pad = "\n" + "  " * (depth + 1)
+        text = int_texts[id(value), depth] = (
+            "[" + pad + ("," + pad).join(map(str, value)) + pad[:-2] + "]")
+        return text
 
     def render(value, depth: int) -> None:
         if isinstance(value, str):
@@ -302,12 +315,25 @@ def _json_text(payload) -> str:
                 return
             start = len(parts)
             pad = "\n" + "  " * (depth + 1)
-            if all(type(x) is int for x in value):
-                put("[" + pad + ("," + pad).join(map(str, value)) + pad[:-2] + "]")
+            text = int_list_text(value, depth)
+            inner = depth + 1
+            texts = None
+            if text is None and isinstance(value[0], (list, tuple)):
+                texts = [int_texts.get((id(x), inner)) or int_list_text(x, inner)
+                         for x in value]
+                if None in texts:  # some item is not a list of ints
+                    texts = None
+            if text is not None:
+                put(text)
+            elif texts is not None:
+                # the item texts between separators, as references: no copy of the block
+                items = ["," + pad] * (2 * len(texts) + 1)
+                items[0], items[-1], items[1::2] = "[" + pad, pad[:-2] + "]", texts
+                parts.extend(items)
             else:
                 put("[" + pad)
                 for x in value:
-                    render(x, depth + 1)
+                    render(x, inner)
                     put("," + pad)
                 parts[-1] = pad[:-2] + "]"
             memo[id(value), depth] = start, len(parts)
@@ -879,49 +905,48 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("info", help="ring structure summary")
     _add_common(p)
-    p.set_defaults(handler=cmd_info)
 
     p = sub.add_parser("weights", help="homogeneous weight of every element")
     _add_common(p)
-    p.set_defaults(handler=cmd_weights)
 
     p = sub.add_parser("partition", help="build a named partition")
     p.add_argument("kind", choices=PARTITION_KINDS)
     _add_common(p)
-    p.set_defaults(handler=cmd_partition)
 
     p = sub.add_parser("dual", help="dual partition(s) of a partition")
     p.add_argument("--partition", default="hom", choices=PARTITION_KINDS)
     p.add_argument("--side", default="left", choices=["left", "right", "both"])
     _add_common(p)
-    p.set_defaults(handler=cmd_dual)
 
     p = sub.add_parser("krawtchouk", help="exact character-sum coefficient tables")
     p.add_argument("--partition", default="hom", choices=PARTITION_KINDS)
     p.add_argument("--side", default="left", choices=["left", "right", "both"])
     _add_common(p)
-    p.set_defaults(handler=cmd_krawtchouk)
 
     p = sub.add_parser("verify", help="run a named check suite")
     p.add_argument("suite", choices=[*dict.fromkeys(c.suite for c in CLAIMS), "all"])
     p.add_argument("--json", action="store_true")
     p.add_argument("--no-timestamp", action="store_true")
-    p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("reproduce", help="recompute a named worked example")
     p.add_argument("id", choices=sorted(_examples()))
     p.add_argument("--json", action="store_true")
     p.add_argument("--no-timestamp", action="store_true")
-    p.set_defaults(handler=cmd_reproduce)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process; parsing leaves it unchanged."""
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    handler = globals()[f"cmd_{args.subcommand}"]  # looked up per call, not per tree
     try:
-        return args.handler(args)
+        return handler(args)
     except (RingSyntaxError, InvalidParameter, InvalidRing, CharacterSearchFailed,
             FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

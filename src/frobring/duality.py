@@ -12,6 +12,14 @@ integer array, on which the two invariants are checked once per table:
 the b = 0 column lists the block sizes, and each column sums to |R|
 exactly at b = 0 and to 0 elsewhere.  Grouping orbits by their full
 column yields the left and right dual partitions, unions of orbits.
+
+On a direct product the exponent counts of an invariant partition come
+from the factors, with no kernel call on the product: the blocks are
+unions of products O_1 x O_2 of factor orbits of the other side, and
+chi(ab) = chi_1(a_1 b_1) chi_2(a_2 b_2) for the restricted characters,
+so the count of a block at exponent e folds the factors' counts
+C_i[b_i, O_i, e_i] over the pairs with e_1 N/N_1 + e_2 N/N_2 = e mod N.
+The same reduction and checks then run on the product's table.
 """
 
 from __future__ import annotations
@@ -24,10 +32,10 @@ import numpy as np
 from . import cyclotomic
 from .characters import (Character, all_generating_characters,
                          canonical_generating_character, is_generating,
-                         is_symmetric)
+                         is_symmetric, restrictions)
 from .errors import InternalInconsistency, InvalidParameter, ResourceLimit
 from .partitions import Partition, equals, is_invariant
-from .rings import FiniteRing
+from .rings import FiniteRing, ProductRing
 from .weights import gaussian
 
 _COUNT_CHUNK = 1 << 21  # exponent counts held at once, in int64 entries
@@ -94,8 +102,10 @@ def krawtchouk_table(partition: Partition, char: Character, side: str) -> Krawtc
     if cache_key in cache:
         return cache[cache_key]
     block_of = partition.block_of
-    reps, orbit_of = ring.unit_orbits("right" if side == "left" else "left")
-    if np.array_equal(block_of[reps[orbit_of]], block_of):
+    other = "right" if side == "left" else "left"
+    other_reps, other_of = ring.unit_orbits(other)
+    invariant = np.array_equal(block_of[other_reps[other_of]], block_of)
+    if invariant:
         reps, orbit_of = ring.unit_orbits(side)
     else:  # not invariant on the other side: every element is its own orbit
         reps = orbit_of = np.arange(ring.size)
@@ -104,20 +114,100 @@ def krawtchouk_table(partition: Partition, char: Character, side: str) -> Krawtc
         raise ResourceLimit(f"{ring.expr}: a {side} table of {len(reps)} columns, {nblocks} "
                             f"blocks and character order {order} exceeds "
                             f"{_TABLE_ENTRIES} coordinates")
-    base = block_of * order
-    exps = char.exponents
-    kernel = ring.mul_col if side == "left" else ring.mul_row
-    step = max(1, _COUNT_CHUNK // (nblocks * order))
-    parts = []
-    for start in range(0, len(reps), step):
-        counts = np.stack([np.bincount(base + exps[kernel(b)], minlength=nblocks * order)
-                           for b in reps[start:start + step].tolist()])
-        parts.append(cyclotomic.reduce_exponent_counts(
-            order, counts.reshape(-1, nblocks, order)))
+    if invariant and isinstance(ring, ProductRing):
+        counts = _factor_counts(ring, block_of[other_reps], nblocks, char, side)
+    else:
+        counts = _kernel_counts(ring, block_of, nblocks, char, side, reps)
+    parts = [cyclotomic.reduce_exponent_counts(order, c) for c in counts]
     table = KrawtchoukTable(partition, char, side, np.concatenate(parts), orbit_of)
     _check_table(table)
     cache[cache_key] = table
     return table
+
+
+def _kernel_counts(ring: FiniteRing, block_of: np.ndarray, nblocks: int, char: Character,
+                   side: str, reps: np.ndarray):
+    """Exponent counts [column, block, exponent] of the columns at reps,
+    one kernel call each, in chunks of at most _COUNT_CHUNK entries."""
+    order, exps = char.order, char.exponents
+    base = block_of * order
+    kernel = ring.mul_col if side == "left" else ring.mul_row
+    step = max(1, _COUNT_CHUNK // (nblocks * order))
+    for start in range(0, len(reps), step):
+        yield np.stack([np.bincount(base + exps[kernel(b)], minlength=nblocks * order)
+                        for b in reps[start:start + step].tolist()]).reshape(-1, nblocks, order)
+
+
+def _leaf_counts(leaf: FiniteRing, char: Character, side: str, order: int):
+    """The nonzero counts C[b, O, e] of a leaf, as four aligned arrays.
+
+    C[b, O, e] counts the a in the other-side unit orbit O of the leaf
+    with chi(ab) = zeta^e (chi(ba) for side 'right'), for each
+    representative b of a unit orbit of the side.  Exponents come scaled
+    from the character's order to ``order``.  One kernel call on the
+    leaf per orbit.
+    """
+    reps, _ = leaf.unit_orbits(side)
+    other_reps, other_of = leaf.unit_orbits("right" if side == "left" else "left")
+    key = other_of * char.order
+    kernel = leaf.mul_col if side == "left" else leaf.mul_row
+    counts = np.stack([np.bincount(key + char.exponents[kernel(b)],
+                                   minlength=len(other_reps) * char.order)
+                       for b in reps.tolist()])
+    col, flat = np.nonzero(counts)
+    orbit, exp = np.divmod(flat, char.order)
+    return col, orbit, exp * (order // char.order), counts[col, flat]
+
+
+def _fold(acc, leaf, radices, order: int):
+    """Every pair of an accumulated count and a leaf count: columns and
+    orbits in mixed radix, exponents added mod the order, counts
+    multiplied."""
+    (cols, orbits), (lcols, lorbits) = (acc[:2], leaf[:2])
+    return ((cols[:, None] * radices[0] + lcols).ravel(),
+            (orbits[:, None] * radices[1] + lorbits).ravel(),
+            ((acc[2][:, None] + leaf[2]) % order).ravel(),
+            (acc[3][:, None] * leaf[3]).ravel())
+
+
+def _factor_counts(ring: ProductRing, block_of_orbit: np.ndarray, nblocks: int,
+                   char: Character, side: str):
+    """Exponent counts [column, block, exponent] of a product's orbit
+    columns, from its leaves, in chunks of at most _COUNT_CHUNK entries.
+
+    The leaves after the first are folded pairwise into one list of
+    (column, other-side orbit, exponent, count), equal keys merged; each
+    chunk of the first leaf's columns is folded with it last, and every
+    combined orbit, coded as the product's own orbit id, is mapped to its
+    block by ``block_of_orbit``.  Each count is at most |R|, so the
+    float64 sums of bincount are exact.
+    """
+    order = char.order
+    leaves = ring.leaves
+    side_k = [len(leaf.unit_orbits(side)[0]) for leaf in leaves]
+    other_k = [len(leaf.unit_orbits("right" if side == "left" else "left")[0])
+               for leaf in leaves]
+    counts = [_leaf_counts(leaf, c, side, order) for leaf, c in zip(leaves, restrictions(char))]
+    rest, rest_cols, rest_orbits = counts[-1], side_k[-1], other_k[-1]
+    for i in range(len(leaves) - 2, 0, -1):
+        cols, orbits, exps, num = _fold(counts[i], rest, (rest_cols, rest_orbits), order)
+        rest_cols, rest_orbits = rest_cols * side_k[i], rest_orbits * other_k[i]
+        keys, group = np.unique((cols * rest_orbits + orbits) * order + exps,
+                                return_inverse=True)
+        num = np.bincount(group, weights=num).astype(np.int64)
+        cols, rest_orbit_exp = np.divmod(keys, rest_orbits * order)
+        rest = (cols, *np.divmod(rest_orbit_exp, order), num)
+    first = counts[0]
+    step = max(1, _COUNT_CHUNK // (rest_cols * nblocks * order))
+    for start in range(0, side_k[0], step):
+        stop = min(start + step, side_k[0])
+        take = (first[0] >= start) & (first[0] < stop)
+        chunk = (first[0][take] - start, *(part[take] for part in first[1:]))
+        cols, orbits, exps, num = _fold(chunk, rest, (rest_cols, rest_orbits), order)
+        ncols = (stop - start) * rest_cols
+        flat = (cols * nblocks + block_of_orbit[orbits]) * order + exps
+        yield np.bincount(flat, weights=num, minlength=ncols * nblocks * order).astype(
+            np.int64).reshape(ncols, nblocks, order)
 
 
 def _check_table(table: KrawtchoukTable) -> None:

@@ -16,14 +16,15 @@ radical, socles, principal ideals, the radical quotient) is computed by
 the defining property in each case.  Properties that depend only on a principal
 ideal Rx = R(ux) or xR = (xu)R are decided once per unit orbit, through
 the cached index ``unit_orbits``.  A direct product takes its Cayley
-tables, units and unit orbits from its factors, in mixed radix.
+tables, units, unit orbits, radical, socles and Frobenius test from its
+factors, in mixed radix.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product as iter_product
 from math import gcd
 
@@ -264,13 +265,16 @@ class FiniteRing:
         if cache is None:
             cache = self._socle_cache = {}
         if side not in cache:
-            reps, _ = self.unit_orbits(side)
-            mask = np.ones(self.size, dtype=bool)
-            for j in reps[np.isin(reps, self.radical)]:
-                jr = self.mul_row(int(j)) if side == "left" else self.mul_col(int(j))
-                mask &= jr == 0
-            cache[side] = tuple(int(x) for x in np.flatnonzero(mask))
+            cache[side] = self._compute_socle(side)
         return cache[side]
+
+    def _compute_socle(self, side: str) -> tuple[int, ...]:
+        reps, _ = self.unit_orbits(side)
+        mask = np.ones(self.size, dtype=bool)
+        for j in reps[np.isin(reps, self.radical)]:
+            jr = self.mul_row(int(j)) if side == "left" else self.mul_col(int(j))
+            mask &= jr == 0
+        return tuple(int(x) for x in np.flatnonzero(mask))
 
     def principal_ideal_mask(self, x: int, side: str = "left") -> np.ndarray:
         """Boolean membership mask of Rx (side 'left') or xR ('right')."""
@@ -341,6 +345,12 @@ class FiniteRing:
         qring.structure = self.structure
         self._quotient_cache = (qring, pi)
         return self._quotient_cache
+
+    @property
+    def leaves(self) -> tuple[FiniteRing, ...]:
+        """The rings this one is the direct product of, nested products
+        expanded, in index order: the ring itself unless it is a product."""
+        return (self,)
 
     # -- presentation --------------------------------------------------------
 
@@ -664,6 +674,13 @@ class MatrixRing(AlgebraRing):
         ) + "]"
 
 
+def _outer(op, parts) -> np.ndarray:
+    """``op`` over one entry per part, for every combination, first part most
+    significant: with ``np.add`` the sum of factor values at every product
+    element, with ``np.multiply`` their product."""
+    return reduce(lambda acc, part: op.outer(acc, part).ravel(), parts)
+
+
 def _mixed_radix(parts, radices) -> np.ndarray:
     """Every combination of one entry per part, encoded first part most significant.
 
@@ -688,11 +705,21 @@ class ProductRing(FiniteRing):
 
     Element index is the mixed-radix encoding of the component indices,
     first factor most significant.  The encoding is associative: nesting
-    products yields the same indexing as one flat product.  Cayley
-    tables, units and unit orbits come from the factors with no kernel
-    call on the product: its tables are the factor tables in mixed
-    radix, its units are U_1 x ... x U_k, and its unit orbits on either
-    side are the products of the factor orbits.
+    products yields the same indexing as one flat product, so every route
+    below can run over ``leaves``, the factors with nested products
+    expanded.  Cayley tables, units, unit orbits and structure come from
+    the factors with no kernel call on the product: its tables are the
+    factor tables in mixed radix, its units are U_1 x ... x U_k, its unit
+    orbits on either side are the products of the factor orbits, its
+    radical and socles are the products of the factors' ones, and it is
+    Frobenius iff every factor is, each factor running its own checks.
+    The other modules take the same route: a character restricts to each
+    factor (``characters.restrictions``) and is generating iff every
+    restriction is, the unit sums are products of the factors' sums, the
+    weight equations are checked on the product through the factors'
+    principal-ideal matrices, and the Krawtchouk columns of a partition
+    invariant on the other side are built from the factors' exponent
+    counts, then checked on the product.
     """
 
     def __init__(self, factors, table_threshold: int | None = None,
@@ -778,6 +805,28 @@ class ProductRing(FiniteRing):
         return (_mixed_radix([reps for reps, _ in orbits], self.sizes),
                 _mixed_radix([orbit_of for _, orbit_of in orbits],
                              [len(reps) for reps, _ in orbits]))
+
+    @cached_property
+    def leaves(self):
+        return tuple(leaf for f in self.factors for leaf in f.leaves)
+
+    @cached_property
+    def radical(self):
+        # rad(R_1 x R_2) = rad R_1 x rad R_2
+        return self._from_factors(f.radical for f in self.factors)
+
+    def _compute_socle(self, side):
+        return self._from_factors(f.socle_members(side) for f in self.factors)
+
+    def _from_factors(self, member_lists) -> tuple[int, ...]:
+        """The product of one increasing member list per factor, as a tuple."""
+        parts = [np.asarray(m, dtype=np.int64) for m in member_lists]
+        return tuple(_mixed_radix(parts, self.sizes).tolist())
+
+    @cached_property
+    def is_frobenius(self):
+        # a list, not a generator: every factor runs its own consistency checks
+        return all([f.is_frobenius for f in self.factors])
 
     @cached_property
     def characteristic(self):

@@ -12,8 +12,12 @@ so a table holds one integer numerator |R*| - s(x) per element over the
 single denominator |R*|, and is checked against the defining equations
 on both sides in that integer form.  The sums and the checks run once
 per unit orbit, since Rx = R(ux) and the unit sum is the same along Ux
-and along xU.  Closed forms for matrix rings and products of matrix
-rings serve as independent cross-checks.
+and along xU.  On a direct product both run on the factors: the unit sum
+at (x_1, x_2) is s_1(x_1) s_2(x_2) under the restricted characters, and
+the principal ideal of (x_1, x_2) is R_1 x_1 x R_2 x_2, so every ideal
+sum of the product's own numerators is an entry of M_1 NUM M_2^T for the
+factors' principal-ideal matrices M_i.  Closed forms for matrix rings
+and products of matrix rings serve as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -27,9 +31,10 @@ from math import comb
 import numpy as np
 
 from . import cyclotomic
-from .characters import Character, canonical_generating_character
+from .characters import (Character, _embedding, canonical_generating_character,
+                         restrictions)
 from .errors import InternalInconsistency, InvalidParameter
-from .rings import FiniteRing
+from .rings import FiniteRing, _mixed_radix, _outer
 
 
 def gaussian(m: int, j: int, q: int) -> int:
@@ -137,6 +142,22 @@ class WeightTable:
                         for v, c in zip(values.tolist(), counts.tolist())})
 
 
+def _orbit_ideals(ring: FiniteRing, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """The principal ideals of the unit-orbit representatives.
+
+    Returns the boolean matrix whose row k marks the ideal of the k-th
+    representative (Rx on side 'left', xR on 'right'), and for each
+    representative the first one generating the same ideal.  One kernel
+    call per orbit.
+    """
+    reps, _ = ring.unit_orbits(side)
+    masks = np.stack([ring.principal_ideal_mask(r, side) for r in reps.tolist()])
+    rows = np.packbits(masks, axis=1)
+    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    return masks, first[group]
+
+
 def _validate_homogeneous(ring: FiniteRing, num: np.ndarray, denom: int) -> None:
     """Check the defining equations on every principal ideal, both sides.
 
@@ -144,14 +165,23 @@ def _validate_homogeneous(ring: FiniteRing, num: np.ndarray, denom: int) -> None
     side is decided once per unit orbit: the weight must be constant on
     every orbit, equal on orbits whose representatives generate the same
     ideal, and average 1 over each distinct nonzero principal ideal.
-    That is every equation the definition poses at every element.  A
-    unit sum lies in [-|R*|, |R*|], so 0 <= num <= 2|R*| and an ideal sum
-    of numerators stays below 2|R|^2, far inside int64 for every ring
-    under the size guard.
+    That is every equation the definition poses at every element.
+
+    The ideal of a representative (x_1, ..., x_k) of a product is the
+    product of the leaves' ideals, so with M_i the principal-ideal matrix
+    of leaf i, the ideal sums are the entries of NUM contracted with every
+    M_i along its own axis (M_1 NUM M_2^T for two leaves), where NUM is
+    num reshaped to the leaf sizes; the ideal sizes are the products of
+    the row sums; and two ideals are equal iff all their factors are.  A
+    ring that is not a product is its own single leaf.  A unit sum lies
+    in [-|R*|, |R*|], so 0 <= num <= 2|R*| and an ideal sum of
+    numerators stays below 2|R|^2, far inside int64 for every ring under
+    the size guard.
     """
     if num[0] != 0:
         raise InternalInconsistency(
             f"{ring.expr}: weight of 0 is {Fraction(int(num[0]), denom)}, not 0")
+    leaves = ring.leaves
     for side in ("left", "right"):
         reps, orbit_of = ring.unit_orbits(side)
         off = np.flatnonzero(num[reps[orbit_of]] != num)
@@ -161,50 +191,72 @@ def _validate_homogeneous(ring: FiniteRing, num: np.ndarray, denom: int) -> None
                 f"{ring.expr}: weight is not constant on the {side} unit orbit "
                 f"of {reps[orbit_of[x]]} (element {x})"
             )
-        first_seen: dict[bytes, int] = {}
-        for r in reps[1:].tolist():  # reps[0] = 0, whose orbit is {0}
-            members = ring.principal_ideal_mask(r, side)
-            key = np.packbits(members).tobytes()
-            if key in first_seen:
-                if num[r] != num[first_seen[key]]:
-                    raise InternalInconsistency(
-                        f"{ring.expr}: weight is not constant on equal {side} "
-                        f"principal ideals (elements {first_seen[key]} and {r})"
-                    )
-                continue
-            first_seen[key] = r
-            total, size = int(num[members].sum()), int(members.sum())
-            if total != denom * size:
-                raise InternalInconsistency(
-                    f"{ring.expr}: average over the {side} ideal of {r} "
-                    f"is {Fraction(total, denom)}/{size}, not 1"
-                )
+        masks, firsts = zip(*(_orbit_ideals(leaf, side) for leaf in leaves))
+        totals = num.reshape([leaf.size for leaf in leaves])
+        for axis, leaf_masks in enumerate(masks):  # M_i times totals along axis i
+            rows = np.moveaxis(totals, axis, 0)
+            totals = np.moveaxis(np.stack([rows[m].sum(axis=0) for m in leaf_masks]), 0, axis)
+        totals = totals.ravel()
+        sizes = _outer(np.multiply, [m.sum(axis=1) for m in masks])
+        first = _mixed_radix(list(firsts), [len(f) for f in firsts])
+        # reps[0] = 0, whose ideal {0} no other representative generates
+        unequal = num[reps] != num[reps[first]]
+        unaveraged = (first == np.arange(len(reps))) & (totals != denom * sizes)
+        unaveraged[0] = False
+        bad = np.flatnonzero(unequal | unaveraged)
+        if not len(bad):
+            continue
+        k = int(bad[0])
+        r = int(reps[k])
+        if unequal[k]:
+            raise InternalInconsistency(
+                f"{ring.expr}: weight is not constant on equal {side} "
+                f"principal ideals (elements {reps[first[k]]} and {r})"
+            )
+        raise InternalInconsistency(
+            f"{ring.expr}: average over the {side} ideal of {r} "
+            f"is {Fraction(int(totals[k]), denom)}/{sizes[k]}, not 1"
+        )
 
 
-def _orbit_unit_sums(ring: FiniteRing, char: Character,
-                     units_arr: np.ndarray, side: str) -> np.ndarray:
-    """Unit sum at every element, computed once per unit orbit.
+def _orbit_unit_sums(ring: FiniteRing, i: int, char: Character, side: str) -> np.ndarray:
+    """Unit sum at every element of leaf i, computed once per unit orbit.
 
-    Side 'left' sums chi(u*x) over the units, side 'right' chi(x*u).
-    The multiset {u*x : u unit} is the same for every member of the
-    orbit Ux (and {x*u} for every member of xU), so one character sum
-    covers the whole orbit.  The rational value is extracted with the
-    trace map; validation downstream certifies the table.
+    Side 'left' sums chi(u*x) over the units, side 'right' chi(x*u), for
+    a character chi of the leaf.  The multiset {u*x : u unit} is the same
+    for every member of the orbit Ux (and {x*u} for every member of xU),
+    so one character sum covers the whole orbit.  The rational value is
+    extracted with the trace map; validation downstream certifies the
+    table.
     """
+    leaf = ring.leaves[i]
     order = char.order
     traces = np.asarray(cyclotomic.root_power_traces(order), dtype=np.int64)
     phi = int(traces[0])
-    reps, orbit_of = ring.unit_orbits(side)
+    units_arr = np.asarray(leaf.units, dtype=np.int64)
+    reps, orbit_of = leaf.unit_orbits(side)
     sums = np.empty(len(reps), dtype=np.int64)
-    for i, x in enumerate(reps.tolist()):
-        prods = ring.mul_col(x, units_arr) if side == "left" else ring.mul_row(x, units_arr)
+    for k, x in enumerate(reps.tolist()):
+        prods = leaf.mul_col(x, units_arr) if side == "left" else leaf.mul_row(x, units_arr)
         dot = int(np.bincount(char.exponents[prods], minlength=order) @ traces)
         if dot % phi:
             raise InternalInconsistency(
-                f"{ring.expr}: unit sum at {x} is not a rational integer"
+                f"{ring.expr}: unit sum at {_embedding(ring, i)[x]} is not a rational integer"
             )
-        sums[i] = dot // phi
+        sums[k] = dot // phi
     return sums[orbit_of]
+
+
+def _unit_sums(ring: FiniteRing, char: Character, side: str) -> np.ndarray:
+    """Unit sum at every element: s(x_1, ..., x_k) = s_1(x_1) ... s_k(x_k).
+
+    The units of a product are U_1 x ... x U_k and chi(ux) is the product
+    of the restrictions at the components, so the sum factors over the
+    leaves, each taken with its restricted character.  A unit sum is at
+    most |R*| in size, so the products stay exact in int64.
+    """
+    return _outer(np.multiply, [_orbit_unit_sums(ring, i, c, side)
+                                for i, c in enumerate(restrictions(char))])
 
 
 def weight_table(ring: FiniteRing, char: Character | None = None) -> WeightTable:
@@ -220,10 +272,9 @@ def weight_table(ring: FiniteRing, char: Character | None = None) -> WeightTable
     key = char.key()
     if key in cache:
         return cache[key]
-    units_arr = np.asarray(ring.units, dtype=np.int64)
-    nunits = len(units_arr)
-    left = _orbit_unit_sums(ring, char, units_arr, "left")
-    right = _orbit_unit_sums(ring, char, units_arr, "right")
+    nunits = len(ring.units)
+    left = _unit_sums(ring, char, "left")
+    right = _unit_sums(ring, char, "right")
     differ = np.flatnonzero(left != right)
     if len(differ):
         raise InternalInconsistency(

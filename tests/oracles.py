@@ -31,6 +31,13 @@ The builtin algebras are pinned to their definitions: ex5_5 by products
 of its 4x4 binary matrices, the 8-element non-Frobenius algebra by
 packed-bit arithmetic.  Any ring can be rebuilt as a table ring from its
 own Cayley tables, a twin on which every result must come out the same.
+A product takes its structure, generating test, unit sums, weight
+validation and Krawtchouk columns from its factors; the direct orbit
+routes on the whole product, one kernel call on it per unit orbit, are
+kept here for those: the orbit scans of ``FiniteRing`` for the radical,
+the socles and the Frobenius test, the ideal search per orbit for the
+generating test, the unit sum per orbit, the validator that builds each
+orbit's principal ideal as a mask, and the Krawtchouk column per orbit.
 """
 
 from __future__ import annotations
@@ -631,6 +638,102 @@ def krawtchouk_table_by_element(partition, char, side: str) -> list[list]:
         if total != (ring.size if b == 0 else 0):
             raise InternalInconsistency(f"column at {b} sums to {total}")
     return rows
+
+
+# -- the direct orbit routes on a whole product ----------------------------------
+
+
+def structure_by_orbit_scan(ring) -> tuple:
+    """Radical, left and right socles and the Frobenius flag by the orbit
+    scans a ring that is not a product takes, with kernel calls on the
+    ring itself: the radical test 1 - rx a unit per left orbit, the
+    annihilator of one radical element per orbit, and a generator of
+    each socle searched among the orbit representatives inside it."""
+    from frobring.rings import FiniteRing
+
+    radical = FiniteRing.radical.func(ring)
+    socles, principal = [], []
+    for side in ("left", "right"):
+        reps, _ = ring.unit_orbits(side)
+        soc = np.ones(ring.size, dtype=bool)
+        for j in reps[np.isin(reps, radical)].tolist():
+            soc &= (ring.mul_row(j) if side == "left" else ring.mul_col(j)) == 0
+        socles.append(tuple(np.flatnonzero(soc).tolist()))
+        principal.append(any(np.array_equal(ring.principal_ideal_mask(a, side), soc)
+                             for a in reps[soc[reps]].tolist()))
+    if principal[0] != principal[1]:
+        raise InternalInconsistency("one-sided principal-socle conditions disagree")
+    return radical, socles[0], socles[1], principal[0]
+
+
+def is_generating_by_orbits(char) -> bool:
+    """Generating test on the whole ring: one ideal check per unit orbit
+    inside the kernel, on each side."""
+    from frobring.characters import _kernel_holds_ideal
+
+    return not (_kernel_holds_ideal(char, "left") or _kernel_holds_ideal(char, "right"))
+
+
+def unit_sums_by_orbits(ring, char, side: str) -> np.ndarray:
+    """Unit sum at every element, one character sum over the units of the
+    whole ring per unit orbit: chi(u*x) on side 'left', chi(x*u) on 'right'."""
+    traces = np.asarray(cyclotomic.root_power_traces(char.order), dtype=np.int64)
+    units_arr = np.asarray(ring.units, dtype=np.int64)
+    reps, orbit_of = ring.unit_orbits(side)
+    sums = []
+    for x in reps.tolist():
+        prods = ring.mul_col(x, units_arr) if side == "left" else ring.mul_row(x, units_arr)
+        dot = int(np.bincount(char.exponents[prods], minlength=char.order) @ traces)
+        if dot % int(traces[0]):
+            raise InternalInconsistency(f"{ring.expr}: unit sum at {x} is not a rational integer")
+        sums.append(dot // int(traces[0]))
+    return np.array(sums, dtype=np.int64)[orbit_of]
+
+
+def validate_homogeneous_by_orbits(ring, num: np.ndarray, denom: int) -> None:
+    """The weight equations once per unit orbit, each orbit's principal
+    ideal built as a membership mask on the whole ring.  Raises
+    InternalInconsistency with the library validator's messages."""
+    if num[0] != 0:
+        raise InternalInconsistency(
+            f"{ring.expr}: weight of 0 is {Fraction(int(num[0]), denom)}, not 0")
+    for side in ("left", "right"):
+        reps, orbit_of = ring.unit_orbits(side)
+        off = np.flatnonzero(num[reps[orbit_of]] != num)
+        if len(off):
+            x = int(off[0])
+            raise InternalInconsistency(
+                f"{ring.expr}: weight is not constant on the {side} unit orbit "
+                f"of {reps[orbit_of[x]]} (element {x})")
+        first_seen: dict[bytes, int] = {}
+        for r in reps[1:].tolist():
+            members = ring.principal_ideal_mask(r, side)
+            key = np.packbits(members).tobytes()
+            if key in first_seen:
+                if num[r] != num[first_seen[key]]:
+                    raise InternalInconsistency(
+                        f"{ring.expr}: weight is not constant on equal {side} "
+                        f"principal ideals (elements {first_seen[key]} and {r})")
+                continue
+            first_seen[key] = r
+            total, size = int(num[members].sum()), int(members.sum())
+            if total != denom * size:
+                raise InternalInconsistency(
+                    f"{ring.expr}: average over the {side} ideal of {r} "
+                    f"is {Fraction(total, denom)}/{size}, not 1")
+
+
+def krawtchouk_coeffs_by_orbit_columns(partition, char, side: str) -> np.ndarray:
+    """Reduced coefficients [orbit, block, coordinate] of a partition
+    invariant on the other side, one kernel call on the whole ring per
+    unit orbit of the side."""
+    from frobring.duality import _kernel_counts
+
+    reps, _ = partition.ring.unit_orbits(side)
+    return np.concatenate([
+        cyclotomic.reduce_exponent_counts(char.order, counts)
+        for counts in _kernel_counts(partition.ring, partition.block_of,
+                                     partition.num_blocks, char, side, reps)])
 
 
 # -- product tables by rows, dual grouping by unique rows -------------------------

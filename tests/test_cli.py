@@ -228,6 +228,21 @@ def test_weights_rejects_bad_char(capsys):
     assert code == 2
 
 
+def test_the_cached_parser_keeps_nothing_between_calls(capsys):
+    """main() builds its argument tree once; no parsed option leaks into the next call."""
+    assert cli._parser() is cli._parser()
+    argv = ["krawtchouk", "--ring", "ex5_5", "--side", "both", "--no-timestamp"]
+    code, translated, _ = run_cli(capsys, *argv, "--json", "--char", "index:3")
+    assert code == 0 and json.loads(translated)
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0 and plain != translated
+    args = cli._parser().parse_args(argv)
+    assert not args.json and args.char == "canonical" and args.max_size is None
+    cli._parser.cache_clear()  # a fresh tree, as a new process has
+    code, fresh, _ = run_cli(capsys, *argv)
+    assert code == 0 and plain == fresh
+
+
 def test_char_index_is_the_left_translate_by_the_kth_unit():
     """On ex5_5 no generating character is symmetric, so the sides differ."""
     ring = build_ring(parse_ring("ex5_5"))

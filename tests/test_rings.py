@@ -22,7 +22,7 @@ from frobring.rings import (
     load_table_spec,
     validate_tables,
 )
-from frobring import characters
+from frobring import characters, duality, partitions
 from frobring.characters import canonical_generating_character
 from frobring.cli import _non_frobenius_ring
 from frobring.partitions import hom_partition, is_invariant
@@ -562,7 +562,7 @@ def test_product_tables_and_orbits_make_no_product_kernel_calls(monkeypatch):
 
 
 def test_orbit_routes_make_few_kernel_calls(monkeypatch):
-    """Structure, weights and invariance cost kernel calls per orbit, not per element."""
+    """Structure, weights and invariance of a product make no kernel call on it."""
     f = build_matrix_ring(2, build_gf(3))
     ring = build_product([f, f])
     calls = []
@@ -578,7 +578,32 @@ def test_orbit_routes_make_few_kernel_calls(monkeypatch):
     assert is_invariant(hom_partition(ring))
     orbits = len(ring.unit_orbits("left")[0]) + len(ring.unit_orbits("right")[0])
     assert orbits == 72
-    assert len(calls) <= 4 * orbits
+    assert calls == []
+
+
+@pytest.mark.parametrize("ring", [
+    build_product([build_matrix_ring(2, build_gf(3))] * 2),
+    # no tables on the product, so a whole-ring operation could only be a kernel call
+    build_product([build_gf(3), build_gf(9), build_zmod(25)], table_threshold=0),
+], ids=ring_id)
+def test_product_stages_make_no_product_kernel_calls(monkeypatch, ring):
+    calls = []
+    for name in ("_add_row_impl", "_mul_row_impl", "_mul_col_impl"):
+        def counting(*args, _name=name, _orig=getattr(ring, name)):
+            calls.append(_name)
+            return _orig(*args)
+
+        monkeypatch.setattr(ring, name, counting)
+    info = ring.describe()
+    assert info["is_frobenius"] and info["radical_size"] == len(ring.radical)
+    char = canonical_generating_character(ring)
+    assert characters.is_generating(char)
+    hom = partitions.partition_from_weight(weight_table(ring, char))
+    for side in ("left", "right"):
+        duality.krawtchouk_table(hom, char, side)
+        duality.dual_partition(hom, char, side)
+    assert duality.is_reflexive(hom, char)
+    assert calls == []
 
 
 def test_one_sided_ideals_are_closed_under_library_ops(m2f2):

@@ -33,7 +33,7 @@ def _additive_generators(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
     cached = getattr(ring, "_additive_generators", None)
     if cached is not None:
         return cached
-    pairs = list(_greedy_generators(ring.size, ring.add_row))
+    pairs = [(g, shift) for g, shift, _ in _greedy_generators(ring.size, ring.add_row)]
     ring._additive_generators = (
         np.array([g for g, _ in pairs], dtype=np.int64),
         np.array([shift for _, shift in pairs], dtype=np.int64).reshape(-1, ring.size),

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from functools import cached_property, reduce
 from itertools import product as iter_product
 from math import gcd
@@ -898,34 +899,36 @@ def _first_mismatch_by_rows(n: int, lhs, rhs) -> tuple[int, int] | None:
     return None
 
 
-def _grow_span(in_span: np.ndarray, shift: np.ndarray) -> None:
+def _grow_span(in_span: np.ndarray, shift: np.ndarray) -> list[np.ndarray]:
     """Extend the subgroup H marked in the mask ``in_span`` to H + <g>.
 
     ``shift`` is the translation x -> x + g.  The cosets H + jg are
     pairwise disjoint until one falls back into H, so the walk marks
-    each new coset until it meets a marked one.  Sound wherever H and g
-    lie in an associative part of the addition.
+    each new coset until it meets a marked one, and returns the cosets
+    H, H + g, ..., H + (m-1)g it passed, each in the order of H.  Sound
+    wherever H and g lie in an associative part of the addition; each
+    step marks at least one element, so the walk ends on any table.
     """
-    coset = np.flatnonzero(in_span)
-    while not in_span[shift[coset[0]]]:
-        coset = shift[coset]
-        in_span[coset] = True
+    walk = [np.flatnonzero(in_span)]
+    while not in_span[shift[walk[-1][0]]]:
+        walk.append(shift[walk[-1]])
+        in_span[walk[-1]] = True
+    return walk
 
 
 def _greedy_generators(size: int, translation):
-    """Yield a generating set of (R,+) as pairs (g, x -> x + g).
+    """Yield a generating set of (R,+) as triples (g, x -> x + g, walk).
 
-    The least element outside the span so far joins the set; the span
-    grows by it only after the caller resumes, so a caller can check g
-    first.  Each span at least doubles, so at most log2(size) members.
-    ``translation(g)`` returns the translation by g.
+    The least element outside the span so far joins the set, and the
+    span grows by it before it is yielded; ``walk`` is what
+    ``_grow_span`` returned.  Each span at least doubles, so at most
+    log2(size) members.  ``translation(g)`` returns the translation by g.
     """
     in_span = np.arange(size) == 0
     while not in_span.all():
         g = int(np.argmin(in_span))
         shift = translation(g)
-        yield g, shift
-        _grow_span(in_span, shift)
+        yield g, shift, _grow_span(in_span, shift)
 
 
 def validate_tables(add: np.ndarray, mul: np.ndarray, one: int) -> None:
@@ -937,20 +940,25 @@ def validate_tables(add: np.ndarray, mul: np.ndarray, one: int) -> None:
     axioms are checked on a greedy additive generating set S:
 
     * Associativity of + by Light's test: (x+g)+y = x+(g+y) for all x, y
-      and each g in S, run before the span grows by g.  The elements
-      passing it are closed under +, and with permutation rows they form
-      a group.  So each span is a subgroup, the coset walk that grows it
-      is sound, it at least doubles per generator (|S| <= log2 n), and
-      + is associative once S spans.
-    * Right distributivity (x+g)a = xa+ga for all x, a and g in S: for
-      fixed a, the g satisfying it for all x are closed under +.
+      and each g in S, as g joins S.  The elements passing it are
+      closed under +, and with permutation rows they form a group.  So
+      each span is a subgroup, the coset walk that grew it is sound, it
+      at least doubles per generator (|S| <= log2 n), and + is
+      associative once S spans.
+    * Right distributivity (x+g)a = xa+ga for all a, on the edges
+      x -> x+g of the coset walks that grew the spans: the edge into
+      each nonzero element, and per g in S the closing edge
+      (m-1)g -> mg = h in the span before g.  These give (R,+) the
+      presentation <S | mg = h, commuting>, so for fixed a the map
+      x -> xa, additive on every edge, is additive.
     * Left distributivity a(x+g) = ax+ag for a, g in S and all x: for
       fixed a the g are closed under +, and given right distributivity
       so are the a, as (a+b)(x+y) = a(x+y) + b(x+y).
     * Associativity of * on S^3: with both distributive laws the
       associator (xy)z - x(yz) is additive in each argument.
 
-    Cost: k n^2 for the first two, k^2 n and k^3 for the last, k = |S|.
+    Cost: k n^2 for Light's test, n^2 for right distributivity, k^2 n
+    and k^3 for the last two, k = |S|.
     """
     n = add.shape[0]
     arange = np.arange(n)
@@ -971,8 +979,8 @@ def validate_tables(add: np.ndarray, mul: np.ndarray, one: int) -> None:
         mul[:, one], arange
     ):
         raise InvalidRing(f"element {one} is not a two-sided identity", witness=(one,))
-    gens = []
-    for g, shift in _greedy_generators(n, add.__getitem__):
+    gens, edges = [], []
+    for g, shift, walk in _greedy_generators(n, add.__getitem__):
         # (x+g)+y against x+(g+y) at [x, y]
         bad = _first_mismatch_by_rows(n, lambda rows: add[shift[rows]],
                                       lambda rows: add[rows][:, shift])
@@ -981,18 +989,22 @@ def validate_tables(add: np.ndarray, mul: np.ndarray, one: int) -> None:
             raise InvalidRing(f"addition is not associative at ({x},{g},{y})",
                               witness=(x, g, y))
         gens.append(g)
-    by_col, flat_add = np.ascontiguousarray(mul.T), add.ravel()
-    for g in gens:
-        # (x+g)a against xa + ga at [a, x]: row a reads the one addition row of ga
-        shift, row_of_ga = add[g], mul[g].astype(np.intp) * n
-        bad = _first_mismatch_by_rows(n, lambda rows: by_col[rows][:, shift],
-                                      lambda rows: flat_add.take(
-                                          row_of_ga[rows, None] + by_col[rows]))
-        if bad:
-            a, x = bad
-            raise InvalidRing(f"right distributivity fails at ({a},{x},{g})",
-                              witness=(a, x, g))
+        # the sources x of the walk's edges x -> x+g, the closing one last
+        edges.append(np.concatenate(walk[:-1] + [walk[-1][:1]]))
     s = np.array(gens, dtype=np.intp)
+    counts = [len(e) for e in edges]  # s[:0]: no edges on a one-element ring
+    xs, gs = np.concatenate([s[:0], *edges]), np.repeat(s, counts)
+    # (x+g)a against xa + ga at [a, edge]: row a reads the addition rows of the ga
+    by_col, flat_add, x_plus_g = np.ascontiguousarray(mul.T), add.ravel(), add[xs, gs]
+    row_of_ga = by_col[:, s].astype(np.intp) * n
+    bad = _first_mismatch_by_rows(n, lambda rows: by_col[rows][:, x_plus_g],
+                                  lambda rows: flat_add.take(
+                                      np.repeat(row_of_ga[rows], counts, axis=1)
+                                      + by_col[rows][:, xs]))
+    if bad:
+        a, x, g = bad[0], int(xs[bad[1]]), int(gs[bad[1]])
+        raise InvalidRing(f"right distributivity fails at ({a},{x},{g})",
+                          witness=(a, x, g))
     ss = mul[np.ix_(s, s)]
     # a(g+x) at [a, g, x] against ax + ag, for a, g in S
     bad = _first_mismatch(mul[s[:, None, None], add[s]],
@@ -1015,13 +1027,88 @@ def _require_fields(spec: dict, where: str) -> None:
         raise InvalidParameter(f"{where}: missing fields {sorted(missing)}")
 
 
+_JSON = json.JSONDecoder()
+_SPACES_AND_DIGITS = b" \t\n\r0123456789"
+_POWERS_OF_TEN = [10 ** k for k in range(1, 19)]
+
+
+def _int_matrix(s: str, idx: int) -> tuple[np.ndarray, int] | None:
+    """The JSON array at ``s[idx]`` as an int64 matrix and its end, or None.
+
+    Accepts exactly a non-empty array of equal-length non-empty rows of
+    integers 0..10^18 - 1, as JSON spells them.  Such an array ends
+    before the next quote or brace, and the text up to there is read in
+    C-speed passes: its bracket-and-comma skeleton must be that of an
+    r x c matrix (so it holds nothing but digits, JSON whitespace and
+    ``[],``), ``np.fromstring`` must read r*c values from it, and it
+    must hold r*c runs of digits whose lengths add up to the values'
+    digit counts, so no entry is empty, split or padded with zeros.
+    """
+    stop = s.find('"', idx)
+    stop = len(s) if stop < 0 else stop
+    brace = s.find("}", idx, stop)
+    text = s[idx:stop if brace < 0 else brace].rstrip(" \t\n\r,")
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    skeleton = raw.translate(None, _SPACES_AND_DIGITS)
+    cols = skeleton.find(b"]") - 1
+    rows = (len(skeleton) - 1) // (cols + 2) if cols > 0 else 0
+    row = b"[" + b"," * (cols - 1) + b"]"
+    if rows == 0 or skeleton != b"[" + b",".join([row] * rows) + b"]":
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # numpy 1.x: a partial read
+        try:
+            values = np.fromstring(raw.replace(b"[", b" ").replace(b"]", b" "),
+                                   dtype=np.int64, sep=",")
+        except (ValueError, DeprecationWarning):
+            return None
+    is_digit = np.frombuffer(raw, dtype=np.uint8) - 48 < 10  # wraps below "0"
+    runs = np.count_nonzero(is_digit[1:] > is_digit[:-1])  # raw starts with "["
+    if values.size != rows * cols or runs != values.size:
+        return None
+    top = int(values.max())  # fromstring saturates at 2^63 - 1
+    digits = values.size + sum(int(np.count_nonzero(values >= p))
+                               for p in _POWERS_OF_TEN if p <= top)
+    if top >= 10 ** 18 or digits != np.count_nonzero(is_digit):
+        return None
+    return values.reshape(rows, cols), idx + len(text)
+
+
+class _TableDecoder(json.JSONDecoder):
+    """``json``'s decoder, except that an array in the top-level object
+    that is an integer matrix is read by ``_int_matrix``.  Every other
+    value is read by the C decoder at the same index, so it, and every
+    error message, is the one ``json`` gives."""
+
+    def __init__(self):
+        super().__init__()
+        self.scan_once = self._scan
+
+    def _scan(self, s: str, idx: int):
+        if s.startswith("{", idx):
+            return self.parse_object((s, idx + 1), self.strict, self._scan_value,
+                                     None, None, {})
+        return self._scan_value(s, idx)
+
+    @staticmethod
+    def _scan_value(s: str, idx: int):
+        if s.startswith("[", idx):
+            return _int_matrix(s, idx) or _JSON.scan_once(s, idx)
+        return _JSON.scan_once(s, idx)
+
+
 def load_table_spec(path: str, max_size: int | None = None) -> dict:
     """Read a table-ring JSON file: size, add, mul, one, optional extras.
 
-    Returns the object read, for ``build_table_ring``.  A file larger
-    than two tables and an exponent list at the size guard could need,
-    at 16 bytes of separators and indentation per entry, is refused
-    before it is parsed.
+    Returns the object read, for ``build_table_ring``.  A top-level
+    value that is an integer matrix, as ``add`` and ``mul`` are, comes
+    as an int64 array, and every other value as ``json`` reads it.  A
+    file larger than two tables and an exponent list at the size guard
+    could need, at 16 bytes of separators and indentation per entry, is
+    refused before it is parsed.
     """
     guard = DEFAULT_SIZE_GUARD if max_size is None else max_size
     budget = (2 * guard + 1) * guard * (len(str(guard)) + 16) + (1 << 16)
@@ -1030,7 +1117,7 @@ def load_table_spec(path: str, max_size: int | None = None) -> dict:
                             f"ring within the size guard {guard} needs")
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, cls=_TableDecoder)
         except json.JSONDecodeError as exc:
             raise InvalidParameter(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -1098,14 +1185,16 @@ def build_table_ring(spec: dict, max_size: int | None = None) -> TableRing:
     """A table ring from Cayley data: ``size``, ``add``, ``mul`` and ``one``,
     with optional ``char_exponents`` and ``name``, as the JSON format has them."""
     name = spec.get("name")
+    if name is not None and not isinstance(name, str):
+        raise InvalidParameter("name must be a string")
     _require_fields(spec, name or "table ring")
     size, one = spec["size"], spec["one"]
-    if not isinstance(size, int) or size < 1:
+    if type(size) is not int or size < 1:  # a JSON true is an int too
         raise InvalidParameter(f"size must be a positive integer, got {size!r}")
     _check_size(size, max_size)
     add = _as_table(spec["add"], size, "add")
     mul = _as_table(spec["mul"], size, "mul")
-    if not isinstance(one, int):
+    if type(one) is not int:
         raise InvalidParameter("one must be an element index")
     try:
         validate_tables(add, mul, one)
@@ -1114,6 +1203,6 @@ def build_table_ring(spec: dict, max_size: int | None = None) -> TableRing:
         raise InvalidRing(f"{label}: {exc}", witness=exc.witness) from None
     exps = spec.get("char_exponents")
     if exps is not None:
-        if len(exps) != size or not all(isinstance(e, int) for e in exps):
+        if len(exps) != size or any(type(e) is not int for e in exps):
             raise InvalidParameter("char_exponents must list one integer per element")
     return TableRing(add, mul, one, name=name, char_exponents=exps)

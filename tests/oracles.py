@@ -27,6 +27,10 @@ are the generating characters as unit translates built, deduplicated and
 sorted one at a time, which one vectorized sort of all their exponent
 rows replaced, and ``json.dumps`` with two-space indent and sorted keys,
 the text the CLI's ``--json`` renderer must reproduce byte for byte.
+Right distributivity checked for every x along each additive generator,
+which the check on the edges of the coset walks replaced, is kept, and
+so is the table-file reader by ``json.load``, whose nested lists the
+reader of integer matrices into arrays replaced.
 The builtin algebras are pinned to their definitions: ex5_5 by products
 of its 4x4 binary matrices, the 8-element non-Frobenius algebra by
 packed-bit arithmetic.  Any ring can be rebuilt as a table ring from its
@@ -43,12 +47,14 @@ orbit's principal ideal as a mask, and the Krawtchouk column per orbit.
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 
 import numpy as np
 
 from frobring import cyclotomic
-from frobring.errors import InternalInconsistency, InvalidParameter, InvalidRing
+from frobring.errors import (InternalInconsistency, InvalidParameter, InvalidRing,
+                             ResourceLimit)
 
 
 # -- ideal enumeration -------------------------------------------------------
@@ -361,6 +367,49 @@ def validate_tables_exhaustive(add: np.ndarray, mul: np.ndarray, one: int) -> No
             b, c = map(int, np.argwhere(lhs != rhs)[0])
             raise InvalidRing(f"right distributivity fails at ({a},{b},{c})",
                               witness=(a, b, c))
+
+
+def right_distributivity_by_generators(add: np.ndarray, mul: np.ndarray) -> None:
+    """(x+g)a = xa + ga for all x, a and each g of the greedy generating
+    set: k n^2 gathers, for fixed a the g satisfying it for all x being
+    closed under +.  Sound once (R,+) is an abelian group.  Raises
+    InvalidRing at the first [a, x] that fails, per g in turn."""
+    from frobring.rings import _greedy_generators
+
+    n = add.shape[0]
+    by_col, flat_add = np.ascontiguousarray(mul.T), add.ravel()
+    for g, shift, _ in _greedy_generators(n, add.__getitem__):
+        lhs = by_col[:, shift]
+        rhs = flat_add.take(mul[g].astype(np.intp)[:, None] * n + by_col)
+        bad = np.argwhere(lhs != rhs)
+        if bad.size:
+            a, x = map(int, bad[0])
+            raise InvalidRing(f"right distributivity fails at ({a},{x},{g})",
+                              witness=(a, x, g))
+
+
+# -- table files by json ---------------------------------------------------------
+
+
+def load_table_spec_by_json(path: str, max_size: int | None = None) -> dict:
+    """``load_table_spec`` by ``json.load``: every value, tables included,
+    as ``json`` reads it, so a table comes as nested lists."""
+    from frobring.rings import DEFAULT_SIZE_GUARD, _require_fields
+
+    guard = DEFAULT_SIZE_GUARD if max_size is None else max_size
+    budget = (2 * guard + 1) * guard * (len(str(guard)) + 16) + (1 << 16)
+    if os.path.getsize(path) > budget:
+        raise ResourceLimit(f"{path} is larger than {budget} bytes, the most a "
+                            f"ring within the size guard {guard} needs")
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidParameter(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InvalidParameter(f"{path}: expected a JSON object")
+    _require_fields(data, path)
+    return data
 
 
 # -- homogeneous weight from the defining equations --------------------------

@@ -37,6 +37,7 @@ from oracles import (
     principal_ideal_oracle,
     product_table_by_rows,
     radical_oracle,
+    right_distributivity_by_generators,
     ring_id,
     socle_oracle,
     table_twin,
@@ -118,9 +119,9 @@ def test_late_rows_rejected_with_genuine_witness(ring1024):
         _assert_genuine(info.value, add, mul, ring1024.one)
 
 
-def _verdict(route, add, mul, one):
+def _verdict(route, *tables):
     try:
-        route(add, mul, one)
+        route(*tables)
     except InvalidRing as exc:
         return exc
     return None
@@ -179,6 +180,79 @@ def test_generator_route_matches_exhaustive_on_mutations(ring):
             _assert_genuine(fast, add, mul, ring.one)
             rejected += 1
     assert rejected > 0
+
+
+def _corrupt_mul(rng, add, mul0, one):
+    """One of five seeded changes to * that keep ``one`` its identity.
+
+    One or two entries away from the row and column of ``one``; some
+    columns x -> xa taken from the opposite ring, x -> ax, which keeps
+    each column additive; some rows likewise, which keeps each row
+    additive; or, where + is xor, xy + l(x)m(y)c for parities l and m
+    that vanish at ``one``, which keeps both distributive laws.
+    """
+    n = len(mul0)
+    mul, kind = mul0.copy(), rng.integers(5)
+    picked = rng.random(n) < 0.3
+    if kind == 2:
+        mul[:, picked] = mul0.T[:, picked]
+    elif kind == 3:
+        mul[picked] = mul0.T[picked]
+    elif kind == 4 and np.array_equal(add, np.bitwise_xor.outer(np.arange(n), np.arange(n))):
+        l, m = ([bin(x & mask).count("1") % 2 for x in range(n)]
+                for mask in rng.choice([k for k in range(1, n)
+                                        if bin(one & k).count("1") % 2 == 0], 2))
+        mul ^= np.outer(l, m) * rng.integers(1, n)
+    else:
+        others = np.setdiff1d(np.arange(n), [one])
+        for _ in range(kind % 2 + 1):
+            x, a = rng.choice(others, 2)
+            mul[x, a] = (mul[x, a] + rng.integers(1, n)) % n
+    return mul
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [builtin_ring("ex5_5"), build_zmod(12), build_matrix_ring(2, build_gf(2)),
+     build_product([build_zmod(4), build_gf(2)]), build_gf(8),
+     build_product([builtin_ring("ex5_5"), build_gf(2)])],
+    ids=lambda r: r.expr,
+)
+def test_walk_edges_match_exhaustive_on_corrupted_multiplication(ring):
+    """Right distributivity on the coset walks' edges: the verdict on each
+    corrupted * is the exhaustive one, every witness fails, and the check
+    fails exactly where the check along every x for each generator does."""
+    rng = np.random.default_rng(ring.size + 7)
+    add, mul0 = (np.array(t) for t in _tables_of(ring))
+    reached = set()
+    for trial in range(150):
+        mul = _corrupt_mul(rng, add, mul0, ring.one)
+        fast = _verdict(validate_tables, add, mul, ring.one)
+        slow = _verdict(validate_tables_exhaustive, add, mul, ring.one)
+        assert (fast is None) == (slow is None), (trial, fast, slow)
+        by_generators = _verdict(right_distributivity_by_generators, add, mul)
+        right_fails = fast is not None and str(fast).startswith("right distributivity")
+        assert right_fails == (by_generators is not None), (trial, fast, by_generators)
+        if fast is not None:
+            _assert_genuine(fast, add, mul, ring.one)
+        reached.add(str(fast).split(" at ")[0])
+    assert "right distributivity fails" in reached and len(reached) > 1
+
+
+def test_a_closing_edge_alone_catches_a_column():
+    """On Z4 x GF(2), (R,+) = Z4 x Z2 with index 2a + b, the walks run
+    0 -> 1 (g = 1, closing 1 -> 0) and {0,1} -> {2,3} -> {4,5} -> {6,7}
+    (g = 2, closing 6 -> 0).  The column x -> x*2 replaced by
+    2a + b -> 2b, the element (b, 0), agrees with every edge into an
+    element, and one*2 is still 2; but it sends 1, of order 2, to (1, 0),
+    of order 4, and only the closing edge 1 -> 0 sees that."""
+    ring = build_product([build_zmod(4), build_gf(2)])
+    add, mul = ring.add_table, ring.mul_table.copy()
+    mul[:, 2] = 2 * (np.arange(8) % 2)
+    with pytest.raises(InvalidRing, match=r"^right distributivity fails at \(2,1,1\)$"):
+        validate_tables(add, mul, ring.one)
+    with pytest.raises(InvalidRing):
+        validate_tables_exhaustive(add, mul, ring.one)
 
 
 @pytest.mark.parametrize("seed", [1, 2])

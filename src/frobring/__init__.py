@@ -9,7 +9,7 @@ over GF(q), finite products of these, and user-supplied Cayley tables.
 from .characters import (Character, all_generating_characters,
                          canonical_generating_character, is_generating,
                          is_symmetric, search_generating_character, translate)
-from .cyclotomic import CycInt, cyclotomic_poly, root_power
+from .cyclotomic import CycInt, cyclotomic_poly
 from .duality import (KrawtchoukTable, character_independence_check,
                       delsarte_rank_krawtchouk, dual_partition, is_reflexive,
                       is_self_dual, krawtchouk_table, left_right_agreement,
@@ -48,7 +48,7 @@ __all__ = [
     "is_generating", "is_invariant", "is_reflexive", "is_self_dual",
     "is_symmetric", "krawtchouk_table", "left_right_agreement",
     "load_table_spec", "partition_from_weight", "product_partition",
-    "rank_partition", "root_power", "s_count",
+    "rank_partition", "s_count",
     "same_entries", "search_generating_character",
     "semisimple_lr_agreement", "socle_weight_consistency",
     "symmetrized_power_partition", "translate", "validate_tables",

@@ -17,11 +17,10 @@ from math import gcd, prod
 
 import numpy as np
 
-from . import cyclotomic
 from .errors import (CharacterSearchFailed, InternalInconsistency, InvalidParameter,
                      ResourceLimit)
 from .rings import (AlgebraRing, FiniteRing, ProductRing, TableRing, ZmodRing,
-                    _greedy_generators, _grow_span, _outer)
+                    _check_side, _greedy_generators, _grow_span, _outer)
 
 
 def _additive_generators(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
@@ -78,12 +77,6 @@ class Character:
                 "exponent map is not an additive homomorphism into "
                 f"Z_{self.order}"
             )
-
-    def exponent(self, x: int) -> int:
-        return int(self.exponents[x])
-
-    def __call__(self, x: int) -> cyclotomic.CycInt:
-        return cyclotomic.root_power(self.order, self.exponent(x))
 
     def key(self) -> bytes:
         return self.exponents.tobytes()
@@ -191,14 +184,10 @@ def is_symmetric(char: Character) -> bool:
 
 def translate(char: Character, r: int, side: str = "left") -> Character:
     """The character x -> chi(x*r) (side 'left') or x -> chi(r*x) ('right')."""
+    _check_side(side)
     ring = char.ring
-    if side == "left":
-        exps = char.exponents[ring.mul_col(r)]
-    elif side == "right":
-        exps = char.exponents[ring.mul_row(r)]
-    else:
-        raise InvalidParameter(f"side must be 'left' or 'right', got {side!r}")
-    return Character(ring, exps, char.order)
+    image = ring.mul_col(r) if side == "left" else ring.mul_row(r)
+    return Character(ring, char.exponents[image], char.order)
 
 
 def canonical_generating_character(ring: FiniteRing) -> Character:
@@ -369,15 +358,3 @@ def all_generating_characters(ring: FiniteRing) -> list[Character]:
         raise InternalInconsistency(f"{where} must all be generating")
     return chars
 
-
-def to_json(char: Character) -> dict:
-    return {"order": char.order, "exponents": [int(e) for e in char.exponents]}
-
-
-def from_json(ring: FiniteRing, data: dict) -> Character:
-    try:
-        order = data["order"]
-        exponents = data["exponents"]
-    except (TypeError, KeyError) as exc:
-        raise InvalidParameter(f"malformed character payload: {data!r}") from exc
-    return Character(ring, exponents, order)

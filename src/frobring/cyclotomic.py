@@ -7,8 +7,9 @@ polynomial, which is the minimal polynomial of zeta_N, so two values are
 the same algebraic number exactly when their reduced coordinates match.
 One vectorized reducer, ``reduce_exponent_counts``, builds every value
 from exponent counts in int64 under a bound that refuses any overflow;
-the scalar constructors run the same division on Python integers when
-that bound fails, so they stay exact for every integer.
+the scalar constructor ``from_exponent_counts`` runs the same division
+on Python integers when that bound fails, so it stays exact for every
+integer.
 """
 
 from __future__ import annotations
@@ -182,9 +183,7 @@ class CycInt:
     """A cyclotomic integer: reduced coordinates over 1, zeta, zeta^2, ...
 
     Two instances compare equal iff they have the same order and the
-    same coordinates.  Use :func:`equals` to compare values living in
-    different orders (both are lifted to the least common multiple
-    first).
+    same coordinates; at one order, that is equality of the values.
     """
 
     order: int
@@ -199,34 +198,6 @@ class CycInt:
                 f"{self.order}, got {len(self.coeffs)}"
             )
 
-    def __add__(self, other):
-        if not isinstance(other, CycInt):
-            return NotImplemented
-        if self.order != other.order:
-            raise InvalidParameter(
-                f"order mismatch: {self.order} vs {other.order}; lift first"
-            )
-        return CycInt(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return CycInt(self.order, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        if not isinstance(other, CycInt):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        # integer multiples only; general products are out of scope
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return CycInt(self.order, tuple(scalar * a for a in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
-
     def as_int(self) -> int | None:
         """The value as a rational integer, or None if it is not one."""
         if any(self.coeffs[1:]):
@@ -234,28 +205,16 @@ class CycInt:
         return self.coeffs[0]
 
 
-def zero(order: int) -> CycInt:
-    return CycInt(order, (0,) * totient(order))
-
-
-def root_power(order: int, k: int) -> CycInt:
-    """zeta_order^k in reduced coordinates; k is taken modulo order.
-
-    >>> root_power(4, 2).coeffs
-    (-1, 0)
-    >>> root_power(2, 1).coeffs
-    (-1,)
-    """
-    counts = [0] * order
-    counts[k % order] = 1
-    return from_exponent_counts(order, counts)
-
-
 def from_exponent_counts(order: int, counts) -> CycInt:
     """Sum of counts[e] * zeta_order^e over all exponents e.
 
     ``counts`` is indexed by exponent and may be shorter than the order;
     entries may be negative and of any size.
+
+    >>> from_exponent_counts(4, [0, 0, 1]).coeffs
+    (-1, 0)
+    >>> from_exponent_counts(2, [0, 1]).as_int()
+    -1
     """
     counts = list(counts)
     beyond = [e for e in range(order, len(counts)) if counts[e]]
@@ -267,42 +226,3 @@ def from_exponent_counts(order: int, counts) -> CycInt:
     except ResourceLimit:  # beyond int64: the same division on Python integers
         coeffs = _divide(order, np.array(counts, dtype=object))
     return CycInt(order, tuple(int(c) for c in coeffs.tolist()))
-
-
-def lift(a: CycInt, order: int) -> CycInt:
-    """Rewrite ``a`` in Z[zeta_order]; order must be a multiple of a.order."""
-    if order % a.order != 0:
-        raise InvalidParameter(f"{order} is not a multiple of {a.order}")
-    if order == a.order:
-        return a
-    counts = [0] * order
-    step = order // a.order
-    counts[: len(a.coeffs) * step : step] = a.coeffs
-    return from_exponent_counts(order, counts)
-
-
-def equals(a: CycInt, b: CycInt) -> bool:
-    """True iff a and b are the same algebraic number.
-
-    Operands of different orders are lifted to the least common
-    multiple and compared there.
-    """
-    if a.order == b.order:
-        return a.coeffs == b.coeffs
-    m = a.order * b.order // gcd(a.order, b.order)
-    return lift(a, m).coeffs == lift(b, m).coeffs
-
-
-def to_json(a: CycInt) -> dict:
-    return {"order": a.order, "coeffs": list(a.coeffs)}
-
-
-def from_json(data: dict) -> CycInt:
-    try:
-        order = data["order"]
-        coeffs = data["coeffs"]
-    except (TypeError, KeyError) as exc:
-        raise InvalidParameter(f"malformed cyclotomic integer payload: {data!r}") from exc
-    if not isinstance(order, int) or not all(isinstance(c, int) for c in coeffs):
-        raise InvalidParameter("order and coeffs must be integers")
-    return CycInt(order, tuple(coeffs))

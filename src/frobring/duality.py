@@ -35,7 +35,7 @@ from .characters import (Character, all_generating_characters,
                          is_symmetric, restrictions)
 from .errors import InternalInconsistency, InvalidParameter, ResourceLimit
 from .partitions import Partition, equals, is_invariant
-from .rings import FiniteRing, ProductRing
+from .rings import FiniteRing, ProductRing, _check_side
 from .weights import gaussian
 
 _COUNT_CHUNK = 1 << 21  # exponent counts held at once, in int64 entries
@@ -90,8 +90,7 @@ def same_entries(a: KrawtchoukTable, b: KrawtchoukTable) -> bool:
 
 
 def krawtchouk_table(partition: Partition, char: Character, side: str) -> KrawtchoukTable:
-    if side not in ("left", "right"):
-        raise InvalidParameter(f"side must be left or right, got {side!r}")
+    _check_side(side)
     ring = partition.ring
     if char.ring is not ring:
         raise InvalidParameter("character lives on a different ring")

@@ -106,10 +106,6 @@ class Partition:
             out["labels"] = [_label_json(l) for l in self.labels]
         return out
 
-    @staticmethod
-    def from_json(ring: FiniteRing, obj: dict) -> "Partition":
-        return Partition(ring, obj["blocks"], obj.get("labels"))
-
 
 def _label_json(label):
     if isinstance(label, tuple):

@@ -66,20 +66,17 @@ class FiniteRing:
 
     Subclasses must set ``size``, ``one``, ``expr`` and either supply
     both Cayley tables or implement the kernels ``_add_row_impl``,
-    ``_mul_row_impl`` and ``_mul_col_impl``.  Scalar ``add``/``mul``
-    read the cached table when the ring is small enough to have one and
-    fall back to a one-element kernel call otherwise.
+    ``_mul_row_impl`` and ``_mul_col_impl``.  A ring of at most
+    ``DEFAULT_TABLE_THRESHOLD`` elements builds both tables on first use
+    (a ``TableRing`` keeps the ones it is given).  Scalar ``add``/``mul``
+    read the cached table when the ring has one and fall back to a
+    one-element kernel call otherwise.
     """
 
     size: int
     one: int
     expr: str
     structure: list[tuple[int, int]] | None = None
-
-    def __init__(self, table_threshold: int | None = None):
-        self.table_threshold = (
-            DEFAULT_TABLE_THRESHOLD if table_threshold is None else table_threshold
-        )
 
     # -- scalar operations ------------------------------------------------
 
@@ -137,11 +134,11 @@ class FiniteRing:
 
     @cached_property
     def add_table(self) -> np.ndarray | None:
-        return self._table("add") if self.size <= self.table_threshold else None
+        return self._table("add") if self.size <= DEFAULT_TABLE_THRESHOLD else None
 
     @cached_property
     def mul_table(self) -> np.ndarray | None:
-        return self._table("mul") if self.size <= self.table_threshold else None
+        return self._table("mul") if self.size <= DEFAULT_TABLE_THRESHOLD else None
 
     def _table(self, op: str) -> np.ndarray:
         """The whole ``op`` ('add' or 'mul') table, one kernel row per element."""
@@ -381,10 +378,9 @@ class FiniteRing:
 class ZmodRing(FiniteRing):
     """Integers modulo n."""
 
-    def __init__(self, n: int, table_threshold: int | None = None):
+    def __init__(self, n: int):
         if n < 1:
             raise InvalidParameter(f"modulus must be >= 1, got {n}")
-        super().__init__(table_threshold)
         self.modulus = n
         self.size = n
         self.one = 1 % n
@@ -432,9 +428,7 @@ class AlgebraRing(FiniteRing):
     character is x -> sum(trace_form * digits(x)) mod p.
     """
 
-    def __init__(self, p: int, tensor: np.ndarray, one: int, trace_form: np.ndarray,
-                 table_threshold: int | None = None):
-        super().__init__(table_threshold)
+    def __init__(self, p: int, tensor: np.ndarray, one: int, trace_form: np.ndarray):
         self.p = p
         self.dim = dim = tensor.shape[0]
         self.size = p**dim
@@ -517,7 +511,7 @@ class GaloisField(AlgebraRing):
     absolute trace of the field.
     """
 
-    def __init__(self, q: int, table_threshold: int | None = None):
+    def __init__(self, q: int):
         factors = _factorization(q)
         if len(factors) != 1:
             raise InvalidParameter(f"{q} is not a prime power")
@@ -527,7 +521,7 @@ class GaloisField(AlgebraRing):
         powers = self._power_rows(p, self.modulus_poly)
         j = np.arange(k)
         tensor = powers[j[:, None] + j[None, :]]  # x^i * x^j = x^(i+j) mod f
-        super().__init__(p, tensor, 1, np.einsum("ijj->i", tensor), table_threshold)
+        super().__init__(p, tensor, 1, np.einsum("ijj->i", tensor))
         self.expr = f"GF({q})"
         self.structure = [(q, 1)]
 
@@ -604,8 +598,7 @@ class MatrixRing(AlgebraRing):
     matrix trace.
     """
 
-    def __init__(self, m: int, fld: GaloisField, table_threshold: int | None = None,
-                 max_size: int | None = None):
+    def __init__(self, m: int, fld: GaloisField, max_size: int | None = None):
         if not isinstance(fld, GaloisField):
             raise InvalidParameter("matrix rings require a GaloisField scalar field")
         if m < 1:
@@ -620,7 +613,7 @@ class MatrixRing(AlgebraRing):
         diagonal = np.eye(m, dtype=np.int64).ravel()  # unchanged by the reversal
         self._weights = q ** np.arange(last, -1, -1, dtype=np.int64)
         super().__init__(fld.p, np.kron(units, fld.tensor), int(diagonal @ self._weights),
-                         np.kron(diagonal, fld.trace_form), table_threshold)
+                         np.kron(diagonal, fld.trace_form))
         self.m = m
         self.field = fld
         self.expr = f"M({m},{fld.expr})"
@@ -723,8 +716,7 @@ class ProductRing(FiniteRing):
     counts, then checked on the product.
     """
 
-    def __init__(self, factors, table_threshold: int | None = None,
-                 max_size: int | None = None):
+    def __init__(self, factors, max_size: int | None = None):
         factors = tuple(factors)
         if len(factors) < 2:
             raise InvalidParameter("ProductRing wants at least two factors")
@@ -732,7 +724,6 @@ class ProductRing(FiniteRing):
         for f in factors:
             size *= f.size
         _check_size(size, max_size)
-        super().__init__(table_threshold)
         self.factors = factors
         self.sizes = tuple(f.size for f in factors)
         strides = [1] * len(factors)
@@ -794,10 +785,8 @@ class ProductRing(FiniteRing):
         return _mixed_radix([f.neg_table for f in self.factors], self.sizes)
 
     def _table(self, op):
-        # a factor above its own threshold stacks its rows: its size, not the product's
-        tables = [getattr(f, f"{op}_table") for f in self.factors]
-        return _mixed_radix([f._table(op) if t is None else t
-                             for f, t in zip(self.factors, tables)], self.sizes)
+        # a product within the threshold has factors within it, each with its table
+        return _mixed_radix([getattr(f, f"{op}_table") for f in self.factors], self.sizes)
 
     def _compute_unit_orbits(self, side):
         # the least member of U_1x_1 x U_2x_2 is the pair of the factors' least
@@ -856,7 +845,6 @@ class TableRing(FiniteRing):
 
     def __init__(self, add_table: np.ndarray, mul_table: np.ndarray, one: int,
                  name: str | None = None, char_exponents=None):
-        super().__init__(table_threshold=add_table.shape[0])
         self.size = add_table.shape[0]
         self.one = one
         self.expr = name or f"table ring of size {self.size}"
@@ -1129,33 +1117,29 @@ def load_table_spec(path: str, max_size: int | None = None) -> dict:
 # -- builders ------------------------------------------------------------
 
 
-def build_zmod(n: int, max_size: int | None = None,
-               table_threshold: int | None = None) -> ZmodRing:
+def build_zmod(n: int, max_size: int | None = None) -> ZmodRing:
     if not isinstance(n, int) or n < 1:
         raise InvalidParameter(f"modulus must be a positive integer, got {n!r}")
     _check_size(n, max_size)
-    return ZmodRing(n, table_threshold)
+    return ZmodRing(n)
 
 
-def build_gf(q: int, max_size: int | None = None,
-             table_threshold: int | None = None) -> GaloisField:
+def build_gf(q: int, max_size: int | None = None) -> GaloisField:
     _check_size(q, max_size)
-    return GaloisField(q, table_threshold)
+    return GaloisField(q)
 
 
-def build_matrix_ring(m: int, fld: GaloisField, max_size: int | None = None,
-                      table_threshold: int | None = None) -> MatrixRing:
-    return MatrixRing(m, fld, table_threshold, max_size=max_size)
+def build_matrix_ring(m: int, fld: GaloisField, max_size: int | None = None) -> MatrixRing:
+    return MatrixRing(m, fld, max_size=max_size)
 
 
-def build_product(factors, max_size: int | None = None,
-                  table_threshold: int | None = None) -> FiniteRing:
+def build_product(factors, max_size: int | None = None) -> FiniteRing:
     factors = list(factors)
     if not factors:
         raise InvalidParameter("a product needs at least one factor")
     if len(factors) == 1:
         return factors[0]
-    return ProductRing(factors, table_threshold, max_size=max_size)
+    return ProductRing(factors, max_size=max_size)
 
 
 def builtin_ring(name: str, max_size: int | None = None) -> AlgebraRing:

@@ -42,6 +42,8 @@ kept here for those: the orbit scans of ``FiniteRing`` for the radical,
 the socles and the Frobenius test, the ideal search per orbit for the
 generating test, the unit sum per orbit, the validator that builds each
 orbit's principal ideal as a mask, and the Krawtchouk column per orbit.
+Cyclotomic integers of different orders are compared by lifting both to
+a common multiple through the reducer, which no library route needs.
 """
 
 from __future__ import annotations
@@ -659,6 +661,18 @@ def sympy_reduce_exponents(order: int, counts) -> tuple[int, ...]:
     degree = phi.degree()
     coeffs += [0] * (degree - len(coeffs))
     return tuple(coeffs[:degree])
+
+
+def lift(a: cyclotomic.CycInt, order: int) -> cyclotomic.CycInt:
+    """Rewrite ``a`` in Z[zeta_order], a multiple of its order, through the reducer.
+
+    zeta_(a.order) is zeta_order^step with step = order / a.order, so the
+    coordinate on zeta_(a.order)^k becomes the count at exponent k * step.
+    """
+    step = order // a.order
+    counts = [0] * order
+    counts[: len(a.coeffs) * step : step] = a.coeffs
+    return cyclotomic.from_exponent_counts(order, counts)
 
 
 # -- Krawtchouk tables, one column per element --------------------------------

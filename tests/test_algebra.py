@@ -12,6 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from frobring import rings
 from frobring.characters import canonical_generating_character
 from frobring.rings import build_gf, build_matrix_ring, validate_tables
 
@@ -46,12 +47,20 @@ FROZEN = {
 }
 
 
-def _build(name, table_threshold=None):
-    """Build a ring of FROZEN; threshold 0 sends every call to the kernels."""
+def _build(name):
+    """Build a ring of FROZEN."""
     if name in FIELDS:
-        return build_gf(FIELDS[name], table_threshold=table_threshold)
+        return build_gf(FIELDS[name])
     m, q = MATRICES[name]
-    return build_matrix_ring(m, build_gf(q), table_threshold=table_threshold)
+    return build_matrix_ring(m, build_gf(q))
+
+
+def _build_under(monkeypatch, name, threshold):
+    """Build a ring of FROZEN under that table threshold; 0 sends every call
+    to the kernels."""
+    if threshold is not None:
+        monkeypatch.setattr(rings, "DEFAULT_TABLE_THRESHOLD", threshold)
+    return _build(name)
 
 
 def _digest(ring) -> str:
@@ -69,17 +78,17 @@ def _digest(ring) -> str:
     return h.hexdigest()[:16]
 
 
-@pytest.mark.parametrize("table_threshold", [None, 0], ids=["tabled", "untabled"])
+@pytest.mark.parametrize("threshold", [None, 0], ids=["tabled", "untabled"])
 @pytest.mark.parametrize("name", [*FIELDS, *MATRICES])
-def test_indexing_is_frozen(name, table_threshold):
-    assert _digest(_build(name, table_threshold)) == FROZEN[name]
+def test_indexing_is_frozen(monkeypatch, name, threshold):
+    assert _digest(_build_under(monkeypatch, name, threshold)) == FROZEN[name]
 
 
 @pytest.mark.parametrize("name", [*FIELDS, *MATRICES])
 def test_untabled_columns_match_table(name):
-    ring = _build(name, table_threshold=0)
-    cols = np.vstack([ring.mul_col(b) for b in range(ring.size)]).T
-    assert np.array_equal(cols, _build(name).mul_table)
+    ring = _build(name)
+    cols = np.vstack([ring._mul_col_impl(b, None) for b in range(ring.size)]).T
+    assert np.array_equal(cols, ring.mul_table)
 
 
 @pytest.mark.parametrize("name", ["GF(16)", "GF(27)", "M(2,GF(4))"])
@@ -100,10 +109,10 @@ def test_matrix_trace_form_is_field_trace_of_matrix_trace(name):
     assert ring.trace_exponents.tolist() == matrix_trace_oracle(ring)
 
 
-@pytest.mark.parametrize("table_threshold", [None, 0], ids=["tabled", "untabled"])
+@pytest.mark.parametrize("threshold", [None, 0], ids=["tabled", "untabled"])
 @pytest.mark.parametrize("name", MATRICES)
-def test_matrix_mul_is_the_entrywise_product(name, table_threshold):
-    ring = _build(name, table_threshold)
+def test_matrix_mul_is_the_entrywise_product(monkeypatch, name, threshold):
+    ring = _build_under(monkeypatch, name, threshold)
     if ring.size <= 81:
         pairs = [(a, b) for a in range(ring.size) for b in range(ring.size)]
     else:

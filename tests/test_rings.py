@@ -22,7 +22,7 @@ from frobring.rings import (
     load_table_spec,
     validate_tables,
 )
-from frobring import characters, duality, partitions
+from frobring import characters, duality, partitions, rings
 from frobring.characters import canonical_generating_character
 from frobring.cli import _non_frobenius_ring
 from frobring.partitions import hom_partition, is_invariant
@@ -576,27 +576,53 @@ def test_unit_orbits_rejects_bad_side(z4):
         z4.unit_orbits("both")
 
 
+@pytest.mark.parametrize("call", [
+    lambda ring, char, part: ring.unit_orbits("both"),
+    lambda ring, char, part: ring.socle_members("both"),
+    lambda ring, char, part: ring.principal_ideal_mask(1, "both"),
+    lambda ring, char, part: characters.translate(char, 1, "both"),
+    lambda ring, char, part: duality.krawtchouk_table(part, char, "both"),
+    lambda ring, char, part: duality.dual_partition(part, char, "both"),
+], ids=["unit_orbits", "socle_members", "principal_ideal_mask", "translate",
+        "krawtchouk_table", "dual_partition"])
+def test_every_side_argument_is_checked_alike(z4, call):
+    char = canonical_generating_character(z4)
+    with pytest.raises(InvalidParameter) as err:
+        call(z4, char, hom_partition(z4))
+    assert str(err.value) == "side must be 'left' or 'right', got 'both'"
+
+
 # -- products from their factors ---------------------------------------------------
 
 
 def _factor_route_products():
+    """(build, threshold): each product is built under that table threshold."""
     ex5_5, gf2 = builtin_ring("ex5_5"), build_gf(2)
     m2f2 = build_matrix_ring(2, gf2)
     return [
-        build_product([ex5_5, m2f2, gf2]),  # noncommutative, not semisimple
-        build_product([table_twin(ex5_5), build_zmod(4)]),
-        build_product([build_product([gf2, m2f2]), build_zmod(3)]),
-        build_product([build_zmod(4, table_threshold=0),
-                       build_matrix_ring(2, gf2, table_threshold=0)]),
-        build_product([build_zmod(8), build_zmod(9), build_gf(5)]),
-        build_product([build_gf(4), build_zmod(6)], table_threshold=10),  # above it
+        pytest.param(lambda: build_product([ex5_5, m2f2, gf2]), None,  # noncommutative,
+                     id="ex5_5 x M(2,GF(2)) x GF(2)"),                  # not semisimple
+        pytest.param(lambda: build_product([table_twin(ex5_5), build_zmod(4)]), None,
+                     id="ex5_5 x Z4"),
+        pytest.param(lambda: build_product([build_product([gf2, m2f2]), build_zmod(3)]), None,
+                     id="GF(2) x M(2,GF(2)) x Z3"),
+        # no tables at all: units and orbits from the factors' kernels
+        pytest.param(lambda: build_product([build_zmod(4), build_matrix_ring(2, build_gf(2))]),
+                     0, id="Z4 x M(2,GF(2))"),
+        pytest.param(lambda: build_product([build_zmod(8), build_zmod(9), build_gf(5)]), None,
+                     id="Z8 x Z9 x GF(5)"),
+        pytest.param(lambda: build_product([build_gf(4), build_zmod(6)]), 10,  # factors below it
+                     id="GF(4) x Z6"),
     ]
 
 
-@pytest.mark.parametrize("ring", _factor_route_products(), ids=ring_id)
-def test_product_tables_units_and_orbits_match_oracles(ring):
+@pytest.mark.parametrize("build, threshold", _factor_route_products())
+def test_product_tables_units_and_orbits_match_oracles(monkeypatch, build, threshold):
+    if threshold is not None:
+        monkeypatch.setattr(rings, "DEFAULT_TABLE_THRESHOLD", threshold)
+    ring = build()
     by_rows = {op: product_table_by_rows(ring, op) for op in ("add", "mul")}
-    if ring.size > ring.table_threshold:
+    if ring.size > rings.DEFAULT_TABLE_THRESHOLD:
         assert ring.add_table is None and ring.mul_table is None
     else:
         assert ring.add_table.dtype == ring.mul_table.dtype == np.int32
@@ -655,12 +681,17 @@ def test_orbit_routes_make_few_kernel_calls(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("ring", [
-    build_product([build_matrix_ring(2, build_gf(3))] * 2),
-    # no tables on the product, so a whole-ring operation could only be a kernel call
-    build_product([build_gf(3), build_gf(9), build_zmod(25)], table_threshold=0),
-], ids=ring_id)
-def test_product_stages_make_no_product_kernel_calls(monkeypatch, ring):
+@pytest.mark.parametrize("build, threshold", [
+    pytest.param(lambda: build_product([build_matrix_ring(2, build_gf(3))] * 2), None,
+                 id="M(2,GF(3)) x M(2,GF(3))"),
+    # tables on the factors only, so a whole-ring operation could only be a kernel call
+    pytest.param(lambda: build_product([build_gf(3), build_gf(9), build_zmod(25)]), 25,
+                 id="GF(3) x GF(9) x Z25"),
+])
+def test_product_stages_make_no_product_kernel_calls(monkeypatch, build, threshold):
+    if threshold is not None:
+        monkeypatch.setattr(rings, "DEFAULT_TABLE_THRESHOLD", threshold)
+    ring = build()
     calls = []
     for name in ("_add_row_impl", "_mul_row_impl", "_mul_col_impl"):
         def counting(*args, _name=name, _orig=getattr(ring, name)):
@@ -857,8 +888,9 @@ def test_matrix_rank_over_gf9_matches_row_space_oracle():
         assert ranks[a] == matrix_rank_oracle(ring, int(a))
 
 
-def test_matrix_rank_over_a_field_without_tables():
-    ring = build_matrix_ring(2, build_gf(4, table_threshold=0))
+def test_matrix_rank_over_a_field_without_tables(monkeypatch):
+    monkeypatch.setattr(rings, "DEFAULT_TABLE_THRESHOLD", 0)
+    ring = build_matrix_ring(2, build_gf(4))
     assert ring.field.mul_table is None
     for a in range(ring.size):
         assert ring.rank(a) == matrix_rank_oracle(ring, a)

@@ -20,9 +20,12 @@ import functools
 import json
 import sys
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import repeat
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -268,28 +271,65 @@ _encode_leaf = json.JSONEncoder().encode
 def _json_text(payload) -> str:
     """The text of ``json.dumps(payload, indent=2, sort_keys=True)``.
 
-    The text is rendered as one list of parts, joined once at the end.
-    Each list object is rendered once per nesting depth, so a row shared
-    by many entries (a Krawtchouk column shared by a unit orbit) costs
-    one rendering.  A list of plain ints is one ``join``, and a list
-    whose items are all such lists takes their memoized texts with no
-    call per item.  Strings, keys and other leaves go through json's own
-    encoders.
+    The text is rendered as one list of parts, joined once at the end,
+    at a cost that follows the distinct values rather than the items:
+    - a nonempty list of plain ints is one ``join``, remembered by id at
+      its depth, so a list object shared by many entries (equal
+      Krawtchouk rows share one) is rendered once;
+    - a list whose items are all such lists reads their texts by
+      ``map`` over the item ids, with no Python call per item;
+    - a list of dicts with one shared set of str keys, each key's values
+      all exactly str or all exactly int, is rendered key by key: one
+      ``map`` per key, then each item as one join of key prefixes and
+      value texts.
+    Everything else takes the general path, where strings, keys and other
+    leaves go through json's own encoders.
     """
     parts: list[str] = []
     put = parts.append
-    memo: dict[tuple[int, int], tuple[int, int]] = {}  # (id, depth) -> span of parts
-    int_texts: dict[tuple[int, int], str] = {}  # (id, depth) -> text of a list of ints
+    int_texts: defaultdict[int, dict[int, str]] = defaultdict(dict)  # depth -> id -> text
 
-    def int_list_text(value, depth: int) -> str | None:
-        """The text of a nonempty list of plain ints, memoized; None for anything else."""
-        if not (isinstance(value, (list, tuple)) and value
-                and all(type(x) is int for x in value)):
+    def int_list_text(value, known: dict[int, str], depth: int) -> str | None:
+        """The text of a nonempty list of plain ints, kept in ``known``; None for anything else."""
+        if not (isinstance(value, (list, tuple)) and value and type(value[0]) is int
+                and {*map(type, value)} == {int}):
             return None
         pad = "\n" + "  " * (depth + 1)
-        text = int_texts[id(value), depth] = (
-            "[" + pad + ("," + pad).join(map(str, value)) + pad[:-2] + "]")
+        text = known[id(value)] = "[" + pad + ("," + pad).join(map(str, value)) + pad[:-2] + "]"
         return text
+
+    def int_list_texts(value, depth: int) -> list[str] | None:
+        """The item texts at ``depth`` if every item is a list of plain ints, else None."""
+        known = int_texts[depth]
+        by_id = dict(zip(map(id, value), value))
+        for key in by_id.keys() - known.keys():  # items met for the first time, each once
+            if int_list_text(by_id[key], known, depth) is None:
+                return None
+        return list(map(known.get, map(id, value)))
+
+    def dict_row_texts(value, depth: int) -> list[str] | None:
+        """The item texts at ``depth`` if the items are dicts sharing one
+        nonempty set of str keys, each key's values all str or all int;
+        else None."""
+        first = value[0]
+        if not first or {*map(type, value)} != {dict} or {*map(type, first)} != {str} \
+                or {*map(len, value)} != {len(first)}:
+            return None
+        keys = sorted(first)
+        try:  # equal sizes, so a missing key is the only way key sets differ
+            columns = [list(map(itemgetter(k), value)) for k in keys]
+        except KeyError:
+            return None
+        pad = "\n" + "  " * (depth + 1)
+        pieces = []
+        for i, (key, column) in enumerate(zip(keys, columns)):
+            kinds = {*map(type, column)}
+            if kinds not in ({str}, {int}):
+                return None
+            pieces.append(repeat(("," if i else "{") + pad + _encode_str(key) + ": "))
+            pieces.append(map(_encode_str if kinds == {str} else str, column))
+        pieces.append(repeat(pad[:-2] + "}"))
+        return list(map("".join, zip(*pieces)))
 
     def render(value, depth: int) -> None:
         if isinstance(value, str):
@@ -309,23 +349,17 @@ def _json_text(payload) -> str:
                 put("," + pad)
             parts[-1] = pad[:-2] + "}"  # the last separator closes the object
         else:
-            span = memo.get((id(value), depth))
-            if span is not None:
-                parts.extend(parts[span[0]:span[1]])
-                return
-            start = len(parts)
-            pad = "\n" + "  " * (depth + 1)
-            text = int_list_text(value, depth)
-            inner = depth + 1
-            texts = None
-            if text is None and isinstance(value[0], (list, tuple)):
-                texts = [int_texts.get((id(x), inner)) or int_list_text(x, inner)
-                         for x in value]
-                if None in texts:  # some item is not a list of ints
-                    texts = None
+            known = int_texts[depth]
+            text = known.get(id(value)) or int_list_text(value, known, depth)
             if text is not None:
                 put(text)
-            elif texts is not None:
+                return
+            inner = depth + 1
+            pad = "\n" + "  " * inner
+            first = value[0]
+            texts = (int_list_texts(value, inner) if isinstance(first, (list, tuple))
+                     else dict_row_texts(value, inner) if type(first) is dict else None)
+            if texts is not None:
                 # the item texts between separators, as references: no copy of the block
                 items = ["," + pad] * (2 * len(texts) + 1)
                 items[0], items[-1], items[1::2] = "[" + pad, pad[:-2] + "]", texts
@@ -336,7 +370,6 @@ def _json_text(payload) -> str:
                     render(x, inner)
                     put("," + pad)
                 parts[-1] = pad[:-2] + "]"
-            memo[id(value), depth] = start, len(parts)
 
     render(payload, 0)
     return "".join(parts)
@@ -426,15 +459,19 @@ def cmd_weights(args) -> int:
     ring = _ring_from_args(args)
     char = _char_from_args(ring, args)
     table = weights.weight_table(ring, char)
+    # one text per distinct weight; increasing numerators are increasing weights
+    values, value_of, counts = np.unique(table.num, return_inverse=True, return_counts=True)
+    texts = [str(Fraction(v, table.denom)) for v in values.tolist()]
     payload = {
         "command": "weights",
         "ring": ring.expr,
         "character_order": char.order,
         "weights": [
-            {"index": i, "element": ring.element_label(i), "weight": str(w)}
-            for i, w in enumerate(table.weights)
+            {"index": i, "element": label, "weight": text}
+            for i, label, text in zip(range(ring.size), ring.element_labels(),
+                                      map(texts.__getitem__, value_of.tolist()))
         ],
-        "multiset": {str(w): n for w, n in sorted(table.multiset().items())},
+        "multiset": dict(zip(texts, counts.tolist())),
     }
     _emit(args, payload)
     return 0

@@ -167,6 +167,19 @@ def reduce_exponent_counts(order: int, counts) -> np.ndarray:
     return _divide(order, counts)
 
 
+def division_work(order: int, rows: int) -> int:
+    """Coordinates ``reduce_exponent_counts`` touches on ``rows`` rows.
+
+    The division makes r - phi(r) steps, r the radical of the order, and
+    each step updates phi(r) * order / r coordinates of every row.
+
+    >>> division_work(8, 1), division_work(2310, 1)
+    (4, 878400)
+    """
+    r = prod(p for p, _ in _factorization(order))
+    return (r - totient(r)) * rows * totient(r) * (order // r)
+
+
 def _divide(order: int, counts: np.ndarray) -> np.ndarray:
     """The long division of reduce_exponent_counts, in the dtype of counts."""
     r = prod(p for p, _ in _factorization(order))

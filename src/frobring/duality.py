@@ -40,6 +40,7 @@ from .weights import gaussian
 
 _COUNT_CHUNK = 1 << 21  # exponent counts held at once, in int64 entries
 _TABLE_ENTRIES = 1 << 25  # most int64 coordinates one table may hold
+_DIVISION_WORK = 1 << 30  # most coordinate updates one table's reduction may make
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,17 +68,27 @@ class KrawtchoukTable:
     def to_json(self) -> dict:
         """The table as nested lists, ``entries[m][b]`` at every element b.
 
-        The members of one orbit share one list object per block.
+        Equal coefficient rows share one list object, across orbits and
+        blocks, so there are as many row objects as distinct row values.
         """
-        orbits = self.orbit_of.tolist()
+        rows = np.ascontiguousarray(self.coeffs.transpose(1, 0, 2))  # [block, orbit, coord]
+        flat = rows.reshape(-1, rows.shape[2])
+        _, first, row_of = np.unique(_row_keys(flat), return_index=True, return_inverse=True)
+        distinct = flat[first].tolist()
+        entry_of = row_of.reshape(rows.shape[:2])[:, self.orbit_of]
         return {
             "ring": self.partition.ring.expr,
             "side": self.side,
             "order": self.char.order,
             "partition": self.partition.to_json(),
-            "entries": [[row[k] for k in orbits]
-                        for row in self.coeffs.transpose(1, 0, 2).tolist()],
+            "entries": [list(map(distinct.__getitem__, block)) for block in entry_of.tolist()],
         }
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque byte string per row of a C-contiguous 2-D array: equal
+    bytes are equal rows."""
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
 def same_entries(a: KrawtchoukTable, b: KrawtchoukTable) -> bool:
@@ -113,6 +124,11 @@ def krawtchouk_table(partition: Partition, char: Character, side: str) -> Krawtc
         raise ResourceLimit(f"{ring.expr}: a {side} table of {len(reps)} columns, {nblocks} "
                             f"blocks and character order {order} exceeds "
                             f"{_TABLE_ENTRIES} coordinates")
+    work = cyclotomic.division_work(order, len(reps) * nblocks)
+    if work > _DIVISION_WORK:
+        raise ResourceLimit(f"{ring.expr}: reducing a {side} table of {len(reps)} columns and "
+                            f"{nblocks} blocks at character order {order} takes {work} "
+                            f"coordinate updates, more than {_DIVISION_WORK}")
     if invariant and isinstance(ring, ProductRing):
         counts = _factor_counts(ring, block_of[other_reps], nblocks, char, side)
     else:
@@ -241,9 +257,7 @@ def dual_partition(partition: Partition, char: Character, side: str) -> Partitio
     """
     table = krawtchouk_table(partition, char, side)
     rows = np.ascontiguousarray(table.coeffs.reshape(len(table.coeffs), -1))
-    # one opaque byte string per row: equal bytes are equal int64 rows
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, group = np.unique(keys, return_inverse=True)
+    _, group = np.unique(_row_keys(rows), return_inverse=True)
     return Partition.from_keys(partition.ring, group[table.orbit_of])
 
 

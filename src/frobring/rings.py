@@ -352,8 +352,9 @@ class FiniteRing:
 
     # -- presentation --------------------------------------------------------
 
-    def element_label(self, i: int) -> str:
-        return str(i)
+    def element_labels(self) -> list[str]:
+        """The label of every element, by index: here the index itself."""
+        return list(map(str, range(self.size)))
 
     def describe(self) -> dict:
         soc_l = self.socle_members("left")
@@ -662,10 +663,17 @@ class MatrixRing(AlgebraRing):
     def _compute_units(self):
         return tuple(int(x) for x in np.flatnonzero(self.ranks == self.m))
 
-    def element_label(self, i):
-        return "[" + ",".join(
-            "[" + ",".join(str(int(v)) for v in row) + "]" for row in self.matrix_of(i)
-        ) + "]"
+    def element_labels(self):
+        # index digits run row-major, first entry most significant, as the combinations do
+        rows = _bracketed([list(map(str, range(self.field.size)))] * self.m, "[]")
+        return _bracketed([rows] * self.m, "[]")
+
+
+def _bracketed(parts, brackets: str) -> list[str]:
+    """Every combination of one label per part, first part most
+    significant, joined by commas between the two brackets."""
+    form = brackets[0] + "{}" + brackets[1]
+    return list(map(form.format, map(",".join, iter_product(*parts))))
 
 
 def _outer(op, parts) -> np.ndarray:
@@ -833,11 +841,8 @@ class ProductRing(FiniteRing):
         return tuple(_mixed_radix([np.asarray(f.units, dtype=np.int64) for f in self.factors],
                                   self.sizes).tolist())
 
-    def element_label(self, i):
-        comps = self.decode(i)
-        return "(" + ",".join(
-            f.element_label(c) for f, c in zip(self.factors, comps)
-        ) + ")"
+    def element_labels(self):
+        return _bracketed([f.element_labels() for f in self.factors], "()")
 
 
 class TableRing(FiniteRing):

@@ -44,6 +44,9 @@ generating test, the unit sum per orbit, the validator that builds each
 orbit's principal ideal as a mask, and the Krawtchouk column per orbit.
 Cyclotomic integers of different orders are compared by lifting both to
 a common multiple through the reducer, which no library route needs.
+Element labels decoded one element at a time, through each product's
+``decode`` and each matrix's entries, are kept for the label lists built
+as combinations of the factors' labels.
 """
 
 from __future__ import annotations
@@ -238,6 +241,20 @@ def generating_characters_by_translate(ring) -> list:
 def json_text_oracle(payload) -> str:
     """The CLI's ``--json`` text as the standard library writes it."""
     return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def element_label_by_decode(ring, i: int) -> str:
+    """The label of element i: a product's tuple of factor labels, a
+    matrix's rows of entry indices, or else the index itself."""
+    from frobring.rings import MatrixRing, ProductRing
+
+    if isinstance(ring, ProductRing):
+        return "(" + ",".join(element_label_by_decode(f, c)
+                              for f, c in zip(ring.factors, ring.decode(i))) + ")"
+    if isinstance(ring, MatrixRing):
+        return "[" + ",".join("[" + ",".join(str(int(v)) for v in row) + "]"
+                              for row in ring.matrix_of(i)) + "]"
+    return str(i)
 
 
 def is_generating_by_kernel_scan(char) -> bool:

@@ -73,7 +73,7 @@ def _digest(ring) -> str:
     ):
         h.update(np.vstack(rows).astype(np.int64).tobytes())
     h.update(str(ring.one).encode())
-    h.update("\n".join(ring.element_label(i) for i in range(n)).encode())
+    h.update("\n".join(ring.element_labels()).encode())
     h.update(canonical_generating_character(ring).exponents.astype(np.int64).tobytes())
     return h.hexdigest()[:16]
 

@@ -1,8 +1,10 @@
 """Command-line surface: the expression parser, subcommands, exit codes."""
 
 import argparse
+import collections
 import enum
 import json
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -430,6 +432,7 @@ class Small(enum.IntEnum):
 
 
 _SHARED = [3, 1, 2]
+_ROW = [1, 2]
 
 SYNTHETIC = {
     "tuples": {"t": (1, (2, 3), ()), "pairs": [(1, "a"), (2, "b")]},
@@ -444,6 +447,33 @@ SYNTHETIC = {
     "shared list at two depths": {"a": _SHARED, "b": [_SHARED, [_SHARED]], "c": {"d": _SHARED}},
     "top-level list": [[_SHARED], _SHARED, "s", 1],
     "scalar": 5,
+    "same-key rows of str and int": [{"element": "(0,1)", "index": 0, "weight": "1/2"},
+                                     {"element": "é\n\"", "index": -2 ** 70, "weight": "0"}],
+    "same-key rows of other values": {
+        "bool": [{"b": True}, {"b": False}],
+        "enum": [{"e": Small.ONE, "i": 2}, {"e": 2, "i": Small.ONE}],
+        "float": [{"f": 0.1}, {"f": float("nan")}, {"f": -0.0}],
+        "none": [{"n": None, "s": "x"}, {"n": None, "s": 1}],
+        "nested": [{"l": [1, 2], "d": {"x": [3]}, "t": ()},
+                   {"l": _SHARED, "d": {}, "t": (_ROW, [{}])}],
+        "int keys": [{2: "b", 1: "a"}, {1: "c", 2: "d"}],
+        "keys with braces": [{"{}": 1, "}{": "{0}"}, {"{}": 2, "}{": "}"}],
+    },
+    "empty dicts in lists": {"one": [{}], "two": [{}, {}], "then keys": [{}, {"a": 1}],
+                             "after keys": [{"a": 1}, {}]},
+    "key set changes partway": {
+        "other key": [{"a": 1, "b": 2}, {"a": 3, "c": 4}],
+        "more keys": [{"a": 1}, {"a": 2, "b": 3}],
+        "fewer keys": [{"a": 1, "b": 2}, {"b": 3}],
+        "not a dict": [{"a": 1}, 5, [1], {"a": 2}],
+        "a subclass": [{"a": 1}, collections.OrderedDict(b=2, a=1)],
+    },
+    "equal int lists, distinct objects": {"rows": [[1, 2], [1, 2], _ROW, list(_ROW), (1, 2)],
+                                          "blocks": [[[1, 2], _ROW], [_ROW, [1, 2]]]},
+    "one int list at two depths": {"entries": [[_ROW, _ROW, [2, 1]], [[1, 2], _ROW]],
+                                   "deeper": [[[_ROW]], _ROW], "row": _ROW},
+    "lists of int lists that are not": {"bools": [[1, 2], [True]], "empty": [[1], []],
+                                        "mixed": [[1], [1, "a"]], "late": [[1], 2]},
 }
 
 
@@ -452,8 +482,13 @@ def test_emit_matches_json_on_edge_cases(capsys, payload):
     assert emit_json(capsys, payload) == json_text_oracle(payload) + "\n"
 
 
-@pytest.mark.parametrize("payload", [{"x": object()}, {(1, 2): 0}, {"n": [1, np.int64(2)]},
-                                     {"n": np.int64(2)}, {1: 0, "a": 1}, {None: 0, 1: 1}])
+@pytest.mark.parametrize("payload", [
+    {"x": object()}, {(1, 2): 0}, {"n": [1, np.int64(2)]}, {"n": np.int64(2)},
+    {1: 0, "a": 1}, {None: 0, 1: 1},
+    [{(1, 2): 0}, {(1, 2): 0}], [{1: 0, "a": 1}, {1: 0, "a": 1}],
+    [{"a": 1, "b": 2}, {"a": 1, 2: 0}], [{"a": 1}, {"a": object()}],
+    [{"a": np.int64(1)}, {"a": 2}], [[1, 2], [1, np.int64(2)]],
+])
 def test_emit_raises_where_json_raises(capsys, payload):
     with pytest.raises(TypeError):
         json_text_oracle(payload)
@@ -462,13 +497,24 @@ def test_emit_raises_where_json_raises(capsys, payload):
 
 
 _json_leaves = (st.none() | st.booleans() | st.integers() | st.floats() | st.text())
-_json_values = st.recursive(
-    _json_leaves,
-    lambda children: (st.lists(children) | st.tuples(children, children)
-                      | st.dictionaries(st.text(), children)
-                      | st.dictionaries(st.integers() | st.floats(allow_nan=False), children)),
-    max_leaves=20,
-)
+
+
+def _json_containers(children):
+    """Lists, tuples and dicts, plus the shapes the renderer takes apart:
+    lists of dicts sharing one key set, and lists that repeat one int list."""
+    same_key_rows = st.lists(st.text(max_size=2), min_size=1, max_size=3, unique=True).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries(
+            dict.fromkeys(keys, st.text(max_size=3) | st.integers() | children)),
+            min_size=1, max_size=4))
+    repeated_rows = st.lists(st.integers(), min_size=1, max_size=3).flatmap(
+        lambda row: st.lists(st.sampled_from([row, list(row), []]), min_size=1, max_size=5))
+    return (st.lists(children) | st.tuples(children, children)
+            | st.dictionaries(st.text(), children)
+            | st.dictionaries(st.integers() | st.floats(allow_nan=False), children)
+            | same_key_rows | repeated_rows)
+
+
+_json_values = st.recursive(_json_leaves, _json_containers, max_leaves=20)
 
 
 @given(_json_values)
@@ -636,6 +682,17 @@ def test_exit_3_on_size_guard(capsys):
     )
     assert code == 0
     assert json.loads(out)["size"] == 20000
+
+
+def test_exit_3_on_a_runaway_cyclotomic_division(capsys):
+    """Z2 x Z4620: order 4620 has radical 2310, so reducing its tables
+    would take about 5.6e9 coordinate updates; the table is refused
+    before any counting."""
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "krawtchouk", "--ring", "Z2 x Z4620")
+    assert code == 3
+    assert time.perf_counter() - start < 1.0
+    assert "Z2 x Z4620" in err and "left table" in err and "order 4620" in err
 
 
 def test_exit_3_on_table_file_above_byte_budget(capsys, tmp_path):

@@ -156,17 +156,19 @@ def test_table_json(z4):
 
 
 def test_table_json_shares_one_row_per_orbit_and_block():
-    """Every element of a unit orbit shares its orbit's row object in each block."""
-    ring = build_ring(parse_ring("GF(3) x GF(9) x Z25"))
-    partition = hom_partition(ring)
-    char = canonical_generating_character(ring)
-    for side in ("left", "right"):
-        table = krawtchouk_table(partition, char, side)
-        entries = table.to_json()["entries"]
-        assert len(table.coeffs) < ring.size
-        assert len({id(r) for block in entries for r in block}) == \
-            len(table.coeffs) * partition.num_blocks
-        assert entries == table.coeffs[table.orbit_of].transpose(1, 0, 2).tolist()
+    """Equal coefficient rows share one list object, across orbits and
+    blocks: as many row objects as distinct row values."""
+    for expr in ["GF(3) x GF(9) x Z25", "Z8 x Z9 x GF(5)", "ex5_5"]:
+        ring = build_ring(parse_ring(expr))
+        partition = hom_partition(ring)
+        char = canonical_generating_character(ring)
+        for side in ("left", "right"):
+            table = krawtchouk_table(partition, char, side)
+            entries = table.to_json()["entries"]
+            rows = [r for block in entries for r in block]
+            assert len({id(r) for r in rows}) == len({tuple(r) for r in rows})
+            assert len({id(r) for r in rows}) < len(table.coeffs) * partition.num_blocks
+            assert entries == table.coeffs[table.orbit_of].transpose(1, 0, 2).tolist()
 
 
 # -- dual partitions -------------------------------------------------------------
@@ -588,6 +590,40 @@ def test_oversized_table_is_refused_before_counting(monkeypatch):
     monkeypatch.setattr(ring, "mul_col", None)  # no column may be computed
     with pytest.raises(ResourceLimit, match="Z9973: a left table of 9973 columns"):
         krawtchouk_table(Partition(ring, [[x] for x in range(ring.size)]), char, "left")
+
+
+def test_runaway_division_is_refused_before_counting(monkeypatch):
+    """On Z2 x Z4620 the reduction would make about 5.6e9 coordinate
+    updates: refused, naming ring, side and order, before any count."""
+    ring = build_ring(parse_ring("Z2 x Z4620"))
+    char = canonical_generating_character(ring)
+    partition = hom_partition(ring, char)
+
+    def no_counts(*args):
+        raise AssertionError("counted")
+
+    monkeypatch.setattr(duality, "_factor_counts", no_counts)
+    monkeypatch.setattr(duality, "_kernel_counts", no_counts)
+    for side in ("left", "right"):
+        with pytest.raises(ResourceLimit, match=f"Z2 x Z4620: reducing a {side} table of 96 "
+                           "columns and 33 blocks at character order 4620 takes 5565542400"):
+            krawtchouk_table(partition, char, side)
+
+
+def test_division_work_bound_is_inclusive(monkeypatch):
+    """A table whose reduction makes exactly the bound's updates is built;
+    one update fewer allowed refuses it.  Z2310's weight partition, 32
+    orbits by 32 blocks at order 2310, stays within the default bound."""
+    assert cyclotomic.division_work(2310, 32 * 32) <= duality._DIVISION_WORK
+    ring = build_zmod(12)
+    char = canonical_generating_character(ring)
+    blocks = hom_partition(ring, char).blocks
+    work = cyclotomic.division_work(char.order, len(ring.unit_orbits("left")[0]) * len(blocks))
+    monkeypatch.setattr(duality, "_DIVISION_WORK", work)
+    krawtchouk_table(Partition(ring, blocks), char, "left")
+    monkeypatch.setattr(duality, "_DIVISION_WORK", work - 1)
+    with pytest.raises(ResourceLimit, match=f"takes {work} coordinate updates"):
+        krawtchouk_table(Partition(ring, blocks), char, "left")
 
 
 def test_size_guard_ring_dual_finishes(capsys):

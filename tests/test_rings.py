@@ -30,6 +30,7 @@ from frobring.weights import weight_table
 
 from oracles import (
     all_ideals,
+    element_label_by_decode,
     ex5_5_tables_from_matrices,
     is_frobenius_oracle,
     matrix_rank_oracle,
@@ -804,11 +805,26 @@ def test_builtin_spec_unknown_name():
 
 
 def test_element_labels():
-    assert build_zmod(6).element_label(4) == "4"
+    assert build_zmod(6).element_labels()[4] == "4"
     m = build_matrix_ring(2, build_gf(2))
-    assert m.element_label(5) == "[[0,1],[0,1]]"
+    assert m.element_labels()[5] == "[[0,1],[0,1]]"
     p = build_product([build_gf(2), build_gf(9)])
-    assert p.element_label(10) == "(1,1)"
+    assert p.element_labels()[10] == "(1,1)"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_product([build_zmod(4), build_gf(3), build_gf(2)]),
+    lambda: build_product([build_matrix_ring(2, build_gf(2)), build_zmod(3)]),
+    lambda: build_product([builtin_ring("ex5_5"), build_matrix_ring(2, build_gf(3))]),
+    lambda: build_product([build_product([build_gf(4), build_zmod(6)]),
+                           build_product([builtin_ring("ex5_5"), build_gf(2)])]),
+    lambda: build_matrix_ring(2, build_gf(4)),
+    lambda: build_matrix_ring(3, build_gf(2)),
+], ids=["flat", "matrix factor", "ex5_5 and matrix factors", "nested products",
+        "M(2,GF(4))", "M(3,GF(2))"])
+def test_element_labels_match_decoding_each_element(build):
+    ring = build()
+    assert ring.element_labels() == [element_label_by_decode(ring, i) for i in range(ring.size)]
 
 
 def test_product_encode_decode_round_trip():

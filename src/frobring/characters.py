@@ -5,39 +5,23 @@ chi(x) = zeta_N^e(x) where N is the additive exponent of the ring.
 A character is *generating* when its kernel contains no nonzero left
 ideal and no nonzero right ideal; finite Frobenius rings are exactly
 the finite rings admitting one.  Canonical constructions exist per ring
-family; arbitrary table rings fall back to a deterministic search.  On a
-direct product every character is the sum of its restrictions to the
-factors, so additivity and the generating test run on the factors.
+family; a table ring without supplied exponents takes the first
+generating one among its additive maps, walked along the greedy
+generating set of (R,+) that table validation uses.  On a direct
+product every character is the sum of its restrictions to the factors,
+so additivity and the generating test run on the factors.
 """
 
 from __future__ import annotations
 
-from itertools import product as iter_product
 from math import gcd, prod
 
 import numpy as np
 
 from .errors import (CharacterSearchFailed, InternalInconsistency, InvalidParameter,
                      ResourceLimit)
-from .rings import (AlgebraRing, FiniteRing, ProductRing, TableRing, ZmodRing,
-                    _check_side, _greedy_generators, _grow_span, _outer)
-
-
-def _additive_generators(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
-    """A generating set of (R,+) and the translation by each member, cached.
-
-    Row i of the array is x -> x + gens[i].  The set is the greedy one
-    of ``rings._greedy_generators``, at most log2 |R| members.
-    """
-    cached = getattr(ring, "_additive_generators", None)
-    if cached is not None:
-        return cached
-    pairs = [(g, shift) for g, shift, _ in _greedy_generators(ring.size, ring.add_row)]
-    ring._additive_generators = (
-        np.array([g for g, _ in pairs], dtype=np.int64),
-        np.array([shift for _, shift in pairs], dtype=np.int64).reshape(-1, ring.size),
-    )
-    return ring._additive_generators
+from .rings import (AlgebraRing, FiniteRing, ProductRing, TableRing, ZmodRing, _check_side,
+                    _outer)
 
 
 def _check_hom(ring: FiniteRing, exponents: np.ndarray, order: int) -> bool:
@@ -55,8 +39,8 @@ def _check_hom(ring: FiniteRing, exponents: np.ndarray, order: int) -> bool:
         parts = [exponents[_embedding(ring, i)] for i in range(len(ring.leaves))]
         return (all(_check_hom(leaf, e, order) for leaf, e in zip(ring.leaves, parts))
                 and np.array_equal(_outer(np.add, parts) % order, exponents))
-    gens, shifts = _additive_generators(ring)
-    d = exponents[gens, None] + exponents - exponents[shifts]
+    pres = ring.additive_presentation
+    d = exponents[pres.gens, None] + exponents - exponents[pres.shifts]
     return bool(((d == 0) | (d == order)).all())
 
 
@@ -245,97 +229,49 @@ def _canonical(ring: FiniteRing) -> Character:
     raise InvalidParameter(f"no canonical character rule for {type(ring).__name__}")
 
 
-def _additive_orders(ring: FiniteRing) -> np.ndarray:
-    """Additive order of every element, in one vectorized walk x, 2x, 3x, ...
+def _additive_maps(ring: FiniteRing):
+    """Yield every additive map (R,+) -> Z_N, N the characteristic, once each.
 
-    Each step adds x to the multiple of x reached so far, over the
-    addition table, for the elements whose multiples have not yet
-    returned to 0.
+    Along the additive presentation: a map e additive on the span H
+    extends to H + <g>, where mg = h lies in H, exactly by the images t
+    of g with mt = e(h) mod N, and then e(x + jg) = e(x) + jt.  As Z_N
+    is self-injective, m divides e(h), and the m solutions are
+    e(h)/m + sN/m, s < m, taken in increasing order, the first generator
+    varying slowest.  The walk is depth first, so one map is held at a time.
     """
-    table = ring.add_table
-    if table is None:
-        raise ResourceLimit(f"{ring.expr}: too large for an addition table")
-    orders = np.ones(ring.size, dtype=np.int64)
-    acc = np.arange(ring.size)
-    live = np.arange(1, ring.size)
-    while live.size:
-        acc[live] = table[acc[live], live]
-        orders[live] += 1
-        live = live[acc[live] != 0]
-    return orders
+    order = ring.characteristic
+    pres = ring.additive_presentation
+    exps = np.zeros(ring.size, dtype=np.int64)
 
+    def extend(i):
+        if i == len(pres.cosets):
+            yield exps.copy()
+            return
+        cosets, h = pres.cosets[i], pres.closing[i]
+        m = len(cosets)
+        steps = np.arange(1, m, dtype=np.int64)[:, None]
+        for t in range(exps[h] // m, order, order // m):
+            exps[cosets[1:]] = (exps[cosets[0]] + steps * t) % order
+            yield from extend(i + 1)
 
-def _abelian_basis(ring: FiniteRing) -> list[tuple[int, int]]:
-    """Generators and orders with (R,+) the direct sum of the cyclic parts.
-
-    Greedy: take a lowest-index element of maximal order in the current
-    complement, then shrink the complement to a maximal subgroup meeting
-    the new cyclic part trivially (scanning elements in index order).
-    """
-    ambient = np.ones(ring.size, dtype=bool)
-    orders = _additive_orders(ring).tolist()
-    basis: list[tuple[int, int]] = []
-    in_taken = np.arange(ring.size) == 0
-    while np.count_nonzero(ambient) > 1:
-        candidates = np.flatnonzero(ambient).tolist()
-        best = max(candidates, key=lambda x: (orders[x], -x))
-        basis.append((best, orders[best]))
-        _grow_span(in_taken, ring.add_row(best))
-        if in_taken.all():  # the complement is {0}
-            break
-        in_comp = np.arange(ring.size) == 0
-        for x in candidates:
-            if in_comp[x]:
-                continue
-            in_cand = in_comp.copy()
-            _grow_span(in_cand, ring.add_row(x))
-            if np.count_nonzero(in_cand & in_taken) == 1:
-                in_comp = in_cand
-        ambient = in_comp
-    if prod(d for _, d in basis) != ring.size:
-        raise InternalInconsistency(f"{ring.expr}: cyclic decomposition does not "
-                                    "span the additive group")
-    return basis
+    return extend(0)
 
 
 def search_generating_character(ring: FiniteRing) -> Character | None:
     """Deterministic search for a generating character.
 
-    Decomposes (R,+) into cyclic parts, then walks all homomorphisms
-    into Z_N in lexicographic order of their generator images until one
-    passes the generating test.  Returns None, without walking, on a
+    Walks the additive maps into Z_N along the greedy generating set S
+    that table validation uses (see ``_additive_maps``) until one passes
+    the generating test.  Returns None, without walking, on a
     non-Frobenius ring: only those have no generating character.  The
     ring must be small enough to have an addition table.
     """
     if not ring.is_frobenius:
         return None
-    n = ring.size
-    order = ring.characteristic
-    basis = _abelian_basis(ring)
-    dims = [d for _, d in basis]
-    # x + j*g_i has the coordinates of x, with j at position i
-    coords = np.zeros((n, len(basis)), dtype=np.int64)
-    reached = np.zeros(1, dtype=np.int64)
-    for i, (g, d) in enumerate(basis):
-        shift = ring.add_row(g)
-        walk = [reached]
-        for j in range(1, d):
-            walk.append(shift[walk[-1]])
-            coords[walk[-1]] = coords[walk[-2]]
-            coords[walk[-1], i] = j
-        reached = np.concatenate(walk)
-    if len(np.unique(reached)) != n:
-        raise InternalInconsistency(f"{ring.expr}: coordinate enumeration for "
-                                    f"characters of order {order} missed elements")
-
-    scales = [order // d for d in dims]
-    for images in iter_product(*(range(d) for d in dims)):
-        weights = np.array([t * s for t, s in zip(images, scales)], dtype=np.int64)
-        exps = (coords @ weights) % order
-        char = Character(ring, exps, order)
-        if is_generating(char):
-            return char
-    return None
+    if ring.add_table is None:
+        raise ResourceLimit(f"{ring.expr}: too large for an addition table")
+    chars = (Character(ring, exps, ring.characteristic) for exps in _additive_maps(ring))
+    return next(filter(is_generating, chars), None)
 
 
 def all_generating_characters(ring: FiniteRing) -> list[Character]:

@@ -384,18 +384,33 @@ def _key_text(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _emit_text(payload: dict, indent: str = "") -> None:
+def _emit_text(payload: dict, indent: str = "", texts: dict | None = None) -> None:
+    """Print the payload one key per line, each value as ``str()`` writes it.
+
+    The text of every list is kept by id in ``texts`` for the call, so a
+    list shared by many entries (equal Krawtchouk rows share one) is
+    written once.
+    """
+    texts = {} if texts is None else texts
+
+    def text(value: list) -> str:
+        known = texts.get(id(value))
+        if known is None:
+            known = texts[id(value)] = "[" + ", ".join(
+                [text(x) if type(x) is list else repr(x) for x in value]) + "]"
+        return known
+
     for key, value in payload.items():
         if isinstance(value, dict):
             print(f"{indent}{key}:")
-            _emit_text(value, indent + "  ")
+            _emit_text(value, indent + "  ", texts)
         elif isinstance(value, list) and value and isinstance(value[0], dict):
             print(f"{indent}{key}:")
             for item in value:
-                _emit_text(item, indent + "  ")
+                _emit_text(item, indent + "  ", texts)
                 print()
         else:
-            print(f"{indent}{key}: {value}")
+            print(f"{indent}{key}: {text(value) if type(value) is list else value}")
 
 
 # -- partition selection ----------------------------------------------------

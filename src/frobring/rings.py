@@ -27,7 +27,8 @@ import os
 import warnings
 from functools import cached_property, reduce
 from itertools import product as iter_product
-from math import gcd
+from math import gcd, lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,12 +43,7 @@ from .errors import (
 DEFAULT_SIZE_GUARD = 10000
 DEFAULT_TABLE_THRESHOLD = 4096
 
-_EXHAUSTIVE_CHECK_LIMIT = 512
 _COMPARE_BLOCK = 1 << 17  # table entries compared per step in validate_tables
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def _check_side(side: str) -> None:
@@ -59,6 +55,18 @@ def _check_size(size: int, max_size: int | None) -> None:
     guard = DEFAULT_SIZE_GUARD if max_size is None else max_size
     if size > guard:
         raise ResourceLimit(f"ring of size {size} exceeds the size guard {guard}")
+
+
+class AdditivePresentation(NamedTuple):
+    """(R,+) as <S | mg = h for each g in S, commuting>: the greedy set S,
+    the translation by each g, the m x |H| array of the cosets H + jg
+    (j < m) of the span H before g, each in the order of H, and h in H.
+    """
+
+    gens: np.ndarray
+    shifts: np.ndarray
+    cosets: tuple[np.ndarray, ...]
+    closing: tuple[int, ...]
 
 
 class FiniteRing:
@@ -162,22 +170,38 @@ class FiniteRing:
     # -- derived structure ---------------------------------------------------
 
     @cached_property
+    def additive_presentation(self) -> AdditivePresentation:
+        """(R,+) on the greedy generating set, from one ``_greedy_generators`` pass."""
+        steps = [(g, shift, np.stack(walk))
+                 for g, shift, walk in _greedy_generators(self.size, self.add_row)]
+        return AdditivePresentation(
+            np.array([g for g, _, _ in steps], dtype=np.int64),
+            np.array([shift for _, shift, _ in steps], dtype=np.int64).reshape(-1, self.size),
+            tuple(cosets for _, _, cosets in steps),
+            tuple(int(shift[cosets[-1, 0]]) for _, shift, cosets in steps))
+
+    @cached_property
     def characteristic(self) -> int:
-        """Additive order of 1; equals the additive exponent of (R,+)."""
-        c = 1
-        acc = self.one
-        while acc != 0:
-            acc = self.add(acc, self.one)
-            c += 1
-        if self.size <= _EXHAUSTIVE_CHECK_LIMIT:
-            for x in range(self.size):
-                y = 0
-                for _ in range(c):
-                    y = self.add(y, x)
-                if y != 0:
-                    raise InternalInconsistency(
-                        f"element {x} has additive order not dividing {c}"
-                    )
+        """Additive order of 1; equals the additive exponent of (R,+).
+
+        c is read off one walk along x -> x + 1.  By additivity it kills
+        every element iff it kills every generator g of the additive
+        presentation: with mg = h, cg = (c/m)h if m divides c, else cg
+        lies in the coset H + (c mod m)g, outside H.
+        """
+        step = self.add_row(self.one).tolist()
+        c, x = 1, self.one
+        while x != 0:
+            x, c = step[x], c + 1
+        pres = self.additive_presentation
+        for g, cosets, h in zip(pres.gens.tolist(), pres.cosets, pres.closing):
+            m, x = len(cosets), 0
+            if c % m == 0 and h != 0:
+                step = self.add_row(h).tolist()
+                for _ in range(c // m):
+                    x = step[x]
+            if c % m or x != 0:
+                raise InternalInconsistency(f"element {g} has additive order not dividing {c}")
         return c
 
     @cached_property
@@ -531,12 +555,11 @@ class GaloisField(AlgebraRing):
         if k == 1:
             return (0, 1)  # f = x, so GF(p) is Z_p with the same indexing
 
-        def poly_mod(num, den):
+        def remainder(num, den):  # num mod the monic den
             num = list(num)
             dd = len(den) - 1
-            inv_lead = pow(den[-1], -1, p)
             for i in range(len(num) - 1, dd - 1, -1):
-                c = num[i] * inv_lead % p
+                c = num[i]
                 if c:
                     for j in range(dd + 1):
                         num[i - dd + j] = (num[i - dd + j] - c * den[j]) % p
@@ -544,23 +567,10 @@ class GaloisField(AlgebraRing):
                 num.pop()
             return num
 
-        def divisible(f, d):
-            r = poly_mod(f, d)
-            return len(r) == 1 and r[0] == 0
-
-        for tail in iter_product(range(p), repeat=k):
+        for tail in iter_product(range(1, p), *[range(p)] * (k - 1)):  # f(0) != 0
             f = (*tail, 1)
-            if f[0] == 0:
-                continue
-            reducible = False
-            for deg in range(1, k // 2 + 1):
-                for dt in iter_product(range(p), repeat=deg):
-                    if divisible(f, (*dt, 1)):
-                        reducible = True
-                        break
-                if reducible:
-                    break
-            if not reducible:
+            if not any(remainder(f, (*dt, 1)) == [0] for deg in range(1, k // 2 + 1)
+                       for dt in iter_product(range(p), repeat=deg)):
                 return f
         raise InternalInconsistency(f"no irreducible of degree {k} over GF({p})")
 
@@ -828,10 +838,7 @@ class ProductRing(FiniteRing):
 
     @cached_property
     def characteristic(self):
-        c = 1
-        for f in self.factors:
-            c = _lcm(c, f.characteristic)
-        return c
+        return lcm(*(f.characteristic for f in self.factors))
 
     @cached_property
     def is_commutative(self):

@@ -11,8 +11,7 @@ element-by-element checks that the unit-orbit index replaced (weight
 validation, the generating test, unit invariance) are kept here too,
 each scanning every element or every unit.  So are the pair-by-pair
 additivity check that the check on generators replaced, the ring-axiom
-check on every triple that the checks on generators replaced, the cyclic
-decomposition by set closure that the coset walk replaced, and the
+check on every triple that the checks on generators replaced, and the
 weight of one element from its own character sum over the units.  The
 Krawtchouk table by one column per element, each entry reduced on its
 own, is kept for the orbit-indexed tables that replaced it, and so is
@@ -27,6 +26,8 @@ are the generating characters as unit translates built, deduplicated and
 sorted one at a time, which one vectorized sort of all their exponent
 rows replaced, and ``json.dumps`` with two-space indent and sorted keys,
 the text the CLI's ``--json`` renderer must reproduce byte for byte.
+The CLI's text output by ``str()`` of each value, which the text
+renderer of list values replaced, is kept too.
 Right distributivity checked for every x along each additive generator,
 which the check on the edges of the coset walks replaced, is kept, and
 so is the table-file reader by ``json.load``, whose nested lists the
@@ -243,6 +244,21 @@ def json_text_oracle(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def emit_text_oracle(payload: dict, indent: str = "") -> None:
+    """Print the CLI's text output: each value by ``str()``, one line per key."""
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            print(f"{indent}{key}:")
+            emit_text_oracle(value, indent + "  ")
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            print(f"{indent}{key}:")
+            for item in value:
+                emit_text_oracle(item, indent + "  ")
+                print()
+        else:
+            print(f"{indent}{key}: {value}")
+
+
 def element_label_by_decode(ring, i: int) -> str:
     """The label of element i: a product's tuple of factor labels, a
     matrix's rows of entry indices, or else the index itself."""
@@ -302,37 +318,6 @@ def additive_closure(ring, gens) -> frozenset:
                 members.add(nxt)
                 frontier.append(nxt)
     return frozenset(members)
-
-
-def abelian_basis_by_closure(ring) -> list[tuple[int, int]]:
-    """The greedy cyclic decomposition the character search uses, on sets.
-
-    Same choices as the library: a lowest-index element of maximal
-    order, then a maximal complement built in index order; every span
-    here is a set closure instead of a coset walk on masks.
-    """
-    orders = {}
-    for x in range(ring.size):
-        c, acc = 1, x
-        while acc != 0:
-            acc, c = ring.add(acc, x), c + 1
-        orders[x] = c
-    ambient = frozenset(range(ring.size))
-    basis, taken = [], []
-    while len(ambient) > 1:
-        best = max(sorted(ambient), key=lambda x: (orders[x], -x))
-        basis.append((best, orders[best]))
-        taken.append(best)
-        span_taken = additive_closure(ring, taken)
-        comp, comp_gens = frozenset([0]), []
-        for x in sorted(ambient):
-            if x not in comp:
-                cand = additive_closure(ring, comp_gens + [x])
-                if len(cand & span_taken) == 1:
-                    comp = cand
-                    comp_gens.append(x)
-        ambient = comp
-    return basis
 
 
 def validate_tables_exhaustive(add: np.ndarray, mul: np.ndarray, one: int) -> None:

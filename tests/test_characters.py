@@ -21,14 +21,14 @@ from frobring.rings import (
     build_gf,
     build_matrix_ring,
     build_product,
+    build_table_ring,
     build_zmod,
     builtin_ring,
 )
 from frobring.cli import _non_frobenius_ring, build_ring, parse_ring
 
-from frobring.characters import _abelian_basis, _additive_generators, _check_hom
+from frobring.characters import _additive_maps, _check_hom
 from oracles import (
-    abelian_basis_by_closure,
     additive_closure,
     generating_characters_by_translate,
     is_additive_by_pairs,
@@ -130,21 +130,9 @@ def test_constructor_rejections(z4):
     ids=ring_id,
 )
 def test_additive_generators_generate_and_are_few(ring):
-    gens, _ = _additive_generators(ring)
+    gens = ring.additive_presentation.gens
     assert 2 ** len(gens) <= ring.size
     assert additive_closure(ring, gens) == frozenset(range(ring.size))
-
-
-@pytest.mark.parametrize(
-    "ring",
-    [build_zmod(12), build_gf(8), build_product([build_zmod(2), build_zmod(4)]),
-     build_product([build_zmod(4), build_gf(3)]), build_matrix_ring(2, build_gf(2)),
-     builtin_ring("ex5_5"), table_twin(builtin_ring("ex5_5")), _non_frobenius_ring(),
-     table_twin(_non_frobenius_ring(), exponents=False)],
-    ids=ring_id,
-)
-def test_abelian_basis_matches_set_closure_route(ring):
-    assert _abelian_basis(ring) == abelian_basis_by_closure(ring)
 
 
 @pytest.mark.parametrize("ring", FROBENIUS_RINGS, ids=ring_id)
@@ -180,7 +168,7 @@ def test_maps_additive_along_some_generators_only(ring):
     along one only, get the pairwise verdict."""
     char = canonical_generating_character(ring)
     e, order = char.exponents, char.order
-    gens, _ = _additive_generators(ring)
+    gens = ring.additive_presentation.gens
     rng = np.random.default_rng(11)
     candidates = []
     for g in gens:
@@ -211,7 +199,7 @@ def test_maps_additive_along_some_generators_only(ring):
 def test_one_changed_exponent_is_rejected(ring):
     """Changing e at one element off the generating set breaks additivity."""
     char = canonical_generating_character(ring)
-    gens = set(_additive_generators(ring)[0])
+    gens = set(ring.additive_presentation.gens)
     others = [x for x in range(1, ring.size) if x not in gens]
     assert others
     for x in others[:: max(1, len(others) // 40)]:
@@ -350,6 +338,68 @@ def test_search_needs_an_addition_table(monkeypatch):
     monkeypatch.setattr(rings, "DEFAULT_TABLE_THRESHOLD", 0)
     with pytest.raises(ResourceLimit, match="Z12"):
         search_generating_character(build_zmod(12))
+
+
+# -- the walk over the additive maps ----------------------------------------------
+
+
+def _table512(seed):
+    """The benchmark's 512-element tables, relabelled by the seed, as a ring."""
+    from test_bench_hooks import _load
+
+    return build_table_ring(_load("workloads").relabelled_tables(seed))
+
+
+def _relabelled(expr, seed):
+    """The ring's tables under a seeded relabelling fixing 0.  The greedy
+    generators then include elements of small order, and later ones close
+    on a nonzero element, which mixed-radix labels never do."""
+    ring = build_ring(parse_ring(expr))
+    perm = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(ring.size - 1)])
+    inv = np.argsort(perm)
+    add, mul = (inv[t[np.ix_(perm, perm)]] for t in (ring.add_table, ring.mul_table))
+    return build_table_ring({"size": ring.size, "add": add, "mul": mul,
+                             "one": int(inv[ring.one]), "name": f"{expr} relabelled"})
+
+
+def _walk_rings():
+    twins = [table_twin(build_ring(parse_ring(expr)), exponents=False)
+             for expr in ["Z12", "ex5_5", "M(2,GF(2)) x GF(3)", "Z8 x Z9", "GF(9) x Z4",
+                          "M(2,GF(4))", "Z4 x Z4 x GF(2)"]]
+    return twins + [_relabelled("Z8 x Z9", 1), _relabelled("Z4 x Z4 x GF(2)", 2),
+                    _table512(1), _table512(2),
+                    build_table_ring({"size": 1, "add": [[0]], "mul": [[0]], "one": 0})]
+
+
+WALK_RINGS = _walk_rings()
+
+
+def test_some_walk_closes_on_a_nonzero_element():
+    assert any(any(ring.additive_presentation.closing) for ring in WALK_RINGS)
+
+
+@pytest.mark.parametrize("ring", WALK_RINGS, ids=ring_id)
+def test_walk_yields_every_character_once(ring):
+    """Every character of a Frobenius ring is x -> chi(xr) for one r."""
+    maps = [m.tobytes() for m in _additive_maps(ring)]
+    assert len(maps) == len(set(maps)) == ring.size
+    chi = canonical_generating_character(ring)
+    assert chi.order == ring.characteristic
+    assert set(maps) == {chi.exponents[ring.mul_col(r)].tobytes() for r in range(ring.size)}
+
+
+def test_walk_yields_every_additive_map_of_a_non_frobenius_ring():
+    ring = table_twin(_non_frobenius_ring(), exponents=False)
+    maps = list(_additive_maps(ring))
+    assert len({m.tobytes() for m in maps}) == len(maps) == ring.size == 8
+    assert all(is_additive_by_pairs(ring, m, ring.characteristic) for m in maps)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_search_on_relabelled_tables_finds_a_generating_character(seed):
+    found = search_generating_character(_table512(seed))
+    assert found is not None
+    assert oracle_is_generating(found)
 
 
 # -- symmetry -----------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 import argparse
 import collections
+import contextlib
 import enum
+import io
 import json
 import time
 from pathlib import Path
@@ -27,7 +29,7 @@ from frobring.cli import (
     main,
     parse_ring,
 )
-from oracles import json_text_oracle
+from oracles import emit_text_oracle, json_text_oracle
 
 
 # -- expression parsing ---------------------------------------------------------
@@ -158,8 +160,8 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_json(capsys, *argv):
-    """Run with ``--json``; the text must be the oracle's for the payload, byte for byte."""
+def run_recorded(capsys, *argv):
+    """Run the CLI and return its one payload handed to ``_emit`` as well."""
     payloads = []
     emit = cli._emit
 
@@ -168,10 +170,30 @@ def run_json(capsys, *argv):
         emit(args, payload)
 
     with mock.patch.object(cli, "_emit", recording):
-        code, out, err = run_cli(capsys, *argv, "--json", "--no-timestamp")
+        code, out, err = run_cli(capsys, *argv, "--no-timestamp")
     assert len(payloads) == 1
-    assert out == json_text_oracle(payloads[0]) + "\n"
+    return code, out, err, payloads[0]
+
+
+def run_json(capsys, *argv):
+    """Run with ``--json``; the text must be the oracle's for the payload, byte for byte."""
+    code, out, err, payload = run_recorded(capsys, *argv, "--json")
+    assert out == json_text_oracle(payload) + "\n"
     return code, json.loads(out), err
+
+
+def run_text(capsys, *argv):
+    """Run in text mode; the text must be the oracle's for the payload, byte for byte."""
+    code, out, err, payload = run_recorded(capsys, *argv)
+    assert out == text_of_oracle(payload)
+    return code, out, err
+
+
+def text_of_oracle(payload) -> str:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        emit_text_oracle(payload)
+    return buffer.getvalue()
 
 
 def test_info_command(capsys):
@@ -422,6 +444,21 @@ def test_json_text_is_the_oracle_text_on_other_options(capsys, argv):
     assert run_json(capsys, *argv)[0] == 0
 
 
+@pytest.mark.parametrize("command", SUBCOMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("expr", ["Z4", "ex5_5", "M(2,GF(2))", *CHAIN_RINGS])
+def test_text_is_the_oracle_text(capsys, expr, command):
+    assert run_text(capsys, *command, "--ring", expr)[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("partition", "rank", "--ring", "M(2,GF(2))"),
+    ("krawtchouk", "--ring", "ex5_5", "--partition", "ex5_5", "--side", "both"),
+    ("krawtchouk", "--ring", "Z9 x Z25", "--char", "index:7", "--side", "both"),
+])
+def test_text_is_the_oracle_text_on_other_options(capsys, argv):
+    assert run_text(capsys, *argv)[0] == 0
+
+
 def emit_json(capsys, payload) -> str:
     cli._emit(argparse.Namespace(json=True, no_timestamp=True), payload)
     return capsys.readouterr().out
@@ -480,6 +517,24 @@ SYNTHETIC = {
 @pytest.mark.parametrize("payload", SYNTHETIC.values(), ids=SYNTHETIC.keys())
 def test_emit_matches_json_on_edge_cases(capsys, payload):
     assert emit_json(capsys, payload) == json_text_oracle(payload) + "\n"
+
+
+@pytest.mark.parametrize("payload", [p for p in SYNTHETIC.values() if isinstance(p, dict)],
+                         ids=[k for k, p in SYNTHETIC.items() if isinstance(p, dict)])
+def test_text_matches_str_on_edge_cases(capsys, payload):
+    """Same text, and where the oracle fails (a list of dicts holding a non-dict),
+    the same error after the same text."""
+    args = argparse.Namespace(json=False, no_timestamp=True)
+    buffer = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(buffer):
+            emit_text_oracle(payload)
+    except AttributeError:
+        with pytest.raises(AttributeError):
+            cli._emit(args, payload)
+    else:
+        cli._emit(args, payload)
+    assert capsys.readouterr().out == buffer.getvalue()
 
 
 @pytest.mark.parametrize("payload", [

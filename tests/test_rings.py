@@ -7,6 +7,7 @@ import pytest
 
 from frobring.errors import (
     CharacterSearchFailed,
+    InternalInconsistency,
     InvalidParameter,
     InvalidRing,
     ResourceLimit,
@@ -855,6 +856,20 @@ def test_characteristics():
     assert build_gf(9).characteristic == 3
     assert build_matrix_ring(2, build_gf(2)).characteristic == 2
     assert build_product([build_gf(2), build_gf(9)]).characteristic == 6
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_characteristic_refuses_an_element_of_larger_order(swap):
+    """Z2 x Z4 (index 4a + b) with one = (1, 0): 1 has additive order 2,
+    (0, 1) order 4.  Swapping the labels of (0, 1) and (0, 2) makes (0, 2)
+    the first generator, so (0, 1) closes on it, 2(0, 1) = (0, 2) != 0."""
+    ring = build_product([build_zmod(2), build_zmod(4)])
+    perm = np.array([0, 2, 1, *range(3, 8)]) if swap else np.arange(8)
+    add, mul = (perm[t[np.ix_(perm, perm)]] for t in (ring.add_table, ring.mul_table))
+    bad = rings.TableRing(add, mul, 4)
+    with pytest.raises(InternalInconsistency,
+                       match=f"^element {perm[1]} has additive order not dividing 2$"):
+        bad.characteristic
 
 
 def test_commutativity_flags():

@@ -18,8 +18,7 @@ from math import gcd, prod
 
 import numpy as np
 
-from .errors import (CharacterSearchFailed, InternalInconsistency, InvalidParameter,
-                     ResourceLimit)
+from .errors import CharacterSearchFailed, InternalInconsistency, InvalidParameter
 from .rings import (AlgebraRing, FiniteRing, ProductRing, TableRing, ZmodRing, _check_side,
                     _outer)
 
@@ -263,13 +262,10 @@ def search_generating_character(ring: FiniteRing) -> Character | None:
     Walks the additive maps into Z_N along the greedy generating set S
     that table validation uses (see ``_additive_maps``) until one passes
     the generating test.  Returns None, without walking, on a
-    non-Frobenius ring: only those have no generating character.  The
-    ring must be small enough to have an addition table.
+    non-Frobenius ring: only those have no generating character.
     """
     if not ring.is_frobenius:
         return None
-    if ring.add_table is None:
-        raise ResourceLimit(f"{ring.expr}: too large for an addition table")
     chars = (Character(ring, exps, ring.characteristic) for exps in _additive_maps(ring))
     return next(filter(is_generating, chars), None)
 

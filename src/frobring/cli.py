@@ -37,7 +37,8 @@ from .errors import (CharacterSearchFailed, InternalInconsistency,
                      InvalidParameter, InvalidRing, ResourceLimit)
 from .rings import (AlgebraRing, FiniteRing, GaloisField, MatrixRing, ProductRing,
                     build_gf, build_matrix_ring, build_product, build_table_ring,
-                    build_zmod, builtin_ring, load_table_spec, validate_tables)
+                    build_zmod, builtin_ring, cayley_tables, load_table_spec,
+                    validate_tables)
 
 
 # -- ring expressions -------------------------------------------------------
@@ -645,7 +646,7 @@ def _blocks_as_sets(part: partitions.Partition) -> set[frozenset]:
 
 
 def _tables_and_frobenius(ring: FiniteRing) -> bool:
-    validate_tables(ring.add_table, ring.mul_table, ring.one)
+    validate_tables(*cayley_tables(ring), ring.one)
     return ring.is_frobenius
 
 

@@ -15,7 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParameter
-from .rings import FiniteRing, GaloisField, MatrixRing, ProductRing, builtin_ring
+from .rings import (FiniteRing, GaloisField, MatrixRing, ProductRing, builtin_ring,
+                    cayley_tables)
 from .weights import WeightTable, weight_table
 
 
@@ -234,9 +235,8 @@ def _is_ex5_5(ring: FiniteRing) -> bool:
     """
     ref = builtin_ring("ex5_5")
     return ring.size == ref.size and all(
-        table is not None and np.array_equal(table, ref_table)
-        for table, ref_table in ((ring.add_table, ref.add_table),
-                                 (ring.mul_table, ref.mul_table)))
+        np.array_equal(table, ref_table)
+        for table, ref_table in zip(cayley_tables(ring), cayley_tables(ref)))
 
 
 def ex5_5_partition(ring: FiniteRing) -> Partition:

@@ -1,12 +1,12 @@
 """Finite unital rings on dense integer indices.
 
 Every ring here has elements 0..size-1 with index 0 the zero element.
-Arithmetic is exposed three ways: scalar ``add``/``mul``,
-whole Cayley tables (cached as numpy arrays when the ring is small
-enough), and vector kernels ``add_row``/``mul_row``/``mul_col`` that
-compute one row or column of a table on demand.  The kernels are what
-keep character sums and weight computations fast on rings too large to
-table, e.g. products of matrix rings.
+All arithmetic goes through the vector kernels ``add_row``/``mul_row``/
+``mul_col``, which compute one row or column of a Cayley table on
+demand; scalar ``add``/``mul`` are one-element kernel calls unless a
+family has cheaper arithmetic.  Only a ``TableRing``, whose input they
+are, holds Cayley tables; ``cayley_tables`` builds them for any ring on
+request.
 
 Families: integers mod n, finite algebras over F_p given by structure
 constants (Galois fields, full matrix rings over a Galois field, and the
@@ -15,9 +15,9 @@ rings built from user Cayley data.  Derived structure (units, Jacobson
 radical, socles, principal ideals, the radical quotient) is computed by
 the defining property in each case.  Properties that depend only on a principal
 ideal Rx = R(ux) or xR = (xu)R are decided once per unit orbit, through
-the cached index ``unit_orbits``.  A direct product takes its Cayley
-tables, units, unit orbits, radical, socles and Frobenius test from its
-factors, in mixed radix.
+the cached index ``unit_orbits``.  A direct product takes its units,
+unit orbits, radical, socles and Frobenius test from its factors, in
+mixed radix.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .errors import (
 )
 
 DEFAULT_SIZE_GUARD = 10000
-DEFAULT_TABLE_THRESHOLD = 4096
 
 _COMPARE_BLOCK = 1 << 17  # table entries compared per step in validate_tables
 
@@ -72,13 +71,11 @@ class AdditivePresentation(NamedTuple):
 class FiniteRing:
     """Common behavior for all ring families.
 
-    Subclasses must set ``size``, ``one``, ``expr`` and either supply
-    both Cayley tables or implement the kernels ``_add_row_impl``,
-    ``_mul_row_impl`` and ``_mul_col_impl``.  A ring of at most
-    ``DEFAULT_TABLE_THRESHOLD`` elements builds both tables on first use
-    (a ``TableRing`` keeps the ones it is given).  Scalar ``add``/``mul``
-    read the cached table when the ring has one and fall back to a
-    one-element kernel call otherwise.
+    Subclasses must set ``size``, ``one`` and ``expr`` and implement
+    the kernels ``_add_row_impl``, ``_mul_row_impl`` and
+    ``_mul_col_impl``, which ``add_row``, ``mul_row`` and ``mul_col``
+    call; scalar ``add``/``mul`` are one-element kernel calls unless a
+    subclass has cheaper ones.
     """
 
     size: int
@@ -89,15 +86,9 @@ class FiniteRing:
     # -- scalar operations ------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        table = self.add_table
-        if table is not None:
-            return table.item(a, b)
         return int(self._add_row_impl(a, (b,))[0])
 
     def mul(self, a: int, b: int) -> int:
-        table = self.mul_table
-        if table is not None:
-            return table.item(a, b)
         return int(self._mul_row_impl(a, (b,))[0])
 
     # -- vector kernels ----------------------------------------------------
@@ -112,49 +103,16 @@ class FiniteRing:
         return np.asarray(sel, dtype=np.int64)
 
     def add_row(self, a: int, cols=None) -> np.ndarray:
-        """Vector of a + b over b in cols (all elements by default).
-
-        From the addition table once built; a row alone does not build it.
-        """
-        table = self.__dict__.get("add_table")
-        if table is not None:
-            row = table[a] if cols is None else table[a, np.asarray(cols)]
-            return row.astype(np.int64)
+        """Vector of a + b over b in cols (all elements by default)."""
         return self._add_row_impl(a, cols)
 
     def mul_row(self, a: int, cols=None) -> np.ndarray:
         """Vector of a * b over b in cols."""
-        table = self.mul_table
-        if table is not None:
-            row = table[a] if cols is None else table[a, np.asarray(cols)]
-            return row.astype(np.int64)
         return self._mul_row_impl(a, cols)
 
     def mul_col(self, b: int, rows=None) -> np.ndarray:
         """Vector of a * b over a in rows."""
-        table = self.mul_table
-        if table is not None:
-            col = table[:, b] if rows is None else table[np.asarray(rows), b]
-            return col.astype(np.int64)
         return self._mul_col_impl(b, rows)
-
-    # -- cached tables -----------------------------------------------------
-
-    @cached_property
-    def add_table(self) -> np.ndarray | None:
-        return self._table("add") if self.size <= DEFAULT_TABLE_THRESHOLD else None
-
-    @cached_property
-    def mul_table(self) -> np.ndarray | None:
-        return self._table("mul") if self.size <= DEFAULT_TABLE_THRESHOLD else None
-
-    def _table(self, op: str) -> np.ndarray:
-        """The whole ``op`` ('add' or 'mul') table, one kernel row per element."""
-        row_impl = self._add_row_impl if op == "add" else self._mul_row_impl
-        out = np.empty((self.size, self.size), dtype=np.int32)
-        for a in range(self.size):
-            out[a] = row_impl(a, None)
-        return out
 
     @cached_property
     def neg_table(self) -> np.ndarray:
@@ -172,8 +130,7 @@ class FiniteRing:
     @cached_property
     def additive_presentation(self) -> AdditivePresentation:
         """(R,+) on the greedy generating set, from one ``_greedy_generators`` pass."""
-        steps = [(g, shift, np.stack(walk))
-                 for g, shift, walk in _greedy_generators(self.size, self.add_row)]
+        steps = list(_greedy_generators(self.size, self.add_row))
         return AdditivePresentation(
             np.array([g for g, _, _ in steps], dtype=np.int64),
             np.array([shift for _, shift, _ in steps], dtype=np.int64).reshape(-1, self.size),
@@ -358,10 +315,10 @@ class FiniteRing:
             reps.append(x)
             for y in self.add_row(x, rad):
                 pi[int(y)] = idx
-        m = len(reps)
-        qadd = [[pi[self.add(a, b)] for b in reps] for a in reps]
-        qmul = [[pi[self.mul(a, b)] for b in reps] for a in reps]
-        spec = {"size": m, "add": qadd, "mul": qmul, "one": pi[self.one],
+        coset_of = np.asarray(pi)
+        qadd = np.array([coset_of[self.add_row(a, reps)] for a in reps])
+        qmul = np.array([coset_of[self.mul_row(a, reps)] for a in reps])
+        spec = {"size": len(reps), "add": qadd, "mul": qmul, "one": pi[self.one],
                 "name": f"{self.expr} mod radical"}
         qring = build_table_ring(spec, max_size=self.size)
         qring.structure = self.structure
@@ -458,6 +415,7 @@ class AlgebraRing(FiniteRing):
         self.dim = dim = tensor.shape[0]
         self.size = p**dim
         self.one = one
+        self.expr = f"algebra of dimension {dim} over GF({p})"
         self.tensor = np.asarray(tensor, dtype=np.int64) % p
         self.trace_form = np.asarray(trace_form, dtype=np.int64) % p
         # digits(a*b) = digits(b) @ L_a = digits(a) @ R_b; row a of _by_left
@@ -470,7 +428,7 @@ class AlgebraRing(FiniteRing):
         i = np.arange(self.size, dtype=np.int64)
         self._digits = (i[:, None] // self._pows) % p
 
-    # on one digit the algebra is Z_p, where arithmetic beats a table lookup
+    # on one digit the algebra is Z_p, where arithmetic beats a kernel call
     def add(self, a, b):
         return (a + b) % self.p if self.dim == 1 else super().add(a, b)
 
@@ -496,14 +454,20 @@ class AlgebraRing(FiniteRing):
         return lo_sum[x % low, y % low] + hi_sum[x // low, y // low]
 
     def _image(self, mat: np.ndarray, sel) -> np.ndarray:
-        """Indices of digits(x) @ mat for x in sel."""
+        """Indices of digits(x) @ mat for x in sel.
+
+        Element j*low + i has the image of i plus that of j*low, so the
+        whole image is the outer sum of the two half images.
+        """
         idx = self._indices(sel)
         low = self._low
-        if len(idx) < low:  # too few to pay for imaging both halves
+        if self.dim == 1 or len(idx) < low:  # too few to pay for imaging both halves
             return self._encode(self._digits[idx] @ mat)
-        lo_img = self._encode(self._digits[:low] @ mat)
-        hi_img = self._encode(self._digits[::low] @ mat)
-        return self._sum(lo_img[idx % low], hi_img[idx // low])
+        lo_div, lo_mod = np.divmod(self._encode(self._digits[:low] @ mat), low)
+        hi_div, hi_mod = np.divmod(self._encode(self._digits[::low] @ mat), low)
+        lo_sum, hi_sum = self._half_sums
+        image = (lo_sum[hi_mod[:, None], lo_mod] + hi_sum[hi_div[:, None], lo_div]).ravel()
+        return image if sel is None else image[idx]
 
     def _add_row_impl(self, a, cols):
         return self._sum(a, self._indices(cols))
@@ -694,21 +658,13 @@ def _outer(op, parts) -> np.ndarray:
 
 
 def _mixed_radix(parts, radices) -> np.ndarray:
-    """Every combination of one entry per part, encoded first part most significant.
-
-    1-D parts give the codes of all tuples in increasing order when each
-    part increases.  2-D parts are factor Cayley tables, and the result
-    is the product's table: entry (a, b) is the code of the factor
-    entries at the digits of a and b.  ``radices[i]`` is the base of
-    part i's digit.
+    """Every combination of one entry per part, encoded first part most
+    significant: the codes of all tuples, in increasing order when each
+    part increases.  ``radices[i]`` is the base of part i's digit.
     """
     out = parts[0]
     for part, radix in zip(parts[1:], radices[1:]):
-        if part.ndim == 1:
-            out = (out[:, None] * radix + part[None, :]).ravel()
-        else:
-            out = (out[:, None, :, None] * radix + part[None, :, None, :]).reshape(
-                len(out) * len(part), -1)
+        out = (out[:, None] * radix + part[None, :]).ravel()
     return out
 
 
@@ -719,12 +675,12 @@ class ProductRing(FiniteRing):
     first factor most significant.  The encoding is associative: nesting
     products yields the same indexing as one flat product, so every route
     below can run over ``leaves``, the factors with nested products
-    expanded.  Cayley tables, units, unit orbits and structure come from
-    the factors with no kernel call on the product: its tables are the
-    factor tables in mixed radix, its units are U_1 x ... x U_k, its unit
-    orbits on either side are the products of the factor orbits, its
-    radical and socles are the products of the factors' ones, and it is
-    Frobenius iff every factor is, each factor running its own checks.
+    expanded.  Units, unit orbits and structure come from the factors
+    with no kernel call on the product: its units are U_1 x ... x U_k,
+    its unit orbits on either side are the products of the factor
+    orbits, its radical and socles are the products of the factors'
+    ones, and it is Frobenius iff every factor is, each factor running
+    its own checks.
     The other modules take the same route: a character restricts to each
     factor (``characters.restrictions``) and is generating iff every
     restriction is, the unit sums are products of the factors' sums, the
@@ -802,10 +758,6 @@ class ProductRing(FiniteRing):
     def _build_neg_table(self):
         return _mixed_radix([f.neg_table for f in self.factors], self.sizes)
 
-    def _table(self, op):
-        # a product within the threshold has factors within it, each with its table
-        return _mixed_radix([getattr(f, f"{op}_table") for f in self.factors], self.sizes)
-
     def _compute_unit_orbits(self, side):
         # the least member of U_1x_1 x U_2x_2 is the pair of the factors' least
         # members, and the encoding is lexicographic, so ids follow the reps
@@ -853,7 +805,8 @@ class ProductRing(FiniteRing):
 
 
 class TableRing(FiniteRing):
-    """A ring given by explicit Cayley tables."""
+    """A ring given by explicit Cayley tables: the only ring that holds
+    them, and its kernels index them."""
 
     def __init__(self, add_table: np.ndarray, mul_table: np.ndarray, one: int,
                  name: str | None = None, char_exponents=None):
@@ -865,6 +818,35 @@ class TableRing(FiniteRing):
         self.char_exponents = (
             None if char_exponents is None else np.asarray(char_exponents, dtype=np.int64)
         )
+
+    def add(self, a, b):
+        return self.add_table.item(a, b)
+
+    def mul(self, a, b):
+        return self.mul_table.item(a, b)
+
+    # a slice, not a gather over every index, when the whole row is wanted
+    def _add_row_impl(self, a, cols):
+        row = self.add_table[a]
+        return (row if cols is None else row[np.asarray(cols)]).astype(np.int64)
+
+    def _mul_row_impl(self, a, cols):
+        row = self.mul_table[a]
+        return (row if cols is None else row[np.asarray(cols)]).astype(np.int64)
+
+    def _mul_col_impl(self, b, rows):
+        col = self.mul_table[:, b]
+        return (col if rows is None else col[np.asarray(rows)]).astype(np.int64)
+
+
+def cayley_tables(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
+    """The addition and multiplication tables of ``ring``, as n x n int32
+    arrays stacked from its kernel rows: n^2 memory, built on request."""
+    add = np.empty((ring.size, ring.size), dtype=np.int32)
+    mul = np.empty_like(add)
+    for a in range(ring.size):
+        add[a], mul[a] = ring.add_row(a), ring.mul_row(a)
+    return add, mul
 
 
 def _as_table(data, size, what) -> np.ndarray:
@@ -899,21 +881,29 @@ def _first_mismatch_by_rows(n: int, lhs, rhs) -> tuple[int, int] | None:
     return None
 
 
-def _grow_span(in_span: np.ndarray, shift: np.ndarray) -> list[np.ndarray]:
+def _grow_span(in_span: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Extend the subgroup H marked in the mask ``in_span`` to H + <g>.
 
     ``shift`` is the translation x -> x + g.  The cosets H + jg are
     pairwise disjoint until one falls back into H, so the walk marks
-    each new coset until it meets a marked one, and returns the cosets
-    H, H + g, ..., H + (m-1)g it passed, each in the order of H.  Sound
-    wherever H and g lie in an associative part of the addition; each
-    step marks at least one element, so the walk ends on any table.
+    each new coset until it meets a marked one, and returns the m x |H|
+    array of the cosets H, H + g, ..., H + (m-1)g it passed, each in
+    the order of H.  Sound wherever H and g lie in an associative part
+    of the addition; each step marks at least one element, so the walk
+    ends on any table.
     """
+    if not in_span[1:].any():  # H = {0}: one-element cosets, walked in plain Python
+        step, walk, marked = shift.tolist(), [0], {0}
+        while step[walk[-1]] not in marked:
+            walk.append(step[walk[-1]])
+            marked.add(walk[-1])
+        in_span[walk] = True
+        return np.array(walk)[:, None]
     walk = [np.flatnonzero(in_span)]
     while not in_span[shift[walk[-1][0]]]:
         walk.append(shift[walk[-1]])
         in_span[walk[-1]] = True
-    return walk
+    return np.stack(walk)
 
 
 def _greedy_generators(size: int, translation):
@@ -990,7 +980,7 @@ def validate_tables(add: np.ndarray, mul: np.ndarray, one: int) -> None:
                               witness=(x, g, y))
         gens.append(g)
         # the sources x of the walk's edges x -> x+g, the closing one last
-        edges.append(np.concatenate(walk[:-1] + [walk[-1][:1]]))
+        edges.append(np.concatenate([walk[:-1].ravel(), walk[-1, :1]]))
     s = np.array(gens, dtype=np.intp)
     counts = [len(e) for e in edges]  # s[:0]: no edges on a one-element ring
     xs, gs = np.concatenate([s[:0], *edges]), np.repeat(s, counts)
@@ -1199,6 +1189,7 @@ def build_table_ring(spec: dict, max_size: int | None = None) -> TableRing:
         raise InvalidRing(f"{label}: {exc}", witness=exc.witness) from None
     exps = spec.get("char_exponents")
     if exps is not None:
-        if len(exps) != size or any(type(e) is not int for e in exps):
+        if (not isinstance(exps, (list, tuple)) or len(exps) != size
+                or any(type(e) is not int for e in exps)):
             raise InvalidParameter("char_exponents must list one integer per element")
     return TableRing(add, mul, one, name=name, char_exponents=exps)

@@ -16,9 +16,7 @@ weight of one element from its own character sum over the units.  The
 Krawtchouk table by one column per element, each entry reduced on its
 own, is kept for the orbit-indexed tables that replaced it, and so is
 the dual grouping by ``np.unique(axis=0)`` over the coefficient rows,
-which grouping the rows as opaque byte strings replaced.  A product's
-Cayley tables stacked from its own kernel rows, one per element, are
-kept for the mixed-radix tables built from the factors.  The
+which grouping the rows as opaque byte strings replaced.  The
 grouping of elements by a per-element Python key, which every partition
 builder and the dual partition used before they keyed elements by
 integer arrays grouped in one ``np.unique`` pass, is kept as well.  So
@@ -26,6 +24,8 @@ are the generating characters as unit translates built, deduplicated and
 sorted one at a time, which one vectorized sort of all their exponent
 rows replaced, and ``json.dumps`` with two-space indent and sorted keys,
 the text the CLI's ``--json`` renderer must reproduce byte for byte.
+The additive presentation walked one coset array at a time is kept for
+the walk that steps through the one-element cosets of {0} in Python.
 The CLI's text output by ``str()`` of each value, which the text
 renderer of list values replaced, is kept too.
 Right distributivity checked for every x along each additive generator,
@@ -55,12 +55,22 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from frobring import cyclotomic
 from frobring.errors import (InternalInconsistency, InvalidParameter, InvalidRing,
                              ResourceLimit)
+from frobring.rings import cayley_tables
+
+
+@lru_cache(maxsize=16)
+def _tables(ring) -> tuple[list[list[int]], list[list[int]]]:
+    """The ring's Cayley tables as nested lists, built once per ring for
+    the scalar loops below: an index costs far less than the one-element
+    kernel call of ``ring.add`` or ``ring.mul``."""
+    return tuple(t.tolist() for t in cayley_tables(ring))
 
 
 # -- ideal enumeration -------------------------------------------------------
@@ -68,6 +78,7 @@ from frobring.errors import (InternalInconsistency, InvalidParameter, InvalidRin
 
 def close_ideal(ring, seed, side: str) -> frozenset:
     """Smallest one-sided ideal containing the seed elements."""
+    add, mul = _tables(ring)
     members = set(seed) | {0}
     changed = True
     while changed:
@@ -75,14 +86,14 @@ def close_ideal(ring, seed, side: str) -> frozenset:
         current = list(members)
         for x in current:
             for r in range(ring.size):
-                y = ring.mul(r, x) if side == "left" else ring.mul(x, r)
+                y = mul[r][x] if side == "left" else mul[x][r]
                 if y not in members:
                     members.add(y)
                     changed = True
         current = list(members)
         for i, a in enumerate(current):
             for b in current[i:]:
-                y = ring.add(a, b)
+                y = add[a][b]
                 if y not in members:
                     members.add(y)
                     changed = True
@@ -91,9 +102,10 @@ def close_ideal(ring, seed, side: str) -> frozenset:
 
 def principal_ideal_oracle(ring, x: int, side: str) -> frozenset:
     """One-sided principal ideal of a unital ring: all rx (or xr)."""
+    _, mul = _tables(ring)
     if side == "left":
-        return frozenset(ring.mul(r, x) for r in range(ring.size))
-    return frozenset(ring.mul(x, r) for r in range(ring.size))
+        return frozenset(row[x] for row in mul)
+    return frozenset(mul[x])
 
 
 def all_ideals(ring, side: str) -> set[frozenset]:
@@ -150,10 +162,11 @@ def is_frobenius_oracle(ring) -> bool:
 
 
 def units_oracle(ring) -> list[int]:
+    _, mul = _tables(ring)
     out = []
     for x in range(ring.size):
         for y in range(ring.size):
-            if ring.mul(x, y) == ring.one and ring.mul(y, x) == ring.one:
+            if mul[x][y] == ring.one and mul[y][x] == ring.one:
                 out.append(x)
                 break
     return out
@@ -161,10 +174,11 @@ def units_oracle(ring) -> list[int]:
 
 def unit_orbits_oracle(ring, side: str) -> set[frozenset]:
     """The orbits {u*x} (side 'left') or {x*u} over the units, by scalar products."""
+    _, mul = _tables(ring)
     units = units_oracle(ring)
     if side == "left":
-        return {frozenset(ring.mul(u, x) for u in units) for x in range(ring.size)}
-    return {frozenset(ring.mul(x, u) for u in units) for x in range(ring.size)}
+        return {frozenset(mul[u][x] for u in units) for x in range(ring.size)}
+    return {frozenset(mul[x][u] for u in units) for x in range(ring.size)}
 
 
 # -- element-by-element checks ------------------------------------------------
@@ -306,14 +320,35 @@ def is_additive_by_pairs(ring, exponents, order: int) -> bool:
     return True
 
 
+def additive_presentation_by_coset_arrays(ring):
+    """(R,+) on the greedy generating set, each coset H + jg taken as one
+    array operation, even while H = {0} and every coset is one element."""
+    from frobring.rings import AdditivePresentation
+
+    in_span = np.arange(ring.size) == 0
+    gens, shifts, cosets = [], [], []
+    while not in_span.all():
+        gens.append(int(np.argmin(in_span)))
+        shifts.append(ring.add_row(gens[-1]))
+        walk = [np.flatnonzero(in_span)]
+        while not in_span[shifts[-1][walk[-1][0]]]:
+            walk.append(shifts[-1][walk[-1]])
+            in_span[walk[-1]] = True
+        cosets.append(np.stack(walk))
+    return AdditivePresentation(
+        np.array(gens, dtype=np.int64), np.array(shifts, dtype=np.int64).reshape(-1, ring.size),
+        tuple(cosets), tuple(int(s[c[-1, 0]]) for s, c in zip(shifts, cosets)))
+
+
 def additive_closure(ring, gens) -> frozenset:
     """Subgroup of (R,+) generated by gens, by breadth-first closure."""
+    add, _ = _tables(ring)
     members = {0}
     frontier = [0]
     while frontier:
         cur = frontier.pop()
         for g in gens:
-            nxt = ring.add(cur, g)
+            nxt = add[cur][g]
             if nxt not in members:
                 members.add(nxt)
                 frontier.append(nxt)
@@ -518,15 +553,16 @@ def weight_via_characters(ring, char, x: int) -> Fraction:
 
 def span_oracle(field, vectors) -> frozenset:
     """All linear combinations of the given tuples over a field ring."""
+    add, mul = _tables(field)
     dim = len(vectors[0]) if vectors else 0
     span = {tuple([0] * dim)}
     for vec in vectors:
         additions = []
         for scale in range(field.size):
-            scaled = tuple(field.mul(scale, c) for c in vec)
+            scaled = tuple(mul[scale][c] for c in vec)
             for base in span:
                 additions.append(
-                    tuple(field.add(a, b) for a, b in zip(base, scaled))
+                    tuple(add[a][b] for a, b in zip(base, scaled))
                 )
         span.update(additions)
         # re-close under addition until stable
@@ -536,7 +572,7 @@ def span_oracle(field, vectors) -> frozenset:
             current = list(span)
             for i, a in enumerate(current):
                 for b in current[i:]:
-                    s = tuple(field.add(x, y) for x, y in zip(a, b))
+                    s = tuple(add[x][y] for x, y in zip(a, b))
                     if s not in span:
                         span.add(s)
                         changed = True
@@ -596,14 +632,15 @@ def frobenius_trace_oracle(field) -> list[int]:
     The trace lies in the prime subfield, whose elements are the
     constants, so its index is its value in 0..p-1.
     """
+    add, mul = _tables(field)
     out = []
     for x in range(field.size):
         acc, conj = 0, x
         for _ in range(field.k):
-            acc = field.add(acc, conj)
+            acc = add[acc][conj]
             power = field.one
             for _ in range(field.p):
-                power = field.mul(power, conj)
+                power = mul[power][conj]
             conj = power
         out.append(acc)
     return out
@@ -612,13 +649,14 @@ def frobenius_trace_oracle(field) -> list[int]:
 def matrix_trace_oracle(matrix_ring) -> list[int]:
     """Field trace of the matrix trace of every matrix-ring element."""
     field = matrix_ring.field
+    add, _ = _tables(field)
     field_trace = frobenius_trace_oracle(field)
     out = []
     for a in range(matrix_ring.size):
         entries = matrix_ring.matrix_of(a)
         acc = 0
         for i in range(matrix_ring.m):
-            acc = field.add(acc, int(entries[i, i]))
+            acc = add[acc][int(entries[i, i])]
         out.append(field_trace[acc])
     return out
 
@@ -629,6 +667,7 @@ def matrix_product_oracle(matrix_ring, a: int, b: int) -> int:
     Entries are read back in row-major order, (0,0) most significant.
     """
     field = matrix_ring.field
+    add, mul = _tables(field)
     m = matrix_ring.m
     left, right = matrix_ring.matrix_of(a), matrix_ring.matrix_of(b)
     index = 0
@@ -636,7 +675,7 @@ def matrix_product_oracle(matrix_ring, a: int, b: int) -> int:
         for j in range(m):
             acc = 0
             for k in range(m):
-                acc = field.add(acc, field.mul(int(left[i, k]), int(right[k, j])))
+                acc = add[acc][mul[int(left[i, k])][int(right[k, j])]]
             index = index * field.size + acc
     return index
 
@@ -801,14 +840,7 @@ def krawtchouk_coeffs_by_orbit_columns(partition, char, side: str) -> np.ndarray
                                      partition.num_blocks, char, side, reps)])
 
 
-# -- product tables by rows, dual grouping by unique rows -------------------------
-
-
-def product_table_by_rows(ring, op: str) -> np.ndarray:
-    """The ring's whole ``op`` ('add' or 'mul') table, stacked from its own
-    kernel rows, one per element."""
-    row_impl = ring._add_row_impl if op == "add" else ring._mul_row_impl
-    return np.stack([row_impl(a, None) for a in range(ring.size)])
+# -- dual grouping by unique rows --------------------------------------------------
 
 
 def dual_groups_by_unique_rows(table):
@@ -876,8 +908,8 @@ def table_twin(ring, exponents: bool = True):
     from frobring.characters import canonical_generating_character
     from frobring.rings import build_table_ring
 
-    spec = {"size": ring.size, "add": ring.add_table, "mul": ring.mul_table,
-            "one": ring.one, "name": ring.expr}
+    add, mul = cayley_tables(ring)
+    spec = {"size": ring.size, "add": add, "mul": mul, "one": ring.one, "name": ring.expr}
     if exponents:
         spec["char_exponents"] = canonical_generating_character(ring).exponents.tolist()
     twin = build_table_ring(spec)

@@ -12,11 +12,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from frobring import rings
 from frobring.characters import canonical_generating_character
-from frobring.rings import build_gf, build_matrix_ring, validate_tables
+from frobring.rings import build_gf, build_matrix_ring, cayley_tables, validate_tables
 
-from oracles import frobenius_trace_oracle, matrix_product_oracle, matrix_trace_oracle
+from oracles import (frobenius_trace_oracle, matrix_product_oracle, matrix_trace_oracle,
+                     table_twin)
 
 FIELDS = {f"GF({q})": q for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27)}
 MATRICES = {f"M({m},GF({q}))": (m, q) for m, q in ((1, 4), (2, 2), (2, 3), (2, 4), (3, 2))}
@@ -55,15 +55,13 @@ def _build(name):
     return build_matrix_ring(m, build_gf(q))
 
 
-def _build_under(monkeypatch, name, threshold):
-    """Build a ring of FROZEN under that table threshold; 0 sends every call
-    to the kernels."""
-    if threshold is not None:
-        monkeypatch.setattr(rings, "DEFAULT_TABLE_THRESHOLD", threshold)
-    return _build(name)
+def _on_route(ring, tabled):
+    """The ring itself, or with ``tabled`` its table twin: the same
+    arithmetic read from Cayley tables instead of the kernels."""
+    return table_twin(ring) if tabled else ring
 
 
-def _digest(ring) -> str:
+def _digest(ring, labels) -> str:
     n = ring.size
     h = hashlib.sha256()
     for rows in (
@@ -73,28 +71,29 @@ def _digest(ring) -> str:
     ):
         h.update(np.vstack(rows).astype(np.int64).tobytes())
     h.update(str(ring.one).encode())
-    h.update("\n".join(ring.element_labels()).encode())
+    h.update("\n".join(labels).encode())
     h.update(canonical_generating_character(ring).exponents.astype(np.int64).tobytes())
     return h.hexdigest()[:16]
 
 
-@pytest.mark.parametrize("threshold", [None, 0], ids=["tabled", "untabled"])
+@pytest.mark.parametrize("tabled", [True, False], ids=["tabled", "untabled"])
 @pytest.mark.parametrize("name", [*FIELDS, *MATRICES])
-def test_indexing_is_frozen(monkeypatch, name, threshold):
-    assert _digest(_build_under(monkeypatch, name, threshold)) == FROZEN[name]
+def test_indexing_is_frozen(name, tabled):
+    ring = _build(name)
+    assert _digest(_on_route(ring, tabled), ring.element_labels()) == FROZEN[name]
 
 
 @pytest.mark.parametrize("name", [*FIELDS, *MATRICES])
 def test_untabled_columns_match_table(name):
     ring = _build(name)
-    cols = np.vstack([ring._mul_col_impl(b, None) for b in range(ring.size)]).T
-    assert np.array_equal(cols, ring.mul_table)
+    cols = np.vstack([ring.mul_col(b) for b in range(ring.size)]).T
+    assert np.array_equal(cols, cayley_tables(ring)[1])
 
 
 @pytest.mark.parametrize("name", ["GF(16)", "GF(27)", "M(2,GF(4))"])
 def test_axioms_hold_on_structure_constant_rings(name):
     ring = _build(name)
-    validate_tables(ring.add_table, ring.mul_table, ring.one)
+    validate_tables(*cayley_tables(ring), ring.one)
 
 
 @pytest.mark.parametrize("name", FIELDS)
@@ -109,13 +108,14 @@ def test_matrix_trace_form_is_field_trace_of_matrix_trace(name):
     assert ring.trace_exponents.tolist() == matrix_trace_oracle(ring)
 
 
-@pytest.mark.parametrize("threshold", [None, 0], ids=["tabled", "untabled"])
+@pytest.mark.parametrize("tabled", [True, False], ids=["tabled", "untabled"])
 @pytest.mark.parametrize("name", MATRICES)
-def test_matrix_mul_is_the_entrywise_product(monkeypatch, name, threshold):
-    ring = _build_under(monkeypatch, name, threshold)
+def test_matrix_mul_is_the_entrywise_product(name, tabled):
+    ring = _build(name)
+    route = _on_route(ring, tabled)
     if ring.size <= 81:
         pairs = [(a, b) for a in range(ring.size) for b in range(ring.size)]
     else:
         pairs = np.random.default_rng(5).integers(0, ring.size, size=(2000, 2)).tolist()
     for a, b in pairs:
-        assert ring.mul(a, b) == matrix_product_oracle(ring, a, b)
+        assert route.mul(a, b) == matrix_product_oracle(ring, a, b)

@@ -15,8 +15,7 @@ from frobring.characters import (
     translate,
 )
 from frobring.cyclotomic import from_exponent_counts, reduce_exponent_counts
-from frobring import rings
-from frobring.errors import InternalInconsistency, InvalidParameter, ResourceLimit
+from frobring.errors import InternalInconsistency, InvalidParameter
 from frobring.rings import (
     build_gf,
     build_matrix_ring,
@@ -24,12 +23,14 @@ from frobring.rings import (
     build_table_ring,
     build_zmod,
     builtin_ring,
+    cayley_tables,
 )
 from frobring.cli import _non_frobenius_ring, build_ring, parse_ring
 
 from frobring.characters import _additive_maps, _check_hom
 from oracles import (
     additive_closure,
+    additive_presentation_by_coset_arrays,
     generating_characters_by_translate,
     is_additive_by_pairs,
     is_generating_by_kernel_scan,
@@ -193,7 +194,7 @@ def test_maps_additive_along_some_generators_only(ring):
     "ring",
     [build_zmod(12), build_gf(4), builtin_ring("ex5_5"), table_twin(builtin_ring("ex5_5")),
      build_product([build_zmod(4), build_gf(3)]),
-     build_matrix_ring(2, build_gf(9))],  # 6561 elements, above the old 4096 cutoff
+     build_matrix_ring(2, build_gf(9))],  # 6561 elements
     ids=ring_id,
 )
 def test_one_changed_exponent_is_rejected(ring):
@@ -334,10 +335,14 @@ def test_search_returns_none_on_non_frobenius():
     assert search_generating_character(table_twin(ring, exponents=False)) is None
 
 
-def test_search_needs_an_addition_table(monkeypatch):
-    monkeypatch.setattr(rings, "DEFAULT_TABLE_THRESHOLD", 0)
-    with pytest.raises(ResourceLimit, match="Z12"):
-        search_generating_character(build_zmod(12))
+def test_search_needs_an_addition_table():
+    """The search reads rows and the additive presentation only, so it needs
+    no table: on a kernel ring it finds what it finds on the table twin."""
+    for expr in ("Z12", "M(2,GF(2)) x GF(3)"):
+        ring = build_ring(parse_ring(expr))
+        found = [search_generating_character(r) for r in (ring, table_twin(ring, False))]
+        assert found[0].order == found[1].order
+        assert np.array_equal(found[0].exponents, found[1].exponents)
 
 
 # -- the walk over the additive maps ----------------------------------------------
@@ -357,7 +362,7 @@ def _relabelled(expr, seed):
     ring = build_ring(parse_ring(expr))
     perm = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(ring.size - 1)])
     inv = np.argsort(perm)
-    add, mul = (inv[t[np.ix_(perm, perm)]] for t in (ring.add_table, ring.mul_table))
+    add, mul = (inv[t[np.ix_(perm, perm)]] for t in cayley_tables(ring))
     return build_table_ring({"size": ring.size, "add": add, "mul": mul,
                              "one": int(inv[ring.one]), "name": f"{expr} relabelled"})
 
@@ -376,6 +381,17 @@ WALK_RINGS = _walk_rings()
 
 def test_some_walk_closes_on_a_nonzero_element():
     assert any(any(ring.additive_presentation.closing) for ring in WALK_RINGS)
+
+
+@pytest.mark.parametrize("ring", [build_zmod(10000), build_ring(parse_ring("Z8 x Z9")),
+                                  _relabelled("Z8 x Z9", 1)], ids=ring_id)
+def test_presentation_matches_the_walk_on_coset_arrays(ring):
+    got, want = ring.additive_presentation, additive_presentation_by_coset_arrays(ring)
+    assert got.gens.tolist() == want.gens.tolist() and got.closing == want.closing
+    assert np.array_equal(got.shifts, want.shifts)
+    assert len(got.cosets) == len(want.cosets)
+    for mine, ref in zip(got.cosets, want.cosets):
+        assert mine.dtype == ref.dtype and np.array_equal(mine, ref)
 
 
 @pytest.mark.parametrize("ring", WALK_RINGS, ids=ring_id)

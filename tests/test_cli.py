@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from frobring import cli
 from frobring.characters import canonical_generating_character, translate
+from frobring.rings import cayley_tables
 from frobring.cli import (
     BuiltinExpr,
     GFExpr,
@@ -210,13 +211,14 @@ def test_info_non_frobenius_table(tmp_path, capsys):
     from frobring.cli import _non_frobenius_ring
 
     ring = _non_frobenius_ring()
+    add, mul = cayley_tables(ring)
     path = tmp_path / "nf.json"
     path.write_text(
         json.dumps(
             {
                 "size": ring.size,
-                "add": ring.add_table.tolist(),
-                "mul": ring.mul_table.tolist(),
+                "add": add.tolist(),
+                "mul": mul.tolist(),
                 "one": ring.one,
             }
         )
@@ -316,9 +318,9 @@ def test_partition_kind_ring_mismatch(capsys):
 
 
 def _table_file(path, ring, name):
-    path.write_text(json.dumps({"size": ring.size, "add": ring.add_table.tolist(),
-                                "mul": ring.mul_table.tolist(), "one": ring.one,
-                                "name": name}))
+    add, mul = cayley_tables(ring)
+    path.write_text(json.dumps({"size": ring.size, "add": add.tolist(),
+                                "mul": mul.tolist(), "one": ring.one, "name": name}))
     return f"table:{path}"
 
 

@@ -30,6 +30,7 @@ from frobring.rings import (
     build_table_ring,
     build_zmod,
     builtin_ring,
+    cayley_tables,
 )
 from frobring.weights import weight_table
 
@@ -369,7 +370,8 @@ def test_ex5_5_partition_rejects_other_rings(z4):
 def test_ex5_5_partition_rejects_the_opposite_ring():
     """Same size, identity and addition as ex5_5, the product reversed: refused."""
     ring = builtin_ring("ex5_5")
-    opposite = build_table_ring({"size": 16, "add": ring.add_table, "mul": ring.mul_table.T,
+    add, mul = cayley_tables(ring)
+    opposite = build_table_ring({"size": 16, "add": add, "mul": mul.T,
                                  "one": ring.one, "name": "ex5_5"})
     assert not opposite.is_commutative
     with pytest.raises(InvalidParameter, match="defined on the ex5_5 builtin ring"):

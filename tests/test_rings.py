@@ -13,6 +13,7 @@ from frobring.errors import (
     ResourceLimit,
 )
 from frobring.rings import (
+    AlgebraRing,
     FiniteRing,
     build_gf,
     build_matrix_ring,
@@ -20,6 +21,7 @@ from frobring.rings import (
     build_table_ring,
     build_zmod,
     builtin_ring,
+    cayley_tables,
     load_table_spec,
     validate_tables,
 )
@@ -37,7 +39,6 @@ from oracles import (
     matrix_rank_oracle,
     non_frobenius_tables_from_bits,
     principal_ideal_oracle,
-    product_table_by_rows,
     radical_oracle,
     right_distributivity_by_generators,
     ring_id,
@@ -80,13 +81,9 @@ PROBE_RINGS = _probe_rings()
 # -- axioms -------------------------------------------------------------------
 
 
-def _tables_of(ring):
-    return ring.add_table, ring.mul_table
-
-
 @pytest.mark.parametrize("ring", PROBE_RINGS, ids=ring_id)
 def test_axioms_hold_on_probe_rings(ring):
-    add, mul = _tables_of(ring)
+    add, mul = cayley_tables(ring)
     validate_tables(add, mul, ring.one)
     validate_tables_exhaustive(add, mul, ring.one)
 
@@ -98,7 +95,7 @@ def ring1024():
 
 def test_validate_1024_element_tables_within_budget(ring1024):
     """M(2,GF(4)) x GF(4): the exhaustive route took 48 s at this size."""
-    add, mul = _tables_of(ring1024)
+    add, mul = cayley_tables(ring1024)
     assert add.shape == (1024, 1024)
     start = perf_counter()
     validate_tables(add, mul, ring1024.one)
@@ -107,7 +104,7 @@ def test_validate_1024_element_tables_within_budget(ring1024):
 
 def test_late_rows_rejected_with_genuine_witness(ring1024):
     """Changes far from row 0 are found past the first block of rows."""
-    add0, mul0 = _tables_of(ring1024)
+    add0, mul0 = cayley_tables(ring1024)
     add = add0.copy()
     _swap_intercalate(add, 1000, 1001, 1002)
     cases = [(add, mul0)]
@@ -167,7 +164,7 @@ def _assert_genuine(exc, add, mul, one):
 def test_generator_route_matches_exhaustive_on_mutations(ring):
     """Seeded single-entry changes to either table: same verdict both ways."""
     rng = np.random.default_rng(ring.size)
-    add0, mul0 = (np.array(t) for t in _tables_of(ring))
+    add0, mul0 = (np.array(t) for t in cayley_tables(ring))
     n = ring.size
     rejected = 0
     for trial in range(200):
@@ -225,7 +222,7 @@ def test_walk_edges_match_exhaustive_on_corrupted_multiplication(ring):
     corrupted * is the exhaustive one, every witness fails, and the check
     fails exactly where the check along every x for each generator does."""
     rng = np.random.default_rng(ring.size + 7)
-    add, mul0 = (np.array(t) for t in _tables_of(ring))
+    add, mul0 = (np.array(t) for t in cayley_tables(ring))
     reached = set()
     for trial in range(150):
         mul = _corrupt_mul(rng, add, mul0, ring.one)
@@ -249,7 +246,7 @@ def test_a_closing_edge_alone_catches_a_column():
     element, and one*2 is still 2; but it sends 1, of order 2, to (1, 0),
     of order 4, and only the closing edge 1 -> 0 sees that."""
     ring = build_product([build_zmod(4), build_gf(2)])
-    add, mul = ring.add_table, ring.mul_table.copy()
+    add, mul = cayley_tables(ring)
     mul[:, 2] = 2 * (np.arange(8) % 2)
     with pytest.raises(InvalidRing, match=r"^right distributivity fails at \(2,1,1\)$"):
         validate_tables(add, mul, ring.one)
@@ -263,7 +260,7 @@ def test_relabelled_tables_pass_both_routes(seed):
     ring = build_product([builtin_ring("ex5_5"), build_gf(2)])
     perm = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(ring.size - 1)])
     inv = np.argsort(perm)
-    add, mul = (inv[t[np.ix_(perm, perm)]] for t in _tables_of(ring))
+    add, mul = (inv[t[np.ix_(perm, perm)]] for t in cayley_tables(ring))
     validate_tables(add, mul, int(inv[ring.one]))
     validate_tables_exhaustive(add, mul, int(inv[ring.one]))
 
@@ -328,10 +325,11 @@ def _structured_corpus():
         add, mul = _f2_algebra(*products.tolist())
         yield add, mul, 1
     ring = build_product([builtin_ring("ex5_5"), build_gf(2)])
+    add, mul = cayley_tables(ring)
     for count in range(1, 41):
-        yield _intercalate_swaps(rng, ring.add_table, count % 3 + 1), ring.mul_table, ring.one
+        yield _intercalate_swaps(rng, add, count % 3 + 1), mul, ring.one
     ex5_5 = builtin_ring("ex5_5")
-    add, mul = (t.astype(np.int64) for t in _tables_of(ex5_5))
+    add, mul = (t.astype(np.int64) for t in cayley_tables(ex5_5))
     one = ex5_5.one
     # + is xor here; x -> parity(x & m) is additive and vanishes at one = 0b1010
     parities = [np.array([bin(x & m).count("1") % 2 for x in range(16)], dtype=bool)
@@ -369,7 +367,7 @@ def _ex5_5_skewed_rows():
     """ex5_5 with x*y + z(y) wherever bit 2 of x is set, z = 3 on {2, 3}
     and 0 elsewhere.  Every column stays additive, and so does every row
     but those with bit 2 set, as of the third additive generator 4."""
-    add, mul = (t.astype(np.int64) for t in _tables_of(builtin_ring("ex5_5")))
+    add, mul = (t.astype(np.int64) for t in cayley_tables(builtin_ring("ex5_5")))
     z = np.where(np.arange(16) >> 1 == 1, 3, 0)
     return add, np.where((np.arange(16)[:, None] >> 2) & 1 == 1, add[mul, z], mul)
 
@@ -393,16 +391,16 @@ def test_negatives_past_the_cheap_checks(tables, one, message):
 
 @pytest.mark.parametrize("moduli", [(4, 3), (8, 9, 5)], ids=str)
 def test_add_row_from_kernel_matches_table(moduli):
-    """A row alone comes from the kernel; once the table exists, from it."""
+    """Every row, whole and over chosen columns, is the digitwise sum mod
+    each modulus, and a kernel ring keeps no table."""
     ring = build_product([build_zmod(n) for n in moduli])
-    before = [ring.add_row(a) for a in range(ring.size)]
-    assert "add_table" not in ring.__dict__
-    table = ring.add_table
-    assert table is not None
+    digits = np.array(np.unravel_index(np.arange(ring.size), moduli))
+    radices = np.array(moduli)[:, None]
     for a in range(ring.size):
-        assert np.array_equal(before[a], table[a])
-        assert np.array_equal(ring.add_row(a), table[a])
-        assert np.array_equal(ring.add_row(a, [0, a]), table[a, [0, a]])
+        row = np.ravel_multi_index((digits[:, a, None] + digits) % radices, moduli)
+        assert np.array_equal(ring.add_row(a), row)
+        assert np.array_equal(ring.add_row(a, [0, a]), row[[0, a]])
+    assert not hasattr(ring, "add_table")
 
 
 def test_validate_rejects_broken_zero():
@@ -450,8 +448,7 @@ def test_ex5_5_is_its_matrix_ring():
     and the trace form the character a+b+c+d mod 2."""
     add, mul, one = ex5_5_tables_from_matrices()
     ring = builtin_ring("ex5_5")
-    assert np.array_equal(ring.add_table, add)
-    assert np.array_equal(ring.mul_table, mul)
+    assert all(map(np.array_equal, cayley_tables(ring), (add, mul)))
     assert ring.one == one
     validate_tables(add, mul, one)
     validate_tables_exhaustive(add, mul, one)
@@ -463,8 +460,7 @@ def test_ex5_5_is_its_matrix_ring():
 def test_non_frobenius_algebra_is_its_bit_arithmetic():
     add, mul, one = non_frobenius_tables_from_bits()
     ring = _non_frobenius_ring()
-    assert np.array_equal(ring.add_table, add)
-    assert np.array_equal(ring.mul_table, mul)
+    assert all(map(np.array_equal, cayley_tables(ring), (add, mul)))
     assert ring.one == one
     validate_tables(add, mul, one)
     validate_tables_exhaustive(add, mul, one)
@@ -485,9 +481,10 @@ def test_missing_table_fields_are_named(tmp_path):
 
 def test_table_ring_build_validates():
     ring = builtin_ring("ex5_5")
-    broken = ring.mul_table.tolist()
+    add, mul = cayley_tables(ring)
+    broken = mul.tolist()
     broken[3][7] = (broken[3][7] + 1) % 16
-    bad = {"size": 16, "add": ring.add_table.tolist(), "mul": broken, "one": ring.one}
+    bad = {"size": 16, "add": add.tolist(), "mul": broken, "one": ring.one}
     with pytest.raises(InvalidRing):
         build_table_ring(bad)
 
@@ -497,7 +494,7 @@ def test_table_ring_build_validates():
                          ids=["named", "unnamed"])
 def test_table_ring_errors_name_the_ring(name, prefix):
     ring = builtin_ring("ex5_5")
-    add, broken = (t.astype(np.int64) for t in _tables_of(ring))
+    add, broken = (t.astype(np.int64) for t in cayley_tables(ring))
     broken[3, 7] ^= 1
     with pytest.raises(InvalidRing) as direct:
         validate_tables(add, broken, ring.one)
@@ -598,39 +595,30 @@ def test_every_side_argument_is_checked_alike(z4, call):
 
 
 def _factor_route_products():
-    """(build, threshold): each product is built under that table threshold."""
     ex5_5, gf2 = builtin_ring("ex5_5"), build_gf(2)
     m2f2 = build_matrix_ring(2, gf2)
     return [
-        pytest.param(lambda: build_product([ex5_5, m2f2, gf2]), None,  # noncommutative,
-                     id="ex5_5 x M(2,GF(2)) x GF(2)"),                  # not semisimple
-        pytest.param(lambda: build_product([table_twin(ex5_5), build_zmod(4)]), None,
+        pytest.param(lambda: build_product([ex5_5, m2f2, gf2]),  # noncommutative,
+                     id="ex5_5 x M(2,GF(2)) x GF(2)"),           # not semisimple
+        pytest.param(lambda: build_product([table_twin(ex5_5), build_zmod(4)]),
                      id="ex5_5 x Z4"),
-        pytest.param(lambda: build_product([build_product([gf2, m2f2]), build_zmod(3)]), None,
+        pytest.param(lambda: build_product([build_product([gf2, m2f2]), build_zmod(3)]),
                      id="GF(2) x M(2,GF(2)) x Z3"),
-        # no tables at all: units and orbits from the factors' kernels
         pytest.param(lambda: build_product([build_zmod(4), build_matrix_ring(2, build_gf(2))]),
-                     0, id="Z4 x M(2,GF(2))"),
-        pytest.param(lambda: build_product([build_zmod(8), build_zmod(9), build_gf(5)]), None,
+                     id="Z4 x M(2,GF(2))"),
+        pytest.param(lambda: build_product([build_zmod(8), build_zmod(9), build_gf(5)]),
                      id="Z8 x Z9 x GF(5)"),
-        pytest.param(lambda: build_product([build_gf(4), build_zmod(6)]), 10,  # factors below it
-                     id="GF(4) x Z6"),
+        pytest.param(lambda: build_product([build_gf(4), build_zmod(6)]), id="GF(4) x Z6"),
     ]
 
 
-@pytest.mark.parametrize("build, threshold", _factor_route_products())
-def test_product_tables_units_and_orbits_match_oracles(monkeypatch, build, threshold):
-    if threshold is not None:
-        monkeypatch.setattr(rings, "DEFAULT_TABLE_THRESHOLD", threshold)
+@pytest.mark.parametrize("build", _factor_route_products())
+def test_product_tables_units_and_orbits_match_oracles(build):
+    """Units and unit orbits from the factors against the product's own
+    multiplication table, stacked from its kernel rows."""
     ring = build()
-    by_rows = {op: product_table_by_rows(ring, op) for op in ("add", "mul")}
-    if ring.size > rings.DEFAULT_TABLE_THRESHOLD:
-        assert ring.add_table is None and ring.mul_table is None
-    else:
-        assert ring.add_table.dtype == ring.mul_table.dtype == np.int32
-        assert np.array_equal(ring.add_table, by_rows["add"])
-        assert np.array_equal(ring.mul_table, by_rows["mul"])
-    mul = by_rows["mul"]
+    _, mul = cayley_tables(ring)
+    assert not hasattr(ring, "mul_table")
     units = np.flatnonzero(((mul == ring.one) & (mul.T == ring.one)).any(axis=1))
     assert list(ring.units) == units.tolist()
     small = ring.size <= 256  # the scalar oracles take O(n^2) products
@@ -649,6 +637,7 @@ def test_product_tables_units_and_orbits_match_oracles(monkeypatch, build, thres
 
 
 def test_product_tables_and_orbits_make_no_product_kernel_calls(monkeypatch):
+    """Units and unit orbits come from the factors; the product keeps no tables."""
     ring = build_product([build_gf(3), build_gf(9), build_zmod(25)])
     calls = []
     for name in ("_add_row_impl", "_mul_row_impl", "_mul_col_impl"):
@@ -657,7 +646,7 @@ def test_product_tables_and_orbits_make_no_product_kernel_calls(monkeypatch):
             return _orig(*args)
 
         monkeypatch.setattr(ring, name, counting)
-    assert ring.add_table.shape == ring.mul_table.shape == (675, 675)
+    assert not hasattr(ring, "add_table") and not hasattr(ring, "mul_table")
     assert len(ring.units) == 320
     assert len(ring.unit_orbits("left")[0]) == len(ring.unit_orbits("right")[0]) == 12
     assert calls == []
@@ -683,16 +672,13 @@ def test_orbit_routes_make_few_kernel_calls(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("build, threshold", [
-    pytest.param(lambda: build_product([build_matrix_ring(2, build_gf(3))] * 2), None,
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: build_product([build_matrix_ring(2, build_gf(3))] * 2),
                  id="M(2,GF(3)) x M(2,GF(3))"),
-    # tables on the factors only, so a whole-ring operation could only be a kernel call
-    pytest.param(lambda: build_product([build_gf(3), build_gf(9), build_zmod(25)]), 25,
+    pytest.param(lambda: build_product([build_gf(3), build_gf(9), build_zmod(25)]),
                  id="GF(3) x GF(9) x Z25"),
 ])
-def test_product_stages_make_no_product_kernel_calls(monkeypatch, build, threshold):
-    if threshold is not None:
-        monkeypatch.setattr(rings, "DEFAULT_TABLE_THRESHOLD", threshold)
+def test_product_stages_make_no_product_kernel_calls(monkeypatch, build):
     ring = build()
     calls = []
     for name in ("_add_row_impl", "_mul_row_impl", "_mul_col_impl"):
@@ -865,7 +851,7 @@ def test_characteristic_refuses_an_element_of_larger_order(swap):
     the first generator, so (0, 1) closes on it, 2(0, 1) = (0, 2) != 0."""
     ring = build_product([build_zmod(2), build_zmod(4)])
     perm = np.array([0, 2, 1, *range(3, 8)]) if swap else np.arange(8)
-    add, mul = (perm[t[np.ix_(perm, perm)]] for t in (ring.add_table, ring.mul_table))
+    add, mul = (perm[t[np.ix_(perm, perm)]] for t in cayley_tables(ring))
     bad = rings.TableRing(add, mul, 4)
     with pytest.raises(InternalInconsistency,
                        match=f"^element {perm[1]} has additive order not dividing 2$"):
@@ -879,6 +865,15 @@ def test_commutativity_flags():
     assert build_matrix_ring(1, build_gf(5)).is_commutative
     assert not builtin_ring("ex5_5").is_commutative
     assert not table_twin(builtin_ring("ex5_5")).is_commutative
+
+
+def test_a_bare_algebra_names_itself():
+    """An algebra given only its structure constants still has a name."""
+    fld = build_gf(27)
+    ring = AlgebraRing(3, fld.tensor, fld.one, fld.trace_form)
+    name = "algebra of dimension 3 over GF(3)"
+    assert repr(ring) == f"<AlgebraRing {name} (size 27)>"
+    assert ring.describe()["ring"] == name and ring.describe()["is_frobenius"]
 
 
 def test_describe_surface():
@@ -919,18 +914,17 @@ def test_matrix_rank_over_gf9_matches_row_space_oracle():
         assert ranks[a] == matrix_rank_oracle(ring, int(a))
 
 
-def test_matrix_rank_over_a_field_without_tables(monkeypatch):
-    monkeypatch.setattr(rings, "DEFAULT_TABLE_THRESHOLD", 0)
+def test_matrix_rank_over_a_field_without_tables():
+    """No kernel ring holds Cayley tables; ranks need none."""
     ring = build_matrix_ring(2, build_gf(4))
-    assert ring.field.mul_table is None
+    assert not hasattr(ring.field, "mul_table") and not hasattr(ring, "mul_table")
     for a in range(ring.size):
         assert ring.rank(a) == matrix_rank_oracle(ring, a)
 
 
 def test_matrix_ring_over_a_field_above_the_table_threshold():
-    """GF(8192) keeps no tables; ranks must not disturb the ring's digits."""
+    """Over GF(8192), ranks must not disturb the ring's digits."""
     ring = build_matrix_ring(1, build_gf(8192))
-    assert ring.field.mul_table is None and ring.mul_table is None
     assert ring.rank(0) == 0 and (ring.ranks[1:] == 1).all()
     assert ring.add_row(ring.one)[:3].tolist() == [1, 0, 3]
     assert ring.radical == (0,)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from frobring.cli import main
 from frobring.errors import InvalidParameter
 from frobring.rings import (build_gf, build_matrix_ring, build_product, build_table_ring,
-                            builtin_ring, load_table_spec)
+                            builtin_ring, cayley_tables, load_table_spec)
 
 from oracles import load_table_spec_by_json
 
@@ -168,8 +168,9 @@ def test_reader_gives_int64_tables_for_a_512_element_file(tmp_path, indent):
                           build_gf(2)])
     perm = np.concatenate([[0], 1 + np.random.default_rng(3).permutation(511)])
     inv = np.argsort(perm)
-    spec = {"size": 512, "add": inv[ring.add_table[np.ix_(perm, perm)]].tolist(),
-            "mul": inv[ring.mul_table[np.ix_(perm, perm)]].tolist(),
+    add, mul = cayley_tables(ring)
+    spec = {"size": 512, "add": inv[add[np.ix_(perm, perm)]].tolist(),
+            "mul": inv[mul[np.ix_(perm, perm)]].tolist(),
             "one": int(inv[ring.one]), "name": "relabelled"}
     path = tmp_path / "table512.json"
     path.write_text(json.dumps(spec, indent=indent))
@@ -191,9 +192,13 @@ _F2 = {"size": 2, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]], "one": 1}
     ({"size": True, "add": [[0]], "mul": [[0]], "one": 0},
      "size must be a positive integer, got True"),
     ({"char_exponents": [False, True]}, "char_exponents must list one integer per element"),
+    ({"char_exponents": 5}, "char_exponents must list one integer per element"),
+    ({"char_exponents": 1.5}, "char_exponents must list one integer per element"),
+    ({"char_exponents": True}, "char_exponents must list one integer per element"),
     ({"one": True}, "one must be an element index"),
     ({"name": [[1, 2]]}, "name must be a string"),
-], ids=["size-true", "exponents-booleans", "one-true", "name-matrix"])
+], ids=["size-true", "exponents-booleans", "exponents-integer", "exponents-float",
+        "exponents-true", "one-true", "name-matrix"])
 def test_table_values_of_the_wrong_type_are_refused(tmp_path, capsys, change, message):
     """A JSON boolean is not an integer, though Python's bool is an int."""
     spec = {**_F2, **change}

@@ -3,10 +3,9 @@
 Every ring here has elements 0..size-1 with index 0 the zero element.
 All arithmetic goes through the vector kernels ``add_row``/``mul_row``/
 ``mul_col``, which compute one row or column of a Cayley table on
-demand; scalar ``add``/``mul`` are one-element kernel calls unless a
-family has cheaper arithmetic.  Only a ``TableRing``, whose input they
-are, holds Cayley tables; ``cayley_tables`` builds them for any ring on
-request.
+demand; scalar ``add``/``mul`` are one-element kernel calls in every
+family.  Only a ``TableRing``, whose input they are, holds Cayley
+tables; ``cayley_tables`` builds them for any ring on request.
 
 Families: integers mod n, finite algebras over F_p given by structure
 constants (Galois fields, full matrix rings over a Galois field, and the
@@ -15,9 +14,10 @@ rings built from user Cayley data.  Derived structure (units, Jacobson
 radical, socles, principal ideals, the radical quotient) is computed by
 the defining property in each case.  Properties that depend only on a principal
 ideal Rx = R(ux) or xR = (xu)R are decided once per unit orbit, through
-the cached index ``unit_orbits``.  A direct product takes its units,
-unit orbits, radical, socles and Frobenius test from its factors, in
-mixed radix.
+the cached index ``unit_orbits``, and biadditive identities such as
+commutativity on pairs of generators of (R,+).  A direct product takes
+its units, unit orbits, radical, socles and Frobenius test from its
+factors, in mixed radix.
 """
 
 from __future__ import annotations
@@ -50,8 +50,17 @@ def _check_side(side: str) -> None:
         raise InvalidParameter(f"side must be 'left' or 'right', got {side!r}")
 
 
+def _size_guard(max_size: int | None) -> int:
+    """The size guard in force: ``max_size``, else the default."""
+    if max_size is None:
+        return DEFAULT_SIZE_GUARD
+    if max_size < 1:
+        raise InvalidParameter(f"the size guard must be at least 1, got {max_size}")
+    return max_size
+
+
 def _check_size(size: int, max_size: int | None) -> None:
-    guard = DEFAULT_SIZE_GUARD if max_size is None else max_size
+    guard = _size_guard(max_size)
     if size > guard:
         raise ResourceLimit(f"ring of size {size} exceeds the size guard {guard}")
 
@@ -74,8 +83,8 @@ class FiniteRing:
     Subclasses must set ``size``, ``one`` and ``expr`` and implement
     the kernels ``_add_row_impl``, ``_mul_row_impl`` and
     ``_mul_col_impl``, which ``add_row``, ``mul_row`` and ``mul_col``
-    call; scalar ``add``/``mul`` are one-element kernel calls unless a
-    subclass has cheaper ones.
+    call.  Scalar ``add``/``mul`` are one-element kernel calls, the
+    same in every family.
     """
 
     size: int
@@ -113,17 +122,6 @@ class FiniteRing:
     def mul_col(self, b: int, rows=None) -> np.ndarray:
         """Vector of a * b over a in rows."""
         return self._mul_col_impl(b, rows)
-
-    @cached_property
-    def neg_table(self) -> np.ndarray:
-        return self._build_neg_table()
-
-    def _build_neg_table(self) -> np.ndarray:
-        out = np.empty(self.size, dtype=np.int64)
-        for a in range(self.size):
-            zeros = np.flatnonzero(self.add_row(a) == 0)
-            out[a] = zeros[0]
-        return out
 
     # -- derived structure ---------------------------------------------------
 
@@ -163,24 +161,24 @@ class FiniteRing:
 
     @cached_property
     def is_commutative(self) -> bool:
-        for a in range(self.size):
-            if not np.array_equal(self.mul_row(a), self.mul_col(a)):
-                return False
-        return True
+        """Multiplication is biadditive, so R is commutative iff the
+        generators of the additive presentation commute pairwise."""
+        gens = self.additive_presentation.gens
+        return all(np.array_equal(self.mul_row(g, gens), self.mul_col(g, gens))
+                   for g in gens.tolist())
 
     @cached_property
     def units(self) -> tuple[int, ...]:
         return self._compute_units()
 
     def _compute_units(self) -> tuple[int, ...]:
-        # brute-force two-sided inverse search
+        # x is a unit iff some y with xy = 1 also has yx = 1
         one = self.one
         out = []
         for x in range(self.size):
-            for y in np.flatnonzero(self.mul_row(x) == one):
-                if self.mul(int(y), x) == one:
-                    out.append(x)
-                    break
+            candidates = np.flatnonzero(self.mul_row(x) == one)
+            if len(candidates) and (self.mul_col(x, candidates) == one).any():
+                out.append(x)
         return tuple(out)
 
     @cached_property
@@ -222,14 +220,14 @@ class FiniteRing:
     def radical(self) -> tuple[int, ...]:
         """Jacobson radical: x such that 1 - r*x is a unit for every r.
 
-        The condition reads only Rx = R(ux), so one representative decides
-        each left unit orbit.
+        As r runs over R so does -r, so that reads: 1 + y is a unit for
+        every y in Rx.  The condition reads only Rx = R(ux), so one
+        representative decides each left unit orbit.
         """
         one_plus = self.add_row(self.one)
-        neg = self.neg_table
         is_unit = self.is_unit_mask
         reps, orbit_of = self.unit_orbits("left")
-        inside = np.array([is_unit[one_plus[neg[self.mul_col(int(x))]]].all() for x in reps])
+        inside = np.array([is_unit[one_plus[self.mul_col(int(x))]].all() for x in reps])
         return tuple(int(x) for x in np.flatnonzero(inside[orbit_of]))
 
     def socle_members(self, side: str = "left") -> tuple[int, ...]:
@@ -350,7 +348,7 @@ class FiniteRing:
             "socle_left_size": len(soc_l),
             "socle_right_size": len(soc_r),
             "is_frobenius": self.is_frobenius,
-            "structure": [list(t) for t in self.structure] if self.structure else None,
+            "structure": None if self.structure is None else [list(t) for t in self.structure],
         }
 
     def __repr__(self):
@@ -369,12 +367,6 @@ class ZmodRing(FiniteRing):
         self.expr = f"Z{n}"
         self.structure = [(p, 1) for p, _ in _factorization(n)]
 
-    def add(self, a, b):
-        return (a + b) % self.modulus
-
-    def mul(self, a, b):
-        return (a * b) % self.modulus
-
     def _add_row_impl(self, a, cols):
         return (self._indices(cols) + a) % self.modulus
 
@@ -383,13 +375,6 @@ class ZmodRing(FiniteRing):
 
     def _mul_col_impl(self, b, rows):
         return (self._indices(rows) * b) % self.modulus
-
-    def _build_neg_table(self):
-        return (-np.arange(self.size, dtype=np.int64)) % self.modulus
-
-    @cached_property
-    def is_commutative(self):
-        return True
 
     def _compute_units(self):
         return tuple(x for x in range(self.size) if gcd(x, self.modulus) == 1)
@@ -428,13 +413,6 @@ class AlgebraRing(FiniteRing):
         i = np.arange(self.size, dtype=np.int64)
         self._digits = (i[:, None] // self._pows) % p
 
-    # on one digit the algebra is Z_p, where arithmetic beats a kernel call
-    def add(self, a, b):
-        return (a + b) % self.p if self.dim == 1 else super().add(a, b)
-
-    def mul(self, a, b):
-        return a * b % self.p if self.dim == 1 else super().mul(a, b)
-
     def _encode(self, digits: np.ndarray) -> np.ndarray:
         return (digits % self.p) @ self._pows
 
@@ -444,14 +422,6 @@ class AlgebraRing(FiniteRing):
         hi_digits = self._digits[:: self._low]
         return (self._encode(lo_digits[:, None] + lo_digits[None]),
                 self._encode(hi_digits[:, None] + hi_digits[None]))
-
-    def _sum(self, x, y: np.ndarray) -> np.ndarray:
-        """Elementwise x + y of element indices."""
-        if self.dim == 1:
-            return (x + y) % self.p  # a lone digit needs no p-by-p table
-        lo_sum, hi_sum = self._half_sums
-        low = self._low
-        return lo_sum[x % low, y % low] + hi_sum[x // low, y // low]
 
     def _image(self, mat: np.ndarray, sel) -> np.ndarray:
         """Indices of digits(x) @ mat for x in sel.
@@ -470,16 +440,22 @@ class AlgebraRing(FiniteRing):
         return image if sel is None else image[idx]
 
     def _add_row_impl(self, a, cols):
-        return self._sum(a, self._indices(cols))
+        # a + (j*low + i): the high digits of a and j*low plus the low ones of a and i
+        idx = self._indices(cols)
+        if self.dim == 1:
+            return (idx + a) % self.p  # a lone digit needs no p-by-p table
+        lo_sum, hi_sum = self._half_sums
+        low = self._low
+        if len(idx) < low:  # too few to pay for the whole row
+            return lo_sum[a % low, idx % low] + hi_sum[a // low, idx // low]
+        row = (hi_sum[a // low][:, None] + lo_sum[a % low]).ravel()
+        return row if cols is None else row[idx]
 
     def _mul_row_impl(self, a, cols):
         return self._image((self._digits[a] @ self._by_left).reshape(self.dim, -1), cols)
 
     def _mul_col_impl(self, b, rows):
         return self._image((self._digits[b] @ self._by_right).reshape(self.dim, -1), rows)
-
-    def _build_neg_table(self):
-        return self._encode(-self._digits)
 
     @cached_property
     def trace_exponents(self) -> np.ndarray:
@@ -553,10 +529,6 @@ class GaloisField(AlgebraRing):
                     cur[t] = (cur[t] - lead * f[t]) % p
         return np.array(rows, dtype=np.int64) % p
 
-    @cached_property
-    def is_commutative(self):
-        return True
-
     def _compute_units(self):
         return tuple(range(1, self.size))
 
@@ -596,10 +568,6 @@ class MatrixRing(AlgebraRing):
 
     def matrix_of(self, a: int) -> np.ndarray:
         return (a // self._weights % self.field.size).reshape(self.m, self.m)
-
-    @cached_property
-    def is_commutative(self):
-        return self.m == 1
 
     def rank(self, a: int) -> int:
         return int(self.ranks[a])
@@ -722,14 +690,6 @@ class ProductRing(FiniteRing):
     def _dec(self) -> np.ndarray:
         return np.stack(np.unravel_index(np.arange(self.size), self.sizes), axis=1)
 
-    def add(self, a, b):
-        da, db = self.decode(a), self.decode(b)
-        return self.encode(tuple(f.add(x, y) for f, x, y in zip(self.factors, da, db)))
-
-    def mul(self, a, b):
-        da, db = self.decode(a), self.decode(b)
-        return self.encode(tuple(f.mul(x, y) for f, x, y in zip(self.factors, da, db)))
-
     def _combine(self, factor_rows, cols):
         dec = self._dec if cols is None else self._dec[np.asarray(cols)]
         acc = np.zeros(dec.shape[0], dtype=np.int64)
@@ -754,9 +714,6 @@ class ProductRing(FiniteRing):
         return self._combine(
             [f.mul_col(y) for f, y in zip(self.factors, db)], rows
         )
-
-    def _build_neg_table(self):
-        return _mixed_radix([f.neg_table for f in self.factors], self.sizes)
 
     def _compute_unit_orbits(self, side):
         # the least member of U_1x_1 x U_2x_2 is the pair of the factors' least
@@ -818,12 +775,6 @@ class TableRing(FiniteRing):
         self.char_exponents = (
             None if char_exponents is None else np.asarray(char_exponents, dtype=np.int64)
         )
-
-    def add(self, a, b):
-        return self.add_table.item(a, b)
-
-    def mul(self, a, b):
-        return self.mul_table.item(a, b)
 
     # a slice, not a gather over every index, when the whole row is wanted
     def _add_row_impl(self, a, cols):
@@ -1100,7 +1051,7 @@ def load_table_spec(path: str, max_size: int | None = None) -> dict:
     could need, at 16 bytes of separators and indentation per entry, is
     refused before it is parsed.
     """
-    guard = DEFAULT_SIZE_GUARD if max_size is None else max_size
+    guard = _size_guard(max_size)
     budget = (2 * guard + 1) * guard * (len(str(guard)) + 16) + (1 << 16)
     if os.path.getsize(path) > budget:
         raise ResourceLimit(f"{path} is larger than {budget} bytes, the most a "

@@ -11,7 +11,9 @@ element-by-element checks that the unit-orbit index replaced (weight
 validation, the generating test, unit invariance) are kept here too,
 each scanning every element or every unit.  So are the pair-by-pair
 additivity check that the check on generators replaced, the ring-axiom
-check on every triple that the checks on generators replaced, and the
+check on every triple that the checks on generators replaced, the
+commutativity and character-symmetry checks on every pair, which the
+checks on pairs of additive generators replaced, and the
 weight of one element from its own character sum over the units.  The
 Krawtchouk table by one column per element, each entry reduced on its
 own, is kept for the orbit-indexed tables that replaced it, and so is
@@ -310,6 +312,18 @@ def is_invariant_by_units(partition) -> bool:
         if not np.array_equal(b[ring.mul_col(u)], b):
             return False
     return True
+
+
+def is_commutative_by_pairs(ring) -> bool:
+    """Commutativity checked on every pair (a, b): row a against column a."""
+    return all(np.array_equal(ring.mul_row(a), ring.mul_col(a)) for a in range(ring.size))
+
+
+def is_symmetric_by_pairs(char) -> bool:
+    """chi(ab) = chi(ba) checked on every pair (a, b)."""
+    ring, exps = char.ring, char.exponents
+    return all(np.array_equal(exps[ring.mul_row(a)], exps[ring.mul_col(a)])
+               for a in range(ring.size))
 
 
 def is_additive_by_pairs(ring, exponents, order: int) -> bool:

@@ -63,13 +63,11 @@ def _on_route(ring, tabled):
 
 def _digest(ring, labels) -> str:
     n = ring.size
+    add = np.vstack([ring.add_row(a) for a in range(n)])
     h = hashlib.sha256()
-    for rows in (
-        [ring.add_row(a) for a in range(n)],
-        [ring.mul_row(a) for a in range(n)],
-        [ring.neg_table],
-    ):
-        h.update(np.vstack(rows).astype(np.int64).tobytes())
+    for table in (add, np.vstack([ring.mul_row(a) for a in range(n)]),
+                  np.argmax(add == 0, axis=1)):  # the negative of every element
+        h.update(table.astype(np.int64).tobytes())
     h.update(str(ring.one).encode())
     h.update("\n".join(labels).encode())
     h.update(canonical_generating_character(ring).exponents.astype(np.int64).tobytes())

@@ -34,6 +34,7 @@ from oracles import (
     generating_characters_by_translate,
     is_additive_by_pairs,
     is_generating_by_kernel_scan,
+    is_symmetric_by_pairs,
     principal_ideal_oracle,
     ring_id,
     table_twin,
@@ -438,6 +439,16 @@ def test_matrix_ring_has_exactly_one_symmetric_generating_character(m2f2):
     symmetric = [c for c in chars if is_symmetric(c)]
     assert len(symmetric) == 1
     assert symmetric[0] == canonical_generating_character(m2f2)
+
+
+def test_symmetry_on_generators_matches_the_pairwise_oracle():
+    """Z1, and every generating character of three noncommutative rings."""
+    chars = [canonical_generating_character(build_zmod(1))]
+    for expr in ("M(2,GF(2))", "ex5_5", "M(2,GF(2)) x GF(2)"):
+        chars += all_generating_characters(build_ring(parse_ring(expr)))
+    verdicts = [is_symmetric(c) for c in chars]
+    assert verdicts == [is_symmetric_by_pairs(c) for c in chars]
+    assert (len(verdicts), sum(verdicts)) == (1 + 6 + 4 + 6, 1 + 1 + 0 + 1)
 
 
 def test_ex5_5_has_no_symmetric_generating_character(ex5_5_rings):

@@ -207,6 +207,16 @@ def test_info_command(capsys):
     assert payload["structure"] == [[2, 1], [3, 1]]
 
 
+def test_info_on_the_zero_ring_names_the_empty_product(capsys):
+    """Z1 is the empty product: its structure is [], not unknown."""
+    code, payload, _ = run_json(capsys, "info", "--ring", "Z1")
+    assert code == 0
+    assert payload["structure"] == []
+    code, out, _ = run_cli(capsys, "info", "--ring", "Z1", "--no-timestamp")
+    assert code == 0
+    assert "structure: []" in out.splitlines()
+
+
 def test_info_non_frobenius_table(tmp_path, capsys):
     from frobring.cli import _non_frobenius_ring
 
@@ -728,6 +738,17 @@ def test_exit_2_on_missing_ring_argument(capsys):
     code, _, err = run_cli(capsys, "weights")
     assert code == 2
     assert "--ring" in err
+
+
+def test_exit_2_on_a_size_guard_below_one(tmp_path, capsys):
+    """A guard below 1 is a bad parameter, for ring expressions and table files."""
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps({"size": 2, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]],
+                                "one": 1}))
+    for ring, guard in (("Z4", "-5"), ("Z4", "0"), (f"table:{path}", "-5")):
+        code, _, err = run_cli(capsys, "info", "--ring", ring, "--max-size", guard)
+        assert code == 2
+        assert f"size guard must be at least 1, got {guard}" in err
 
 
 def test_exit_3_on_size_guard(capsys):

@@ -12,7 +12,7 @@ import pytest
 from frobring import duality, weights
 from frobring.characters import (Character, _check_hom, all_generating_characters,
                                  canonical_generating_character, is_generating,
-                                 restrictions)
+                                 is_symmetric, restrictions)
 from frobring.cli import _non_frobenius_ring
 from frobring.errors import CharacterSearchFailed, InternalInconsistency
 from frobring.partitions import Partition, hom_partition
@@ -21,7 +21,9 @@ from frobring.rings import (build_gf, build_matrix_ring, build_product, build_zm
 
 from oracles import (
     is_additive_by_pairs,
+    is_commutative_by_pairs,
     is_generating_by_orbits,
+    is_symmetric_by_pairs,
     krawtchouk_coeffs_by_orbit_columns,
     ring_id,
     structure_by_orbit_scan,
@@ -105,6 +107,13 @@ def test_additivity_check_matches_the_pairwise_oracle(ring):
     verdicts = [_check_hom(ring, e, char.order) for e in candidates]
     assert verdicts == [is_additive_by_pairs(ring, e, char.order) for e in candidates]
     assert verdicts == [True, True] + [False] * 6
+
+
+@pytest.mark.parametrize("ring", CORPUS, ids=ring_id)
+def test_commutativity_and_symmetry_match_the_pairwise_oracles(ring):
+    assert ring.is_commutative == is_commutative_by_pairs(ring)
+    for char in _characters(ring):
+        assert is_symmetric(char) == is_symmetric_by_pairs(char)
 
 
 @pytest.mark.parametrize("ring", CORPUS, ids=ring_id)

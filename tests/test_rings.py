@@ -1,5 +1,7 @@
 """Ring construction, axioms, and derived structure vs oracle enumeration."""
 
+import json
+from functools import reduce
 from time import perf_counter
 
 import numpy as np
@@ -27,7 +29,7 @@ from frobring.rings import (
 )
 from frobring import characters, duality, partitions, rings
 from frobring.characters import canonical_generating_character
-from frobring.cli import _non_frobenius_ring
+from frobring.cli import _non_frobenius_ring, build_ring, parse_ring
 from frobring.partitions import hom_partition, is_invariant
 from frobring.weights import weight_table
 
@@ -35,6 +37,7 @@ from oracles import (
     all_ideals,
     element_label_by_decode,
     ex5_5_tables_from_matrices,
+    is_commutative_by_pairs,
     is_frobenius_oracle,
     matrix_rank_oracle,
     non_frobenius_tables_from_bits,
@@ -389,17 +392,28 @@ def test_negatives_past_the_cheap_checks(tables, one, message):
         validate_tables_exhaustive(add, mul, one)
 
 
-@pytest.mark.parametrize("moduli", [(4, 3), (8, 9, 5)], ids=str)
-def test_add_row_from_kernel_matches_table(moduli):
-    """Every row, whole and over chosen columns, is the digitwise sum mod
-    each modulus, and a kernel ring keeps no table."""
-    ring = build_product([build_zmod(n) for n in moduli])
-    digits = np.array(np.unravel_index(np.arange(ring.size), moduli))
-    radices = np.array(moduli)[:, None]
+@pytest.mark.parametrize("case", [(4, 3), (8, 9, 5), "GF(4096)", "M(2,GF(9))", "GF(7)",
+                                  "ex5_5"], ids=str)
+def test_add_row_from_kernel_matches_table(case):
+    """Every row, whole and over chosen columns, short and long, is the
+    digitwise sum mod each modulus, and a kernel ring keeps no table.
+    A product of Z_n has one digit per factor, an F_p-algebra one base-p
+    digit per basis element."""
+    if isinstance(case, tuple):
+        ring, moduli = build_product([build_zmod(n) for n in case]), case
+    else:
+        ring = build_ring(parse_ring(case))
+        moduli = (ring.p,) * ring.dim
+    strides = [int(np.prod(moduli[i + 1:])) for i in range(len(moduli))]
+    backwards = np.arange(ring.size)[::-1]
     for a in range(ring.size):
-        row = np.ravel_multi_index((digits[:, a, None] + digits) % radices, moduli)
+        # digit i of a + b over every b, outer-summed, first digit most significant
+        parts = [(d + np.arange(m)) % m * s
+                 for d, m, s in zip(np.unravel_index(a, moduli), moduli, strides)]
+        row = reduce(lambda acc, part: np.add.outer(acc, part).ravel(), parts)
         assert np.array_equal(ring.add_row(a), row)
         assert np.array_equal(ring.add_row(a, [0, a]), row[[0, a]])
+        assert np.array_equal(ring.add_row(a, backwards), row[backwards])
     assert not hasattr(ring, "add_table")
 
 
@@ -763,6 +777,18 @@ def test_size_guard_override():
         build_zmod(101, max_size=100)
 
 
+def test_size_guard_below_one_is_a_bad_parameter(tmp_path):
+    """A guard below 1 admits no ring: a bad parameter, not a resource limit."""
+    for guard in (0, -5):
+        with pytest.raises(InvalidParameter, match=f"size guard must be at least 1, got {guard}"):
+            build_zmod(4, max_size=guard)
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps({"size": 2, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]],
+                                "one": 1}))
+    with pytest.raises(InvalidParameter, match="size guard must be at least 1"):
+        load_table_spec(str(path), max_size=-1)
+
+
 def test_matrix_ring_guard():
     with pytest.raises(ResourceLimit):
         build_matrix_ring(3, build_gf(3))
@@ -859,12 +885,13 @@ def test_characteristic_refuses_an_element_of_larger_order(swap):
 
 
 def test_commutativity_flags():
-    assert build_zmod(12).is_commutative
-    assert build_gf(8).is_commutative
-    assert not build_matrix_ring(2, build_gf(2)).is_commutative
-    assert build_matrix_ring(1, build_gf(5)).is_commutative
-    assert not builtin_ring("ex5_5").is_commutative
-    assert not table_twin(builtin_ring("ex5_5")).is_commutative
+    """The check on pairs of additive generators against every pair."""
+    rings_ = [build_zmod(1), build_zmod(12), build_gf(8), build_matrix_ring(2, build_gf(2)),
+              build_matrix_ring(1, build_gf(5)), builtin_ring("ex5_5"),
+              table_twin(builtin_ring("ex5_5")), _non_frobenius_ring()]
+    verdicts = [ring.is_commutative for ring in rings_]
+    assert verdicts == [is_commutative_by_pairs(ring) for ring in rings_]
+    assert verdicts == [True, True, True, False, True, False, False, True]
 
 
 def test_a_bare_algebra_names_itself():

@@ -11,7 +11,8 @@ unit-invariant.
 import numpy as np
 import pytest
 
-from frobring.characters import canonical_generating_character
+from frobring.characters import (all_generating_characters, canonical_generating_character,
+                                 is_symmetric)
 from frobring.duality import dual_partition, krawtchouk_table
 from frobring.partitions import hom_partition
 from frobring.rings import (
@@ -24,7 +25,7 @@ from frobring.rings import (
 )
 from frobring.weights import weight_table
 
-from oracles import table_twin
+from oracles import is_commutative_by_pairs, is_symmetric_by_pairs, table_twin
 
 TWIN_RINGS = [
     builtin_ring("ex5_5"),
@@ -41,6 +42,10 @@ def test_table_twin_gives_the_same_results(ring, exponents):
     twin = table_twin(ring, exponents=exponents)
     assert isinstance(twin, TableRing)
     assert twin.describe() == ring.describe()
+    for r in (ring, twin):  # commutativity and symmetry on generators, against every pair
+        assert r.is_commutative == is_commutative_by_pairs(r)
+        for char in all_generating_characters(r):
+            assert is_symmetric(char) == is_symmetric_by_pairs(char)
     chars = [canonical_generating_character(r) for r in (ring, twin)]
     assert chars[0].order == chars[1].order
     if exponents:

@@ -446,9 +446,7 @@ class AlgebraRing(FiniteRing):
             return (idx + a) % self.p  # a lone digit needs no p-by-p table
         lo_sum, hi_sum = self._half_sums
         low = self._low
-        if len(idx) < low:  # too few to pay for the whole row
-            return lo_sum[a % low, idx % low] + hi_sum[a // low, idx // low]
-        row = (hi_sum[a // low][:, None] + lo_sum[a % low]).ravel()
+        row =(hi_sum[a // low][:, None] + lo_sum[a % low]).ravel()
         return row if cols is None else row[idx]
 
     def _mul_row_impl(self, a, cols):

@@ -13,7 +13,7 @@ from .cyclotomic import CycInt, cyclotomic_poly
 from .duality import (KrawtchoukTable, character_independence_check,
                       delsarte_rank_krawtchouk, dual_partition, is_reflexive,
                       is_self_dual, krawtchouk_table, left_right_agreement,
-                      same_entries, semisimple_lr_agreement)
+                      same_entries)
 from .errors import (CharacterSearchFailed, InternalInconsistency,
                      InvalidParameter, InvalidRing, ResourceLimit)
 from .partitions import (Partition, equals, ex5_5_partition,
@@ -50,7 +50,7 @@ __all__ = [
     "load_table_spec", "partition_from_weight", "product_partition",
     "rank_partition", "s_count",
     "same_entries", "search_generating_character",
-    "semisimple_lr_agreement", "socle_weight_consistency",
+    "socle_weight_consistency",
     "symmetrized_power_partition", "translate", "validate_tables",
     "weight_matrix_rank", "weight_rank_profile", "weight_table",
 ]

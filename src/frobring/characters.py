@@ -159,9 +159,14 @@ def is_symmetric(char: Character) -> bool:
     """True iff chi(ab) = chi(ba) for all pairs a, b.
 
     (a, b) -> e(ab) - e(ba) is biadditive, so it vanishes everywhere iff
-    it vanishes on pairs of generators of the additive presentation.
+    it vanishes on pairs of generators of the additive presentation.  On
+    a product chi(ab) is the product of the restrictions at the
+    components, and a, b inside one factor see only its restriction, so
+    chi is symmetric iff every restriction is.
     """
     ring = char.ring
+    if isinstance(ring, ProductRing):
+        return all(is_symmetric(c) for c in restrictions(char))
     exps = char.exponents
     gens = ring.additive_presentation.gens
     return all(np.array_equal(exps[ring.mul_row(g, gens)], exps[ring.mul_col(g, gens)])
@@ -282,7 +287,7 @@ def all_generating_characters(ring: FiniteRing) -> list[Character]:
     """
     base = canonical_generating_character(ring)
     rows = np.empty((len(ring.units), ring.size), dtype=np.int64)
-    for i, u in enumerate(ring.units):
+    for i, u in enumerate(ring.units.tolist()):
         rows[i] = base.exponents[ring.mul_col(u)]
     order = np.lexsort(rows.T[::-1]).tolist()
     where = f"{ring.expr}: left unit translates of the character of order {base.order}"

@@ -707,9 +707,9 @@ def _local_weights(*rings: FiniteRing) -> tuple[dict, bool]:
     for ring in rings:
         q = ring.quotient_by_radical()[0].size
         table = weights.weight_table(ring)
-        soc = set(ring.socle_members("left"))
+        soc = np.isin(np.arange(ring.size), ring.socle_members("left"))
         expected = [Fraction(0) if x == 0 else
-                    Fraction(q, q - 1) if x in soc else Fraction(1)
+                    Fraction(q, q - 1) if soc[x] else Fraction(1)
                     for x in range(ring.size)]
         cases.append({
             "ring": ring.expr,

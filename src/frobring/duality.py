@@ -31,10 +31,9 @@ import numpy as np
 
 from . import cyclotomic
 from .characters import (Character, all_generating_characters,
-                         canonical_generating_character, is_generating,
-                         is_symmetric, restrictions)
+                         canonical_generating_character, is_generating, restrictions)
 from .errors import InternalInconsistency, InvalidParameter, ResourceLimit
-from .partitions import Partition, equals, is_invariant
+from .partitions import Partition, equals
 from .rings import FiniteRing, ProductRing, _check_side
 from .weights import gaussian
 
@@ -93,7 +92,8 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 
 def same_entries(a: KrawtchoukTable, b: KrawtchoukTable) -> bool:
     """Entrywise exact equality of two tables over the same partition."""
-    if a.partition.blocks != b.partition.blocks or a.char.order != b.char.order:
+    if (not np.array_equal(a.partition.block_of, b.partition.block_of)
+            or a.char.order != b.char.order):
         return False
     # each (orbit in a, orbit in b) pair met by some element, as one int64 code
     pairs = np.unique(a.orbit_of * len(b.coeffs) + b.orbit_of)
@@ -299,12 +299,9 @@ def left_right_agreement(partition: Partition, char: Character | None = None) ->
                         krawtchouk_table(partition, char, "right"))
 
 
-def character_independence_check(partition: Partition, ring: FiniteRing | None = None) -> bool:
+def character_independence_check(partition: Partition) -> bool:
     """Do all generating characters give the same left/right tables?"""
-    ring = ring or partition.ring
-    if ring is not partition.ring:
-        raise InvalidParameter("partition lives on a different ring")
-    chars = all_generating_characters(ring)
+    chars = all_generating_characters(partition.ring)
     refs = {side: krawtchouk_table(partition, chars[0], side) for side in ("left", "right")}
     return all(same_entries(refs[side], krawtchouk_table(partition, char, side))
                for char in chars[1:] for side in refs)
@@ -321,24 +318,3 @@ def delsarte_rank_krawtchouk(m: int, q: int, i: int, k: int) -> int:
     return sum((-1) ** (k - j) * q ** (j * m + comb(k - j, 2))
                * gaussian(m - j, m - k, q) * gaussian(m - i, j, q) for j in range(k + 1))
 
-
-def semisimple_lr_agreement(ring: FiniteRing, partition: Partition) -> bool:
-    """Left/right table agreement on a semisimple ring, via a symmetric character."""
-    if tuple(ring.radical) != (0,):
-        raise InvalidParameter("ring is not semisimple")
-    if partition.ring is not ring:
-        raise InvalidParameter("partition lives on a different ring")
-    if not is_invariant(partition):
-        raise InvalidParameter("partition is not invariant")
-    char = canonical_generating_character(ring)
-    if not is_symmetric(char):
-        for candidate in all_generating_characters(ring):
-            if is_symmetric(candidate):
-                char = candidate
-                break
-        else:
-            raise InternalInconsistency(
-                f"{ring.expr}: semisimple, but no generating character of order "
-                f"{char.order} gives equal left and right values chi(ab), chi(ba)"
-            )
-    return left_right_agreement(partition, char)

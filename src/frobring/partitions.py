@@ -1,27 +1,34 @@
 """Partitions of a ring's element set.
 
-A partition is stored in canonical form: each block is a sorted tuple
-of element indices, blocks are ordered by smallest member, and a dense
-element-to-block lookup is kept alongside for the character-sum code
-that indexes by element in tight loops.  Every builder keys each element
-by an integer array (a weight numerator, a rank, a row of factor blocks)
-and one ``np.unique`` pass turns the keys into that canonical form.
+A partition is stored in canonical form: a read-only int64 array
+``block_of`` that gives the block of every element, blocks numbered in
+order of their least member, so two partitions of a ring are equal iff
+their arrays are.  Every builder keys each element by an integer array
+(a weight numerator, a rank, a row of factor blocks) and one
+``np.unique`` pass turns the keys into that canonical form.  The blocks
+as sorted tuples of indices are built from it on first access, for
+output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidParameter
-from .rings import (FiniteRing, GaloisField, MatrixRing, ProductRing, builtin_ring,
-                    cayley_tables)
+from .rings import (FiniteRing, GaloisField, MatrixRing, ProductRing, _frozen,
+                    builtin_ring, cayley_tables)
 from .weights import WeightTable, weight_table
 
 
 class Partition:
-    """Disjoint nonempty blocks covering all element indices of a ring."""
+    """Disjoint nonempty blocks covering all element indices of a ring.
+
+    ``block_of`` is the canonical form, ``num_blocks`` counts the blocks
+    and ``labels``, if any, holds one label per block in block order.
+    """
 
     def __init__(self, ring: FiniteRing, blocks, labels=None):
         blocks = [np.fromiter(block, dtype=np.int64) for block in blocks]
@@ -73,29 +80,28 @@ class Partition:
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-        block_of = rank[code]
-        members = np.argsort(block_of, kind="stable").tolist()
-        ends = np.cumsum(np.bincount(block_of)).tolist()
         self.ring = ring
-        self.blocks = tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends))
+        self.block_of = _frozen(rank[code])
+        self.num_blocks = len(order)
         self.labels = None if label is None else tuple(label(keys[first[k]]) for k in order)
-        self.block_of = block_of
-        block_of.setflags(write=False)
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """Each block as a sorted tuple of indices, in order of least member."""
+        members = np.argsort(self.block_of, kind="stable").tolist()
+        ends = np.cumsum(self.block_sizes()).tolist()
+        return tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends))
 
     def block_sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
+        return tuple(np.bincount(self.block_of).tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
-        return self.ring is other.ring and self.blocks == other.blocks
+        return self.ring is other.ring and np.array_equal(self.block_of, other.block_of)
 
     def __hash__(self) -> int:
-        return hash((id(self.ring), self.blocks))
+        return hash((id(self.ring), self.block_of.tobytes()))
 
     def __repr__(self) -> str:
         return (f"<Partition of {self.ring.expr} into {self.num_blocks} "
@@ -206,7 +212,7 @@ def is_finer(p: Partition, q: Partition) -> bool:
 def equals(p: Partition, q: Partition) -> bool:
     if p.ring is not q.ring:
         raise InvalidParameter("partitions live on different rings")
-    return p.blocks == q.blocks
+    return np.array_equal(p.block_of, q.block_of)
 
 
 # Element indices of the five defining matrices of the builtin 16-element
@@ -247,8 +253,6 @@ def ex5_5_partition(ring: FiniteRing) -> Partition:
     """
     if not _is_ex5_5(ring):
         raise InvalidParameter("this partition is defined on the ex5_5 builtin ring")
-    p0 = [0]
-    p1 = list(ring.units)
     p2 = np.union1d(_unit_orbit(ring, _EX5_5_A1), [_EX5_5_A2])
     p3 = np.union1d(_unit_orbit(ring, _EX5_5_B1), [_EX5_5_B2, _EX5_5_B3])
-    return Partition(ring, [p0, p1, p2, p3], labels=["P0", "P1", "P2", "P3"])
+    return Partition(ring, [[0], ring.units, p2, p3], labels=["P0", "P1", "P2", "P3"])

@@ -15,9 +15,10 @@ radical, socles, principal ideals, the radical quotient) is computed by
 the defining property in each case.  Properties that depend only on a principal
 ideal Rx = R(ux) or xR = (xu)R are decided once per unit orbit, through
 the cached index ``unit_orbits``, and biadditive identities such as
-commutativity on pairs of generators of (R,+).  A direct product takes
-its units, unit orbits, radical, socles and Frobenius test from its
-factors, in mixed radix.
+commutativity on pairs of generators of (R,+).  A set of elements (the
+units, the radical, a socle) is held as a sorted read-only int64 array
+of indices.  A direct product takes its units, unit orbits, radical,
+socles and Frobenius test from its factors, in mixed radix.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import os
 import warnings
 from functools import cached_property, reduce
 from itertools import product as iter_product
-from math import gcd, lcm
+from math import lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +44,12 @@ from .errors import (
 DEFAULT_SIZE_GUARD = 10000
 
 _COMPARE_BLOCK = 1 << 17  # table entries compared per step in validate_tables
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only: a cached array is shared by every caller."""
+    arr.setflags(write=False)
+    return arr
 
 
 def _check_side(side: str) -> None:
@@ -168,10 +175,11 @@ class FiniteRing:
                    for g in gens.tolist())
 
     @cached_property
-    def units(self) -> tuple[int, ...]:
-        return self._compute_units()
+    def units(self) -> np.ndarray:
+        """The units, as a sorted read-only int64 array of indices."""
+        return _frozen(self._compute_units())
 
-    def _compute_units(self) -> tuple[int, ...]:
+    def _compute_units(self) -> np.ndarray:
         # x is a unit iff some y with xy = 1 also has yx = 1
         one = self.one
         out = []
@@ -179,13 +187,7 @@ class FiniteRing:
             candidates = np.flatnonzero(self.mul_row(x) == one)
             if len(candidates) and (self.mul_col(x, candidates) == one).any():
                 out.append(x)
-        return tuple(out)
-
-    @cached_property
-    def is_unit_mask(self) -> np.ndarray:
-        mask = np.zeros(self.size, dtype=bool)
-        mask[list(self.units)] = True
-        return mask
+        return np.array(out, dtype=np.int64)
 
     def unit_orbits(self, side: str = "left") -> tuple[np.ndarray, np.ndarray]:
         """The unit orbits Ux (side 'left') or xU ('right'), indexed once.
@@ -199,14 +201,11 @@ class FiniteRing:
         if cache is None:
             cache = self._orbit_cache = {}
         if side not in cache:
-            reps, orbit_of = self._compute_unit_orbits(side)
-            reps.setflags(write=False)
-            orbit_of.setflags(write=False)
-            cache[side] = (reps, orbit_of)
+            cache[side] = tuple(map(_frozen, self._compute_unit_orbits(side)))
         return cache[side]
 
     def _compute_unit_orbits(self, side: str) -> tuple[np.ndarray, np.ndarray]:
-        units = np.asarray(self.units, dtype=np.int64)
+        units = self.units
         orbit_of = np.full(self.size, -1, dtype=np.int64)
         reps = []
         for x in range(self.size):
@@ -217,21 +216,23 @@ class FiniteRing:
         return np.asarray(reps, dtype=np.int64), orbit_of
 
     @cached_property
-    def radical(self) -> tuple[int, ...]:
-        """Jacobson radical: x such that 1 - r*x is a unit for every r.
+    def radical(self) -> np.ndarray:
+        """Jacobson radical, as a sorted read-only int64 array of indices:
+        x such that 1 - r*x is a unit for every r.
 
         As r runs over R so does -r, so that reads: 1 + y is a unit for
         every y in Rx.  The condition reads only Rx = R(ux), so one
         representative decides each left unit orbit.
         """
         one_plus = self.add_row(self.one)
-        is_unit = self.is_unit_mask
+        is_unit = np.isin(np.arange(self.size), self.units)
         reps, orbit_of = self.unit_orbits("left")
-        inside = np.array([is_unit[one_plus[self.mul_col(int(x))]].all() for x in reps])
-        return tuple(int(x) for x in np.flatnonzero(inside[orbit_of]))
+        inside = np.array([is_unit[one_plus[self.mul_col(x)]].all() for x in reps.tolist()])
+        return _frozen(np.flatnonzero(inside[orbit_of]))
 
-    def socle_members(self, side: str = "left") -> tuple[int, ...]:
-        """Annihilator of the radical: the left or right socle.
+    def socle_members(self, side: str = "left") -> np.ndarray:
+        """Annihilator of the radical, the left or right socle, as a sorted
+        read-only int64 array of indices.
 
         The radical is a union of unit orbits on each side, and
         (uj)x = u(jx), x(ju) = (xj)u, so one radical element per orbit of
@@ -242,16 +243,15 @@ class FiniteRing:
         if cache is None:
             cache = self._socle_cache = {}
         if side not in cache:
-            cache[side] = self._compute_socle(side)
+            cache[side] = _frozen(self._compute_socle(side))
         return cache[side]
 
-    def _compute_socle(self, side: str) -> tuple[int, ...]:
+    def _compute_socle(self, side: str) -> np.ndarray:
         reps, _ = self.unit_orbits(side)
         mask = np.ones(self.size, dtype=bool)
-        for j in reps[np.isin(reps, self.radical)]:
-            jr = self.mul_row(int(j)) if side == "left" else self.mul_col(int(j))
-            mask &= jr == 0
-        return tuple(int(x) for x in np.flatnonzero(mask))
+        for j in reps[np.isin(reps, self.radical)].tolist():
+            mask &= (self.mul_row(j) if side == "left" else self.mul_col(j)) == 0
+        return np.flatnonzero(mask)
 
     def principal_ideal_mask(self, x: int, side: str = "left") -> np.ndarray:
         """Boolean membership mask of Rx (side 'left') or xR ('right')."""
@@ -266,8 +266,7 @@ class FiniteRing:
         return tuple(int(v) for v in np.flatnonzero(self.principal_ideal_mask(x, side)))
 
     def _socle_is_principal(self, side: str) -> bool:
-        soc = np.zeros(self.size, dtype=bool)
-        soc[list(self.socle_members(side))] = True
+        soc = np.isin(np.arange(self.size), self.socle_members(side))
         reps, _ = self.unit_orbits(side)
         # Ra = R(ua) and aR = (au)R: one candidate generator per orbit in the socle
         return any(np.array_equal(self.principal_ideal_mask(int(a), side), soc)
@@ -283,7 +282,8 @@ class FiniteRing:
                 "one-sided principal-socle conditions disagree; they are "
                 "equivalent for finite rings"
             )
-        if left_ok and self.socle_members("left") != self.socle_members("right"):
+        if left_ok and not np.array_equal(self.socle_members("left"),
+                                          self.socle_members("right")):
             raise InternalInconsistency(
                 "left and right socles differ on a ring with principal socles"
             )
@@ -298,8 +298,8 @@ class FiniteRing:
         cached = getattr(self, "_quotient_cache", None)
         if cached is not None:
             return cached
-        rad = list(self.radical)
-        if rad == [0]:
+        rad = self.radical
+        if len(rad) == 1:
             # already semisimple: the quotient is the ring itself
             self._quotient_cache = (self, list(range(self.size)))
             return self._quotient_cache
@@ -377,7 +377,7 @@ class ZmodRing(FiniteRing):
         return (self._indices(rows) * b) % self.modulus
 
     def _compute_units(self):
-        return tuple(x for x in range(self.size) if gcd(x, self.modulus) == 1)
+        return np.flatnonzero(np.gcd(np.arange(self.size), self.modulus) == 1)
 
 
 class AlgebraRing(FiniteRing):
@@ -528,7 +528,7 @@ class GaloisField(AlgebraRing):
         return np.array(rows, dtype=np.int64) % p
 
     def _compute_units(self):
-        return tuple(range(1, self.size))
+        return np.arange(1, self.size, dtype=np.int64)
 
 
 class MatrixRing(AlgebraRing):
@@ -601,7 +601,7 @@ class MatrixRing(AlgebraRing):
         return rank
 
     def _compute_units(self):
-        return tuple(int(x) for x in np.flatnonzero(self.ranks == self.m))
+        return np.flatnonzero(self.ranks == self.m)
 
     def element_labels(self):
         # index digits run row-major, first entry most significant, as the combinations do
@@ -728,15 +728,10 @@ class ProductRing(FiniteRing):
     @cached_property
     def radical(self):
         # rad(R_1 x R_2) = rad R_1 x rad R_2
-        return self._from_factors(f.radical for f in self.factors)
+        return _frozen(_mixed_radix([f.radical for f in self.factors], self.sizes))
 
     def _compute_socle(self, side):
-        return self._from_factors(f.socle_members(side) for f in self.factors)
-
-    def _from_factors(self, member_lists) -> tuple[int, ...]:
-        """The product of one increasing member list per factor, as a tuple."""
-        parts = [np.asarray(m, dtype=np.int64) for m in member_lists]
-        return tuple(_mixed_radix(parts, self.sizes).tolist())
+        return _mixed_radix([f.socle_members(side) for f in self.factors], self.sizes)
 
     @cached_property
     def is_frobenius(self):
@@ -752,8 +747,7 @@ class ProductRing(FiniteRing):
         return all(f.is_commutative for f in self.factors)
 
     def _compute_units(self):
-        return tuple(_mixed_radix([np.asarray(f.units, dtype=np.int64) for f in self.factors],
-                                  self.sizes).tolist())
+        return _mixed_radix([f.units for f in self.factors], self.sizes)
 
     def element_labels(self):
         return _bracketed([f.element_labels() for f in self.factors], "()")

@@ -34,7 +34,7 @@ from . import cyclotomic
 from .characters import (Character, _embedding, canonical_generating_character,
                          restrictions)
 from .errors import InternalInconsistency, InvalidParameter
-from .rings import FiniteRing, _mixed_radix, _outer
+from .rings import FiniteRing, _frozen, _mixed_radix, _outer
 
 
 def gaussian(m: int, j: int, q: int) -> int:
@@ -233,11 +233,10 @@ def _orbit_unit_sums(ring: FiniteRing, i: int, char: Character, side: str) -> np
     order = char.order
     traces = np.asarray(cyclotomic.root_power_traces(order), dtype=np.int64)
     phi = int(traces[0])
-    units_arr = np.asarray(leaf.units, dtype=np.int64)
     reps, orbit_of = leaf.unit_orbits(side)
     sums = np.empty(len(reps), dtype=np.int64)
     for k, x in enumerate(reps.tolist()):
-        prods = leaf.mul_col(x, units_arr) if side == "left" else leaf.mul_row(x, units_arr)
+        prods = leaf.mul_col(x, leaf.units) if side == "left" else leaf.mul_row(x, leaf.units)
         dot = int(np.bincount(char.exponents[prods], minlength=order) @ traces)
         if dot % phi:
             raise InternalInconsistency(
@@ -280,8 +279,7 @@ def weight_table(ring: FiniteRing, char: Character | None = None) -> WeightTable
         raise InternalInconsistency(
             f"{ring.expr}: one-sided unit sums differ at {int(differ[0])}"
         )
-    num = nunits - left
-    num.setflags(write=False)
+    num = _frozen(nunits - left)
     _validate_homogeneous(ring, num, nunits)
     table = cache[key] = WeightTable(ring, num, nunits)
     return table
@@ -295,8 +293,7 @@ def socle_weight_consistency(ring: FiniteRing, char: Character | None = None) ->
     that quotient's own generating character.
     """
     table = weight_table(ring, char)
-    soc = np.zeros(ring.size, dtype=bool)
-    soc[list(ring.socle_members("left"))] = True
+    soc = np.isin(np.arange(ring.size), ring.socle_members("left"))
     if (table.num[~soc] != table.denom).any():
         return False
     qtable = weight_table(ring.quotient_by_radical()[0])

@@ -49,7 +49,9 @@ Cyclotomic integers of different orders are compared by lifting both to
 a common multiple through the reducer, which no library route needs.
 Element labels decoded one element at a time, through each product's
 ``decode`` and each matrix's entries, are kept for the label lists built
-as combinations of the factors' labels.
+as combinations of the factors' labels.  Left/right table agreement on a
+semisimple ring through a symmetric character cross-checks
+``left_right_agreement``.
 """
 
 from __future__ import annotations
@@ -324,6 +326,33 @@ def is_symmetric_by_pairs(char) -> bool:
     ring, exps = char.ring, char.exponents
     return all(np.array_equal(exps[ring.mul_row(a)], exps[ring.mul_col(a)])
                for a in range(ring.size))
+
+
+def semisimple_lr_agreement(ring, partition) -> bool:
+    """Left/right table agreement on a semisimple ring, via a symmetric character."""
+    from frobring.characters import (all_generating_characters,
+                                     canonical_generating_character, is_symmetric)
+    from frobring.duality import left_right_agreement
+    from frobring.partitions import is_invariant
+
+    if tuple(ring.radical) != (0,):
+        raise InvalidParameter("ring is not semisimple")
+    if partition.ring is not ring:
+        raise InvalidParameter("partition lives on a different ring")
+    if not is_invariant(partition):
+        raise InvalidParameter("partition is not invariant")
+    char = canonical_generating_character(ring)
+    if not is_symmetric(char):
+        for candidate in all_generating_characters(ring):
+            if is_symmetric(candidate):
+                char = candidate
+                break
+        else:
+            raise InternalInconsistency(
+                f"{ring.expr}: semisimple, but no generating character of order "
+                f"{char.order} gives equal left and right values chi(ab), chi(ba)"
+            )
+    return left_right_agreement(partition, char)
 
 
 def is_additive_by_pairs(ring, exponents, order: int) -> bool:

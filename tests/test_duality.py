@@ -25,7 +25,6 @@ from frobring.duality import (
     krawtchouk_table,
     left_right_agreement,
     same_entries,
-    semisimple_lr_agreement,
 )
 from frobring.cli import build_ring, main, parse_ring
 from frobring.errors import InternalInconsistency, InvalidParameter, ResourceLimit
@@ -48,7 +47,8 @@ from frobring.rings import (
     build_zmod,
 )
 
-from oracles import dual_groups_by_unique_rows, krawtchouk_table_by_element
+from oracles import (dual_groups_by_unique_rows, krawtchouk_table_by_element,
+                     semisimple_lr_agreement)
 from test_partitions import (_PRODUCT_RINGS, _assert_matches_grouping,
                              _partition_from_assignment, _random_partition_data)
 

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobring.characters import canonical_generating_character
+from frobring.duality import dual_partition, is_reflexive
 from frobring.errors import InvalidParameter
 from frobring.partitions import (
     Partition,
@@ -406,6 +408,22 @@ _PRODUCT_RINGS = [
     build_product([_M2F2, _M2F2]),
     build_product([build_zmod(4), build_zmod(6)]),
 ]
+
+
+def test_blocks_are_built_only_on_access():
+    """Comparison, sizes, duals and reflexivity read ``block_of``; the
+    block tuples are built on first access, as the oracle groups them."""
+    ring = _PRODUCT_RINGS[2]
+    table = weight_table(ring)
+    part = partition_from_weight(table)
+    char = canonical_generating_character(ring)
+    assert equals(part, partition_from_weight(table))
+    assert sum(part.block_sizes()) == ring.size
+    dual_partition(part, char, "left")
+    is_reflexive(part, char)
+    assert "blocks" not in part.__dict__
+    blocks, _ = group_by_key_oracle(ring, table.__getitem__)
+    assert part.blocks == tuple(map(tuple, blocks))
 
 
 @pytest.mark.parametrize("ring", WEIGHT_RINGS + _PRODUCT_RINGS, ids=ring_id)

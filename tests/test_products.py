@@ -16,8 +16,8 @@ from frobring.characters import (Character, _check_hom, all_generating_character
 from frobring.cli import _non_frobenius_ring
 from frobring.errors import CharacterSearchFailed, InternalInconsistency
 from frobring.partitions import Partition, hom_partition
-from frobring.rings import (build_gf, build_matrix_ring, build_product, build_zmod,
-                            builtin_ring)
+from frobring.rings import (FiniteRing, build_gf, build_matrix_ring, build_product,
+                            build_zmod, builtin_ring)
 
 from oracles import (
     is_additive_by_pairs,
@@ -31,6 +31,7 @@ from oracles import (
     unit_sums_by_orbits,
     validate_homogeneous_by_orbits,
 )
+from test_rings import assert_index_set
 
 
 def _corpus():
@@ -58,9 +59,11 @@ def _characters(ring):
 @pytest.mark.parametrize("ring", CORPUS, ids=ring_id)
 def test_structure_matches_the_orbit_scan(ring):
     radical, soc_l, soc_r, frobenius = structure_by_orbit_scan(ring)
-    assert ring.radical == radical
-    assert ring.socle_members("left") == soc_l
-    assert ring.socle_members("right") == soc_r
+    for got, scanned in [(ring.units, FiniteRing._compute_units(ring)), (ring.radical, radical),
+                         (ring.socle_members("left"), soc_l),
+                         (ring.socle_members("right"), soc_r)]:
+        assert_index_set(got)
+        assert tuple(got.tolist()) == tuple(scanned)
     assert ring.is_frobenius == frobenius
 
 
@@ -112,8 +115,11 @@ def test_additivity_check_matches_the_pairwise_oracle(ring):
 @pytest.mark.parametrize("ring", CORPUS, ids=ring_id)
 def test_commutativity_and_symmetry_match_the_pairwise_oracles(ring):
     assert ring.is_commutative == is_commutative_by_pairs(ring)
-    for char in _characters(ring):
-        assert is_symmetric(char) == is_symmetric_by_pairs(char)
+    chars = _characters(ring)
+    verdicts = [is_symmetric(char) for char in chars]
+    assert verdicts == [is_symmetric_by_pairs(char) for char in chars]
+    # every noncommutative ring here has a translate that is not symmetric
+    assert all(verdicts) == ring.is_commutative
 
 
 @pytest.mark.parametrize("ring", CORPUS, ids=ring_id)

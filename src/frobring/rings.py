@@ -44,6 +44,7 @@ from .errors import (
 DEFAULT_SIZE_GUARD = 10000
 
 _COMPARE_BLOCK = 1 << 17  # table entries compared per step in validate_tables
+_TILE = 128  # side of the tiles in which validate_tables compares + with its transpose
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -809,14 +810,14 @@ def _first_mismatch(lhs: np.ndarray, rhs: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(i) for i in np.unravel_index(np.argmax(diff), diff.shape))
 
 
-def _first_mismatch_by_rows(n: int, lhs, rhs) -> tuple[int, int] | None:
-    """First (row, column) where two n x n arrays differ, or None.
+def _first_mismatch_by_rows(count: int, width: int, lhs, rhs) -> tuple[int, int] | None:
+    """First (row, column) where two count x width arrays differ, or None.
 
     ``lhs(rows)`` and ``rhs(rows)`` build the given rows only; a block of
     rows at a time keeps the operands small enough to stay in cache.
     """
-    step = max(1, _COMPARE_BLOCK // n)
-    for start in range(0, n, step):
+    step = max(1, _COMPARE_BLOCK // width)
+    for start in range(0, count, step):
         rows = slice(start, start + step)
         bad = _first_mismatch(lhs(rows), rhs(rows))
         if bad:
@@ -865,43 +866,44 @@ def _greedy_generators(size: int, translation):
 
 
 def validate_tables(add: np.ndarray, mul: np.ndarray, one: int) -> None:
-    """Check every ring axiom on the given tables, exactly, in O(n^2 log n).
+    """Check every ring axiom on the given tables, exactly, in O(n^2).
 
-    Raises InvalidRing with an offending element pair or triple.  After
-    the O(n^2) checks (0 is neutral, + is commutative, every row of + is
-    a permutation, ``one`` is a two-sided identity), the remaining
-    axioms are checked on a greedy additive generating set S:
+    Raises InvalidRing with an offending element pair or triple.  After the
+    O(n^2) checks (0 is neutral, + is commutative, every row of + is a
+    permutation, ``one`` is a two-sided identity), the other axioms are
+    checked on a greedy additive generating set S and the edges x -> x+g of
+    the coset walks that grew its spans: the edge into each nonzero element,
+    and per g in S the closing edge (m-1)g -> mg = h in the span before g.
 
-    * Associativity of + by Light's test: (x+g)+y = x+(g+y) for all x, y
-      and each g in S, as g joins S.  The elements passing it are
-      closed under +, and with permutation rows they form a group.  So
-      each span is a subgroup, the coset walk that grew it is sound, it
-      at least doubles per generator (|S| <= log2 n), and + is
-      associative once S spans.
-    * Right distributivity (x+g)a = xa+ga for all a, on the edges
-      x -> x+g of the coset walks that grew the spans: the edge into
-      each nonzero element, and per g in S the closing edge
-      (m-1)g -> mg = h in the span before g.  These give (R,+) the
-      presentation <S | mg = h, commuting>, so for fixed a the map
-      x -> xa, additive on every edge, is additive.
+    * Associativity of +.  As g joins S, T_g = (x -> x+g) commutes with
+      each earlier T_h, so the cosets of its walk are disjoint orbits of
+      the group those generate: spans double (k = |S| <= log2 n, n-1+k
+      edges).  Then T_{x+g} = T_g T_x on every edge puts, by induction
+      from T_0 = id, every T_y in the abelian group A the T_g generate.
+      A is transitive, as T_y(0) = y, so regular: T_y T_x is T_{y+x}.
+    * Right distributivity (x+g)a = xa+ga for all a, on every edge.  The
+      edges give (R,+) the presentation <S | mg = h, commuting>, so for
+      fixed a the map x -> xa, additive on every edge, is additive.
     * Left distributivity a(x+g) = ax+ag for a, g in S and all x: for
       fixed a the g are closed under +, and given right distributivity
       so are the a, as (a+b)(x+y) = a(x+y) + b(x+y).
     * Associativity of * on S^3: with both distributive laws the
       associator (xy)z - x(yz) is additive in each argument.
 
-    Cost: k n^2 for Light's test, n^2 for right distributivity, k^2 n
-    and k^3 for the last two, k = |S|.
+    Cost: O(n^2 + k^2 n + k^3), reading rows only: n^2 per edge check, k^2 n
+    for commuting translations and left distributivity, k^3 for the last.
     """
     n = add.shape[0]
     arange = np.arange(n)
     if not np.array_equal(add[0], arange):
         b = int(np.flatnonzero(add[0] != arange)[0])
         raise InvalidRing(f"0 + {b} != {b}", witness=(0, b))
-    bad = _first_mismatch(add, add.T)
-    if bad:
-        a, b = bad
-        raise InvalidRing(f"{a} + {b} != {b} + {a}", witness=(a, b))
+    # a + b against b + a tile by tile: add.T whole is read down its columns
+    for r, c in ((r, c) for r in range(0, n, _TILE) for c in range(0, r + 1, _TILE)):
+        bad = _first_mismatch(add[r:r + _TILE, c:c + _TILE], add[c:c + _TILE, r:r + _TILE].T)
+        if bad:
+            a, b = bad[0] + r, bad[1] + c
+            raise InvalidRing(f"{a} + {b} != {b} + {a}", witness=(a, b))
     seen = np.zeros((n, n), dtype=bool)
     np.put_along_axis(seen, add, True, axis=1)
     if not seen.all():
@@ -913,29 +915,35 @@ def validate_tables(add: np.ndarray, mul: np.ndarray, one: int) -> None:
     ):
         raise InvalidRing(f"element {one} is not a two-sided identity", witness=(one,))
     gens, edges = [], []
-    for g, shift, walk in _greedy_generators(n, add.__getitem__):
-        # (x+g)+y against x+(g+y) at [x, y]
-        bad = _first_mismatch_by_rows(n, lambda rows: add[shift[rows]],
-                                      lambda rows: add[rows][:, shift])
-        if bad:
-            x, y = bad
-            raise InvalidRing(f"addition is not associative at ({x},{g},{y})",
-                              witness=(x, g, y))
+    for g, _, walk in _greedy_generators(n, add.__getitem__):
+        for h in gens:
+            # g+(h+x) against h+(g+x) at [x]
+            bad = _first_mismatch(add[g].take(add[h]), add[h].take(add[g]))
+            if bad:
+                x = bad[0]
+                a, b, c = (x, h, g) if add[add[x, h], g] != add[x, add[h, g]] else (x, g, h)
+                raise InvalidRing(f"addition is not associative at ({a},{b},{c})",
+                                  witness=(a, b, c))
         gens.append(g)
         # the sources x of the walk's edges x -> x+g, the closing one last
         edges.append(np.concatenate([walk[:-1].ravel(), walk[-1, :1]]))
     s = np.array(gens, dtype=np.intp)
-    counts = [len(e) for e in edges]  # s[:0]: no edges on a one-element ring
-    xs, gs = np.concatenate([s[:0], *edges]), np.repeat(s, counts)
-    # (x+g)a against xa + ga at [a, edge]: row a reads the addition rows of the ga
-    by_col, flat_add, x_plus_g = np.ascontiguousarray(mul.T), add.ravel(), add[xs, gs]
-    row_of_ga = by_col[:, s].astype(np.intp) * n
-    bad = _first_mismatch_by_rows(n, lambda rows: by_col[rows][:, x_plus_g],
-                                  lambda rows: flat_add.take(
-                                      np.repeat(row_of_ga[rows], counts, axis=1)
-                                      + by_col[rows][:, xs]))
+    # s[:0]: no edges on a one-element ring
+    xs, gs = np.concatenate([s[:0], *edges]), np.repeat(s, [len(e) for e in edges])
+    ys, flat_add = add[xs, gs], add.ravel()
+    # y+z against g+(x+z) at [edge x -> y = x+g, z]
+    bad = _first_mismatch_by_rows(len(xs), n, lambda rows: add[ys[rows]], lambda rows:
+                                  flat_add.take(gs[rows, None] * n + add[xs[rows]]))
     if bad:
-        a, x, g = bad[0], int(xs[bad[1]]), int(gs[bad[1]])
+        z, x, g = bad[1], int(xs[bad[0]]), int(gs[bad[0]])
+        raise InvalidRing(f"addition is not associative at ({z},{x},{g})",
+                          witness=(z, x, g))
+    # (x+g)a against xa + ga at [edge, a]
+    bad = _first_mismatch_by_rows(len(xs), n, lambda rows: mul[ys[rows]],
+                                  lambda rows: flat_add.take(
+                                      mul[xs[rows]].astype(np.intp) * n + mul[gs[rows]]))
+    if bad:
+        a, x, g = bad[1], int(xs[bad[0]]), int(gs[bad[0]])
         raise InvalidRing(f"right distributivity fails at ({a},{x},{g})",
                           witness=(a, x, g))
     ss = mul[np.ix_(s, s)]

@@ -32,8 +32,10 @@ The CLI's text output by ``str()`` of each value, which the text
 renderer of list values replaced, is kept too.
 Right distributivity checked for every x along each additive generator,
 which the check on the edges of the coset walks replaced, is kept, and
-so is the table-file reader by ``json.load``, whose nested lists the
-reader of integer matrices into arrays replaced.
+so is Light's associativity test for each additive generator, which
+the check that the generator translations commute and compose along
+those edges replaced, and the table-file reader by ``json.load``, whose
+nested lists the reader of integer matrices into arrays replaced.
 The builtin algebras are pinned to their definitions: ex5_5 by products
 of its 4x4 binary matrices, the 8-element non-Frobenius algebra by
 packed-bit arithmetic.  Any ring can be rebuilt as a table ring from its
@@ -451,10 +453,29 @@ def validate_tables_exhaustive(add: np.ndarray, mul: np.ndarray, one: int) -> No
                               witness=(a, b, c))
 
 
+def additive_associativity_by_light(add: np.ndarray) -> None:
+    """Light's test for each g of the greedy generating set, as g joins
+    it: (x+g)+y = x+(g+y) for all x, y, k n^2 gathers.  The g passing it
+    are closed under +, so each span is a subgroup, the walk that grows
+    it is sound, and + is associative once the set spans.  Sound once 0
+    is neutral, + is commutative and every row is a permutation.  Raises
+    InvalidRing at the first [x, y] that fails, per g in turn."""
+    from frobring.rings import _greedy_generators
+
+    for g, shift, _ in _greedy_generators(add.shape[0], add.__getitem__):
+        lhs, rhs = add[shift], add[:, shift]
+        bad = np.argwhere(lhs != rhs)
+        if bad.size:
+            x, y = map(int, bad[0])
+            raise InvalidRing(f"addition is not associative at ({x},{g},{y})",
+                              witness=(x, g, y))
+
+
 def right_distributivity_by_generators(add: np.ndarray, mul: np.ndarray) -> None:
     """(x+g)a = xa + ga for all x, a and each g of the greedy generating
-    set: k n^2 gathers, for fixed a the g satisfying it for all x being
-    closed under +.  Sound once (R,+) is an abelian group.  Raises
+    set, where ``validate_tables`` takes only the x on the coset walks'
+    edges: k n^2 gathers, for fixed a the g satisfying it for all x
+    being closed under +.  Sound once (R,+) is an abelian group.  Raises
     InvalidRing at the first [a, x] that fails, per g in turn."""
     from frobring.rings import _greedy_generators
 

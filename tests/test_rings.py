@@ -2,6 +2,7 @@
 
 import json
 from functools import reduce
+from itertools import chain
 from time import perf_counter
 
 import numpy as np
@@ -34,6 +35,7 @@ from frobring.partitions import hom_partition, is_invariant
 from frobring.weights import weight_table
 
 from oracles import (
+    additive_associativity_by_light,
     all_ideals,
     element_label_by_decode,
     ex5_5_tables_from_matrices,
@@ -109,7 +111,7 @@ def test_late_rows_rejected_with_genuine_witness(ring1024):
     """Changes far from row 0 are found past the first block of rows."""
     add0, mul0 = cayley_tables(ring1024)
     add = add0.copy()
-    _swap_intercalate(add, 1000, 1001, 1002)
+    _switch_cycle(add, 1000, 1001, 1002)
     cases = [(add, mul0)]
     for row in (700, 1023):
         mul = mul0.copy()
@@ -119,6 +121,18 @@ def test_late_rows_rejected_with_genuine_witness(ring1024):
         with pytest.raises(InvalidRing) as info:
             validate_tables(add, mul, ring1024.one)
         _assert_genuine(info.value, add, mul, ring1024.one)
+
+
+@pytest.mark.parametrize("entry", [(5, 1000), (1000, 5), (1000, 1001)])
+def test_asymmetry_is_found_in_tiles_on_and_off_the_diagonal(ring1024, entry):
+    """+ is compared with its transpose tile by tile; an entry and its
+    mirror image lie in two tiles off the diagonal, the last entry in a
+    tile on it."""
+    add, mul = cayley_tables(ring1024)
+    add[entry] ^= 1
+    with pytest.raises(InvalidRing, match=r"^\d+ \+ \d+ != \d+ \+ \d+$") as info:
+        validate_tables(add, mul, ring1024.one)
+    _assert_genuine(info.value, add, mul, ring1024.one)
 
 
 def _verdict(route, *tables):
@@ -257,15 +271,27 @@ def test_a_closing_edge_alone_catches_a_column():
         validate_tables_exhaustive(add, mul, ring.one)
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_relabelled_tables_pass_both_routes(seed):
-    """Shuffled labels (0 fixed) move the generators and keep a ring."""
-    ring = build_product([builtin_ring("ex5_5"), build_gf(2)])
+def _relabelled_tables(ring, seed):
+    """The ring's tables and one under labels shuffled with 0 fixed."""
     perm = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(ring.size - 1)])
     inv = np.argsort(perm)
     add, mul = (inv[t[np.ix_(perm, perm)]] for t in cayley_tables(ring))
-    validate_tables(add, mul, int(inv[ring.one]))
-    validate_tables_exhaustive(add, mul, int(inv[ring.one]))
+    return add, mul, int(inv[ring.one])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_relabelled_tables_pass_both_routes(seed):
+    """Shuffled labels (0 fixed) move the generators and keep a ring."""
+    add, mul, one = _relabelled_tables(build_product([builtin_ring("ex5_5"), build_gf(2)]), seed)
+    validate_tables(add, mul, one)
+    validate_tables_exhaustive(add, mul, one)
+
+
+def test_one_element_table_is_a_ring():
+    """The zero ring: no additive generators, so no walk edges."""
+    table = np.zeros((1, 1), dtype=np.int64)
+    validate_tables(table, table, 0)
+    validate_tables_exhaustive(table, table, 0)
 
 
 # The first commutative loop of order 6 in lexicographic order: 0 is
@@ -298,28 +324,37 @@ def _f2_algebra(uu, uv, vu, vv):
     return add, np.array([[mul(x, y) for y in range(8)] for x in range(8)])
 
 
-def _swap_intercalate(out, a, b, c):
-    """Swap the two values of the 2x2 subsquare on rows a, c through
-    (a, b), and of its mirror image, if it lies away from row and
-    column 0: + stays commutative with permutation rows."""
-    d = int(np.flatnonzero(out[c] == out[a, b])[0])
-    if d == 0 or out[a, d] != out[c, b]:
+def _switch_cycle(out, a, b, c):
+    """Swap u = out[a, b] and v = out[c, b] along the cycle of u and v
+    cells through (a, b), and along its mirror image, if neither meets
+    row or column 0: + stays commutative with permutation rows.  In a
+    group of exponent 2 the cycle is a 2x2 subsquare, an intercalate;
+    an odd order group has none, and its cycles are longer."""
+    u, v = out[a, b], out[c, b]
+    rows, cols, r, k = [], [], a, b
+    while True:
+        k_v = int(np.flatnonzero(out[r] == v)[0])  # u at (r, k), v at (r, k_v)
+        rows += [r, r]
+        cols += [k, k_v]
+        r, k = int(np.flatnonzero(out[:, k_v] == u)[0]), k_v
+        if r == a:
+            break
+    if 0 in rows or 0 in cols:
         return
-    x, y = out[a, b], out[a, d]
-    for r, k in ((a, b), (c, d), (a, d), (c, b)):
-        out[r, k] = out[k, r] = y if out[r, k] == x else x
+    rows, cols = rows + cols, cols + rows
+    out[rows, cols] = np.where(out[rows, cols] == u, v, u)
 
 
-def _intercalate_swaps(rng, add, count):
+def _cycle_switches(rng, add, count):
     out = add.copy()
     for _ in range(count):
-        _swap_intercalate(out, *rng.choice(np.arange(1, len(add)), 3, replace=False))
+        _switch_cycle(out, *rng.choice(np.arange(1, len(add)), 3, replace=False))
     return out
 
 
 def _structured_corpus():
     """Tables that pass the O(n^2) checks and fail, if at all, deeper:
-    random unital F_2-algebras (associativity of *), intercalate swaps in
+    random unital F_2-algebras (associativity of *), cycle switches in
     the addition of ex5_5 x GF(2) (associativity of +), and two kinds of
     changes to the multiplication of ex5_5 that keep it additive along
     the first generator 1 (distributivity along the later ones)."""
@@ -330,7 +365,7 @@ def _structured_corpus():
     ring = build_product([builtin_ring("ex5_5"), build_gf(2)])
     add, mul = cayley_tables(ring)
     for count in range(1, 41):
-        yield _intercalate_swaps(rng, add, count % 3 + 1), mul, ring.one
+        yield _cycle_switches(rng, add, count % 3 + 1), mul, ring.one
     ex5_5 = builtin_ring("ex5_5")
     add, mul = (t.astype(np.int64) for t in cayley_tables(ex5_5))
     one = ex5_5.one
@@ -353,9 +388,23 @@ def _structured_corpus():
         yield add, np.where(cells, add[mul, rng.integers(1, 16)], mul), one
 
 
+def _loop_corpus():
+    """Cycle switches in the addition of rings with coset walks longer
+    than the length 2 of every walk in ex5_5 x GF(2): Z8, Z9, Z12,
+    Z4 x GF(2), GF(9), and Z12 relabelled, which gives it more than one
+    generator."""
+    rng = np.random.default_rng(9)
+    rings = [build_zmod(8), build_zmod(9), build_zmod(12),
+             build_product([build_zmod(4), build_gf(2)]), build_gf(9)]
+    tables = [(*cayley_tables(ring), ring.one) for ring in rings]
+    for add, mul, one in tables + [_relabelled_tables(build_zmod(12), 3)]:
+        for count in range(40):
+            yield _cycle_switches(rng, add, count % 3 + 1), mul, one
+
+
 def test_generator_route_matches_exhaustive_on_structured_corpus():
     reached = set()
-    for add, mul, one in _structured_corpus():
+    for add, mul, one in chain(_structured_corpus(), _loop_corpus()):
         fast = _verdict(validate_tables, add, mul, one)
         slow = _verdict(validate_tables_exhaustive, add, mul, one)
         assert (fast is None) == (slow is None), (add, mul, fast, slow)
@@ -364,6 +413,24 @@ def test_generator_route_matches_exhaustive_on_structured_corpus():
         reached.add(str(fast).split(" at ")[0])
     assert {"None", "addition is not associative", "right distributivity fails",
             "left distributivity fails", "multiplication is not associative"} <= reached
+
+
+def test_additive_associativity_matches_light_on_both_corpora():
+    """Tables are refused for associativity of + exactly where Light's
+    test refuses them, both through generator translations that do not
+    commute and through a walk edge along which translations do not
+    compose."""
+    branches = set()
+    for add, mul, one in chain(_structured_corpus(), _loop_corpus()):
+        fast = _verdict(validate_tables, add, mul, one)
+        light = _verdict(additive_associativity_by_light, add)
+        refused = fast is not None and str(fast).startswith("addition is not associative")
+        assert refused == (light is not None), (add, fast, light)
+        if refused:
+            gens = [g for g, _, _ in rings._greedy_generators(len(add), add.__getitem__)]
+            branches.add(all(np.array_equal(add[g][add[h]], add[h][add[g]])
+                             for g in gens for h in gens))
+    assert branches == {False, True}
 
 
 def _ex5_5_skewed_rows():
@@ -428,7 +495,7 @@ def test_validate_rejects_noncommutative_addition():
     # rows are permutations and 0 is neutral, but add(1,2) != add(2,1)
     add = np.array([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
     mul = np.zeros((3, 3), dtype=int)
-    with pytest.raises(InvalidRing):
+    with pytest.raises(InvalidRing, match=r"^1 \+ 2 != 2 \+ 1$"):
         validate_tables(add, mul, 0)
 
 

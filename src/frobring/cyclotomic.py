@@ -10,17 +10,25 @@ from exponent counts in int64 under a bound that refuses any overflow;
 the scalar constructor ``from_exponent_counts`` runs the same division
 on Python integers when that bound fails, so it stays exact for every
 integer.
+
+Sums whose counts are constant on the classes {e : gcd(e, N) = g} need
+no division: such a class holds the primitive (N/g)-th roots of unity,
+which sum to mu(N/g), so the value is the rational integer
+sum_g c_g mu(N/g), one dot product per row (``rational_sums``).  A sum
+fixed by every Galois map zeta -> zeta^a, gcd(a, N) = 1, has such counts
+whenever the map permutes what is summed, as it does for the unit sums
+and for the Krawtchouk coefficients of unit-invariant partitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, prod
+from math import prod
 
 import numpy as np
 
-from .errors import InvalidParameter, ResourceLimit
+from .errors import InternalInconsistency, InvalidParameter, ResourceLimit
 
 
 @lru_cache(maxsize=None)
@@ -92,31 +100,50 @@ def _mobius(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def root_power_traces(order: int) -> tuple[int, ...]:
-    """Trace of each power of the root down to the rationals.
+def _gcd_classes(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each exponent e, the exponent gcd(e, order) mod order that
+    stands for its class; and the divisors g with mu(order/g) != 0, mod
+    the order, with those mu values."""
+    rep = np.gcd(np.arange(order), order) % order
+    divisors = [g for g in range(1, order + 1) if order % g == 0 and _mobius(order // g)]
+    out = (rep, np.array(divisors) % order,
+           np.array([_mobius(order // g) for g in divisors], dtype=np.int64))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
-    Entry k is the sum of zeta_order^(k*j) over all j coprime to the
-    order.  A sum of root powers with integer counts that is known to
-    be a rational number v therefore satisfies
-    sum(counts[k] * traces[k]) == v * totient(order), which turns
-    extracting v into a single integer dot product, with no reduction
-    modulo the cyclotomic polynomial.
 
-    >>> root_power_traces(4)
-    (2, 0, -2, 0)
-    >>> root_power_traces(6)
-    (2, 1, -1, -2, -1, 1)
+def rational_sums(order: int, counts, where: str) -> np.ndarray:
+    """The rational integers sum_e counts[..., e] * zeta_order^e.
+
+    Maps an integer array [..., order] to [...].  Every row must be
+    constant on each class {e : gcd(e, order) = g}; the class sums to
+    the Ramanujan value mu(order/g), so a row's value is
+    sum_g counts[g] * mu(order/g) over the divisors g of the order.  A
+    row that is not class-constant raises InternalInconsistency, whose
+    message starts with ``where``.  Counts whose dot product could leave
+    int64 raise ResourceLimit before any arithmetic.
+
+    >>> rational_sums(6, [[1, 1, 0, 2, 0, 1], [0, 2, 1, 0, 1, 2]], "x").tolist()
+    [0, 1]
+    >>> rational_sums(4, [0, 1, 0, 0], "Z4, left table")
+    Traceback (most recent call last):
+    ...
+    frobring.errors.InternalInconsistency: Z4, left table: count at exponent 1 differs from that at exponent 3, of the same gcd with 4
     """
-    if not isinstance(order, int) or order < 1:
-        raise InvalidParameter(
-            f"order must be a positive integer, got {order!r}"
-        )
-    phi = totient(order)
-    out = []
-    for k in range(order):
-        d = order // gcd(k, order)
-        out.append(_mobius(d) * (phi // totient(d)))
-    return tuple(out)
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.shape[-1:] != (order,):
+        raise InvalidParameter(f"need {order} exponent counts per row, got {counts.shape}")
+    rep, divisors, mobius = _gcd_classes(order)
+    if counts.size and max(int(counts.max()), -int(counts.min())) * len(divisors) >= 2**63:
+        raise ResourceLimit(f"exponent counts at order {order} could overflow int64 in a "
+                            "rational sum")
+    off = counts != counts.take(rep, axis=-1)
+    if off.any():
+        e = int(np.flatnonzero(off.reshape(-1, order).any(axis=0))[0])
+        raise InternalInconsistency(f"{where}: count at exponent {rep[e]} differs from that "
+                                    f"at exponent {e}, of the same gcd with {order}")
+    return counts.take(divisors, axis=-1) @ mobius
 
 
 @lru_cache(maxsize=None)

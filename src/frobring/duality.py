@@ -6,12 +6,24 @@ When every block is closed under unit multiplication on the other side
 (P_m u = P_m for the left table, u P_m = P_m for the right), the left
 column at ub equals the one at b, so a table keeps one column per unit
 orbit of its side and maps elements to orbits.  Otherwise every element
-is its own orbit, through the same code.  All columns are reduced in one
-vectorized pass of ``cyclotomic.reduce_exponent_counts`` into a dense
-integer array, on which the two invariants are checked once per table:
-the b = 0 column lists the block sizes, and each column sums to |R|
-exactly at b = 0 and to 0 elsewhere.  Grouping orbits by their full
-column yields the left and right dual partitions, unions of orbits.
+is its own orbit, through the same code.
+
+When the blocks are unions of unit orbits of either side, every
+coefficient is a rational integer.  The order N of a generating
+character is the characteristic of R, so for gcd(a, N) = 1 the element
+a.1 is a central unit and a.x lies in both Ux and xU: the map x -> a.x
+fixes every block, and the Galois map zeta -> zeta^a, which sends
+chi(xy) to chi((a.x)y), fixes every coefficient.  Such a table holds one
+integer per (orbit, block), from ``cyclotomic.rational_sums``, which
+checks that each count row really is constant on the classes
+{e : gcd(e, N) = g}.  Any other table is divided by the N-th cyclotomic
+polynomial into phi(N) coordinates, each distinct count row once, by
+``cyclotomic.reduce_exponent_counts``; a rational value v stands for the
+coordinates (v, 0, ..., 0), which is how entries and JSON spell it.  On
+the dense array the two invariants are checked once per table: the b = 0
+column lists the block sizes, and each column sums to |R| exactly at
+b = 0 and to 0 elsewhere.  Grouping orbits by their full column yields
+the left and right dual partitions, unions of orbits.
 
 On a direct product the exponent counts of an invariant partition come
 from the factors, with no kernel call on the product: the blocks are
@@ -19,7 +31,7 @@ unions of products O_1 x O_2 of factor orbits of the other side, and
 chi(ab) = chi_1(a_1 b_1) chi_2(a_2 b_2) for the restricted characters,
 so the count of a block at exponent e folds the factors' counts
 C_i[b_i, O_i, e_i] over the pairs with e_1 N/N_1 + e_2 N/N_2 = e mod N.
-The same reduction and checks then run on the product's table.
+The same sums and checks then run on the product's table.
 """
 
 from __future__ import annotations
@@ -46,9 +58,12 @@ _DIVISION_WORK = 1 << 30  # most coordinate updates one table's reduction may ma
 class KrawtchoukTable:
     """Exact character sums indexed by (block, element), stored per orbit.
 
-    ``coeffs[k, m]`` holds the reduced coordinates of the sum over block
-    m at every element of orbit k, and ``orbit_of`` gives each element's
-    orbit.
+    ``coeffs[k, m]`` holds the sum over block m at every element of
+    orbit k, and ``orbit_of`` gives each element's orbit.  A rational
+    table holds one integer per sum, its last axis of width 1; any other
+    holds the phi(N) reduced coordinates.  The width follows from the
+    partition alone, so the tables of both sides of one partition share
+    it.
     """
 
     partition: Partition
@@ -61,8 +76,12 @@ class KrawtchoukTable:
         return self.column(b)[m]
 
     def column(self, b: int) -> tuple[cyclotomic.CycInt, ...]:
-        return tuple(cyclotomic.CycInt(self.char.order, tuple(e))
-                     for e in self.coeffs[self.orbit_of[b]].tolist())
+        return tuple(self._cyc(e) for e in self.coeffs[self.orbit_of[b]].tolist())
+
+    def _cyc(self, coords: list[int]) -> cyclotomic.CycInt:
+        """One entry as a CycInt: a rational v is (v, 0, ..., 0)."""
+        pad = cyclotomic.totient(self.char.order) - len(coords)
+        return cyclotomic.CycInt(self.char.order, tuple(coords) + (0,) * pad)
 
     def to_json(self) -> dict:
         """The table as nested lists, ``entries[m][b]`` at every element b.
@@ -73,7 +92,8 @@ class KrawtchoukTable:
         rows = np.ascontiguousarray(self.coeffs.transpose(1, 0, 2))  # [block, orbit, coord]
         flat = rows.reshape(-1, rows.shape[2])
         _, first, row_of = np.unique(_row_keys(flat), return_index=True, return_inverse=True)
-        distinct = flat[first].tolist()
+        pad = [0] * (cyclotomic.totient(self.char.order) - flat.shape[1])
+        distinct = [row + pad for row in flat[first].tolist()]
         entry_of = row_of.reshape(rows.shape[:2])[:, self.orbit_of]
         return {
             "ring": self.partition.ring.expr,
@@ -115,16 +135,18 @@ def krawtchouk_table(partition: Partition, char: Character, side: str) -> Krawtc
     other = "right" if side == "left" else "left"
     other_reps, other_of = ring.unit_orbits(other)
     invariant = np.array_equal(block_of[other_reps[other_of]], block_of)
-    if invariant:
-        reps, orbit_of = ring.unit_orbits(side)
-    else:  # not invariant on the other side: every element is its own orbit
+    reps, orbit_of = ring.unit_orbits(side)
+    # unions of unit orbits of either side have rational coefficients
+    rational = invariant or np.array_equal(block_of[reps[orbit_of]], block_of)
+    if not invariant:  # not invariant on the other side: every element is its own orbit
         reps = orbit_of = np.arange(ring.size)
     nblocks, order = partition.num_blocks, char.order
-    if len(reps) * nblocks * cyclotomic.totient(order) > _TABLE_ENTRIES:
+    width = 1 if rational else cyclotomic.totient(order)
+    if len(reps) * nblocks * width > _TABLE_ENTRIES:
         raise ResourceLimit(f"{ring.expr}: a {side} table of {len(reps)} columns, {nblocks} "
                             f"blocks and character order {order} exceeds "
                             f"{_TABLE_ENTRIES} coordinates")
-    work = cyclotomic.division_work(order, len(reps) * nblocks)
+    work = 0 if rational else cyclotomic.division_work(order, len(reps) * nblocks)
     if work > _DIVISION_WORK:
         raise ResourceLimit(f"{ring.expr}: reducing a {side} table of {len(reps)} columns and "
                             f"{nblocks} blocks at character order {order} takes {work} "
@@ -133,11 +155,36 @@ def krawtchouk_table(partition: Partition, char: Character, side: str) -> Krawtc
         counts = _factor_counts(ring, block_of[other_reps], nblocks, char, side)
     else:
         counts = _kernel_counts(ring, block_of, nblocks, char, side, reps)
-    parts = [cyclotomic.reduce_exponent_counts(order, c) for c in counts]
+    where = f"{ring.expr}, character of order {order}, {side} table"
+    if rational:
+        parts = [cyclotomic.rational_sums(order, c, where)[..., None] for c in counts]
+    else:
+        parts = [_reduce_distinct_rows(order, c) for c in counts]
     table = KrawtchoukTable(partition, char, side, np.concatenate(parts), orbit_of)
-    _check_table(table)
+    _check_table(table, where)
     cache[cache_key] = table
     return table
+
+
+def _reduce_distinct_rows(order: int, counts: np.ndarray) -> np.ndarray:
+    """``reduce_exponent_counts`` of counts [column, block, exponent],
+    each distinct (column, block) row divided once.
+
+    Rows are grouped by ``_row_hash``; the grouping is used only if every
+    row equals its group's first, so a collision costs time, never
+    exactness.
+    """
+    rows = counts.reshape(-1, order)
+    _, first, row_of = np.unique(_row_hash(rows), return_index=True, return_inverse=True)
+    if not np.array_equal(rows[first][row_of], rows):
+        first = row_of = np.arange(len(rows))
+    reduced = cyclotomic.reduce_exponent_counts(order, rows[first])
+    return reduced[row_of].reshape(counts.shape[:2] + reduced.shape[1:])
+
+
+def _row_hash(rows: np.ndarray) -> np.ndarray:
+    """A wrapping int64 dot product of each row with fixed random weights."""
+    return rows @ np.random.default_rng(rows.shape[1]).integers(1, 2**62, rows.shape[1])
 
 
 def _kernel_counts(ring: FiniteRing, block_of: np.ndarray, nblocks: int, char: Character,
@@ -225,14 +272,12 @@ def _factor_counts(ring: ProductRing, block_of_orbit: np.ndarray, nblocks: int,
             np.int64).reshape(ncols, nblocks, order)
 
 
-def _check_table(table: KrawtchoukTable) -> None:
+def _check_table(table: KrawtchoukTable, where: str) -> None:
     """The column at 0 lists the block sizes; every other column sums to 0.
 
     Then the column at 0 sums to |R|, as orthogonality asks.
     """
     coeffs, zero = table.coeffs, table.orbit_of[0]
-    where = (f"{table.partition.ring.expr}, character of order {table.char.order}, "
-             f"{table.side} table")
     sizes = np.zeros_like(coeffs[0])
     sizes[:, 0] = table.partition.block_sizes()
     if not np.array_equal(coeffs[zero], sizes):
@@ -242,10 +287,9 @@ def _check_table(table: KrawtchoukTable) -> None:
     totals[zero] = 0
     bad = np.flatnonzero(totals.any(axis=1))
     if len(bad):
-        total = cyclotomic.CycInt(table.char.order, tuple(totals[bad[0]].tolist()))
         raise InternalInconsistency(
             f"{where}: column at {np.flatnonzero(table.orbit_of == bad[0])[0]} sums to "
-            f"{total}, violating orthogonality"
+            f"{table._cyc(totals[bad[0]].tolist())}, violating orthogonality"
         )
 
 

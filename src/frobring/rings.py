@@ -868,19 +868,32 @@ def _greedy_generators(size: int, translation):
 def validate_tables(add: np.ndarray, mul: np.ndarray, one: int) -> None:
     """Check every ring axiom on the given tables, exactly, in O(n^2).
 
-    Raises InvalidRing with an offending element pair or triple.  After the
-    O(n^2) checks (0 is neutral, + is commutative, every row of + is a
-    permutation, ``one`` is a two-sided identity), the other axioms are
-    checked on a greedy additive generating set S and the edges x -> x+g of
-    the coset walks that grew its spans: the edge into each nonzero element,
-    and per g in S the closing edge (m-1)g -> mg = h in the span before g.
+    Raises InvalidRing with an offending element or element pair or
+    triple.  After the O(n^2) checks (0 is neutral, + is commutative,
+    ``one`` is a two-sided identity), the other axioms are checked on a
+    greedy additive generating set S and the edges x -> x+g of the coset
+    walks that grew its spans: the edge into each nonzero element, and
+    per g in S the closing edge (m-1)g -> mg = h in the span before g.
 
-    * Associativity of +.  As g joins S, T_g = (x -> x+g) commutes with
-      each earlier T_h, so the cosets of its walk are disjoint orbits of
-      the group those generate: spans double (k = |S| <= log2 n, n-1+k
-      edges).  Then T_{x+g} = T_g T_x on every edge puts, by induction
-      from T_0 = id, every T_y in the abelian group A the T_g generate.
-      A is transitive, as T_y(0) = y, so regular: T_y T_x is T_{y+x}.
+    * Associativity of +.  As g joins S, its row must be a permutation
+      c_g = (x -> g+x) that commutes with each earlier c_h.  Then each
+      span is an orbit of the abelian group the c_g so far generate, so
+      the cosets of each walk are disjoint and the spans double: k = |S|
+      <= log2 n and n-1+k edges on any table the edge checks reach.
+      Every edge gives T_{x+g} = c_g T_x for the translations
+      T_y = (z -> y+z), so by induction from T_0 = id every T_y lies in
+      the abelian group A the c_g generate.  A is transitive, as
+      T_y(0) = y, hence regular: T_y T_x is T_{y+x}, and every row of +
+      is a permutation.
+      The commutation check bounds that work; it refuses no table the
+      edge checks would pass.  For x in the span H before g and
+      x' = c_g^j(x), j < m, on its walk, the edges give T_{x'} =
+      c_g^j T_x, so c_h(x') = T_{x'}(h) = c_g^j(c_h(x)) for every h in S
+      (*).  If H is closed under the earlier c_h and they commute on H,
+      then mg, the first point of the walk already marked, lies in H, as
+      c_g is injective; the closing edge makes c_g^m = T_{mg} a word in
+      the earlier c_h, and with (*) the next span is closed under them
+      and c_g, which all commute on it.  The last span is R.
     * Right distributivity (x+g)a = xa+ga for all a, on every edge.  The
       edges give (R,+) the presentation <S | mg = h, commuting>, so for
       fixed a the map x -> xa, additive on every edge, is additive.
@@ -904,18 +917,15 @@ def validate_tables(add: np.ndarray, mul: np.ndarray, one: int) -> None:
         if bad:
             a, b = bad[0] + r, bad[1] + c
             raise InvalidRing(f"{a} + {b} != {b} + {a}", witness=(a, b))
-    seen = np.zeros((n, n), dtype=bool)
-    np.put_along_axis(seen, add, True, axis=1)
-    if not seen.all():
-        a = int(np.flatnonzero(~seen.all(axis=1))[0])
-        raise InvalidRing(f"row {a} of the addition table is not a permutation",
-                          witness=(a,))
     if not (0 <= one < n) or not np.array_equal(mul[one], arange) or not np.array_equal(
         mul[:, one], arange
     ):
         raise InvalidRing(f"element {one} is not a two-sided identity", witness=(one,))
     gens, edges = [], []
     for g, _, walk in _greedy_generators(n, add.__getitem__):
+        if np.bincount(add[g], minlength=n).max() > 1:
+            raise InvalidRing(f"row {g} of the addition table is not a permutation",
+                              witness=(g,))
         for h in gens:
             # g+(h+x) against h+(g+x) at [x]
             bad = _first_mismatch(add[g].take(add[h]), add[h].take(add[g]))

@@ -31,8 +31,7 @@ from math import comb
 import numpy as np
 
 from . import cyclotomic
-from .characters import (Character, _embedding, canonical_generating_character,
-                         restrictions)
+from .characters import Character, canonical_generating_character, restrictions
 from .errors import InternalInconsistency, InvalidParameter
 from .rings import FiniteRing, _frozen, _mixed_radix, _outer
 
@@ -225,25 +224,20 @@ def _orbit_unit_sums(ring: FiniteRing, i: int, char: Character, side: str) -> np
     Side 'left' sums chi(u*x) over the units, side 'right' chi(x*u), for
     a character chi of the leaf.  The multiset {u*x : u unit} is the same
     for every member of the orbit Ux (and {x*u} for every member of xU),
-    so one character sum covers the whole orbit.  The rational value is
-    extracted with the trace map; validation downstream certifies the
+    so one character sum covers the whole orbit.  Multiplying by a.1,
+    gcd(a, N) = 1, permutes the units, so each sum is fixed by the Galois
+    map zeta -> zeta^a: ``cyclotomic.rational_sums`` checks that its
+    exponent counts are constant on the classes {e : gcd(e, N) = g} and
+    returns the rational value.  Validation downstream certifies the
     table.
     """
     leaf = ring.leaves[i]
-    order = char.order
-    traces = np.asarray(cyclotomic.root_power_traces(order), dtype=np.int64)
-    phi = int(traces[0])
     reps, orbit_of = leaf.unit_orbits(side)
-    sums = np.empty(len(reps), dtype=np.int64)
-    for k, x in enumerate(reps.tolist()):
-        prods = leaf.mul_col(x, leaf.units) if side == "left" else leaf.mul_row(x, leaf.units)
-        dot = int(np.bincount(char.exponents[prods], minlength=order) @ traces)
-        if dot % phi:
-            raise InternalInconsistency(
-                f"{ring.expr}: unit sum at {_embedding(ring, i)[x]} is not a rational integer"
-            )
-        sums[k] = dot // phi
-    return sums[orbit_of]
+    kernel = leaf.mul_col if side == "left" else leaf.mul_row
+    counts = np.stack([np.bincount(char.exponents[kernel(x, leaf.units)], minlength=char.order)
+                       for x in reps.tolist()])
+    where = f"{leaf.expr}, character of order {char.order}, {side} unit sums"
+    return cyclotomic.rational_sums(char.order, counts, where)[orbit_of]
 
 
 def _unit_sums(ring: FiniteRing, char: Character, side: str) -> np.ndarray:

@@ -33,9 +33,16 @@ renderer of list values replaced, is kept too.
 Right distributivity checked for every x along each additive generator,
 which the check on the edges of the coset walks replaced, is kept, and
 so is Light's associativity test for each additive generator, which
-the check that the generator translations commute and compose along
-those edges replaced, and the table-file reader by ``json.load``, whose
-nested lists the reader of integer matrices into arrays replaced.
+the check that the generator translations compose along those edges
+replaced, and the table-file reader by ``json.load``, whose nested
+lists the reader of integer matrices into arrays replaced.  So are the
+check that every row of + is a permutation, through one n x n mask,
+which the check of the generators' rows replaced, and the check that
+the generator translations commute, which the edge checks imply.
+The rational value of a character sum by its trace, which the divisor
+sum over gcd classes replaced, is kept, and the Krawtchouk columns per
+orbit divide every count row, as the tables did before they held one
+integer per entry wherever the partition is a union of unit orbits.
 The builtin algebras are pinned to their definitions: ex5_5 by products
 of its 4x4 binary matrices, the 8-element non-Frobenius algebra by
 packed-bit arithmetic.  Any ring can be rebuilt as a table ring from its
@@ -453,6 +460,28 @@ def validate_tables_exhaustive(add: np.ndarray, mul: np.ndarray, one: int) -> No
                               witness=(a, b, c))
 
 
+def permutation_rows_by_mask(add: np.ndarray) -> None:
+    """Is every row of + a permutation?  One n x n mask, each row's
+    values marked in it; raises InvalidRing at the first row that misses
+    a value."""
+    n = add.shape[0]
+    seen = np.zeros((n, n), dtype=bool)
+    np.put_along_axis(seen, add, True, axis=1)
+    if not seen.all():
+        a = int(np.flatnonzero(~seen.all(axis=1))[0])
+        raise InvalidRing(f"row {a} of the addition table is not a permutation",
+                          witness=(a,))
+
+
+def generator_translations_commute(add: np.ndarray) -> bool:
+    """g+(h+x) = h+(g+x) for every pair g, h of the greedy additive
+    generators and every x: the translations by the generators commute."""
+    from frobring.rings import _greedy_generators
+
+    gens = [g for g, _, _ in _greedy_generators(add.shape[0], add.__getitem__)]
+    return all(np.array_equal(add[g][add[h]], add[h][add[g]]) for g in gens for h in gens)
+
+
 def additive_associativity_by_light(add: np.ndarray) -> None:
     """Light's test for each g of the greedy generating set, as g joins
     it: (x+g)+y = x+(g+y) for all x, y, k n^2 gathers.  The g passing it
@@ -768,6 +797,24 @@ def sympy_reduce_exponents(order: int, counts) -> tuple[int, ...]:
     return tuple(coeffs[:degree])
 
 
+@lru_cache(maxsize=None)
+def root_power_traces(order: int) -> tuple[int, ...]:
+    """Trace of each power of the root down to the rationals.
+
+    Entry k is the sum of zeta_order^(k*j) over all j coprime to the
+    order.  A sum of root powers with integer counts that is known to
+    be a rational number v therefore satisfies
+    sum(counts[k] * traces[k]) == v * totient(order): the rational value
+    by a trace and a divisibility test, the route the class-constant
+    divisor sum of ``cyclotomic.rational_sums`` replaced.
+    """
+    from math import gcd
+
+    phi = cyclotomic.totient(order)
+    return tuple(cyclotomic._mobius(order // gcd(k, order))
+                 * (phi // cyclotomic.totient(order // gcd(k, order))) for k in range(order))
+
+
 def lift(a: cyclotomic.CycInt, order: int) -> cyclotomic.CycInt:
     """Rewrite ``a`` in Z[zeta_order], a multiple of its order, through the reducer.
 
@@ -845,7 +892,7 @@ def is_generating_by_orbits(char) -> bool:
 def unit_sums_by_orbits(ring, char, side: str) -> np.ndarray:
     """Unit sum at every element, one character sum over the units of the
     whole ring per unit orbit: chi(u*x) on side 'left', chi(x*u) on 'right'."""
-    traces = np.asarray(cyclotomic.root_power_traces(char.order), dtype=np.int64)
+    traces = np.asarray(root_power_traces(char.order), dtype=np.int64)
     units_arr = np.asarray(ring.units, dtype=np.int64)
     reps, orbit_of = ring.unit_orbits(side)
     sums = []
@@ -891,17 +938,29 @@ def validate_homogeneous_by_orbits(ring, num: np.ndarray, denom: int) -> None:
                     f"is {Fraction(total, denom)}/{size}, not 1")
 
 
-def krawtchouk_coeffs_by_orbit_columns(partition, char, side: str) -> np.ndarray:
-    """Reduced coefficients [orbit, block, coordinate] of a partition
-    invariant on the other side, one kernel call on the whole ring per
-    unit orbit of the side."""
-    from frobring.duality import _kernel_counts
+def krawtchouk_coeffs_by_orbit_columns(partition, char, side: str,
+                                       reps: np.ndarray | None = None) -> np.ndarray:
+    """Reduced coordinates [column, block, coordinate] of the columns at
+    ``reps``, by default the representatives of the unit orbits of the
+    side: one kernel call on the whole ring per column, and every count
+    row divided by the cyclotomic polynomial, rational or not."""
+    ring = partition.ring
+    order, nblocks = char.order, partition.num_blocks
+    if reps is None:
+        reps, _ = ring.unit_orbits(side)
+    base = partition.block_of * order
+    kernel = ring.mul_col if side == "left" else ring.mul_row
+    counts = np.stack([np.bincount(base + char.exponents[kernel(b)], minlength=nblocks * order)
+                       for b in reps.tolist()])
+    return cyclotomic.reduce_exponent_counts(order, counts.reshape(len(reps), nblocks, order))
 
-    reps, _ = partition.ring.unit_orbits(side)
-    return np.concatenate([
-        cyclotomic.reduce_exponent_counts(char.order, counts)
-        for counts in _kernel_counts(partition.ring, partition.block_of,
-                                     partition.num_blocks, char, side, reps)])
+
+def widened_coeffs(table) -> np.ndarray:
+    """A table's coefficients with phi(N) coordinates per entry: a
+    rational table's value v as (v, 0, ..., 0)."""
+    coeffs = table.coeffs
+    pad = cyclotomic.totient(table.char.order) - coeffs.shape[2]
+    return np.concatenate([coeffs, np.zeros(coeffs.shape[:2] + (pad,), coeffs.dtype)], axis=2)
 
 
 # -- dual grouping by unique rows --------------------------------------------------

@@ -762,10 +762,18 @@ def test_exit_3_on_size_guard(capsys):
     assert json.loads(out)["size"] == 20000
 
 
-def test_exit_3_on_a_runaway_cyclotomic_division(capsys):
-    """Z2 x Z4620: order 4620 has radical 2310, so reducing its tables
-    would take about 5.6e9 coordinate updates; the table is refused
-    before any counting."""
+def test_exit_3_on_a_runaway_cyclotomic_division(capsys, monkeypatch):
+    """Z2 x Z4620 with {0, 1} against the rest, which is not a union of
+    unit orbits: order 4620 has radical 2310, so dividing its 9240
+    columns would take about 3.2e10 coordinate updates; the table is
+    refused before any counting."""
+    from frobring.partitions import Partition
+
+    def one_against_the_rest(ring, kind, char=None):
+        return Partition(ring, [[0, ring.one],
+                                [x for x in range(1, ring.size) if x != ring.one]])
+
+    monkeypatch.setattr(cli, "select_partition", one_against_the_rest)
     start = time.perf_counter()
     code, _, err = run_cli(capsys, "krawtchouk", "--ring", "Z2 x Z4620")
     assert code == 3

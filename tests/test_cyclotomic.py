@@ -11,13 +11,13 @@ from frobring.cyclotomic import (
     CycInt,
     cyclotomic_poly,
     from_exponent_counts,
+    rational_sums,
     reduce_exponent_counts,
-    root_power_traces,
     totient,
 )
-from frobring.errors import InvalidParameter, ResourceLimit
+from frobring.errors import InternalInconsistency, InvalidParameter, ResourceLimit
 
-from oracles import lift, sympy_cyclotomic_coeffs, sympy_reduce_exponents
+from oracles import lift, root_power_traces, sympy_cyclotomic_coeffs, sympy_reduce_exponents
 
 ORDERS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 18, 20, 24, 30, 36]
 
@@ -252,3 +252,33 @@ def test_scalar_constructors_stay_exact_beyond_int64():
     assert lift(a, 6).coeffs == (-big, big)
     assert _same_value(a, from_exponent_counts(6, [0, 0, 0, 0, 0, -big]))
     assert not _same_value(a, from_exponent_counts(6, [0, 0, big + 1]))
+
+
+@pytest.mark.parametrize("order", [*ORDERS, 360, 2310])
+def test_rational_sums_match_the_division_and_the_trace(order):
+    """Random rows constant on each class {e : gcd(e, order) = g}: the
+    divisor sum is the division's constant coordinate, every other
+    coordinate is 0, and the trace route gives the same integer."""
+    from math import gcd
+
+    rng = np.random.default_rng(order)
+    per_class = rng.integers(-50, 51, size=(4, order + 1))
+    counts = per_class[:, [gcd(e, order) for e in range(order)]]
+    values = rational_sums(order, counts, "rows")
+    reduced = reduce_exponent_counts(order, counts)
+    assert np.array_equal(reduced[:, 0], values) and not reduced[:, 1:].any()
+    traces = np.asarray(root_power_traces(order), dtype=np.int64)
+    assert np.array_equal(counts @ traces, values * totient(order))
+
+
+def test_rational_sums_refuse_rows_off_their_classes():
+    counts = np.zeros((2, 3, 12), dtype=np.int64)
+    counts[1, 2, [5, 7, 11]] = 1  # the class of 1 is {1, 5, 7, 11}
+    with pytest.raises(InternalInconsistency, match=r"^Z12, left table: count at exponent 1 "
+                       "differs from that at exponent 5, of the same gcd with 12$"):
+        rational_sums(12, counts, "Z12, left table")
+    assert rational_sums(12, counts[:1], "Z12").shape == (1, 3)
+    with pytest.raises(ResourceLimit, match="order 12"):
+        rational_sums(12, np.full((1, 12), 2**61), "Z12")
+    with pytest.raises(InvalidParameter):
+        rational_sums(4, [1, 2, 3], "Z4")

@@ -45,10 +45,12 @@ from frobring.rings import (
     build_matrix_ring,
     build_product,
     build_zmod,
+    builtin_ring,
 )
 
-from oracles import (dual_groups_by_unique_rows, krawtchouk_table_by_element,
-                     semisimple_lr_agreement)
+from oracles import (dual_groups_by_unique_rows, krawtchouk_coeffs_by_orbit_columns,
+                     krawtchouk_table_by_element, ring_id, semisimple_lr_agreement, table_twin,
+                     widened_coeffs)
 from test_partitions import (_PRODUCT_RINGS, _assert_matches_grouping,
                              _partition_from_assignment, _random_partition_data)
 
@@ -168,7 +170,7 @@ def test_table_json_shares_one_row_per_orbit_and_block():
             rows = [r for block in entries for r in block]
             assert len({id(r) for r in rows}) == len({tuple(r) for r in rows})
             assert len({id(r) for r in rows}) < len(table.coeffs) * partition.num_blocks
-            assert entries == table.coeffs[table.orbit_of].transpose(1, 0, 2).tolist()
+            assert entries == widened_coeffs(table)[table.orbit_of].transpose(1, 0, 2).tolist()
 
 
 # -- dual partitions -------------------------------------------------------------
@@ -573,6 +575,44 @@ def test_orbit_tables_match_oracle_on_random_merges(m2f2, data, merge):
     assert part.num_blocks <= dual.num_blocks
 
 
+def _division_corpus():
+    """The differential corpus up to 4096 elements: ex5_5, its twin and
+    products, the product corpora, the chain rings and the rings of the
+    named partitions."""
+    from test_products import CORPUS
+
+    ex5_5 = builtin_ring("ex5_5")
+    rings = [ex5_5, table_twin(ex5_5), *_PRODUCT_RINGS, *(r for r in CORPUS if r.size <= 4096)]
+    rings += [build_ring(parse_ring(expr)) for expr in [
+        *CHAIN_RINGS, "ex5_5 x GF(2)", "ex5_5 x ex5_5", "M(3,GF(2))", "M(2,GF(4))", "GF(64)",
+        "M(2,GF(3)) x Z4", "Z2 x Z4 x Z8", "Z1000", "Z4096"]]
+    rings += [p.ring for p in INVARIANT_PARTITIONS]
+    return list({ring_id(ring): ring for ring in rings}.values())
+
+
+@pytest.mark.parametrize("ring", _division_corpus(), ids=ring_id)
+def test_rational_tables_match_the_division_route(ring):
+    """Unions of unit orbits of either side, on both sides: the weight
+    partition, its two duals, the unit orbits of each side (whose table
+    of the other side has a column per element) and, on ex5_5, its own
+    partition.  Each table holds one integer per entry, and widened to
+    phi(N) coordinates it is the division of every count row."""
+    char = canonical_generating_character(ring)
+    hom = hom_partition(ring, char)
+    partitions = [hom, *(dual_partition(hom, char, side) for side in ("left", "right"))]
+    partitions += [Partition.from_keys(ring, ring.unit_orbits(side)[1])
+                   for side in ("left", "right")]
+    if ring.expr == "ex5_5":
+        partitions.append(ex5_5_partition(ring))
+    for partition in partitions:
+        for side in ("left", "right"):
+            table = krawtchouk_table(partition, char, side)
+            assert table.coeffs.shape[2] == 1
+            _, reps = np.unique(table.orbit_of, return_index=True)
+            assert np.array_equal(widened_coeffs(table),
+                                  krawtchouk_coeffs_by_orbit_columns(partition, char, side, reps))
+
+
 def test_small_count_chunks_give_the_same_table(monkeypatch):
     ring, _ = _matrix_square(2)
     char = canonical_generating_character(ring)
@@ -592,12 +632,20 @@ def test_oversized_table_is_refused_before_counting(monkeypatch):
         krawtchouk_table(Partition(ring, [[x] for x in range(ring.size)]), char, "left")
 
 
+def _one_against_the_rest(ring) -> Partition:
+    """{0, 1} against the rest, 1 the identity: the units form one orbit
+    on either side, split here, so the blocks are not unions of unit
+    orbits and the table divides, one column per element."""
+    return Partition(ring, [[0, ring.one], [x for x in range(1, ring.size) if x != ring.one]])
+
+
 def test_runaway_division_is_refused_before_counting(monkeypatch):
-    """On Z2 x Z4620 the reduction would make about 5.6e9 coordinate
-    updates: refused, naming ring, side and order, before any count."""
+    """On Z2 x Z4620 a table of 9240 columns and 2 blocks would take about
+    3.2e10 coordinate updates to reduce: refused, naming ring, side and
+    order, before any count."""
     ring = build_ring(parse_ring("Z2 x Z4620"))
     char = canonical_generating_character(ring)
-    partition = hom_partition(ring, char)
+    partition = _one_against_the_rest(ring)
 
     def no_counts(*args):
         raise AssertionError("counted")
@@ -605,25 +653,111 @@ def test_runaway_division_is_refused_before_counting(monkeypatch):
     monkeypatch.setattr(duality, "_factor_counts", no_counts)
     monkeypatch.setattr(duality, "_kernel_counts", no_counts)
     for side in ("left", "right"):
-        with pytest.raises(ResourceLimit, match=f"Z2 x Z4620: reducing a {side} table of 96 "
-                           "columns and 33 blocks at character order 4620 takes 5565542400"):
+        with pytest.raises(ResourceLimit, match=f"Z2 x Z4620: reducing a {side} table of 9240 "
+                           "columns and 2 blocks at character order 4620 takes 32465664000"):
             krawtchouk_table(partition, char, side)
 
 
 def test_division_work_bound_is_inclusive(monkeypatch):
     """A table whose reduction makes exactly the bound's updates is built;
-    one update fewer allowed refuses it.  Z2310's weight partition, 32
-    orbits by 32 blocks at order 2310, stays within the default bound."""
-    assert cyclotomic.division_work(2310, 32 * 32) <= duality._DIVISION_WORK
+    one update fewer allowed refuses it.  A rational table makes none, so
+    the bound never refuses one."""
     ring = build_zmod(12)
     char = canonical_generating_character(ring)
-    blocks = hom_partition(ring, char).blocks
-    work = cyclotomic.division_work(char.order, len(ring.unit_orbits("left")[0]) * len(blocks))
+    blocks = _one_against_the_rest(ring).blocks
+    work = cyclotomic.division_work(char.order, ring.size * len(blocks))
     monkeypatch.setattr(duality, "_DIVISION_WORK", work)
     krawtchouk_table(Partition(ring, blocks), char, "left")
     monkeypatch.setattr(duality, "_DIVISION_WORK", work - 1)
     with pytest.raises(ResourceLimit, match=f"takes {work} coordinate updates"):
         krawtchouk_table(Partition(ring, blocks), char, "left")
+    monkeypatch.setattr(duality, "_DIVISION_WORK", 0)
+    krawtchouk_table(hom_partition(ring, char), char, "left")
+
+
+def test_a_dividing_table_reduces_each_distinct_row_once(monkeypatch):
+    """Singletons on Z8 x Z9: 72 x 72 count rows, each one root power
+    chi(ab), so at most 72 distinct ones are divided, and the table is
+    still the per-element one."""
+    ring = build_ring(parse_ring("Z8 x Z9"))
+    char = canonical_generating_character(ring)
+    reduce = cyclotomic.reduce_exponent_counts
+    reduced = []
+
+    def recording(order, counts):
+        reduced.append(np.array(counts))
+        return reduce(order, counts)
+
+    monkeypatch.setattr(cyclotomic, "reduce_exponent_counts", recording)
+    partition = Partition(ring, [[x] for x in range(ring.size)])
+    table = krawtchouk_table(partition, char, "left")
+    rows = np.concatenate(reduced)
+    assert len(np.unique(rows, axis=0)) == len(rows) <= char.order
+    assert table.coeffs.shape == (72, 72, cyclotomic.totient(char.order))
+    _assert_matches_oracle(partition)
+
+
+def test_row_hash_collisions_divide_every_row(monkeypatch):
+    """With every row hashed alike, the grouping fails its check, and every
+    row is divided: the table is unchanged."""
+    ring = build_ring(parse_ring("Z8 x Z9"))
+    char = canonical_generating_character(ring)
+    partition = _one_against_the_rest(ring)
+    expected = krawtchouk_table(partition, char, "right")
+    monkeypatch.setattr(duality, "_row_hash", lambda rows: np.zeros(len(rows), np.int64))
+    collided = krawtchouk_table(Partition(ring, partition.blocks), char, "right")
+    assert np.array_equal(collided.coeffs, expected.coeffs)
+    _assert_matches_oracle(Partition(ring, partition.blocks))
+
+
+def test_hom_tables_make_no_cyclotomic_division(monkeypatch):
+    """Weight partitions, their duals and the tables reflexivity builds
+    are all unions of unit orbits: no count row is divided."""
+    def no_division(*args):
+        raise AssertionError("divided")
+
+    monkeypatch.setattr(cyclotomic, "_divide", no_division)
+    for expr in ["ex5_5", "M(2,GF(3))", "Z2310", *CHAIN_RINGS, "ex5_5 x M(2,GF(2)) x GF(2)"]:
+        ring = build_ring(parse_ring(expr))
+        char = canonical_generating_character(ring)
+        partition = hom_partition(ring, char)
+        for side in ("left", "right"):
+            assert krawtchouk_table(partition, char, side).coeffs.shape[2] == 1
+            dual_partition(partition, char, side)
+        is_reflexive(partition, char)
+    with pytest.raises(AssertionError, match="divided"):
+        krawtchouk_table(_one_against_the_rest(ring), char, "left")
+
+
+def test_z2310_weight_tables_are_fast():
+    """The weight partition of Z2310, 32 orbits by 32 blocks at order
+    2310: about 0.03 s a side, against 1.6 s by division."""
+    ring = build_zmod(2310)
+    char = canonical_generating_character(ring)
+    partition = hom_partition(ring, char)
+    for side in ("left", "right"):
+        start = time.perf_counter()
+        krawtchouk_table(partition, char, side)
+        assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("expr, blocks, reflexive", [
+    ("Z9240", (33, 33, 33), True),
+    ("Z2 x Z4620", (33, 34, 34), False),
+    ("Z9699", (8, 8, 8), True),
+])
+def test_rings_beyond_the_division_bound_finish(capsys, expr, blocks, reflexive):
+    """Their weight tables would take more than 2^30 coordinate updates to
+    divide; as rational tables both duals and reflexivity finish."""
+    start = time.perf_counter()
+    code = main(["dual", "--ring", expr, "--side", "both", "--json", "--no-timestamp"])
+    assert code == 0 and time.perf_counter() - start < 10
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["primal_num_blocks"], payload["left"]["num_blocks"],
+            payload["right"]["num_blocks"]) == blocks
+    assert payload["reflexive"] is reflexive
+    ring = build_ring(parse_ring(expr))
+    assert is_reflexive(hom_partition(ring)) is reflexive
 
 
 def test_size_guard_ring_dual_finishes(capsys):
@@ -646,7 +780,7 @@ def test_broken_zero_column_names_ring_order_and_side(monkeypatch):
     monkeypatch.setattr(cyclotomic, "reduce_exponent_counts",
                         lambda order, counts: reduce(order, counts) * 2)
     with pytest.raises(InternalInconsistency) as err:
-        krawtchouk_table(hom_partition(z4), canonical_generating_character(z4), "right")
+        krawtchouk_table(_one_against_the_rest(z4), canonical_generating_character(z4), "right")
     assert "Z4, character of order 4, right table" in str(err.value)
     assert "column at 0" in str(err.value)
 
@@ -657,13 +791,63 @@ def test_broken_orthogonality_names_ring_order_and_side(monkeypatch):
 
     def shifted(order, counts):
         out = reduce(order, counts)
-        out[1:, 0, 0] += 1  # every orbit but that of 0
+        out[counts[:, 0] != counts.sum(axis=1), 0] += 1  # every row but the column at 0's
         return out
 
     monkeypatch.setattr(cyclotomic, "reduce_exponent_counts", shifted)
     with pytest.raises(InternalInconsistency) as err:
-        krawtchouk_table(hom_partition(z9), canonical_generating_character(z9), "left")
+        krawtchouk_table(_one_against_the_rest(z9), canonical_generating_character(z9), "left")
     assert "Z9, character of order 9, left table: column at 1 sums to" in str(err.value)
+
+
+def test_broken_rational_zero_column_names_ring_order_and_side(monkeypatch):
+    z4 = build_zmod(4)
+    hom = hom_partition(z4)  # its unit sums take the rational route too
+    rational = cyclotomic.rational_sums
+    monkeypatch.setattr(cyclotomic, "rational_sums",
+                        lambda order, counts, where: rational(order, counts, where) * 2)
+    with pytest.raises(InternalInconsistency) as err:
+        krawtchouk_table(hom, canonical_generating_character(z4), "right")
+    assert "Z4, character of order 4, right table" in str(err.value)
+    assert "column at 0" in str(err.value)
+
+
+def test_broken_rational_orthogonality_names_ring_order_and_side(monkeypatch):
+    z9 = build_zmod(9)
+    rational = cyclotomic.rational_sums
+
+    def shifted(order, counts, where):
+        out = rational(order, counts, where)
+        out[1:, 0] += 1  # every orbit but that of 0
+        return out
+
+    hom = hom_partition(z9)
+    monkeypatch.setattr(cyclotomic, "rational_sums", shifted)
+    with pytest.raises(InternalInconsistency) as err:
+        krawtchouk_table(hom, canonical_generating_character(z9), "left")
+    assert "Z9, character of order 9, left table: column at 1 sums to" in str(err.value)
+
+
+@pytest.mark.parametrize("expr, counter", [("Z9", "_kernel_counts"),
+                                           ("Z9 x Z3", "_factor_counts")])
+def test_counts_off_their_gcd_classes_name_ring_order_and_side(monkeypatch, expr, counter):
+    """A count row of a rational table that is not constant on the classes
+    {e : gcd(e, N) = g} is refused, on the kernel and the factor route."""
+    count = getattr(duality, counter)
+
+    def skewed(*args):
+        for chunk in count(*args):
+            chunk[..., 1] += 1
+            yield chunk
+
+    monkeypatch.setattr(duality, counter, skewed)
+    ring = build_ring(parse_ring(expr))
+    char = canonical_generating_character(ring)
+    with pytest.raises(InternalInconsistency) as err:
+        krawtchouk_table(hom_partition(ring, char), char, "right")
+    assert str(err.value) == (f"{expr}, character of order {char.order}, right table: count "
+                              f"at exponent 1 differs from that at exponent 2, of the same gcd "
+                              f"with {char.order}")
 
 
 def test_reflexivity_disagreement_names_ring_and_order(monkeypatch):

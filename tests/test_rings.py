@@ -39,10 +39,12 @@ from oracles import (
     all_ideals,
     element_label_by_decode,
     ex5_5_tables_from_matrices,
+    generator_translations_commute,
     is_commutative_by_pairs,
     is_frobenius_oracle,
     matrix_rank_oracle,
     non_frobenius_tables_from_bits,
+    permutation_rows_by_mask,
     principal_ideal_oracle,
     radical_oracle,
     right_distributivity_by_generators,
@@ -522,6 +524,54 @@ def test_validate_rejects_boolean_lattice():
     for route in (validate_tables, validate_tables_exhaustive):
         with pytest.raises(InvalidRing, match="row 1 of the addition table"):
             route(add, mul, 7)
+
+
+@pytest.mark.parametrize("expr", ["Z8", "Z4 x GF(2)", "ex5_5 x GF(2)"])
+def test_a_row_off_the_generators_that_is_no_permutation_is_refused(expr):
+    """Only the generators' rows are checked to be permutations.  Rows
+    y and a, neither of a generator, that are none are refused by the
+    edge checks, at a triple where + really is not associative."""
+    ring = build_ring(parse_ring(expr))
+    add, mul = (np.array(t) for t in cayley_tables(ring))
+    gens = [g for g, _, _ in rings._greedy_generators(ring.size, add.__getitem__)]
+    y, a, b = [x for x in range(ring.size - 1, 0, -1) if x not in gens][:3]
+    add[y, a] = add[a, y] = add[y, b]  # + stays commutative with 0 neutral
+    with pytest.raises(InvalidRing, match=f"row {min(a, y)} of the addition table"):
+        permutation_rows_by_mask(add)
+    with pytest.raises(InvalidRing, match="addition is not associative") as info:
+        validate_tables(add, mul, ring.one)
+    _assert_genuine(info.value, add, mul, ring.one)
+
+
+def test_generator_translations_commute_wherever_the_tables_pass():
+    """The edge checks imply that the generator translations commute:
+    every table of both corpora that passes has commuting ones."""
+    commute = set()
+    for add, mul, one in chain(_structured_corpus(), _loop_corpus()):
+        passed = _verdict(validate_tables, add, mul, one) is None
+        assert generator_translations_commute(add) or not passed
+        commute.add((passed, generator_translations_commute(add)))
+    assert {(True, True), (False, False)} <= commute
+
+
+def test_overlapping_walks_are_refused_before_the_edge_checks(monkeypatch):
+    """The commutation check bounds the edge checks: a table whose coset
+    walks overlap, and so list more than n - 1 + k edges, is refused
+    before any edge is checked, at a triple where + is not associative."""
+    def no_edge_pass(*args):
+        raise AssertionError("edges checked")
+
+    monkeypatch.setattr(rings, "_first_mismatch_by_rows", no_edge_pass)
+    overlapping = 0
+    for add, mul, one in chain(_structured_corpus(), _loop_corpus()):
+        walks = [(g, walk) for g, _, walk in rings._greedy_generators(len(add), add.__getitem__)]
+        if sum(walk[:-1].size + 1 for _, walk in walks) == len(add) - 1 + len(walks):
+            continue
+        overlapping += 1
+        with pytest.raises(InvalidRing, match="addition is not associative") as info:
+            validate_tables(add, mul, one)
+        _assert_genuine(info.value, add, mul, one)
+    assert overlapping > 10
 
 
 def test_ex5_5_is_its_matrix_ring():

@@ -17,7 +17,7 @@ chi(xy) to chi((a.x)y), fixes every coefficient.  Such a table holds one
 integer per (orbit, block), from ``cyclotomic.rational_sums``, which
 checks that each count row really is constant on the classes
 {e : gcd(e, N) = g}.  Any other table is divided by the N-th cyclotomic
-polynomial into phi(N) coordinates, each distinct count row once, by
+polynomial into phi(N) coordinates by
 ``cyclotomic.reduce_exponent_counts``; a rational value v stands for the
 coordinates (v, 0, ..., 0), which is how entries and JSON spell it.  On
 the dense array the two invariants are checked once per table: the b = 0
@@ -76,12 +76,18 @@ class KrawtchoukTable:
         return self.column(b)[m]
 
     def column(self, b: int) -> tuple[cyclotomic.CycInt, ...]:
-        return tuple(self._cyc(e) for e in self.coeffs[self.orbit_of[b]].tolist())
+        return tuple(cyclotomic.CycInt(self.char.order, tuple(e))
+                     for e in self.widen(self.coeffs[self.orbit_of[b]]).tolist())
 
-    def _cyc(self, coords: list[int]) -> cyclotomic.CycInt:
-        """One entry as a CycInt: a rational v is (v, 0, ..., 0)."""
-        pad = cyclotomic.totient(self.char.order) - len(coords)
-        return cyclotomic.CycInt(self.char.order, tuple(coords) + (0,) * pad)
+    def widen(self, coords: np.ndarray) -> np.ndarray:
+        """Coordinates [..., width] as [..., phi(N)]: a rational table's
+        value v is (v, 0, ..., 0); a dividing table's come back as they are."""
+        phi = cyclotomic.totient(self.char.order)
+        if coords.shape[-1] == phi:
+            return coords
+        out = np.zeros(coords.shape[:-1] + (phi,), dtype=coords.dtype)
+        out[..., 0] = coords[..., 0]
+        return out
 
     def to_json(self) -> dict:
         """The table as nested lists, ``entries[m][b]`` at every element b.
@@ -92,8 +98,7 @@ class KrawtchoukTable:
         rows = np.ascontiguousarray(self.coeffs.transpose(1, 0, 2))  # [block, orbit, coord]
         flat = rows.reshape(-1, rows.shape[2])
         _, first, row_of = np.unique(_row_keys(flat), return_index=True, return_inverse=True)
-        pad = [0] * (cyclotomic.totient(self.char.order) - flat.shape[1])
-        distinct = [row + pad for row in flat[first].tolist()]
+        distinct = self.widen(flat[first]).tolist()
         entry_of = row_of.reshape(rows.shape[:2])[:, self.orbit_of]
         return {
             "ring": self.partition.ring.expr,
@@ -159,32 +164,11 @@ def krawtchouk_table(partition: Partition, char: Character, side: str) -> Krawtc
     if rational:
         parts = [cyclotomic.rational_sums(order, c, where)[..., None] for c in counts]
     else:
-        parts = [_reduce_distinct_rows(order, c) for c in counts]
+        parts = [cyclotomic.reduce_exponent_counts(order, c) for c in counts]
     table = KrawtchoukTable(partition, char, side, np.concatenate(parts), orbit_of)
     _check_table(table, where)
     cache[cache_key] = table
     return table
-
-
-def _reduce_distinct_rows(order: int, counts: np.ndarray) -> np.ndarray:
-    """``reduce_exponent_counts`` of counts [column, block, exponent],
-    each distinct (column, block) row divided once.
-
-    Rows are grouped by ``_row_hash``; the grouping is used only if every
-    row equals its group's first, so a collision costs time, never
-    exactness.
-    """
-    rows = counts.reshape(-1, order)
-    _, first, row_of = np.unique(_row_hash(rows), return_index=True, return_inverse=True)
-    if not np.array_equal(rows[first][row_of], rows):
-        first = row_of = np.arange(len(rows))
-    reduced = cyclotomic.reduce_exponent_counts(order, rows[first])
-    return reduced[row_of].reshape(counts.shape[:2] + reduced.shape[1:])
-
-
-def _row_hash(rows: np.ndarray) -> np.ndarray:
-    """A wrapping int64 dot product of each row with fixed random weights."""
-    return rows @ np.random.default_rng(rows.shape[1]).integers(1, 2**62, rows.shape[1])
 
 
 def _kernel_counts(ring: FiniteRing, block_of: np.ndarray, nblocks: int, char: Character,
@@ -287,9 +271,10 @@ def _check_table(table: KrawtchoukTable, where: str) -> None:
     totals[zero] = 0
     bad = np.flatnonzero(totals.any(axis=1))
     if len(bad):
+        total = cyclotomic.CycInt(table.char.order, tuple(table.widen(totals[bad[0]]).tolist()))
         raise InternalInconsistency(
             f"{where}: column at {np.flatnonzero(table.orbit_of == bad[0])[0]} sums to "
-            f"{table._cyc(totals[bad[0]].tolist())}, violating orthogonality"
+            f"{total}, violating orthogonality"
         )
 
 

@@ -955,14 +955,6 @@ def krawtchouk_coeffs_by_orbit_columns(partition, char, side: str,
     return cyclotomic.reduce_exponent_counts(order, counts.reshape(len(reps), nblocks, order))
 
 
-def widened_coeffs(table) -> np.ndarray:
-    """A table's coefficients with phi(N) coordinates per entry: a
-    rational table's value v as (v, 0, ..., 0)."""
-    coeffs = table.coeffs
-    pad = cyclotomic.totient(table.char.order) - coeffs.shape[2]
-    return np.concatenate([coeffs, np.zeros(coeffs.shape[:2] + (pad,), coeffs.dtype)], axis=2)
-
-
 # -- dual grouping by unique rows --------------------------------------------------
 
 

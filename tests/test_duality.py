@@ -49,8 +49,7 @@ from frobring.rings import (
 )
 
 from oracles import (dual_groups_by_unique_rows, krawtchouk_coeffs_by_orbit_columns,
-                     krawtchouk_table_by_element, ring_id, semisimple_lr_agreement, table_twin,
-                     widened_coeffs)
+                     krawtchouk_table_by_element, ring_id, semisimple_lr_agreement, table_twin)
 from test_partitions import (_PRODUCT_RINGS, _assert_matches_grouping,
                              _partition_from_assignment, _random_partition_data)
 
@@ -170,7 +169,7 @@ def test_table_json_shares_one_row_per_orbit_and_block():
             rows = [r for block in entries for r in block]
             assert len({id(r) for r in rows}) == len({tuple(r) for r in rows})
             assert len({id(r) for r in rows}) < len(table.coeffs) * partition.num_blocks
-            assert entries == widened_coeffs(table)[table.orbit_of].transpose(1, 0, 2).tolist()
+            assert entries == table.widen(table.coeffs)[table.orbit_of].transpose(1, 0, 2).tolist()
 
 
 # -- dual partitions -------------------------------------------------------------
@@ -609,7 +608,7 @@ def test_rational_tables_match_the_division_route(ring):
             table = krawtchouk_table(partition, char, side)
             assert table.coeffs.shape[2] == 1
             _, reps = np.unique(table.orbit_of, return_index=True)
-            assert np.array_equal(widened_coeffs(table),
+            assert np.array_equal(table.widen(table.coeffs),
                                   krawtchouk_coeffs_by_orbit_columns(partition, char, side, reps))
 
 
@@ -673,41 +672,6 @@ def test_division_work_bound_is_inclusive(monkeypatch):
         krawtchouk_table(Partition(ring, blocks), char, "left")
     monkeypatch.setattr(duality, "_DIVISION_WORK", 0)
     krawtchouk_table(hom_partition(ring, char), char, "left")
-
-
-def test_a_dividing_table_reduces_each_distinct_row_once(monkeypatch):
-    """Singletons on Z8 x Z9: 72 x 72 count rows, each one root power
-    chi(ab), so at most 72 distinct ones are divided, and the table is
-    still the per-element one."""
-    ring = build_ring(parse_ring("Z8 x Z9"))
-    char = canonical_generating_character(ring)
-    reduce = cyclotomic.reduce_exponent_counts
-    reduced = []
-
-    def recording(order, counts):
-        reduced.append(np.array(counts))
-        return reduce(order, counts)
-
-    monkeypatch.setattr(cyclotomic, "reduce_exponent_counts", recording)
-    partition = Partition(ring, [[x] for x in range(ring.size)])
-    table = krawtchouk_table(partition, char, "left")
-    rows = np.concatenate(reduced)
-    assert len(np.unique(rows, axis=0)) == len(rows) <= char.order
-    assert table.coeffs.shape == (72, 72, cyclotomic.totient(char.order))
-    _assert_matches_oracle(partition)
-
-
-def test_row_hash_collisions_divide_every_row(monkeypatch):
-    """With every row hashed alike, the grouping fails its check, and every
-    row is divided: the table is unchanged."""
-    ring = build_ring(parse_ring("Z8 x Z9"))
-    char = canonical_generating_character(ring)
-    partition = _one_against_the_rest(ring)
-    expected = krawtchouk_table(partition, char, "right")
-    monkeypatch.setattr(duality, "_row_hash", lambda rows: np.zeros(len(rows), np.int64))
-    collided = krawtchouk_table(Partition(ring, partition.blocks), char, "right")
-    assert np.array_equal(collided.coeffs, expected.coeffs)
-    _assert_matches_oracle(Partition(ring, partition.blocks))
 
 
 def test_hom_tables_make_no_cyclotomic_division(monkeypatch):
@@ -791,7 +755,7 @@ def test_broken_orthogonality_names_ring_order_and_side(monkeypatch):
 
     def shifted(order, counts):
         out = reduce(order, counts)
-        out[counts[:, 0] != counts.sum(axis=1), 0] += 1  # every row but the column at 0's
+        out[1:, 0, 0] += 1  # every column but that at 0
         return out
 
     monkeypatch.setattr(cyclotomic, "reduce_exponent_counts", shifted)

@@ -30,7 +30,6 @@ from oracles import (
     table_twin,
     unit_sums_by_orbits,
     validate_homogeneous_by_orbits,
-    widened_coeffs,
 )
 from test_rings import assert_index_set
 
@@ -191,7 +190,7 @@ def test_krawtchouk_tables_match_the_orbit_columns(ring):
             table = duality.krawtchouk_table(hom, char, side)
             assert np.array_equal(table.orbit_of, ring.unit_orbits(side)[1])
             assert table.coeffs.shape[2] == 1  # rational: one integer per entry
-            assert np.array_equal(widened_coeffs(table),
+            assert np.array_equal(table.widen(table.coeffs),
                                   krawtchouk_coeffs_by_orbit_columns(hom, char, side))
             # the dual is a union of orbits of this side, so the opposite
             # table of the dual, as is_reflexive builds it, routes by factors too
@@ -199,7 +198,7 @@ def test_krawtchouk_tables_match_the_orbit_columns(ring):
             other = "right" if side == "left" else "left"
             back = duality.krawtchouk_table(dual, char, other)
             expected = krawtchouk_coeffs_by_orbit_columns(dual, char, other)
-            assert np.array_equal(widened_coeffs(back), expected)
+            assert np.array_equal(back.widen(back.coeffs), expected)
             rows = expected.reshape(len(expected), -1)
             _, group = np.unique(rows, axis=0, return_inverse=True)
             assert duality.dual_partition(dual, char, other) == Partition.from_keys(

@@ -278,23 +278,25 @@ def search_generating_character(ring: FiniteRing) -> Character | None:
     return next(filter(is_generating, chars), None)
 
 
-def all_generating_characters(ring: FiniteRing) -> list[Character]:
-    """Every generating character: the unit translates of the canonical one.
-
-    Distinct units give distinct translates, so the count equals the
-    number of units.  The translates come in lexicographic order of their
-    exponent rows, found for all rows at once.
-    """
+def generating_translates(ring: FiniteRing):
+    """Yield every generating character, one at a time: the left unit
+    translates x -> chi(x u) of the canonical one, in unit order, each
+    checked generating.  They are first checked pairwise distinct at the
+    additive generators g (the exponents of g u), which fix them."""
     base = canonical_generating_character(ring)
-    rows = np.empty((len(ring.units), ring.size), dtype=np.int64)
-    for i, u in enumerate(ring.units.tolist()):
-        rows[i] = base.exponents[ring.mul_col(u)]
-    order = np.lexsort(rows.T[::-1]).tolist()
+    units, gens = ring.units.tolist(), ring.additive_presentation.gens
     where = f"{ring.expr}: left unit translates of the character of order {base.order}"
-    if any(np.array_equal(rows[i], rows[j]) for i, j in zip(order, order[1:])):
+    if len({base.exponents[ring.mul_col(u, gens)].tobytes() for u in units}) < len(units):
         raise InternalInconsistency(f"{where} must be pairwise distinct")
-    chars = [Character(ring, rows[i], base.order) for i in order]
-    if not all(is_generating(c) for c in chars):
-        raise InternalInconsistency(f"{where} must all be generating")
-    return chars
+    for u in units:
+        char = translate(base, u)
+        if not is_generating(char):
+            raise InternalInconsistency(f"{where} must all be generating")
+        yield char
 
+
+def all_generating_characters(ring: FiniteRing) -> list[Character]:
+    """Every generating character, in lexicographic order of exponents."""
+    chars = list(generating_translates(ring))
+    order = np.lexsort(np.stack([c.exponents for c in chars]).T[::-1])
+    return [chars[i] for i in order.tolist()]

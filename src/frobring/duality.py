@@ -42,8 +42,8 @@ from math import comb
 import numpy as np
 
 from . import cyclotomic
-from .characters import (Character, all_generating_characters,
-                         canonical_generating_character, is_generating, restrictions)
+from .characters import (Character, canonical_generating_character, generating_translates,
+                         is_generating, restrictions)
 from .errors import InternalInconsistency, InvalidParameter, ResourceLimit
 from .partitions import Partition, equals
 from .rings import FiniteRing, ProductRing, _check_side
@@ -134,8 +134,14 @@ def krawtchouk_table(partition: Partition, char: Character, side: str) -> Krawtc
         raise InvalidParameter("character is not generating")
     cache = partition.__dict__.setdefault("_kraw_cache", {})
     cache_key = (char.key(), side)
-    if cache_key in cache:
-        return cache[cache_key]
+    if cache_key not in cache:
+        cache[cache_key] = _table(partition, char, side)
+    return cache[cache_key]
+
+
+def _table(partition: Partition, char: Character, side: str) -> KrawtchoukTable:
+    """The table of ``krawtchouk_table``, computed afresh and not cached."""
+    ring = partition.ring
     block_of = partition.block_of
     other = "right" if side == "left" else "left"
     other_reps, other_of = ring.unit_orbits(other)
@@ -167,7 +173,6 @@ def krawtchouk_table(partition: Partition, char: Character, side: str) -> Krawtc
         parts = [cyclotomic.reduce_exponent_counts(order, c) for c in counts]
     table = KrawtchoukTable(partition, char, side, np.concatenate(parts), orbit_of)
     _check_table(table, where)
-    cache[cache_key] = table
     return table
 
 
@@ -281,13 +286,13 @@ def _check_table(table: KrawtchoukTable, where: str) -> None:
 def dual_partition(partition: Partition, char: Character, side: str) -> Partition:
     """Group elements by exact equality of their full coefficient column.
 
-    Equal orbit columns are found as equal rows of the dense array, so
-    each dual block is a union of orbits.
+    Equal orbit columns are found as equal rows of the dense array and
+    grouped on the table's orbits, so each dual block is a union of orbits.
     """
     table = krawtchouk_table(partition, char, side)
     rows = np.ascontiguousarray(table.coeffs.reshape(len(table.coeffs), -1))
     _, group = np.unique(_row_keys(rows), return_inverse=True)
-    return Partition.from_keys(partition.ring, group[table.orbit_of])
+    return Partition.from_classes(partition.ring, group, table.orbit_of)
 
 
 def is_self_dual(partition: Partition, char: Character | None = None) -> bool:
@@ -329,11 +334,11 @@ def left_right_agreement(partition: Partition, char: Character | None = None) ->
 
 
 def character_independence_check(partition: Partition) -> bool:
-    """Do all generating characters give the same left/right tables?"""
-    chars = all_generating_characters(partition.ring)
-    refs = {side: krawtchouk_table(partition, chars[0], side) for side in ("left", "right")}
-    return all(same_entries(refs[side], krawtchouk_table(partition, char, side))
-               for char in chars[1:] for side in refs)
+    """Do all generating characters, one at a time, give the same left/right tables?"""
+    base = canonical_generating_character(partition.ring)
+    refs = {side: krawtchouk_table(partition, base, side) for side in ("left", "right")}
+    return all(same_entries(refs[side], _table(partition, char, side))
+               for char in generating_translates(partition.ring) for side in refs)
 
 
 def delsarte_rank_krawtchouk(m: int, q: int, i: int, k: int) -> int:

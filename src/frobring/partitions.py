@@ -5,9 +5,9 @@ A partition is stored in canonical form: a read-only int64 array
 order of their least member, so two partitions of a ring are equal iff
 their arrays are.  Every builder keys each element by an integer array
 (a weight numerator, a rank, a row of factor blocks) and one
-``np.unique`` pass turns the keys into that canonical form.  The blocks
-as sorted tuples of indices are built from it on first access, for
-output.
+``np.unique`` pass groups one key per left unit orbit (or per element,
+if the keys are not constant on the orbits) into that canonical form.
+The blocks as sorted tuples are built from it on first access.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ class Partition:
             raise InvalidParameter(f"element {np.flatnonzero(seen == 0)[0]} not covered")
         owner = np.empty(ring.size, dtype=np.int64)
         owner[members] = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
-        self._group(ring, owner, None if labels is None else labels.__getitem__)
+        self._group(ring, owner, np.arange(ring.size),
+                    None if labels is None else labels.__getitem__)
 
     @classmethod
     def from_keys(cls, ring: FiniteRing, keys, label=None) -> "Partition":
@@ -57,19 +58,31 @@ class Partition:
 
         ``keys`` holds one key per element: a length-n array, or an n x k
         array whose rows are the keys.  ``label``, if given, maps a
-        block's key to that block's label.
+        block's key to that block's label.  Keys constant on the left unit
+        orbits, if the ring has indexed them, are grouped once per orbit.
         """
+        keys = np.asarray(keys)
+        orbits = getattr(ring, "_orbit_cache", {}).get("left")
+        if orbits is None or not np.array_equal(keys[orbits[0][orbits[1]]], keys):
+            orbits = np.arange(ring.size), np.arange(ring.size)
+        return cls.from_classes(ring, keys[orbits[0]], orbits[1], label)
+
+    @classmethod
+    def from_classes(cls, ring: FiniteRing, keys, class_of, label=None) -> "Partition":
+        """Blocks of elements whose classes have equal keys: ``keys`` as in
+        ``from_keys`` but one per class, ``class_of`` the class of each
+        element, classes numbered by least member as unit orbits are."""
         self = cls.__new__(cls)
-        self._group(ring, np.asarray(keys), label)
+        self._group(ring, np.asarray(keys), class_of, label)
         return self
 
-    def _group(self, ring: FiniteRing, keys: np.ndarray, label) -> None:
-        """The canonical form: group equal keys, order blocks by least member.
+    def _group(self, ring: FiniteRing, keys: np.ndarray, class_of: np.ndarray, label) -> None:
+        """The canonical form: group equal class keys, order blocks by least member.
 
         The first key column is ranked densely; each further column is
         ranked too and folded into the code, which is re-ranked after each
-        fold.  The code stays below n, so the fold is exact for any integer
-        keys, and equal codes mean equal keys.
+        fold.  The code stays below the class count, so the fold is exact
+        for any integer keys, and equal codes mean equal keys.
         """
         columns = keys.reshape(len(keys), -1).T
         _, first, code = np.unique(columns[0], return_index=True, return_inverse=True)
@@ -81,7 +94,8 @@ class Partition:
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
         self.ring = ring
-        self.block_of = _frozen(rank[code])
+        self._block_of_class, self._class_of = rank[code], class_of
+        self.block_of = _frozen(self._block_of_class[class_of])
         self.num_blocks = len(order)
         self.labels = None if label is None else tuple(label(keys[first[k]]) for k in order)
 
@@ -93,7 +107,8 @@ class Partition:
         return tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends))
 
     def block_sizes(self) -> tuple[int, ...]:
-        return tuple(np.bincount(self.block_of).tolist())
+        sizes = np.bincount(self._block_of_class, weights=np.bincount(self._class_of))
+        return tuple(sizes.astype(np.int64).tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Partition):

@@ -26,6 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import comb
 
 import numpy as np
@@ -218,38 +219,35 @@ def _validate_homogeneous(ring: FiniteRing, num: np.ndarray, denom: int) -> None
         )
 
 
-def _orbit_unit_sums(ring: FiniteRing, i: int, char: Character, side: str) -> np.ndarray:
-    """Unit sum at every element of leaf i, computed once per unit orbit.
-
-    Side 'left' sums chi(u*x) over the units, side 'right' chi(x*u), for
-    a character chi of the leaf.  The multiset {u*x : u unit} is the same
-    for every member of the orbit Ux (and {x*u} for every member of xU),
-    so one character sum covers the whole orbit.  Multiplying by a.1,
-    gcd(a, N) = 1, permutes the units, so each sum is fixed by the Galois
-    map zeta -> zeta^a: ``cyclotomic.rational_sums`` checks that its
-    exponent counts are constant on the classes {e : gcd(e, N) = g} and
-    returns the rational value.  Validation downstream certifies the
-    table.
-    """
-    leaf = ring.leaves[i]
-    reps, orbit_of = leaf.unit_orbits(side)
-    kernel = leaf.mul_col if side == "left" else leaf.mul_row
-    counts = np.stack([np.bincount(char.exponents[kernel(x, leaf.units)], minlength=char.order)
-                       for x in reps.tolist()])
-    where = f"{leaf.expr}, character of order {char.order}, {side} unit sums"
-    return cyclotomic.rational_sums(char.order, counts, where)[orbit_of]
-
-
 def _unit_sums(ring: FiniteRing, char: Character, side: str) -> np.ndarray:
     """Unit sum at every element: s(x_1, ..., x_k) = s_1(x_1) ... s_k(x_k).
 
     The units of a product are U_1 x ... x U_k and chi(ux) is the product
     of the restrictions at the components, so the sum factors over the
-    leaves, each taken with its restricted character.  A unit sum is at
-    most |R*| in size, so the products stay exact in int64.
+    leaves, each taken with its restricted character.  On a leaf, side
+    'left' sums chi(u*x) over the units, side 'right' chi(x*u), the same
+    along the orbit Ux (xU): one kernel call counts the exponents, scaled
+    to the order N of chi, for a whole orbit.  Multiplying by a.1,
+    gcd(a, N) = 1, permutes the units, so each sum is fixed by the Galois
+    map zeta -> zeta^a: one ``cyclotomic.rational_sums`` call checks that
+    every count row is constant on the classes {e : gcd(e, N) = g} and
+    returns the rational values.  Validation downstream certifies the
+    table.  A unit sum is at most |R*|, so the products are exact in int64.
     """
-    return _outer(np.multiply, [_orbit_unit_sums(ring, i, c, side)
-                                for i, c in enumerate(restrictions(char))])
+    order, leaves = char.order, ring.leaves
+    reps = [leaf.unit_orbits(side)[0].tolist() for leaf in leaves]
+    counts, row = np.empty((sum(map(len, reps)), order), dtype=np.int64), 0
+    for leaf, c, leaf_reps in zip(leaves, restrictions(char), reps):
+        kernel = leaf.mul_col if side == "left" else leaf.mul_row
+        exps = c.exponents * (order // c.order)
+        for x in leaf_reps:
+            counts[row] = np.bincount(exps[kernel(x, leaf.units)], minlength=order)
+            row += 1
+    where = f"{ring.expr}, character of order {order}, {side} unit sums"
+    sums = cyclotomic.rational_sums(order, counts, where)
+    ends = accumulate(map(len, reps))
+    return _outer(np.multiply, [sums[end - len(r):end][leaf.unit_orbits(side)[1]]
+                                for leaf, r, end in zip(leaves, reps, ends)])
 
 
 def weight_table(ring: FiniteRing, char: Character | None = None) -> WeightTable:

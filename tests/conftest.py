@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from frobring import (
@@ -6,6 +7,7 @@ from frobring import (
     build_product,
     build_zmod,
 )
+from frobring import partitions
 from frobring.rings import builtin_ring
 
 from oracles import table_twin
@@ -76,3 +78,26 @@ def ex5_5_rings():
     """The builtin algebra ex5_5 and its twin built from the same Cayley tables."""
     ring = builtin_ring("ex5_5")
     return ring, table_twin(ring)
+
+
+class _UniqueSizes:
+    """numpy as ``frobring.partitions`` sees it, with ``np.unique``
+    recording how many keys each call groups."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def unique(self, keys, *args, **kwargs):
+        self.sizes.append(len(keys))
+        return np.unique(keys, *args, **kwargs)
+
+
+@pytest.fixture
+def unique_sizes(monkeypatch):
+    """The number of keys of every ``np.unique`` call in frobring.partitions."""
+    spy = _UniqueSizes()
+    monkeypatch.setattr(partitions, "np", spy)
+    return spy.sizes

@@ -955,6 +955,21 @@ def krawtchouk_coeffs_by_orbit_columns(partition, char, side: str,
     return cyclotomic.reduce_exponent_counts(order, counts.reshape(len(reps), nblocks, order))
 
 
+def rational_columns_by_element(partition, char, side: str) -> np.ndarray:
+    """The coefficient column [element, block] at every element of a table
+    whose coefficients are rational integers, one kernel call on the whole
+    ring per element: no unit orbit is assumed.  Raises
+    InternalInconsistency where a column is not rational."""
+    ring = partition.ring
+    order, nblocks = char.order, partition.num_blocks
+    base = partition.block_of * order
+    kernel = ring.mul_col if side == "left" else ring.mul_row
+    return np.stack([cyclotomic.rational_sums(
+        order, np.bincount(base + char.exponents[kernel(b)],
+                           minlength=nblocks * order).reshape(nblocks, order),
+        f"{ring.expr}, {side} column at {b}") for b in range(ring.size)])
+
+
 # -- dual grouping by unique rows --------------------------------------------------
 
 

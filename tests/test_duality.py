@@ -26,7 +26,8 @@ from frobring.duality import (
     left_right_agreement,
     same_entries,
 )
-from frobring.cli import build_ring, main, parse_ring
+from frobring.cli import (_natural_factor_partition, build_ring, main, parse_ring,
+                          select_partition)
 from frobring.errors import InternalInconsistency, InvalidParameter, ResourceLimit
 from frobring.partitions import (
     Partition,
@@ -41,16 +42,21 @@ from frobring.partitions import (
     symmetrized_power_partition,
 )
 from frobring.rings import (
+    GaloisField,
+    MatrixRing,
+    ProductRing,
     build_gf,
     build_matrix_ring,
     build_product,
     build_zmod,
     builtin_ring,
 )
+from frobring.weights import weight_table
 
 from oracles import (dual_groups_by_unique_rows, krawtchouk_coeffs_by_orbit_columns,
-                     krawtchouk_table_by_element, ring_id, semisimple_lr_agreement, table_twin)
-from test_partitions import (_PRODUCT_RINGS, _assert_matches_grouping,
+                     krawtchouk_table_by_element, rational_columns_by_element, ring_id,
+                     semisimple_lr_agreement, table_twin)
+from test_partitions import (_PRODUCT_RINGS, _assert_matches_grouping, _labelled,
                              _partition_from_assignment, _random_partition_data)
 
 
@@ -610,6 +616,61 @@ def test_rational_tables_match_the_division_route(ring):
             _, reps = np.unique(table.orbit_of, return_index=True)
             assert np.array_equal(table.widen(table.coeffs),
                                   krawtchouk_coeffs_by_orbit_columns(partition, char, side, reps))
+
+
+def _keyed_builders(ring):
+    """Each keyed CLI partition kind that applies to the ring: the
+    partition, an element key computed apart from the grouping, and the
+    label of a key."""
+    out = [(hom_partition(ring), weight_table(ring).__getitem__, str)]
+    if isinstance(ring, MatrixRing):
+        out.append((rank_partition(ring), ring.rank, int))
+    fields = ring.factors if isinstance(ring, ProductRing) else [ring]
+    if all(isinstance(f, GaloisField) for f in fields):
+        sizes = [f.size for f in fields]
+
+        def profile(x):
+            comps = ring.decode(x) if isinstance(ring, ProductRing) else [x]
+            return tuple(sum(c != 0 for q, c in zip(sizes, comps) if q == size)
+                         for size in sorted(set(sizes)))
+
+        out.append((hamming_partition(ring), profile, lambda k: k))
+    if isinstance(ring, ProductRing) and len(ring.factors) == 2:
+        left, right = map(_natural_factor_partition, ring.factors)
+
+        def pair(x):
+            a, b = ring.decode(x)
+            return int(left.block_of[a]), int(right.block_of[b])
+
+        out.append((select_partition(ring, "product"), pair,
+                    lambda k: (_labelled(left, k[0]), _labelled(right, k[1]))))
+        if ring.factors[0] is ring.factors[1]:
+            def multiset(x):
+                return tuple(sorted(int(left.block_of[c]) for c in ring.decode(x)))
+
+            out.append((select_partition(ring, "sym2"), multiset,
+                        lambda k: tuple(_labelled(left, m) for m in k)))
+    return out
+
+
+@pytest.mark.parametrize("ring", _division_corpus(), ids=ring_id)
+def test_orbit_grouping_matches_the_element_grouping(ring, unique_sizes):
+    """The weight partition, every keyed builder, both duals of the weight
+    partition and each one's bidual, against the oracle's grouping of
+    per-element keys: a dual's key is the element's own column, computed
+    with no orbit assumed.  Every np.unique call of the partitions
+    groups fewer keys than elements."""
+    char = canonical_generating_character(ring)
+    for partition, key_of, label in _keyed_builders(ring):
+        _assert_matches_grouping(partition, key_of, label)
+    hom = hom_partition(ring, char)
+    for side, other in (("left", "right"), ("right", "left")):
+        dual = dual_partition(hom, char, side)
+        for parent, child, on in ((hom, dual, side),
+                                  (dual, dual_partition(dual, char, other), other)):
+            columns = list(map(tuple, rational_columns_by_element(parent, char, on).tolist()))
+            _assert_matches_grouping(child, columns.__getitem__)
+    assert unique_sizes and max(unique_sizes) < ring.size
 
 
 def test_small_count_chunks_give_the_same_table(monkeypatch):

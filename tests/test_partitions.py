@@ -590,3 +590,64 @@ def test_canonical_form_survives_round_trip(data):
     q = Partition(ring, p.to_json()["blocks"])
     assert p == q
     assert is_finer(p, q) and is_finer(q, p)
+
+
+# -- grouping on the unit-orbit set ---------------------------------------------------
+
+
+def test_weight_partition_duals_and_reflexivity_group_no_element_keys(unique_sizes):
+    """On M(2,GF(3)) x M(2,GF(3)) every np.unique call of the partitions
+    groups one key per unit orbit, never one per element."""
+    ring = build_product([_M2F3, _M2F3])
+    char = canonical_generating_character(ring)
+    hom = hom_partition(ring, char)
+    for side in ("left", "right"):
+        dual_partition(hom, char, side)
+    assert is_reflexive(hom, char)
+    orbits = max(len(ring.unit_orbits(side)[0]) for side in ("left", "right"))
+    assert unique_sizes and max(unique_sizes) <= orbits < ring.size
+
+
+def test_keys_off_the_unit_orbits_group_every_element(z12, unique_sizes):
+    """{0, 1} against the rest splits the unit orbit {1, 5, 7, 11}, and
+    singletons split every orbit: each groups one key per element."""
+    z12.unit_orbits("left")  # indexed, so only the keys decide
+    keys = [0, 0] + [1] * 10
+    _assert_matches_grouping(Partition.from_keys(z12, keys), keys.__getitem__)
+    _assert_matches_grouping(Partition.from_keys(z12, np.arange(12)), int)
+    _assert_matches_grouping(Partition(z12, [[x] for x in range(12)]), int)
+    assert set(unique_sizes) == {12}
+
+
+def test_product_of_non_invariant_factor_partitions_groups_every_element(unique_sizes):
+    z4, z6 = build_zmod(4), build_zmod(6)
+    ring = build_product([z4, z6])
+    ring.unit_orbits("left")
+    left, right = Partition(z4, [[0, 1], [2, 3]]), Partition(z6, [[0, 1], [2, 3, 4, 5]])
+    assert not (is_invariant(left) or is_invariant(right))
+    unique_sizes.clear()
+    part = product_partition(ring, left, right)
+
+    def pair(x):
+        a, b = ring.decode(x)
+        return int(left.block_of[a]), int(right.block_of[b])
+
+    _assert_matches_grouping(part, pair, lambda k: k)
+    assert not is_invariant(part)
+    assert set(unique_sizes) == {ring.size}
+
+
+@given(st.sampled_from([build_zmod(n) for n in (4, 6, 8, 9, 12, 16)] + [_M2F2]),
+       st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_from_keys_on_indexed_orbits_matches_the_oracle(ring, per_orbit, data):
+    """Keys drawn once per left unit orbit, or once per element, on a ring
+    whose orbits are indexed: blocks, order and labels as the oracle's."""
+    reps, orbit_of = ring.unit_orbits("left")
+    size = len(reps) if per_orbit else ring.size
+    keys = np.array(data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)))
+    if per_orbit:
+        keys = keys[orbit_of]
+    partition = Partition.from_keys(ring, keys, label=int)
+    _assert_matches_grouping(partition, lambda x: int(keys[x]), int)
+    assert sum(partition.block_sizes()) == ring.size

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CharacterSearchFailed, InternalInconsistency, InvalidParameter
 from .rings import (AlgebraRing, FiniteRing, ProductRing, TableRing, ZmodRing, _check_side,
-                    _outer)
+                    _frozen, _outer)
 
 
 def _check_hom(ring: FiniteRing, exponents: np.ndarray, order: int) -> bool:
@@ -44,15 +44,17 @@ def _check_hom(ring: FiniteRing, exponents: np.ndarray, order: int) -> bool:
 
 
 class Character:
-    """An additive character, evaluated through its exponent map."""
+    """An additive character, evaluated through its exponent map, which
+    is read-only: the tables and weights cached under ``key()`` rely on it."""
 
     def __init__(self, ring: FiniteRing, exponents, order: int | None = None):
         self.ring = ring
+        self._key = None
         self.order = ring.characteristic if order is None else order
         exps = np.asarray(exponents, dtype=np.int64) % self.order
         if exps.shape != (ring.size,):
             raise InvalidParameter("need one exponent per ring element")
-        self.exponents = exps
+        self.exponents = _frozen(exps)
         if self.exponents[0] != 0:
             raise InvalidParameter("a character must send 0 to exponent 0")
         if not _check_hom(ring, self.exponents, self.order):
@@ -62,7 +64,9 @@ class Character:
             )
 
     def key(self) -> bytes:
-        return self.exponents.tobytes()
+        if self._key is None:
+            self._key = self.exponents.tobytes()
+        return self._key
 
     def __eq__(self, other):
         return (

@@ -25,13 +25,14 @@ column lists the block sizes, and each column sums to |R| exactly at
 b = 0 and to 0 elsewhere.  Grouping orbits by their full column yields
 the left and right dual partitions, unions of orbits.
 
-On a direct product the exponent counts of an invariant partition come
-from the factors, with no kernel call on the product: the blocks are
-unions of products O_1 x O_2 of factor orbits of the other side, and
-chi(ab) = chi_1(a_1 b_1) chi_2(a_2 b_2) for the restricted characters,
-so the count of a block at exponent e folds the factors' counts
-C_i[b_i, O_i, e_i] over the pairs with e_1 N/N_1 + e_2 N/N_2 = e mod N.
-The same sums and checks then run on the product's table.
+On a direct product the table of a partition invariant on the other
+side comes from the leaves, with no kernel call on the product: the
+blocks are unions of products O_1 x ... x O_k of leaf orbits of the
+other side, and chi(ab) = chi_1(a_1 b_1) ... chi_k(a_k b_k) for the
+restricted characters, so the sum over O_1 x ... x O_k at b is the
+product of the leaves' rational orbit sums S_i[b_i, O_i].  Each block's
+sum contracts those with the 0/1 map from orbits to blocks, and the
+product's table is checked as any other.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .characters import (Character, canonical_generating_character, generating_t
                          is_generating, restrictions)
 from .errors import InternalInconsistency, InvalidParameter, ResourceLimit
 from .partitions import Partition, equals
-from .rings import FiniteRing, ProductRing, _check_side
+from .rings import FiniteRing, ProductRing, _check_side, _frozen
 from .weights import gaussian
 
 _COUNT_CHUNK = 1 << 21  # exponent counts held at once, in int64 entries
@@ -73,9 +74,11 @@ class KrawtchoukTable:
     orbit_of: np.ndarray
 
     def entry(self, m: int, b: int) -> cyclotomic.CycInt:
+        _check_index("block", m, self.partition.num_blocks)
         return self.column(b)[m]
 
     def column(self, b: int) -> tuple[cyclotomic.CycInt, ...]:
+        _check_index("element", b, len(self.orbit_of))
         return tuple(cyclotomic.CycInt(self.char.order, tuple(e))
                      for e in self.widen(self.coeffs[self.orbit_of[b]]).tolist())
 
@@ -107,6 +110,11 @@ class KrawtchoukTable:
             "partition": self.partition.to_json(),
             "entries": [list(map(distinct.__getitem__, block)) for block in entry_of.tolist()],
         }
+
+
+def _check_index(what: str, i: int, count: int) -> None:
+    if not 0 <= i < count:
+        raise InvalidParameter(f"{what} index {i} out of range 0..{count - 1}")
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -162,15 +170,15 @@ def _table(partition: Partition, char: Character, side: str) -> KrawtchoukTable:
         raise ResourceLimit(f"{ring.expr}: reducing a {side} table of {len(reps)} columns and "
                             f"{nblocks} blocks at character order {order} takes {work} "
                             f"coordinate updates, more than {_DIVISION_WORK}")
+    where = f"{ring.expr}, character of order {order}, {side} table"
     if invariant and isinstance(ring, ProductRing):
-        counts = _factor_counts(ring, block_of[other_reps], nblocks, char, side)
+        parts = [_product_sums(block_of[other_reps], nblocks, char, side, where)[..., None]]
     else:
         counts = _kernel_counts(ring, block_of, nblocks, char, side, reps)
-    where = f"{ring.expr}, character of order {order}, {side} table"
-    if rational:
-        parts = [cyclotomic.rational_sums(order, c, where)[..., None] for c in counts]
-    else:
-        parts = [cyclotomic.reduce_exponent_counts(order, c) for c in counts]
+        if rational:
+            parts = [cyclotomic.rational_sums(order, c, where)[..., None] for c in counts]
+        else:
+            parts = [cyclotomic.reduce_exponent_counts(order, c) for c in counts]
     table = KrawtchoukTable(partition, char, side, np.concatenate(parts), orbit_of)
     _check_table(table, where)
     return table
@@ -189,76 +197,37 @@ def _kernel_counts(ring: FiniteRing, block_of: np.ndarray, nblocks: int, char: C
                         for b in reps[start:start + step].tolist()]).reshape(-1, nblocks, order)
 
 
-def _leaf_counts(leaf: FiniteRing, char: Character, side: str, order: int):
-    """The nonzero counts C[b, O, e] of a leaf, as four aligned arrays.
-
-    C[b, O, e] counts the a in the other-side unit orbit O of the leaf
-    with chi(ab) = zeta^e (chi(ba) for side 'right'), for each
-    representative b of a unit orbit of the side.  Exponents come scaled
-    from the character's order to ``order``.  One kernel call on the
-    leaf per orbit.
-    """
-    reps, _ = leaf.unit_orbits(side)
-    other_reps, other_of = leaf.unit_orbits("right" if side == "left" else "left")
-    key = other_of * char.order
-    kernel = leaf.mul_col if side == "left" else leaf.mul_row
-    counts = np.stack([np.bincount(key + char.exponents[kernel(b)],
-                                   minlength=len(other_reps) * char.order)
-                       for b in reps.tolist()])
-    col, flat = np.nonzero(counts)
-    orbit, exp = np.divmod(flat, char.order)
-    return col, orbit, exp * (order // char.order), counts[col, flat]
+def _orbit_sums(char: Character, side: str, where: str) -> np.ndarray:
+    """A leaf's sums [side orbit k, other-side orbit O] of chi(ab) over a
+    in O, b the representative of k (chi(ba) on the right).  Rational, as
+    O is a union of unit orbits: every count row passes
+    ``cyclotomic.rational_sums``, whose messages start with ``where``.
+    Cached on the character, per side."""
+    cache = char.__dict__.setdefault("_orbit_sums", {})
+    if side not in cache:
+        leaf = char.ring
+        reps, _ = leaf.unit_orbits(side)
+        other_reps, other_of = leaf.unit_orbits("right" if side == "left" else "left")
+        counts = _kernel_counts(leaf, other_of, len(other_reps), char, side, reps)
+        cache[side] = _frozen(np.concatenate(
+            [cyclotomic.rational_sums(char.order, c, where) for c in counts]))
+    return cache[side]
 
 
-def _fold(acc, leaf, radices, order: int):
-    """Every pair of an accumulated count and a leaf count: columns and
-    orbits in mixed radix, exponents added mod the order, counts
-    multiplied."""
-    (cols, orbits), (lcols, lorbits) = (acc[:2], leaf[:2])
-    return ((cols[:, None] * radices[0] + lcols).ravel(),
-            (orbits[:, None] * radices[1] + lorbits).ravel(),
-            ((acc[2][:, None] + leaf[2]) % order).ravel(),
-            (acc[3][:, None] * leaf[3]).ravel())
-
-
-def _factor_counts(ring: ProductRing, block_of_orbit: np.ndarray, nblocks: int,
-                   char: Character, side: str):
-    """Exponent counts [column, block, exponent] of a product's orbit
-    columns, from its leaves, in chunks of at most _COUNT_CHUNK entries.
-
-    The leaves after the first are folded pairwise into one list of
-    (column, other-side orbit, exponent, count), equal keys merged; each
-    chunk of the first leaf's columns is folded with it last, and every
-    combined orbit, coded as the product's own orbit id, is mapped to its
-    block by ``block_of_orbit``.  Each count is at most |R|, so the
-    float64 sums of bincount are exact.
-    """
-    order = char.order
-    leaves = ring.leaves
-    side_k = [len(leaf.unit_orbits(side)[0]) for leaf in leaves]
-    other_k = [len(leaf.unit_orbits("right" if side == "left" else "left")[0])
-               for leaf in leaves]
-    counts = [_leaf_counts(leaf, c, side, order) for leaf, c in zip(leaves, restrictions(char))]
-    rest, rest_cols, rest_orbits = counts[-1], side_k[-1], other_k[-1]
-    for i in range(len(leaves) - 2, 0, -1):
-        cols, orbits, exps, num = _fold(counts[i], rest, (rest_cols, rest_orbits), order)
-        rest_cols, rest_orbits = rest_cols * side_k[i], rest_orbits * other_k[i]
-        keys, group = np.unique((cols * rest_orbits + orbits) * order + exps,
-                                return_inverse=True)
-        num = np.bincount(group, weights=num).astype(np.int64)
-        cols, rest_orbit_exp = np.divmod(keys, rest_orbits * order)
-        rest = (cols, *np.divmod(rest_orbit_exp, order), num)
-    first = counts[0]
-    step = max(1, _COUNT_CHUNK // (rest_cols * nblocks * order))
-    for start in range(0, side_k[0], step):
-        stop = min(start + step, side_k[0])
-        take = (first[0] >= start) & (first[0] < stop)
-        chunk = (first[0][take] - start, *(part[take] for part in first[1:]))
-        cols, orbits, exps, num = _fold(chunk, rest, (rest_cols, rest_orbits), order)
-        ncols = (stop - start) * rest_cols
-        flat = (cols * nblocks + block_of_orbit[orbits]) * order + exps
-        yield np.bincount(flat, weights=num, minlength=ncols * nblocks * order).astype(
-            np.int64).reshape(ncols, nblocks, order)
+def _product_sums(block_of_orbit: np.ndarray, nblocks: int, char: Character, side: str,
+                  where: str) -> np.ndarray:
+    """A product's rational table [orbit, block] of a partition invariant
+    on the other side: the 0/1 map from other-side orbits to blocks, one
+    axis per leaf (orbit ids are mixed radix over the leaves), contracted
+    with each leaf's ``_orbit_sums`` in turn.  Each partial sum adds at
+    most |R| roots of unity, so int64 is exact."""
+    sums = [_orbit_sums(c, side, where) for c in restrictions(char)]
+    acc = np.zeros((len(block_of_orbit), nblocks), dtype=np.int64)
+    acc[np.arange(len(block_of_orbit)), block_of_orbit] = 1
+    acc = acc.reshape([s.shape[1] for s in sums] + [nblocks])
+    for s in sums:  # [O_i, ..., O_k, block, b_1, ..., b_i-1] -> [O_i+1, ..., block, ..., b_i]
+        acc = np.tensordot(acc, s, axes=(0, 1))
+    return np.ascontiguousarray(acc.reshape(nblocks, -1).T)
 
 
 def _check_table(table: KrawtchoukTable, where: str) -> None:

@@ -653,8 +653,8 @@ class ProductRing(FiniteRing):
     restriction is, the unit sums are products of the factors' sums, the
     weight equations are checked on the product through the factors'
     principal-ideal matrices, and the Krawtchouk columns of a partition
-    invariant on the other side are built from the factors' exponent
-    counts, then checked on the product.
+    invariant on the other side are contracted from the leaves' rational
+    orbit sums, then checked on the product.
     """
 
     def __init__(self, factors, max_size: int | None = None):

@@ -15,6 +15,7 @@ from frobring.characters import (
     translate,
 )
 from frobring.cyclotomic import from_exponent_counts, reduce_exponent_counts
+from frobring.duality import krawtchouk_table
 from frobring.errors import InternalInconsistency, InvalidParameter
 from frobring.rings import (
     build_gf,
@@ -26,6 +27,8 @@ from frobring.rings import (
     cayley_tables,
 )
 from frobring.cli import _non_frobenius_ring, build_ring, parse_ring
+from frobring.partitions import hom_partition
+from frobring.weights import weight_table
 
 from frobring.characters import _additive_maps, _check_hom
 from oracles import (
@@ -524,3 +527,23 @@ def test_non_generating_canonical_character_names_ring_order_and_side(monkeypatc
     assert str(err.value) == (
         "Z4: the kernel of the canonical character of order 4 holds a nonzero left ideal"
     )
+
+
+def test_exponents_are_read_only_and_keyed_once():
+    """The tables and weights cached under ``key()`` rely on exponents
+    no caller can change; the key is built once, and an equal character
+    finds the same cached objects."""
+    ring = build_zmod(12)
+    char = canonical_generating_character(ring)
+    with pytest.raises(ValueError):
+        char.exponents[1] = 0
+    with pytest.raises(ValueError):
+        char.exponents += 1
+    assert char.exponents.tolist() == list(range(12))
+    assert char.key() is char.key()
+    part = hom_partition(ring, char)
+    table, weights = krawtchouk_table(part, char, "left"), weight_table(ring, char)
+    twin = Character(ring, char.exponents.copy(), char.order)
+    assert krawtchouk_table(part, char, "left") is table
+    assert krawtchouk_table(part, twin, "left") is table
+    assert weight_table(ring, twin) is weights

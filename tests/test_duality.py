@@ -132,6 +132,23 @@ def test_table_invariants(partition):
             assert total.tolist() == [expected] + [0] * (len(total) - 1)
 
 
+def test_table_indices_out_of_range_are_refused(z4):
+    """Blocks and elements are indexed from 0; a negative or too large
+    index names itself and the valid range, rather than wrapping."""
+    table = krawtchouk_table(hom_partition(z4), canonical_generating_character(z4), "left")
+    for m, b, message in [(-1, 0, "block index -1 out of range 0..2"),
+                          (3, 0, "block index 3 out of range 0..2"),
+                          (0, -1, "element index -1 out of range 0..3"),
+                          (0, 4, "element index 4 out of range 0..3")]:
+        with pytest.raises(InvalidParameter, match=f"^{message}$"):
+            table.entry(m, b)
+    for b, message in [(-1, "element index -1 out of range 0..3"),
+                       (4, "element index 4 out of range 0..3")]:
+        with pytest.raises(InvalidParameter, match=f"^{message}$"):
+            table.column(b)
+    assert table.entry(2, 3) == table.column(3)[2]
+
+
 def test_table_is_cached(z12):
     p = hom_partition(z12)
     char = canonical_generating_character(z12)
@@ -658,8 +675,8 @@ def test_orbit_grouping_matches_the_element_grouping(ring, unique_sizes):
     """The weight partition, every keyed builder, both duals of the weight
     partition and each one's bidual, against the oracle's grouping of
     per-element keys: a dual's key is the element's own column, computed
-    with no orbit assumed.  Every np.unique call of the partitions
-    groups fewer keys than elements."""
+    with no orbit assumed.  No np.unique call of the partitions groups
+    more keys than a side has unit orbits."""
     char = canonical_generating_character(ring)
     for partition, key_of, label in _keyed_builders(ring):
         _assert_matches_grouping(partition, key_of, label)
@@ -670,7 +687,8 @@ def test_orbit_grouping_matches_the_element_grouping(ring, unique_sizes):
                                   (dual, dual_partition(dual, char, other), other)):
             columns = list(map(tuple, rational_columns_by_element(parent, char, on).tolist()))
             _assert_matches_grouping(child, columns.__getitem__)
-    assert unique_sizes and max(unique_sizes) < ring.size
+    assert unique_sizes and max(unique_sizes) <= max(len(ring.unit_orbits(side)[0])
+                                                      for side in ("left", "right"))
 
 
 def test_small_count_chunks_give_the_same_table(monkeypatch):
@@ -710,7 +728,7 @@ def test_runaway_division_is_refused_before_counting(monkeypatch):
     def no_counts(*args):
         raise AssertionError("counted")
 
-    monkeypatch.setattr(duality, "_factor_counts", no_counts)
+    monkeypatch.setattr(duality, "_orbit_sums", no_counts)
     monkeypatch.setattr(duality, "_kernel_counts", no_counts)
     for side in ("left", "right"):
         with pytest.raises(ResourceLimit, match=f"Z2 x Z4620: reducing a {side} table of 9240 "
@@ -853,19 +871,19 @@ def test_broken_rational_orthogonality_names_ring_order_and_side(monkeypatch):
     assert "Z9, character of order 9, left table: column at 1 sums to" in str(err.value)
 
 
-@pytest.mark.parametrize("expr, counter", [("Z9", "_kernel_counts"),
-                                           ("Z9 x Z3", "_factor_counts")])
-def test_counts_off_their_gcd_classes_name_ring_order_and_side(monkeypatch, expr, counter):
+@pytest.mark.parametrize("expr", ["Z9", "Z9 x Z3"])
+def test_counts_off_their_gcd_classes_name_ring_order_and_side(monkeypatch, expr):
     """A count row of a rational table that is not constant on the classes
-    {e : gcd(e, N) = g} is refused, on the kernel and the factor route."""
-    count = getattr(duality, counter)
+    {e : gcd(e, N) = g} is refused, on the kernel route and, for a leaf's
+    orbit sums, on the product route, naming the ring counted for."""
+    count = duality._kernel_counts
 
     def skewed(*args):
         for chunk in count(*args):
             chunk[..., 1] += 1
             yield chunk
 
-    monkeypatch.setattr(duality, counter, skewed)
+    monkeypatch.setattr(duality, "_kernel_counts", skewed)
     ring = build_ring(parse_ring(expr))
     char = canonical_generating_character(ring)
     with pytest.raises(InternalInconsistency) as err:

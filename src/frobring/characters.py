@@ -125,17 +125,16 @@ def _kernel_holds_ideal(char: Character, side: str) -> bool:
     Rx = R(ux), so the answer is shared along each unit orbit Ux (xU on
     the right).  An orbit with a member outside the kernel witnesses
     itself, as that member lies in every member's ideal; only orbits
-    inside the kernel need one ideal check, at their representative.
+    inside the kernel need one ideal check, on their representative's
+    image row from the ring's orbit index.
     """
-    ring = char.ring
     exps = char.exponents
-    reps, orbit_of = ring.unit_orbits(side)
-    witnessed = np.zeros(len(reps), dtype=bool)
-    witnessed[orbit_of[exps != 0]] = True
+    index = char.ring.orbit_index(side)
+    witnessed = np.zeros(len(index.reps), dtype=bool)
+    witnessed[index.orbit_of[exps != 0]] = True
     witnessed[0] = True  # the orbit of 0 is {0}
-    for x in reps[~witnessed].tolist():
-        ideal = ring.mul_col(x) if side == "left" else ring.mul_row(x)
-        if not exps[ideal].any():
+    for image in index.images[~witnessed]:
+        if not exps[image].any():
             return True
     return False
 
@@ -203,10 +202,13 @@ def canonical_generating_character(ring: FiniteRing) -> Character:
         if not ring.is_frobenius:  # then no character is generating
             raise CharacterSearchFailed(f"{ring.expr}: no generating character "
                                         "(ring is not Frobenius)")
-        side = "left" if _kernel_holds_ideal(char, "left") else "right"
+        # on a product, the first restriction that is not generating
+        part = next(c for c in restrictions(char) if not is_generating(c))
+        side = "left" if _kernel_holds_ideal(part, "left") else "right"
+        where = "" if part is char else f" of the factor {part.ring.expr}"
         raise InternalInconsistency(
             f"{ring.expr}: the kernel of the canonical character of order "
-            f"{char.order} holds a nonzero {side} ideal"
+            f"{char.order} holds a nonzero {side} ideal{where}"
         )
     ring._canonical_char = char
     return char

@@ -5,8 +5,9 @@ sum of chi(a b) over a in P_m; the right coefficient sums chi(b a).
 When every block is closed under unit multiplication on the other side
 (P_m u = P_m for the left table, u P_m = P_m for the right), the left
 column at ub equals the one at b, so a table keeps one column per unit
-orbit of its side and maps elements to orbits.  Otherwise every element
-is its own orbit, through the same code.
+orbit of its side, summed over the representative's image row from the
+ring's orbit index, and maps elements to orbits.  Otherwise every
+element is its own orbit, its column summed over one kernel call.
 
 When the blocks are unions of unit orbits of either side, every
 coefficient is a rational integer.  The order N of a generating
@@ -37,7 +38,9 @@ product's table is checked as any other.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 
 import numpy as np
@@ -47,7 +50,7 @@ from .characters import (Character, canonical_generating_character, generating_t
                          is_generating, restrictions)
 from .errors import InternalInconsistency, InvalidParameter, ResourceLimit
 from .partitions import Partition, equals
-from .rings import FiniteRing, ProductRing, _check_side, _frozen
+from .rings import ProductRing, _check_side, _frozen
 from .weights import gaussian
 
 _COUNT_CHUNK = 1 << 21  # exponent counts held at once, in int64 entries
@@ -151,12 +154,12 @@ def _table(partition: Partition, char: Character, side: str) -> KrawtchoukTable:
     """The table of ``krawtchouk_table``, computed afresh and not cached."""
     ring = partition.ring
     block_of = partition.block_of
-    other = "right" if side == "left" else "left"
-    other_reps, other_of = ring.unit_orbits(other)
-    invariant = np.array_equal(block_of[other_reps[other_of]], block_of)
-    reps, orbit_of = ring.unit_orbits(side)
+    other = ring.orbit_index("right" if side == "left" else "left")
+    invariant = np.array_equal(block_of[other.rep_of], block_of)
+    index = ring.orbit_index(side)
     # unions of unit orbits of either side have rational coefficients
-    rational = invariant or np.array_equal(block_of[reps[orbit_of]], block_of)
+    rational = invariant or np.array_equal(block_of[index.rep_of], block_of)
+    reps, orbit_of = index.reps, index.orbit_of
     if not invariant:  # not invariant on the other side: every element is its own orbit
         reps = orbit_of = np.arange(ring.size)
     nblocks, order = partition.num_blocks, char.order
@@ -172,9 +175,11 @@ def _table(partition: Partition, char: Character, side: str) -> KrawtchoukTable:
                             f"coordinate updates, more than {_DIVISION_WORK}")
     where = f"{ring.expr}, character of order {order}, {side} table"
     if invariant and isinstance(ring, ProductRing):
-        parts = [_product_sums(block_of[other_reps], nblocks, char, side, where)[..., None]]
-    else:
-        counts = _kernel_counts(ring, block_of, nblocks, char, side, reps)
+        parts = [_product_sums(block_of[other.reps], nblocks, char, side, where)[..., None]]
+    else:  # an orbit's column sums over its stored image row, an element's over a kernel call
+        kernel = ring.mul_col if side == "left" else ring.mul_row
+        rows = index.images if invariant else map(kernel, reps.tolist())
+        counts = _kernel_counts(block_of, nblocks, char, rows)
         if rational:
             parts = [cyclotomic.rational_sums(order, c, where)[..., None] for c in counts]
         else:
@@ -184,17 +189,17 @@ def _table(partition: Partition, char: Character, side: str) -> KrawtchoukTable:
     return table
 
 
-def _kernel_counts(ring: FiniteRing, block_of: np.ndarray, nblocks: int, char: Character,
-                   side: str, reps: np.ndarray):
-    """Exponent counts [column, block, exponent] of the columns at reps,
-    one kernel call each, in chunks of at most _COUNT_CHUNK entries."""
+def _kernel_counts(block_of: np.ndarray, nblocks: int, char: Character, rows: Iterable):
+    """Exponent counts [column, block, exponent], one column per image row
+    in ``rows`` (an orbit index's stored rows, or one kernel call per
+    element), in chunks of at most _COUNT_CHUNK entries."""
     order, exps = char.order, char.exponents
     base = block_of * order
-    kernel = ring.mul_col if side == "left" else ring.mul_row
     step = max(1, _COUNT_CHUNK // (nblocks * order))
-    for start in range(0, len(reps), step):
-        yield np.stack([np.bincount(base + exps[kernel(b)], minlength=nblocks * order)
-                        for b in reps[start:start + step].tolist()]).reshape(-1, nblocks, order)
+    rows = iter(rows)
+    while chunk := [np.bincount(base + exps[row], minlength=nblocks * order)
+                    for row in islice(rows, step)]:
+        yield np.stack(chunk).reshape(-1, nblocks, order)
 
 
 def _orbit_sums(char: Character, side: str, where: str) -> np.ndarray:
@@ -206,9 +211,9 @@ def _orbit_sums(char: Character, side: str, where: str) -> np.ndarray:
     cache = char.__dict__.setdefault("_orbit_sums", {})
     if side not in cache:
         leaf = char.ring
-        reps, _ = leaf.unit_orbits(side)
         other_reps, other_of = leaf.unit_orbits("right" if side == "left" else "left")
-        counts = _kernel_counts(leaf, other_of, len(other_reps), char, side, reps)
+        counts = _kernel_counts(other_of, len(other_reps), char,
+                                leaf.orbit_index(side).images)
         cache[side] = _frozen(np.concatenate(
             [cyclotomic.rational_sums(char.order, c, where) for c in counts]))
     return cache[side]

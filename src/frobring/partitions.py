@@ -62,10 +62,10 @@ class Partition:
         orbits, if the ring has indexed them, are grouped once per orbit.
         """
         keys = np.asarray(keys)
-        orbits = getattr(ring, "_orbit_cache", {}).get("left")
-        if orbits is None or not np.array_equal(keys[orbits[0][orbits[1]]], keys):
-            orbits = np.arange(ring.size), np.arange(ring.size)
-        return cls.from_classes(ring, keys[orbits[0]], orbits[1], label)
+        index = getattr(ring, "_orbit_cache", {}).get("left")
+        if index is None or not np.array_equal(keys[index.rep_of], keys):
+            return cls.from_classes(ring, keys, np.arange(ring.size), label)
+        return cls.from_classes(ring, keys[index.reps], index.orbit_of, label)
 
     @classmethod
     def from_classes(cls, ring: FiniteRing, keys, class_of, label=None) -> "Partition":
@@ -209,11 +209,8 @@ def is_invariant(partition: Partition) -> bool:
     unit orbit xU lies inside one block.
     """
     b = partition.block_of
-    for side in ("left", "right"):
-        reps, orbit_of = partition.ring.unit_orbits(side)
-        if not np.array_equal(b[reps[orbit_of]], b):
-            return False
-    return True
+    return all(np.array_equal(b[partition.ring.orbit_index(side).rep_of], b)
+               for side in ("left", "right"))
 
 
 def is_finer(p: Partition, q: Partition) -> bool:

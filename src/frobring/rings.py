@@ -13,11 +13,11 @@ builtin rings such as ex5_5), finite direct products, and explicit table
 rings built from user Cayley data.  Derived structure (units, Jacobson
 radical, socles, principal ideals, the radical quotient) is computed by
 the defining property in each case.  Properties that depend only on a principal
-ideal Rx = R(ux) or xR = (xu)R are decided once per unit orbit, through
-the cached index ``unit_orbits``, and biadditive identities such as
-commutativity on pairs of generators of (R,+).  A set of elements (the
-units, the radical, a socle) is held as a sorted read-only int64 array
-of indices.  A direct product takes its units, unit orbits, radical,
+ideal Rx = R(ux) or xR = (xu)R are decided once per unit orbit, on the
+image rows the cached ``orbit_index`` keeps, and biadditive identities
+such as commutativity on pairs of generators of (R,+).  A set of
+elements (the units, the radical, a socle) is held as a sorted read-only
+int64 array of indices.  A direct product takes its units, unit orbits, radical,
 socles and Frobenius test from its factors, in mixed radix.
 """
 
@@ -83,6 +83,24 @@ class AdditivePresentation(NamedTuple):
     shifts: np.ndarray
     cosets: tuple[np.ndarray, ...]
     closing: tuple[int, ...]
+
+
+class OrbitIndex(NamedTuple):
+    """The unit orbits of one side: the representatives, the orbit id and
+    the representative of every element, and the image row of each
+    representative (None on a product, whose consumers image its leaves)."""
+
+    reps: np.ndarray
+    orbit_of: np.ndarray
+    rep_of: np.ndarray
+    images: np.ndarray | None
+
+
+def _image_masks(images: np.ndarray, size: int) -> np.ndarray:
+    """The boolean matrix whose row k marks the entries of image row k."""
+    masks = np.zeros((len(images), size), dtype=bool)
+    masks[np.arange(len(images))[:, None], images] = True
+    return masks
 
 
 class FiniteRing:
@@ -191,30 +209,50 @@ class FiniteRing:
         return np.array(out, dtype=np.int64)
 
     def unit_orbits(self, side: str = "left") -> tuple[np.ndarray, np.ndarray]:
+        """The representatives and the orbit id of every element, from
+        ``orbit_index``."""
+        return self.orbit_index(side)[:2]
+
+    def orbit_index(self, side: str = "left") -> OrbitIndex:
         """The unit orbits Ux (side 'left') or xU ('right'), indexed once.
 
-        Returns the representatives, each the least index of its orbit,
-        in increasing order, and the orbit id of every element.  Building
-        the index costs one kernel call over the units per orbit.
+        Representatives are the least index of their orbit, in increasing
+        order.  The discovery pass makes one kernel call per orbit, over
+        all of R: the row a*r (left) or r*a (right) of a representative r
+        is its image row, and its entries at the units are the orbit.
+        The image rows are kept, in the narrowest unsigned dtype that
+        indexes the ring, for every consumer that reads Rr or rR: at most
+        orbits x n <= n^2 entries, which for a ``TableRing`` is no more
+        than its own tables.  Above the default size guard that can be
+        large (Z720720 has 240 orbits, about 0.7 GB of uint32 rows).  A
+        commutative ring has Ux = xU and a*r = r*a, so its right index is
+        its left one.
         """
         _check_side(side)
         cache = getattr(self, "_orbit_cache", None)
         if cache is None:
             cache = self._orbit_cache = {}
+        if side == "right" and side not in cache and self.is_commutative:
+            cache[side] = self.orbit_index("left")
         if side not in cache:
-            cache[side] = tuple(map(_frozen, self._compute_unit_orbits(side)))
+            index = self._compute_unit_orbits(side)
+            cache[side] = OrbitIndex(*(a if a is None else _frozen(a) for a in index))
         return cache[side]
 
-    def _compute_unit_orbits(self, side: str) -> tuple[np.ndarray, np.ndarray]:
+    def _compute_unit_orbits(self, side: str) -> OrbitIndex:
         units = self.units
+        kernel = self.mul_col if side == "left" else self.mul_row
+        dtype = np.min_scalar_type(self.size - 1)
         orbit_of = np.full(self.size, -1, dtype=np.int64)
-        reps = []
+        reps, images = [], []
         for x in range(self.size):
             if orbit_of[x] < 0:
-                orbit = self.mul_col(x, units) if side == "left" else self.mul_row(x, units)
-                orbit_of[orbit] = len(reps)
+                image = kernel(x)
+                orbit_of[image[units]] = len(reps)
                 reps.append(x)
-        return np.asarray(reps, dtype=np.int64), orbit_of
+                images.append(image.astype(dtype))
+        reps = np.asarray(reps, dtype=np.int64)
+        return OrbitIndex(reps, orbit_of, reps[orbit_of], np.array(images))
 
     @cached_property
     def radical(self) -> np.ndarray:
@@ -222,22 +260,23 @@ class FiniteRing:
         x such that 1 - r*x is a unit for every r.
 
         As r runs over R so does -r, so that reads: 1 + y is a unit for
-        every y in Rx.  The condition reads only Rx = R(ux), so one
-        representative decides each left unit orbit.
+        every y in Rx.  The condition reads only Rx = R(ux), so the image
+        row of each left orbit's representative decides the orbit.
         """
-        one_plus = self.add_row(self.one)
-        is_unit = np.isin(np.arange(self.size), self.units)
-        reps, orbit_of = self.unit_orbits("left")
-        inside = np.array([is_unit[one_plus[self.mul_col(x)]].all() for x in reps.tolist()])
-        return _frozen(np.flatnonzero(inside[orbit_of]))
+        is_unit = np.zeros(self.size, dtype=bool)
+        is_unit[self.units] = True
+        index = self.orbit_index("left")
+        inside = is_unit[self.add_row(self.one)][index.images].all(axis=1)
+        return _frozen(np.flatnonzero(inside[index.orbit_of]))
 
     def socle_members(self, side: str = "left") -> np.ndarray:
         """Annihilator of the radical, the left or right socle, as a sorted
-        read-only int64 array of indices.
+        read-only int64 array of indices: x with rad x = 0 (left) or
+        x rad = 0 (right).
 
-        The radical is a union of unit orbits on each side, and
-        (uj)x = u(jx), x(ju) = (xj)u, so one radical element per orbit of
-        that side suffices as annihilator.
+        The radical is a two-sided ideal, so rad (ux) = rad x and
+        (xu) rad = x rad: the image row of each representative of the side,
+        read at the radical, decides its orbit.
         """
         _check_side(side)
         cache = getattr(self, "_socle_cache", None)
@@ -248,11 +287,9 @@ class FiniteRing:
         return cache[side]
 
     def _compute_socle(self, side: str) -> np.ndarray:
-        reps, _ = self.unit_orbits(side)
-        mask = np.ones(self.size, dtype=bool)
-        for j in reps[np.isin(reps, self.radical)].tolist():
-            mask &= (self.mul_row(j) if side == "left" else self.mul_col(j)) == 0
-        return np.flatnonzero(mask)
+        index = self.orbit_index(side)
+        inside = (index.images[:, self.radical] == 0).all(axis=1)
+        return np.flatnonzero(inside[index.orbit_of])
 
     def principal_ideal_mask(self, x: int, side: str = "left") -> np.ndarray:
         """Boolean membership mask of Rx (side 'left') or xR ('right')."""
@@ -267,11 +304,12 @@ class FiniteRing:
         return tuple(int(v) for v in np.flatnonzero(self.principal_ideal_mask(x, side)))
 
     def _socle_is_principal(self, side: str) -> bool:
-        soc = np.isin(np.arange(self.size), self.socle_members(side))
-        reps, _ = self.unit_orbits(side)
+        soc = np.zeros(self.size, dtype=bool)
+        soc[self.socle_members(side)] = True
+        index = self.orbit_index(side)
         # Ra = R(ua) and aR = (au)R: one candidate generator per orbit in the socle
-        return any(np.array_equal(self.principal_ideal_mask(int(a), side), soc)
-                   for a in reps[soc[reps]])
+        return bool((_image_masks(index.images[soc[index.reps]], self.size) == soc)
+                    .all(axis=1).any())
 
     @cached_property
     def is_frobenius(self) -> bool:
@@ -718,9 +756,10 @@ class ProductRing(FiniteRing):
         # the least member of U_1x_1 x U_2x_2 is the pair of the factors' least
         # members, and the encoding is lexicographic, so ids follow the reps
         orbits = [f.unit_orbits(side) for f in self.factors]
-        return (_mixed_radix([reps for reps, _ in orbits], self.sizes),
-                _mixed_radix([orbit_of for _, orbit_of in orbits],
-                             [len(reps) for reps, _ in orbits]))
+        reps = _mixed_radix([reps for reps, _ in orbits], self.sizes)
+        orbit_of = _mixed_radix([orbit_of for _, orbit_of in orbits],
+                                [len(reps) for reps, _ in orbits])
+        return OrbitIndex(reps, orbit_of, reps[orbit_of], None)
 
     @cached_property
     def leaves(self):

@@ -11,8 +11,9 @@ same value and both are asserted.  The unit sum is a rational integer,
 so a table holds one integer numerator |R*| - s(x) per element over the
 single denominator |R*|, and is checked against the defining equations
 on both sides in that integer form.  The sums and the checks run once
-per unit orbit, since Rx = R(ux) and the unit sum is the same along Ux
-and along xU.  On a direct product both run on the factors: the unit sum
+per unit orbit, on the image rows the ring's orbit index keeps, since
+Rx = R(ux) and the unit sum is the same along Ux and along xU.  On a
+direct product both run on the factors: the unit sum
 at (x_1, x_2) is s_1(x_1) s_2(x_2) under the restricted characters, and
 the principal ideal of (x_1, x_2) is R_1 x_1 x R_2 x_2, so every ideal
 sum of the product's own numerators is an entry of M_1 NUM M_2^T for the
@@ -34,7 +35,7 @@ import numpy as np
 from . import cyclotomic
 from .characters import Character, canonical_generating_character, restrictions
 from .errors import InternalInconsistency, InvalidParameter
-from .rings import FiniteRing, _frozen, _mixed_radix, _outer
+from .rings import FiniteRing, _frozen, _image_masks, _mixed_radix, _outer
 
 
 def gaussian(m: int, j: int, q: int) -> int:
@@ -146,12 +147,11 @@ def _orbit_ideals(ring: FiniteRing, side: str) -> tuple[np.ndarray, np.ndarray]:
     """The principal ideals of the unit-orbit representatives.
 
     Returns the boolean matrix whose row k marks the ideal of the k-th
-    representative (Rx on side 'left', xR on 'right'), and for each
-    representative the first one generating the same ideal.  One kernel
-    call per orbit.
+    representative (Rx on side 'left', xR on 'right'), scattered from its
+    image row in the ring's orbit index, and for each representative the
+    first one generating the same ideal.
     """
-    reps, _ = ring.unit_orbits(side)
-    masks = np.stack([ring.principal_ideal_mask(r, side) for r in reps.tolist()])
+    masks = _image_masks(ring.orbit_index(side).images, ring.size)
     rows = np.packbits(masks, axis=1)
     keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
     _, first, group = np.unique(keys, return_index=True, return_inverse=True)
@@ -183,13 +183,13 @@ def _validate_homogeneous(ring: FiniteRing, num: np.ndarray, denom: int) -> None
             f"{ring.expr}: weight of 0 is {Fraction(int(num[0]), denom)}, not 0")
     leaves = ring.leaves
     for side in ("left", "right"):
-        reps, orbit_of = ring.unit_orbits(side)
-        off = np.flatnonzero(num[reps[orbit_of]] != num)
+        reps, _, rep_of, _ = ring.orbit_index(side)
+        off = np.flatnonzero(num[rep_of] != num)
         if len(off):
             x = int(off[0])
             raise InternalInconsistency(
                 f"{ring.expr}: weight is not constant on the {side} unit orbit "
-                f"of {reps[orbit_of[x]]} (element {x})"
+                f"of {rep_of[x]} (element {x})"
             )
         masks, firsts = zip(*(_orbit_ideals(leaf, side) for leaf in leaves))
         totals = num.reshape([leaf.size for leaf in leaves])
@@ -226,8 +226,9 @@ def _unit_sums(ring: FiniteRing, char: Character, side: str) -> np.ndarray:
     of the restrictions at the components, so the sum factors over the
     leaves, each taken with its restricted character.  On a leaf, side
     'left' sums chi(u*x) over the units, side 'right' chi(x*u), the same
-    along the orbit Ux (xU): one kernel call counts the exponents, scaled
-    to the order N of chi, for a whole orbit.  Multiplying by a.1,
+    along the orbit Ux (xU): the image rows of the leaf's orbit index,
+    read at the units, give every orbit's exponent counts, scaled to the
+    order N of chi, in one ``bincount``.  Multiplying by a.1,
     gcd(a, N) = 1, permutes the units, so each sum is fixed by the Galois
     map zeta -> zeta^a: one ``cyclotomic.rational_sums`` call checks that
     every count row is constant on the classes {e : gcd(e, N) = g} and
@@ -235,19 +236,17 @@ def _unit_sums(ring: FiniteRing, char: Character, side: str) -> np.ndarray:
     table.  A unit sum is at most |R*|, so the products are exact in int64.
     """
     order, leaves = char.order, ring.leaves
-    reps = [leaf.unit_orbits(side)[0].tolist() for leaf in leaves]
-    counts, row = np.empty((sum(map(len, reps)), order), dtype=np.int64), 0
-    for leaf, c, leaf_reps in zip(leaves, restrictions(char), reps):
-        kernel = leaf.mul_col if side == "left" else leaf.mul_row
-        exps = c.exponents * (order // c.order)
-        for x in leaf_reps:
-            counts[row] = np.bincount(exps[kernel(x, leaf.units)], minlength=order)
-            row += 1
+    counts = []
+    for leaf, c in zip(leaves, restrictions(char)):
+        images = leaf.orbit_index(side).images[:, leaf.units]
+        rows = (c.exponents * (order // c.order))[images]
+        rows += np.arange(len(images))[:, None] * order
+        counts.append(np.bincount(rows.ravel(), minlength=len(images) * order).reshape(-1, order))
     where = f"{ring.expr}, character of order {order}, {side} unit sums"
-    sums = cyclotomic.rational_sums(order, counts, where)
-    ends = accumulate(map(len, reps))
-    return _outer(np.multiply, [sums[end - len(r):end][leaf.unit_orbits(side)[1]]
-                                for leaf, r, end in zip(leaves, reps, ends)])
+    sums = cyclotomic.rational_sums(order, np.concatenate(counts), where)
+    ends = accumulate(map(len, counts))
+    return _outer(np.multiply, [sums[end - len(n):end][leaf.unit_orbits(side)[1]]
+                                for leaf, n, end in zip(leaves, counts, ends)])
 
 
 def weight_table(ring: FiniteRing, char: Character | None = None) -> WeightTable:

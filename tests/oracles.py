@@ -48,12 +48,13 @@ of its 4x4 binary matrices, the 8-element non-Frobenius algebra by
 packed-bit arithmetic.  Any ring can be rebuilt as a table ring from its
 own Cayley tables, a twin on which every result must come out the same.
 A product takes its structure, generating test, unit sums, weight
-validation and Krawtchouk columns from its factors; the direct orbit
-routes on the whole product, one kernel call on it per unit orbit, are
-kept here for those: the orbit scans of ``FiniteRing`` for the radical,
-the socles and the Frobenius test, the ideal search per orbit for the
-generating test, the unit sum per orbit, the validator that builds each
-orbit's principal ideal as a mask, and the Krawtchouk column per orbit.
+validation and Krawtchouk columns from its factors, and any other ring
+reads them off the image rows its orbit index keeps; the direct orbit
+routes, one kernel call on the whole ring per unit orbit, are kept here
+for both: the orbit scans for the radical, the socles and the Frobenius
+test, the ideal search per orbit for the generating test, the unit sum
+per orbit, each orbit's principal ideal as a mask, the validator built
+on those masks, and the Krawtchouk column per orbit.
 Cyclotomic integers of different orders are compared by lifting both to
 a common multiple through the reducer, which no library route needs.
 Element labels decoded one element at a time, through each product's
@@ -859,14 +860,16 @@ def krawtchouk_table_by_element(partition, char, side: str) -> list[list]:
 
 
 def structure_by_orbit_scan(ring) -> tuple:
-    """Radical, left and right socles and the Frobenius flag by the orbit
-    scans a ring that is not a product takes, with kernel calls on the
-    ring itself: the radical test 1 - rx a unit per left orbit, the
-    annihilator of one radical element per orbit, and a generator of
-    each socle searched among the orbit representatives inside it."""
-    from frobring.rings import FiniteRing
-
-    radical = FiniteRing.radical.func(ring)
+    """Radical, left and right socles and the Frobenius flag by orbit
+    scans with one kernel call on the ring itself per representative: the
+    radical test 1 - rx a unit per left orbit, the annihilator of one
+    radical element per orbit, and a generator of each socle searched
+    among the orbit representatives inside it."""
+    one_plus = ring.add_row(ring.one)
+    is_unit = np.isin(np.arange(ring.size), ring.units)
+    reps, orbit_of = ring.unit_orbits("left")
+    inside = np.array([is_unit[one_plus[ring.mul_col(x)]].all() for x in reps.tolist()])
+    radical = np.flatnonzero(inside[orbit_of])
     socles, principal = [], []
     for side in ("left", "right"):
         reps, _ = ring.unit_orbits(side)
@@ -874,19 +877,42 @@ def structure_by_orbit_scan(ring) -> tuple:
         for j in reps[np.isin(reps, radical)].tolist():
             soc &= (ring.mul_row(j) if side == "left" else ring.mul_col(j)) == 0
         socles.append(tuple(np.flatnonzero(soc).tolist()))
-        principal.append(any(np.array_equal(ring.principal_ideal_mask(a, side), soc)
+        principal.append(any(np.array_equal(_ideal_mask(ring, a, side), soc)
                              for a in reps[soc[reps]].tolist()))
     if principal[0] != principal[1]:
         raise InternalInconsistency("one-sided principal-socle conditions disagree")
     return radical, socles[0], socles[1], principal[0]
 
 
-def is_generating_by_orbits(char) -> bool:
-    """Generating test on the whole ring: one ideal check per unit orbit
-    inside the kernel, on each side."""
-    from frobring.characters import _kernel_holds_ideal
+def _ideal_mask(ring, x: int, side: str) -> np.ndarray:
+    """Membership mask of Rx (side 'left') or xR, from one kernel call."""
+    mask = np.zeros(ring.size, dtype=bool)
+    mask[ring.mul_col(x) if side == "left" else ring.mul_row(x)] = True
+    return mask
 
-    return not (_kernel_holds_ideal(char, "left") or _kernel_holds_ideal(char, "right"))
+
+def is_generating_by_orbits(char) -> bool:
+    """Generating test on the whole ring: the ideal of every nonzero
+    orbit representative, on each side, from one kernel call, must leave
+    the kernel."""
+    ring, exps = char.ring, char.exponents
+    for side in ("left", "right"):
+        reps, _ = ring.unit_orbits(side)  # reps[0] = 0, whose orbit is {0}
+        for x in reps[1:].tolist():
+            if not exps[ring.mul_col(x) if side == "left" else ring.mul_row(x)].any():
+                return False
+    return True
+
+
+def orbit_ideals_by_kernel(ring, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """The principal-ideal masks of the orbit representatives, one kernel
+    call each, and for each representative the first one whose mask is
+    equal, found by comparing masks pairwise."""
+    reps, _ = ring.unit_orbits(side)
+    masks = np.stack([_ideal_mask(ring, r, side) for r in reps.tolist()])
+    first = [next(j for j in range(k + 1) if np.array_equal(masks[j], masks[k]))
+             for k in range(len(reps))]
+    return masks, np.array(first)
 
 
 def unit_sums_by_orbits(ring, char, side: str) -> np.ndarray:
@@ -922,7 +948,7 @@ def validate_homogeneous_by_orbits(ring, num: np.ndarray, denom: int) -> None:
                 f"of {reps[orbit_of[x]]} (element {x})")
         first_seen: dict[bytes, int] = {}
         for r in reps[1:].tolist():
-            members = ring.principal_ideal_mask(r, side)
+            members = _ideal_mask(ring, r, side)
             key = np.packbits(members).tobytes()
             if key in first_seen:
                 if num[r] != num[first_seen[key]]:

@@ -529,6 +529,20 @@ def test_non_generating_canonical_character_names_ring_order_and_side(monkeypatc
     )
 
 
+def test_non_generating_canonical_character_names_the_failing_factor():
+    """On a product the generating test runs on the restrictions, and the
+    error names the first factor whose restriction is not generating,
+    with the product's character order and the side."""
+    z4 = build_zmod(4)
+    ring = build_product([build_matrix_ring(2, build_gf(2)), z4])
+    z4._canonical_char = Character(z4, [0, 2, 0, 2])  # its kernel holds the ideal {0, 2}
+    with pytest.raises(InternalInconsistency) as err:
+        canonical_generating_character(ring)
+    assert str(err.value) == ("M(2,GF(2)) x Z4: the kernel of the canonical character of "
+                              "order 4 holds a nonzero left ideal of the factor Z4")
+    assert not hasattr(ring, "_orbit_cache")  # the product's own orbits were never indexed
+
+
 def test_exponents_are_read_only_and_keyed_once():
     """The tables and weights cached under ``key()`` rely on exponents
     no caller can change; the key is built once, and an equal character

@@ -796,23 +796,39 @@ def test_product_tables_and_orbits_make_no_product_kernel_calls(monkeypatch):
 
 
 def test_orbit_routes_make_few_kernel_calls(monkeypatch):
-    """Structure, weights and invariance of a product make no kernel call on it."""
-    f = build_matrix_ring(2, build_gf(3))
-    ring = build_product([f, f])
+    """A product makes no kernel call on itself, and each ring that is not
+    a product images each unit-orbit representative exactly once per
+    side, in the discovery pass: describe(), weights, invariance, both
+    tables, both duals and is_reflexive read the image rows of the orbit
+    index.  Checked on M(2,GF(3)) x M(2,GF(3)), on M(2,GF(3)) alone and on
+    the table twin of ex5_5."""
     calls = []
     for name in ("mul_row", "mul_col"):
-        def counting(self, *args, _orig=getattr(FiniteRing, name), **kwargs):
-            if self is ring:
-                calls.append(args[0])
+        def counting(self, *args, _name=name, _orig=getattr(FiniteRing, name), **kwargs):
+            calls.append((self, _name, args[0], len(args) == 1 and not kwargs))
             return _orig(self, *args, **kwargs)
 
         monkeypatch.setattr(FiniteRing, name, counting)
-    ring.describe()
-    weight_table(ring)
-    assert is_invariant(hom_partition(ring))
-    orbits = len(ring.unit_orbits("left")[0]) + len(ring.unit_orbits("right")[0])
-    assert orbits == 72
-    assert calls == []
+    twin = table_twin(builtin_ring("ex5_5"))
+    twin.units  # the unit scan of a table ring reads every row, which images no orbit
+    square = build_product([build_matrix_ring(2, build_gf(3))] * 2)
+    for ring in (square, build_matrix_ring(2, build_gf(3)), twin):
+        calls.clear()
+        ring.describe()
+        char = canonical_generating_character(ring)
+        hom = partitions.partition_from_weight(weight_table(ring, char))
+        assert is_invariant(hom)
+        for side in ("left", "right"):
+            duality.krawtchouk_table(hom, char, side)
+            duality.dual_partition(hom, char, side)
+        duality.is_reflexive(hom, char)
+        for leaf in ring.leaves:
+            for side, name in (("left", "mul_col"), ("right", "mul_row")):
+                imaged = [x for r, n, x, whole in calls if r is leaf and n == name and whole]
+                assert sorted(imaged) == leaf.unit_orbits(side)[0].tolist()
+        if ring is square:
+            assert [c for c in calls if c[0] is square] == []
+    assert len(square.unit_orbits("left")[0]) + len(square.unit_orbits("right")[0]) == 72
 
 
 @pytest.mark.parametrize("build", [

@@ -38,6 +38,6 @@ print("nonzero element of weight zero:", any(table.weights[x] == 0 for x in rang
 z12 = build_zmod(12)
 table = weight_table(z12)
 for x in (2, 3, 4, 6):
-    members = z12.principal_ideal_members(x, "left")
+    members = set(z12.mul_col(x).tolist())  # the left ideal Rx, all r*x
     avg = sum(table.weights[y] for y in members) / len(members)
     print(f"Z12 ideal ({x}): size {len(members)}, average weight {avg}")

@@ -20,7 +20,6 @@ import functools
 import json
 import sys
 import time
-from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -273,12 +272,11 @@ def _json_text(payload) -> str:
     """The text of ``json.dumps(payload, indent=2, sort_keys=True)``.
 
     The text is rendered as one list of parts, joined once at the end,
-    at a cost that follows the distinct values rather than the items:
-    - a nonempty list of plain ints is one ``join``, remembered by id at
-      its depth, so a list object shared by many entries (equal
-      Krawtchouk rows share one) is rendered once;
-    - a list whose items are all such lists reads their texts by
-      ``map`` over the item ids, with no Python call per item;
+    with no Python call per int in a list of ints:
+    - a nonempty list of plain ints (a block, ``orbit_of``, a row of
+      Krawtchouk sums) is one ``join``;
+    - a list whose items are all such lists is one such ``join`` per
+      item;
     - a list of dicts with one shared set of str keys, each key's values
       all exactly str or all exactly int, is rendered key by key: one
       ``map`` per key, then each item as one join of key prefixes and
@@ -288,25 +286,19 @@ def _json_text(payload) -> str:
     """
     parts: list[str] = []
     put = parts.append
-    int_texts: defaultdict[int, dict[int, str]] = defaultdict(dict)  # depth -> id -> text
 
-    def int_list_text(value, known: dict[int, str], depth: int) -> str | None:
-        """The text of a nonempty list of plain ints, kept in ``known``; None for anything else."""
+    def int_list_text(value, depth: int) -> str | None:
+        """The text of a nonempty list of plain ints; None for anything else."""
         if not (isinstance(value, (list, tuple)) and value and type(value[0]) is int
                 and {*map(type, value)} == {int}):
             return None
         pad = "\n" + "  " * (depth + 1)
-        text = known[id(value)] = "[" + pad + ("," + pad).join(map(str, value)) + pad[:-2] + "]"
-        return text
+        return "[" + pad + ("," + pad).join(map(str, value)) + pad[:-2] + "]"
 
     def int_list_texts(value, depth: int) -> list[str] | None:
         """The item texts at ``depth`` if every item is a list of plain ints, else None."""
-        known = int_texts[depth]
-        by_id = dict(zip(map(id, value), value))
-        for key in by_id.keys() - known.keys():  # items met for the first time, each once
-            if int_list_text(by_id[key], known, depth) is None:
-                return None
-        return list(map(known.get, map(id, value)))
+        texts = [int_list_text(item, depth) for item in value]
+        return None if None in texts else texts
 
     def dict_row_texts(value, depth: int) -> list[str] | None:
         """The item texts at ``depth`` if the items are dicts sharing one
@@ -350,8 +342,7 @@ def _json_text(payload) -> str:
                 put("," + pad)
             parts[-1] = pad[:-2] + "}"  # the last separator closes the object
         else:
-            known = int_texts[depth]
-            text = known.get(id(value)) or int_list_text(value, known, depth)
+            text = int_list_text(value, depth)
             if text is not None:
                 put(text)
                 return
@@ -385,33 +376,19 @@ def _key_text(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _emit_text(payload: dict, indent: str = "", texts: dict | None = None) -> None:
-    """Print the payload one key per line, each value as ``str()`` writes it.
-
-    The text of every list is kept by id in ``texts`` for the call, so a
-    list shared by many entries (equal Krawtchouk rows share one) is
-    written once.
-    """
-    texts = {} if texts is None else texts
-
-    def text(value: list) -> str:
-        known = texts.get(id(value))
-        if known is None:
-            known = texts[id(value)] = "[" + ", ".join(
-                [text(x) if type(x) is list else repr(x) for x in value]) + "]"
-        return known
-
+def _emit_text(payload: dict, indent: str = "") -> None:
+    """Print the payload one key per line, each value as ``str()`` writes it."""
     for key, value in payload.items():
         if isinstance(value, dict):
             print(f"{indent}{key}:")
-            _emit_text(value, indent + "  ", texts)
+            _emit_text(value, indent + "  ")
         elif isinstance(value, list) and value and isinstance(value[0], dict):
             print(f"{indent}{key}:")
             for item in value:
-                _emit_text(item, indent + "  ", texts)
+                _emit_text(item, indent + "  ")
                 print()
         else:
-            print(f"{indent}{key}: {text(value) if type(value) is list else value}")
+            print(f"{indent}{key}: {value}")
 
 
 # -- partition selection ----------------------------------------------------

@@ -20,7 +20,9 @@ checks that each count row really is constant on the classes
 {e : gcd(e, N) = g}.  Any other table is divided by the N-th cyclotomic
 polynomial into phi(N) coordinates by
 ``cyclotomic.reduce_exponent_counts``; a rational value v stands for the
-coordinates (v, 0, ..., 0), which is how entries and JSON spell it.  On
+coordinates (v, 0, ..., 0), which is how ``entry`` and ``column`` spell
+it.  JSON writes one entry per (block, orbit), beside the orbit of each
+element: a plain int on a rational table, the coordinates otherwise.  On
 the dense array the two invariants are checked once per table: the b = 0
 column lists the block sizes, and each column sums to |R| exactly at
 b = 0 and to 0 elsewhere.  Grouping orbits by their full column yields
@@ -96,22 +98,18 @@ class KrawtchoukTable:
         return out
 
     def to_json(self) -> dict:
-        """The table as nested lists, ``entries[m][b]`` at every element b.
-
-        Equal coefficient rows share one list object, across orbits and
-        blocks, so there are as many row objects as distinct row values.
-        """
-        rows = np.ascontiguousarray(self.coeffs.transpose(1, 0, 2))  # [block, orbit, coord]
-        flat = rows.reshape(-1, rows.shape[2])
-        _, first, row_of = np.unique(_row_keys(flat), return_index=True, return_inverse=True)
-        distinct = self.widen(flat[first]).tolist()
-        entry_of = row_of.reshape(rows.shape[:2])[:, self.orbit_of]
+        """The table as nested lists: ``orbit_of[b]`` is the orbit of
+        element b, and ``entries[m][k]`` the sum over block m at orbit k,
+        an int when the table holds one integer per sum, else its phi(N)
+        coordinates."""
+        coeffs = self.coeffs[..., 0] if self.coeffs.shape[2] == 1 else self.coeffs
         return {
             "ring": self.partition.ring.expr,
             "side": self.side,
             "order": self.char.order,
             "partition": self.partition.to_json(),
-            "entries": [list(map(distinct.__getitem__, block)) for block in entry_of.tolist()],
+            "orbit_of": self.orbit_of.tolist(),
+            "entries": coeffs.swapaxes(0, 1).tolist(),
         }
 
 

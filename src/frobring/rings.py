@@ -11,7 +11,7 @@ Families: integers mod n, finite algebras over F_p given by structure
 constants (Galois fields, full matrix rings over a Galois field, and the
 builtin rings such as ex5_5), finite direct products, and explicit table
 rings built from user Cayley data.  Derived structure (units, Jacobson
-radical, socles, principal ideals, the radical quotient) is computed by
+radical, socles, the radical quotient) is computed by
 the defining property in each case.  Properties that depend only on a principal
 ideal Rx = R(ux) or xR = (xu)R are decided once per unit orbit, on the
 image rows the cached ``orbit_index`` keeps, and biadditive identities
@@ -290,18 +290,6 @@ class FiniteRing:
         index = self.orbit_index(side)
         inside = (index.images[:, self.radical] == 0).all(axis=1)
         return np.flatnonzero(inside[index.orbit_of])
-
-    def principal_ideal_mask(self, x: int, side: str = "left") -> np.ndarray:
-        """Boolean membership mask of Rx (side 'left') or xR ('right')."""
-        _check_side(side)
-        if not 0 <= x < self.size:
-            raise InvalidParameter(f"element index {x} out of range")
-        mask = np.zeros(self.size, dtype=bool)
-        mask[self.mul_col(x) if side == "left" else self.mul_row(x)] = True
-        return mask
-
-    def principal_ideal_members(self, x: int, side: str = "left") -> tuple[int, ...]:
-        return tuple(int(v) for v in np.flatnonzero(self.principal_ideal_mask(x, side)))
 
     def _socle_is_principal(self, side: str) -> bool:
         soc = np.zeros(self.size, dtype=bool)

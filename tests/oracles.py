@@ -28,8 +28,14 @@ rows replaced, and ``json.dumps`` with two-space indent and sorted keys,
 the text the CLI's ``--json`` renderer must reproduce byte for byte.
 The additive presentation walked one coset array at a time is kept for
 the walk that steps through the one-element cosets of {0} in Python.
-The CLI's text output by ``str()`` of each value, which the text
-renderer of list values replaced, is kept too.
+The CLI's text output by ``str()`` of each value is kept too; the text
+renderer prints lists that way again, now that no payload shares list
+objects.  The per-element Krawtchouk payload, every element's phi(N)
+coordinates per block with equal rows sharing one list, is kept for the
+orbit-level payload that replaced it, with the expansion that rebuilds
+it from the new one.  So is each principal ideal as a mask from one
+kernel call, with its members, which no library route reads since the
+orbit index keeps the image rows.
 Right distributivity checked for every x along each additive generator,
 which the check on the edges of the coset walks replaced, is kept, and
 so is Light's associativity test for each additive generator, which
@@ -76,7 +82,8 @@ import numpy as np
 from frobring import cyclotomic
 from frobring.errors import (InternalInconsistency, InvalidParameter, InvalidRing,
                              ResourceLimit)
-from frobring.rings import cayley_tables
+from frobring.duality import _row_keys
+from frobring.rings import _check_side, cayley_tables
 
 
 @lru_cache(maxsize=16)
@@ -120,6 +127,21 @@ def principal_ideal_oracle(ring, x: int, side: str) -> frozenset:
     if side == "left":
         return frozenset(row[x] for row in mul)
     return frozenset(mul[x])
+
+
+def principal_ideal_mask(ring, x: int, side: str = "left") -> np.ndarray:
+    """Boolean membership mask of Rx (side 'left') or xR ('right'), from
+    one kernel call."""
+    _check_side(side)
+    if not 0 <= x < ring.size:
+        raise InvalidParameter(f"element index {x} out of range")
+    mask = np.zeros(ring.size, dtype=bool)
+    mask[ring.mul_col(x) if side == "left" else ring.mul_row(x)] = True
+    return mask
+
+
+def principal_ideal_members(ring, x: int, side: str = "left") -> tuple[int, ...]:
+    return tuple(np.flatnonzero(principal_ideal_mask(ring, x, side)).tolist())
 
 
 def all_ideals(ring, side: str) -> set[frozenset]:
@@ -856,6 +878,41 @@ def krawtchouk_table_by_element(partition, char, side: str) -> list[list]:
     return rows
 
 
+def krawtchouk_json_by_element(table) -> dict:
+    """The table as nested lists, ``entries[m][b]`` at every element b as
+    phi(N) coordinates.
+
+    Equal coefficient rows share one list object, across orbits and
+    blocks, so there are as many row objects as distinct row values.
+    """
+    rows = np.ascontiguousarray(table.coeffs.transpose(1, 0, 2))  # [block, orbit, coord]
+    flat = rows.reshape(-1, rows.shape[2])
+    _, first, row_of = np.unique(_row_keys(flat), return_index=True, return_inverse=True)
+    distinct = table.widen(flat[first]).tolist()
+    entry_of = row_of.reshape(rows.shape[:2])[:, table.orbit_of]
+    return {
+        "ring": table.partition.ring.expr,
+        "side": table.side,
+        "order": table.char.order,
+        "partition": table.partition.to_json(),
+        "entries": [list(map(distinct.__getitem__, block)) for block in entry_of.tolist()],
+    }
+
+
+def expand_orbit_payload(payload: dict, phi: int) -> dict:
+    """The payload of ``krawtchouk_json_by_element`` rebuilt from the
+    orbit-level one of ``KrawtchoukTable.to_json``: the entry at element
+    b is the one at orbit ``orbit_of[b]``, a plain int v written as the
+    phi coordinates (v, 0, ..., 0)."""
+    def coords(entry) -> list[int]:
+        return entry if isinstance(entry, list) else [entry] + [0] * (phi - 1)
+
+    out = {key: value for key, value in payload.items() if key != "orbit_of"}
+    out["entries"] = [[coords(row[k]) for k in payload["orbit_of"]]
+                      for row in payload["entries"]]
+    return out
+
+
 # -- the direct orbit routes on a whole product ----------------------------------
 
 
@@ -877,18 +934,11 @@ def structure_by_orbit_scan(ring) -> tuple:
         for j in reps[np.isin(reps, radical)].tolist():
             soc &= (ring.mul_row(j) if side == "left" else ring.mul_col(j)) == 0
         socles.append(tuple(np.flatnonzero(soc).tolist()))
-        principal.append(any(np.array_equal(_ideal_mask(ring, a, side), soc)
+        principal.append(any(np.array_equal(principal_ideal_mask(ring, a, side), soc)
                              for a in reps[soc[reps]].tolist()))
     if principal[0] != principal[1]:
         raise InternalInconsistency("one-sided principal-socle conditions disagree")
     return radical, socles[0], socles[1], principal[0]
-
-
-def _ideal_mask(ring, x: int, side: str) -> np.ndarray:
-    """Membership mask of Rx (side 'left') or xR, from one kernel call."""
-    mask = np.zeros(ring.size, dtype=bool)
-    mask[ring.mul_col(x) if side == "left" else ring.mul_row(x)] = True
-    return mask
 
 
 def is_generating_by_orbits(char) -> bool:
@@ -909,7 +959,7 @@ def orbit_ideals_by_kernel(ring, side: str) -> tuple[np.ndarray, np.ndarray]:
     call each, and for each representative the first one whose mask is
     equal, found by comparing masks pairwise."""
     reps, _ = ring.unit_orbits(side)
-    masks = np.stack([_ideal_mask(ring, r, side) for r in reps.tolist()])
+    masks = np.stack([principal_ideal_mask(ring, r, side) for r in reps.tolist()])
     first = [next(j for j in range(k + 1) if np.array_equal(masks[j], masks[k]))
              for k in range(len(reps))]
     return masks, np.array(first)
@@ -948,7 +998,7 @@ def validate_homogeneous_by_orbits(ring, num: np.ndarray, denom: int) -> None:
                 f"of {reps[orbit_of[x]]} (element {x})")
         first_seen: dict[bytes, int] = {}
         for r in reps[1:].tolist():
-            members = _ideal_mask(ring, r, side)
+            members = principal_ideal_mask(ring, r, side)
             key = np.packbits(members).tobytes()
             if key in first_seen:
                 if num[r] != num[first_seen[key]]:

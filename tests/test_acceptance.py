@@ -48,7 +48,7 @@ from frobring.weights import (
     weight_table,
 )
 
-from oracles import all_ideals, table_twin
+from oracles import all_ideals, principal_ideal_members, table_twin
 
 
 def _report(number: str, ok: bool, detail: str) -> None:
@@ -342,7 +342,7 @@ def test_criterion_9_property_suites():
         for side in ("left", "right"):
             seen = set()
             for x in range(1, ring.size):
-                members = ring.principal_ideal_members(x, side)
+                members = principal_ideal_members(ring, x, side)
                 if members in seen:
                     continue
                 seen.add(members)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobring import cli
+from frobring import cli, cyclotomic, duality
 from frobring.characters import canonical_generating_character, translate
 from frobring.rings import cayley_tables
 from frobring.cli import (
@@ -30,7 +30,8 @@ from frobring.cli import (
     main,
     parse_ring,
 )
-from oracles import emit_text_oracle, json_text_oracle
+from oracles import (emit_text_oracle, expand_orbit_payload, json_text_oracle,
+                     krawtchouk_json_by_element)
 
 
 # -- expression parsing ---------------------------------------------------------
@@ -388,9 +389,9 @@ def test_krawtchouk_command(capsys):
     )
     assert code == 0
     assert payload["left_equals_right"] is True
-    entries = payload["left"]["entries"]
-    assert entries[1][0] == [2, 0]  # block {1,3} at 0
-    assert entries[1][1] == [0, 0]  # chi(1) + chi(3) = 0
+    entries, orbit_of = payload["left"]["entries"], payload["left"]["orbit_of"]
+    assert entries[1][orbit_of[0]] == 2  # block {1,3} at 0
+    assert entries[1][orbit_of[1]] == 0  # chi(1) + chi(3) = 0
     assert payload["left"]["order"] == 4
 
 
@@ -440,10 +441,31 @@ SUBCOMMANDS = [("info",), ("weights",), ("partition", "hom"), ("dual", "--side",
                ("krawtchouk", "--side", "both")]
 
 
+def run_json_expanding_tables(capsys, *argv):
+    """``run_json``, and each Krawtchouk table the call writes expands to
+    the per-element oracle's payload, byte for byte."""
+    written = []
+    to_json = duality.KrawtchoukTable.to_json
+
+    def recording(table):
+        written.append((table, to_json(table)))
+        return written[-1][1]
+
+    with mock.patch.object(duality.KrawtchoukTable, "to_json", recording):
+        code, payload, _ = run_json(capsys, *argv)
+    assert len(written) == (2 if argv[0] == "krawtchouk" else 0)
+    for table, data in written:
+        assert payload[table.side] == data
+        expanded = expand_orbit_payload(data, cyclotomic.totient(table.char.order))
+        same = json_text_oracle(expanded) == json_text_oracle(krawtchouk_json_by_element(table))
+        assert same, f"{table.side} table: the expansion is not the per-element payload"
+    return code
+
+
 @pytest.mark.parametrize("command", SUBCOMMANDS, ids=lambda c: c[0])
 @pytest.mark.parametrize("expr", ["Z4", "ex5_5", "M(2,GF(2))", *CHAIN_RINGS])
 def test_json_text_is_the_oracle_text(capsys, expr, command):
-    assert run_json(capsys, *command, "--ring", expr)[0] == 0
+    assert run_json_expanding_tables(capsys, *command, "--ring", expr) == 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -453,7 +475,21 @@ def test_json_text_is_the_oracle_text(capsys, expr, command):
     ("krawtchouk", "--ring", "Z9 x Z25", "--char", "index:7", "--side", "both"),
 ])
 def test_json_text_is_the_oracle_text_on_other_options(capsys, argv):
-    assert run_json(capsys, *argv)[0] == 0
+    assert run_json_expanding_tables(capsys, *argv) == 0
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (("--ring", "Z8 x Z9 x GF(5)", "--side", "both", "--json"), 50_000),
+    (("--ring", "Z2310", "--side", "both", "--json"), 200_000),
+    (("--ring", "Z2310", "--side", "left"), 200_000),
+], ids=["Z8 x Z9 x GF(5) json", "Z2310 json", "Z2310 text"])
+def test_krawtchouk_output_is_small(capsys, argv, limit):
+    """One int per (block, orbit) plus the orbit of each element, where
+    every element used to carry phi(N) coordinates per block (8.2 MB,
+    925 MB and 107 MB)."""
+    code, out, _ = run_cli(capsys, "krawtchouk", *argv, "--no-timestamp")
+    assert code == 0
+    assert len(out.encode()) < limit
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS, ids=lambda c: c[0])

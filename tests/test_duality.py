@@ -53,7 +53,8 @@ from frobring.rings import (
 )
 from frobring.weights import weight_table
 
-from oracles import (dual_groups_by_unique_rows, krawtchouk_coeffs_by_orbit_columns,
+from oracles import (dual_groups_by_unique_rows, expand_orbit_payload,
+                     krawtchouk_coeffs_by_orbit_columns, krawtchouk_json_by_element,
                      krawtchouk_table_by_element, rational_columns_by_element, ring_id,
                      semisimple_lr_agreement, table_twin)
 from test_partitions import (_PRODUCT_RINGS, _assert_matches_grouping, _labelled,
@@ -176,23 +177,31 @@ def test_table_json(z4):
     assert data["ring"] == "Z4"
     assert data["side"] == "left"
     assert data["order"] == 4
-    assert data["entries"][1][0] == [2, 0]  # block {1,3} at b = 0
+    assert data["orbit_of"] == [0, 1, 2, 1]  # units {1, 3} form one orbit
+    assert data["entries"][1][data["orbit_of"][0]] == 2  # block {1,3} at b = 0
 
 
-def test_table_json_shares_one_row_per_orbit_and_block():
-    """Equal coefficient rows share one list object, across orbits and
-    blocks: as many row objects as distinct row values."""
-    for expr in ["GF(3) x GF(9) x Z25", "Z8 x Z9 x GF(5)", "ex5_5"]:
-        ring = build_ring(parse_ring(expr))
-        partition = hom_partition(ring)
-        char = canonical_generating_character(ring)
+def test_table_json_holds_one_entry_per_orbit_and_block():
+    """A rational table writes one plain int per (block, orbit); a
+    dividing one writes phi(N) coordinates per (block, orbit)."""
+    dividing = Partition(build_zmod(9), [[0], [1], list(range(2, 9))])
+    cases = [(hom_partition(build_ring(parse_ring(expr))), 1)
+             for expr in ["GF(3) x GF(9) x Z25", "Z8 x Z9 x GF(5)", "ex5_5"]]
+    for partition, width in cases + [(dividing, 6)]:
+        char = canonical_generating_character(partition.ring)
         for side in ("left", "right"):
             table = krawtchouk_table(partition, char, side)
-            entries = table.to_json()["entries"]
-            rows = [r for block in entries for r in block]
-            assert len({id(r) for r in rows}) == len({tuple(r) for r in rows})
-            assert len({id(r) for r in rows}) < len(table.coeffs) * partition.num_blocks
-            assert entries == table.widen(table.coeffs)[table.orbit_of].transpose(1, 0, 2).tolist()
+            data = table.to_json()
+            assert data["orbit_of"] == table.orbit_of.tolist()
+            entries = data["entries"]
+            assert [len(row) for row in entries] == [len(table.coeffs)] * partition.num_blocks
+            items = [e for row in entries for e in row]
+            if width == 1:
+                assert {type(e) for e in items} == {int}
+                assert entries == table.coeffs[..., 0].T.tolist()
+            else:
+                assert {len(e) for e in items} == {width}
+                assert entries == table.coeffs.transpose(1, 0, 2).tolist()
 
 
 # -- dual partitions -------------------------------------------------------------
@@ -496,7 +505,11 @@ def _assert_matches_oracle(partition):
     for side in ("left", "right"):
         table = krawtchouk_table(partition, char, side)
         rows = krawtchouk_table_by_element(partition, char, side)
-        assert table.to_json()["entries"] == [[list(e.coeffs) for e in row] for row in rows]
+        oracle = [[list(e.coeffs) for e in row] for row in rows]
+        assert table.widen(table.coeffs)[table.orbit_of].transpose(1, 0, 2).tolist() == oracle
+        by_element = expand_orbit_payload(table.to_json(), cyclotomic.totient(char.order))
+        same = by_element == krawtchouk_json_by_element(table)
+        assert same, f"{side} table: the expansion is not the per-element payload"
         assert all(table.entry(m, b) == rows[m][b]
                    for m in range(partition.num_blocks) for b in (0, partition.ring.size - 1))
         _assert_matches_grouping(dual_partition(partition, char, side),

@@ -34,6 +34,7 @@ from frobring.weights import (
 from oracles import (
     count_subspaces_oracle,
     homogeneous_weight_oracle,
+    principal_ideal_members,
     principal_ideal_oracle,
     ring_id,
     table_twin,
@@ -434,7 +435,7 @@ def test_weight_averages_one_on_principal_ideals(data):
     table = weight_table(ring)
     x = data.draw(st.integers(min_value=1, max_value=ring.size - 1))
     side = data.draw(st.sampled_from(["left", "right"]))
-    members = ring.principal_ideal_members(x, side)
+    members = principal_ideal_members(ring, x, side)
     total = sum(table[int(y)] for y in members)
     assert total == len(members)
 

@@ -144,18 +144,16 @@ def is_generating(char: Character) -> bool:
 
     Equivalently: for every x != 0 some left multiple and some right
     multiple of x fall outside the kernel.  Every one-sided ideal of a
-    product is a product I_1 x I_2 of the factors' ones, so on a product
-    chi is generating iff every restriction is.
+    product is a product I_1 x I_2 of the factors' ones, so chi is
+    generating iff no restriction's kernel holds a nonzero left or right
+    ideal; a ring that is not a product is its own single leaf.
     """
     cached = getattr(char, "_generating", None)
-    if cached is not None:
-        return cached
-    if isinstance(char.ring, ProductRing):
-        result = all(is_generating(c) for c in restrictions(char))
-    else:
-        result = not (_kernel_holds_ideal(char, "left") or _kernel_holds_ideal(char, "right"))
-    char._generating = result
-    return result
+    if cached is None:
+        cached = char._generating = not any(_kernel_holds_ideal(c, side)
+                                            for c in restrictions(char)
+                                            for side in ("left", "right"))
+    return cached
 
 
 def is_symmetric(char: Character) -> bool:
@@ -202,9 +200,8 @@ def canonical_generating_character(ring: FiniteRing) -> Character:
         if not ring.is_frobenius:  # then no character is generating
             raise CharacterSearchFailed(f"{ring.expr}: no generating character "
                                         "(ring is not Frobenius)")
-        # on a product, the first restriction that is not generating
-        part = next(c for c in restrictions(char) if not is_generating(c))
-        side = "left" if _kernel_holds_ideal(part, "left") else "right"
+        part, side = next((c, s) for c in restrictions(char) for s in ("left", "right")
+                          if _kernel_holds_ideal(c, s))
         where = "" if part is char else f" of the factor {part.ring.expr}"
         raise InternalInconsistency(
             f"{ring.expr}: the kernel of the canonical character of order "

@@ -5,9 +5,8 @@ sum of chi(a b) over a in P_m; the right coefficient sums chi(b a).
 When every block is closed under unit multiplication on the other side
 (P_m u = P_m for the left table, u P_m = P_m for the right), the left
 column at ub equals the one at b, so a table keeps one column per unit
-orbit of its side, summed over the representative's image row from the
-ring's orbit index, and maps elements to orbits.  Otherwise every
-element is its own orbit, its column summed over one kernel call.
+orbit of its side and maps elements to orbits.  Otherwise every element
+is its own orbit, its column summed over one kernel call.
 
 When the blocks are unions of unit orbits of either side, every
 coefficient is a rational integer.  The order N of a generating
@@ -28,14 +27,14 @@ column lists the block sizes, and each column sums to |R| exactly at
 b = 0 and to 0 elsewhere.  Grouping orbits by their full column yields
 the left and right dual partitions, unions of orbits.
 
-On a direct product the table of a partition invariant on the other
-side comes from the leaves, with no kernel call on the product: the
-blocks are unions of products O_1 x ... x O_k of leaf orbits of the
-other side, and chi(ab) = chi_1(a_1 b_1) ... chi_k(a_k b_k) for the
-restricted characters, so the sum over O_1 x ... x O_k at b is the
-product of the leaves' rational orbit sums S_i[b_i, O_i].  Each block's
-sum contracts those with the 0/1 map from orbits to blocks, and the
-product's table is checked as any other.
+A table of a partition invariant on the other side comes from the
+leaves, with no kernel call on the ring; a ring that is not a product is
+its own single leaf.  The blocks are unions of products O_1 x ... x O_k
+of leaf orbits of the other side, and chi(ab) = chi_1(a_1 b_1) ...
+chi_k(a_k b_k) for the restricted characters, so the sum over
+O_1 x ... x O_k at b is the product of the leaves' rational orbit sums
+S_i[b_i, O_i].  Each block's sum contracts those with the 0/1 map from
+orbits to blocks, and the table is checked as any other.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from .characters import (Character, canonical_generating_character, generating_t
                          is_generating, restrictions)
 from .errors import InternalInconsistency, InvalidParameter, ResourceLimit
 from .partitions import Partition, equals
-from .rings import ProductRing, _check_side, _frozen
+from .rings import _check_side, _frozen
 from .weights import gaussian
 
 _COUNT_CHUNK = 1 << 21  # exponent counts held at once, in int64 entries
@@ -172,12 +171,11 @@ def _table(partition: Partition, char: Character, side: str) -> KrawtchoukTable:
                             f"{nblocks} blocks at character order {order} takes {work} "
                             f"coordinate updates, more than {_DIVISION_WORK}")
     where = f"{ring.expr}, character of order {order}, {side} table"
-    if invariant and isinstance(ring, ProductRing):
-        parts = [_product_sums(block_of[other.reps], nblocks, char, side, where)[..., None]]
-    else:  # an orbit's column sums over its stored image row, an element's over a kernel call
+    if invariant:
+        parts = [_block_sums(block_of[other.reps], nblocks, char, side, where)[..., None]]
+    else:  # an element's column sums over one kernel call
         kernel = ring.mul_col if side == "left" else ring.mul_row
-        rows = index.images if invariant else map(kernel, reps.tolist())
-        counts = _kernel_counts(block_of, nblocks, char, rows)
+        counts = _kernel_counts(block_of, nblocks, char, map(kernel, reps.tolist()))
         if rational:
             parts = [cyclotomic.rational_sums(order, c, where)[..., None] for c in counts]
         else:
@@ -189,7 +187,7 @@ def _table(partition: Partition, char: Character, side: str) -> KrawtchoukTable:
 
 def _kernel_counts(block_of: np.ndarray, nblocks: int, char: Character, rows: Iterable):
     """Exponent counts [column, block, exponent], one column per image row
-    in ``rows`` (an orbit index's stored rows, or one kernel call per
+    in ``rows`` (a leaf's orbit index rows, or one kernel call per
     element), in chunks of at most _COUNT_CHUNK entries."""
     order, exps = char.order, char.exponents
     base = block_of * order
@@ -202,28 +200,31 @@ def _kernel_counts(block_of: np.ndarray, nblocks: int, char: Character, rows: It
 
 def _orbit_sums(char: Character, side: str, where: str) -> np.ndarray:
     """A leaf's sums [side orbit k, other-side orbit O] of chi(ab) over a
-    in O, b the representative of k (chi(ba) on the right).  Rational, as
-    O is a union of unit orbits: every count row passes
-    ``cyclotomic.rational_sums``, whose messages start with ``where``.
-    Cached on the character, per side."""
+    in O, b the representative of k (chi(ba) on the right), counted over
+    its image rows.  Rational, as O is a union of unit orbits: every count
+    row passes ``cyclotomic.rational_sums``, whose messages start with
+    ``where``.  Cached on the character per side, orbits(side) x
+    orbits(other) <= n^2 int64 entries, as ``orbit_index`` bounds its rows:
+    no more than a ``TableRing``'s own two int32 tables.  A commutative
+    leaf has ab = ba and Ux = xU, so its right sums are its left ones."""
     cache = char.__dict__.setdefault("_orbit_sums", {})
     if side not in cache:
         leaf = char.ring
         other_reps, other_of = leaf.unit_orbits("right" if side == "left" else "left")
-        counts = _kernel_counts(other_of, len(other_reps), char,
-                                leaf.orbit_index(side).images)
-        cache[side] = _frozen(np.concatenate(
-            [cyclotomic.rational_sums(char.order, c, where) for c in counts]))
+        counts = _kernel_counts(other_of, len(other_reps), char, leaf.orbit_index(side).images)
+        sums = _frozen(np.concatenate([cyclotomic.rational_sums(char.order, c, where)
+                                       for c in counts]))
+        cache.update(dict.fromkeys(("left", "right") if leaf.is_commutative else (side,), sums))
     return cache[side]
 
 
-def _product_sums(block_of_orbit: np.ndarray, nblocks: int, char: Character, side: str,
-                  where: str) -> np.ndarray:
-    """A product's rational table [orbit, block] of a partition invariant
-    on the other side: the 0/1 map from other-side orbits to blocks, one
-    axis per leaf (orbit ids are mixed radix over the leaves), contracted
-    with each leaf's ``_orbit_sums`` in turn.  Each partial sum adds at
-    most |R| roots of unity, so int64 is exact."""
+def _block_sums(block_of_orbit: np.ndarray, nblocks: int, char: Character, side: str,
+                where: str) -> np.ndarray:
+    """The rational table [orbit, block] of a partition invariant on the
+    other side: the 0/1 map from other-side orbits to blocks, one axis per
+    leaf (orbit ids are mixed radix over the leaves), contracted with each
+    leaf's ``_orbit_sums`` in turn.  Each partial sum adds at most |R|
+    roots of unity, so int64 is exact."""
     sums = [_orbit_sums(c, side, where) for c in restrictions(char)]
     acc = np.zeros((len(block_of_orbit), nblocks), dtype=np.int64)
     acc[np.arange(len(block_of_orbit)), block_of_orbit] = 1

@@ -675,12 +675,9 @@ class ProductRing(FiniteRing):
     ones, and it is Frobenius iff every factor is, each factor running
     its own checks.
     The other modules take the same route: a character restricts to each
-    factor (``characters.restrictions``) and is generating iff every
-    restriction is, the unit sums are products of the factors' sums, the
-    weight equations are checked on the product through the factors'
-    principal-ideal matrices, and the Krawtchouk columns of a partition
-    invariant on the other side are contracted from the leaves' rational
-    orbit sums, then checked on the product.
+    leaf (``characters.restrictions``), the unit sums are products of the
+    factors' sums, and the weight equations are checked on the product
+    through the factors' principal-ideal matrices.
     """
 
     def __init__(self, factors, max_size: int | None = None):
@@ -808,6 +805,10 @@ class TableRing(FiniteRing):
     def _mul_col_impl(self, b, rows):
         col = self.mul_table[:, b]
         return (col if rows is None else col[np.asarray(rows)]).astype(np.int64)
+
+    def _compute_units(self):  # x with xy = yx = 1 for some y, in one pass over the table
+        xs, ys = np.nonzero(self.mul_table == self.one)
+        return np.unique(xs[self.mul_table[ys, xs] == self.one]).astype(np.int64)
 
 
 def cayley_tables(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:

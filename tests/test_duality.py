@@ -884,11 +884,34 @@ def test_broken_rational_orthogonality_names_ring_order_and_side(monkeypatch):
     assert "Z9, character of order 9, left table: column at 1 sums to" in str(err.value)
 
 
+@pytest.mark.parametrize("build", [lambda: build_matrix_ring(3, build_gf(2)),
+                                   lambda: builtin_ring("ex5_5"),
+                                   lambda: table_twin(builtin_ring("ex5_5")),
+                                   lambda: build_zmod(2310)],
+                         ids=["M(3,GF(2))", "ex5_5", "ex5_5 as tables", "Z2310"])
+def test_leaf_orbit_sums_are_counted_once_per_side(monkeypatch, build):
+    """Both tables of the weight partition, both duals and is_reflexive
+    share the ring's orbit sums: one count pass per side, and one in all
+    on a commutative ring, whose right sums are its left ones."""
+    ring = build()
+    char = canonical_generating_character(ring)
+    hom = hom_partition(ring, char)
+    passes = []
+    count = duality._kernel_counts
+    monkeypatch.setattr(duality, "_kernel_counts", lambda *args: passes.append(args) or count(*args))
+    for side in ("left", "right"):
+        krawtchouk_table(hom, char, side)
+        dual_partition(hom, char, side)
+    is_reflexive(hom, char)
+    assert len(passes) == (1 if ring.is_commutative else 2)
+
+
 @pytest.mark.parametrize("expr", ["Z9", "Z9 x Z3"])
 def test_counts_off_their_gcd_classes_name_ring_order_and_side(monkeypatch, expr):
     """A count row of a rational table that is not constant on the classes
-    {e : gcd(e, N) = g} is refused, on the kernel route and, for a leaf's
-    orbit sums, on the product route, naming the ring counted for."""
+    {e : gcd(e, N) = g} is refused while a leaf's orbit sums are counted,
+    on a ring that is its own single leaf and on a product, naming the
+    ring counted for."""
     count = duality._kernel_counts
 
     def skewed(*args):

@@ -657,6 +657,29 @@ def test_units_match_oracle(ring):
     assert ring.units.tolist() == units_oracle(ring)
 
 
+def _table_rings():
+    """Table twins (the non-Frobenius one among them) and a table under
+    shuffled labels."""
+    twins = [table_twin(builtin_ring("ex5_5")), table_twin(build_matrix_ring(2, build_gf(2))),
+             table_twin(build_zmod(12)), table_twin(_non_frobenius_ring(), exponents=False)]
+    add, mul, one = _relabelled_tables(build_product([builtin_ring("ex5_5"), build_gf(2)]), 1)
+    spec = {"size": len(add), "add": add, "mul": mul, "one": one, "name": "relabelled"}
+    return twins + [build_table_ring(spec)]
+
+
+@pytest.mark.parametrize("ring", _table_rings(), ids=ring_id)
+def test_table_ring_units_come_from_its_table(ring, monkeypatch):
+    """A table ring reads its units off its multiplication table in one
+    vectorized pass, with no kernel call: against the scalar oracle and
+    the per-element scan of ``FiniteRing``."""
+    expected = units_oracle(ring)
+    assert FiniteRing._compute_units(ring).tolist() == expected
+    for name in ("_add_row_impl", "_mul_row_impl", "_mul_col_impl"):
+        monkeypatch.setattr(ring, name, None)
+    assert_index_set(ring.units)
+    assert ring.units.tolist() == expected
+
+
 @pytest.mark.parametrize("ring", PROBE_RINGS, ids=ring_id)
 def test_radical_matches_ideal_enumeration(ring):
     assert_index_set(ring.radical)
@@ -812,7 +835,6 @@ def test_orbit_routes_make_few_kernel_calls(monkeypatch):
 
         monkeypatch.setattr(FiniteRing, name, counting)
     twin = table_twin(builtin_ring("ex5_5"))
-    twin.units  # the unit scan of a table ring reads every row, which images no orbit
     square = build_product([build_matrix_ring(2, build_gf(3))] * 2)
     for ring in (square, build_matrix_ring(2, build_gf(3)), twin):
         calls.clear()

@@ -30,17 +30,38 @@ def _check_hom(ring: FiniteRing, exponents: np.ndarray, order: int) -> bool:
     generator g gives e(x + y) = e(x) + e(y) for all y, by induction on
     the number of generators summing to y.  O(n) per generator.
     Exponents lie in [0, order), so e(x) + e(g) - e(x + g) must be 0 or
-    order.  On a product, e is additive iff it is the sum of its values
-    on the factors, e(x) = sum_i e(embed_i x_i), and each of those
-    restrictions is additive; that is checked on the factors.
+    order.  A product is checked on its leaves (``_leaf_parts``).
     """
     if isinstance(ring, ProductRing):
-        parts = [exponents[_embedding(ring, i)] for i in range(len(ring.leaves))]
-        return (all(_check_hom(leaf, e, order) for leaf, e in zip(ring.leaves, parts))
-                and np.array_equal(_outer(np.add, parts) % order, exponents))
+        return _leaf_parts(ring, exponents, order) is not None
     pres = ring.additive_presentation
     d = exponents[pres.gens, None] + exponents - exponents[pres.shifts]
     return bool(((d == 0) | (d == order)).all())
+
+
+def _leaf_parts(ring: FiniteRing, exponents: np.ndarray, order: int):
+    """The restrictions x_i -> e(embed_i x_i) to the leaves of a product,
+    as characters, () on a leaf, or None if e is not additive: it is iff
+    each restriction is and e is their sum.  An additive restriction to a
+    leaf of characteristic c has c e(x) = e(cx) = 0, so it is checked and
+    kept in order g = gcd(order, c); the sum catches any other value."""
+    if not isinstance(ring, ProductRing):
+        return () if _check_hom(ring, exponents, order) else None
+    parts = []
+    for i, leaf in enumerate(ring.leaves):
+        g = gcd(order, leaf.characteristic)
+        exps = exponents[_embedding(ring, i)] // (order // g)
+        if not _check_hom(leaf, exps, g):
+            return None
+        parts.append(Character.__new__(Character)._fill(leaf, exps, g, ()))
+    char = _from_parts(ring, parts, order)
+    return char._restrictions if np.array_equal(char.exponents, exponents) else None
+
+
+def _from_parts(ring: ProductRing, parts, order: int) -> Character:
+    """The product character summed from checked leaf characters ``parts``."""
+    exps = _outer(np.add, [c.exponents * (order // c.order) for c in parts]) % order
+    return Character.__new__(Character)._fill(ring, exps, order, tuple(parts))
 
 
 class Character:
@@ -48,20 +69,22 @@ class Character:
     is read-only: the tables and weights cached under ``key()`` rely on it."""
 
     def __init__(self, ring: FiniteRing, exponents, order: int | None = None):
-        self.ring = ring
-        self._key = None
-        self.order = ring.characteristic if order is None else order
-        exps = np.asarray(exponents, dtype=np.int64) % self.order
+        order = ring.characteristic if order is None else order
+        exps = np.asarray(exponents, dtype=np.int64) % order
         if exps.shape != (ring.size,):
             raise InvalidParameter("need one exponent per ring element")
-        self.exponents = _frozen(exps)
-        if self.exponents[0] != 0:
+        if exps[0] != 0:
             raise InvalidParameter("a character must send 0 to exponent 0")
-        if not _check_hom(ring, self.exponents, self.order):
-            raise InvalidParameter(
-                "exponent map is not an additive homomorphism into "
-                f"Z_{self.order}"
-            )
+        parts = _leaf_parts(ring, exps, order)
+        if parts is None:
+            raise InvalidParameter(f"exponent map is not an additive homomorphism into Z_{order}")
+        self._fill(ring, exps, order, parts)
+
+    def _fill(self, ring: FiniteRing, exps: np.ndarray, order: int, parts) -> "Character":
+        # a checked exponent map; parts: a product's restrictions, () on a leaf
+        self.ring, self.order, self.exponents = ring, order, _frozen(exps)
+        self._key, self._restrictions = None, parts
+        return self
 
     def key(self) -> bytes:
         if self._key is None:
@@ -96,27 +119,10 @@ def restrictions(char: Character) -> tuple[Character, ...]:
     a leaf of characteristic c takes values in the roots of unity of
     order g = gcd(order, c), so it is stored in order g.  Every character
     has them, the unit translates included, and chi(x) is the product of
-    the restrictions at the components of x.
+    the restrictions at the components of x.  They are the leaf
+    characters it was checked on, or built from.
     """
-    cached = getattr(char, "_restrictions", None)
-    if cached is not None:
-        return cached
-    ring = char.ring
-    if not isinstance(ring, ProductRing):
-        out = (char,)
-    else:
-        out = []
-        for i, leaf in enumerate(ring.leaves):
-            order = gcd(char.order, leaf.characteristic)
-            exps, scale = char.exponents[_embedding(ring, i)], char.order // order
-            if (exps % scale).any():
-                raise InternalInconsistency(
-                    f"{ring.expr}: the character of order {char.order} takes a value "
-                    f"of order above {order} on the factor {leaf.expr}")
-            out.append(Character(leaf, exps // scale, order))
-        out = tuple(out)
-    char._restrictions = out
-    return out
+    return char._restrictions or (char,)
 
 
 def _kernel_holds_ideal(char: Character, side: str) -> bool:
@@ -139,21 +145,26 @@ def _kernel_holds_ideal(char: Character, side: str) -> bool:
     return False
 
 
+def _sides(ring: FiniteRing) -> tuple[str, ...]:
+    """The sides to decide a one-sided fact on: left alone if xR = Rx."""
+    return ("left",) if ring.is_commutative else ("left", "right")
+
+
 def is_generating(char: Character) -> bool:
     """True iff the kernel of chi contains no nonzero one-sided ideal.
 
     Equivalently: for every x != 0 some left multiple and some right
     multiple of x fall outside the kernel.  Every one-sided ideal of a
     product is a product I_1 x I_2 of the factors' ones, so chi is
-    generating iff no restriction's kernel holds a nonzero left or right
-    ideal; a ring that is not a product is its own single leaf.
+    generating iff every restriction is, each decided once and cached; a
+    leaf decides its right side too unless it is commutative.
     """
-    cached = getattr(char, "_generating", None)
-    if cached is None:
-        cached = char._generating = not any(_kernel_holds_ideal(c, side)
-                                            for c in restrictions(char)
-                                            for side in ("left", "right"))
-    return cached
+    if getattr(char, "_generating", None) is None:
+        for c in restrictions(char):
+            if getattr(c, "_generating", None) is None:
+                c._generating = not any(_kernel_holds_ideal(c, s) for s in _sides(c.ring))
+        char._generating = all(c._generating for c in restrictions(char))
+    return char._generating
 
 
 def is_symmetric(char: Character) -> bool:
@@ -175,9 +186,18 @@ def is_symmetric(char: Character) -> bool:
 
 
 def translate(char: Character, r: int, side: str = "left") -> Character:
-    """The character x -> chi(x*r) (side 'left') or x -> chi(r*x) ('right')."""
+    """The character x -> chi(x*r) (side 'left') or x -> chi(r*x) ('right').
+
+    On a product it is the sum of the restrictions' translates by the
+    components r_i of r, each checked on its leaf."""
     _check_side(side)
     ring = char.ring
+    if not 0 <= r < ring.size:
+        raise InvalidParameter(f"element index {r} out of range 0..{ring.size - 1}")
+    if isinstance(ring, ProductRing):
+        comps = np.unravel_index(int(r), [leaf.size for leaf in ring.leaves])
+        return _from_parts(ring, [translate(c, x, side) for c, x in
+                                  zip(restrictions(char), comps)], char.order)
     image = ring.mul_col(r) if side == "left" else ring.mul_row(r)
     return Character(ring, char.exponents[image], char.order)
 
@@ -188,9 +208,9 @@ def canonical_generating_character(ring: FiniteRing) -> Character:
     Z_n uses e(a) = a.  F_p-algebras (Galois fields, matrix rings and
     the builtin rings) use their trace form: for fields the absolute
     trace, for matrix rings the field trace of the matrix trace.  A
-    product scales each factor character into Z_lcm.  A table ring (user
-    tables, a radical quotient) uses its supplied exponents, else falls
-    back to the search.
+    product sums its leaves' checked characters, scaled into Z_lcm.  A
+    table ring (user tables, a radical quotient) uses its supplied
+    exponents, else falls back to the search.
     """
     cached = getattr(ring, "_canonical_char", None)
     if cached is not None:
@@ -200,7 +220,7 @@ def canonical_generating_character(ring: FiniteRing) -> Character:
         if not ring.is_frobenius:  # then no character is generating
             raise CharacterSearchFailed(f"{ring.expr}: no generating character "
                                         "(ring is not Frobenius)")
-        part, side = next((c, s) for c in restrictions(char) for s in ("left", "right")
+        part, side = next((c, s) for c in restrictions(char) for s in _sides(c.ring)
                           if _kernel_holds_ideal(c, s))
         where = "" if part is char else f" of the factor {part.ring.expr}"
         raise InternalInconsistency(
@@ -217,10 +237,8 @@ def _canonical(ring: FiniteRing) -> Character:
     if isinstance(ring, AlgebraRing):
         return Character(ring, ring.trace_exponents, ring.p)
     if isinstance(ring, ProductRing):
-        order = ring.characteristic
-        chars = [canonical_generating_character(factor) for factor in ring.factors]
-        return Character(ring, _outer(np.add, [c.exponents * (order // c.order)
-                                               for c in chars]) % order, order)
+        return _from_parts(ring, [canonical_generating_character(leaf) for leaf in ring.leaves],
+                           ring.characteristic)
     if isinstance(ring, TableRing):
         if ring.char_exponents is not None:
             char = Character(ring, ring.char_exponents, ring.characteristic)

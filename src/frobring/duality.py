@@ -40,23 +40,24 @@ orbits to blocks, and the table is checked as any other.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
 from . import cyclotomic
-from .characters import (Character, canonical_generating_character, generating_translates,
-                         is_generating, restrictions)
+from .characters import (Character, _sides, canonical_generating_character,
+                         generating_translates, is_generating, restrictions)
 from .errors import InternalInconsistency, InvalidParameter, ResourceLimit
 from .partitions import Partition, equals
-from .rings import _check_side, _frozen
+from .rings import FiniteRing, _check_side, _frozen
 from .weights import gaussian
 
 _COUNT_CHUNK = 1 << 21  # exponent counts held at once, in int64 entries
 _TABLE_ENTRIES = 1 << 25  # most int64 coordinates one table may hold
 _DIVISION_WORK = 1 << 30  # most coordinate updates one table's reduction may make
+_SLAB_ENTRIES = 1 << 19  # int64 partial sums one slab of blocks holds in _block_sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,11 +141,16 @@ def krawtchouk_table(partition: Partition, char: Character, side: str) -> Krawtc
         raise InvalidParameter("character lives on a different ring")
     if not is_generating(char):
         raise InvalidParameter("character is not generating")
-    cache = partition.__dict__.setdefault("_kraw_cache", {})
-    cache_key = (char.key(), side)
-    if cache_key not in cache:
-        cache[cache_key] = _table(partition, char, side)
-    return cache[cache_key]
+    cache, key = partition.__dict__.setdefault("_kraw_cache", {}), char.key()
+    if (key, side) not in cache:
+        table = _table(partition, char, side)
+        cache.update({(key, s): replace(table, side=s) for s in _sharing(ring, side)})
+    return cache[key, side]
+
+
+def _sharing(ring: FiniteRing, side: str) -> tuple[str, ...]:
+    """The sides a result on ``side`` holds for: both if ab = ba, Ux = xU."""
+    return ("left", "right") if ring.is_commutative else (side,)
 
 
 def _table(partition: Partition, char: Character, side: str) -> KrawtchoukTable:
@@ -172,7 +178,7 @@ def _table(partition: Partition, char: Character, side: str) -> KrawtchoukTable:
                             f"coordinate updates, more than {_DIVISION_WORK}")
     where = f"{ring.expr}, character of order {order}, {side} table"
     if invariant:
-        parts = [_block_sums(block_of[other.reps], nblocks, char, side, where)[..., None]]
+        coeffs = _block_sums(block_of[other.reps], nblocks, char, side, where)[..., None]
     else:  # an element's column sums over one kernel call
         kernel = ring.mul_col if side == "left" else ring.mul_row
         counts = _kernel_counts(block_of, nblocks, char, map(kernel, reps.tolist()))
@@ -180,7 +186,8 @@ def _table(partition: Partition, char: Character, side: str) -> KrawtchoukTable:
             parts = [cyclotomic.rational_sums(order, c, where)[..., None] for c in counts]
         else:
             parts = [cyclotomic.reduce_exponent_counts(order, c) for c in counts]
-    table = KrawtchoukTable(partition, char, side, np.concatenate(parts), orbit_of)
+        coeffs = np.concatenate(parts)
+    table = KrawtchoukTable(partition, char, side, coeffs, orbit_of)
     _check_table(table, where)
     return table
 
@@ -214,24 +221,28 @@ def _orbit_sums(char: Character, side: str, where: str) -> np.ndarray:
         counts = _kernel_counts(other_of, len(other_reps), char, leaf.orbit_index(side).images)
         sums = _frozen(np.concatenate([cyclotomic.rational_sums(char.order, c, where)
                                        for c in counts]))
-        cache.update(dict.fromkeys(("left", "right") if leaf.is_commutative else (side,), sums))
+        cache.update(dict.fromkeys(_sharing(leaf, side), sums))
     return cache[side]
 
 
 def _block_sums(block_of_orbit: np.ndarray, nblocks: int, char: Character, side: str,
                 where: str) -> np.ndarray:
     """The rational table [orbit, block] of a partition invariant on the
-    other side: the 0/1 map from other-side orbits to blocks, one axis per
-    leaf (orbit ids are mixed radix over the leaves), contracted with each
-    leaf's ``_orbit_sums`` in turn.  Each partial sum adds at most |R|
-    roots of unity, so int64 is exact."""
+    other side: per slab of blocks, the 0/1 map from other-side orbits to
+    them, one axis per leaf (orbit ids are mixed radix over the leaves),
+    contracted with each leaf's ``_orbit_sums`` in turn.  Each partial sum
+    adds at most |R| roots of unity, so int64 is exact."""
     sums = [_orbit_sums(c, side, where) for c in restrictions(char)]
-    acc = np.zeros((len(block_of_orbit), nblocks), dtype=np.int64)
-    acc[np.arange(len(block_of_orbit)), block_of_orbit] = 1
-    acc = acc.reshape([s.shape[1] for s in sums] + [nblocks])
-    for s in sums:  # [O_i, ..., O_k, block, b_1, ..., b_i-1] -> [O_i+1, ..., block, ..., b_i]
-        acc = np.tensordot(acc, s, axes=(0, 1))
-    return np.ascontiguousarray(acc.reshape(nblocks, -1).T)
+    table = np.empty((prod(len(s) for s in sums), nblocks), dtype=np.int64)
+    step = max(1, _SLAB_ENTRIES // prod(max(s.shape) for s in sums))
+    for start in range(0, nblocks, step):
+        blocks = np.arange(start, min(start + step, nblocks))
+        acc = (block_of_orbit[:, None] == blocks).astype(np.int64)
+        acc = acc.reshape([s.shape[1] for s in sums] + [len(blocks)])
+        for s in sums:  # [O_i, ..., O_k, block, b_1, ..., b_i-1] -> [O_i+1, ..., block, ..., b_i]
+            acc = np.tensordot(acc, s, axes=(0, 1))
+        table[:, start:start + len(blocks)] = acc.reshape(len(blocks), -1).T
+    return table
 
 
 def _check_table(table: KrawtchoukTable, where: str) -> None:
@@ -263,9 +274,13 @@ def dual_partition(partition: Partition, char: Character, side: str) -> Partitio
     grouped on the table's orbits, so each dual block is a union of orbits.
     """
     table = krawtchouk_table(partition, char, side)
-    rows = np.ascontiguousarray(table.coeffs.reshape(len(table.coeffs), -1))
-    _, group = np.unique(_row_keys(rows), return_inverse=True)
-    return Partition.from_classes(partition.ring, group, table.orbit_of)
+    cache, key = partition.__dict__.setdefault("_dual_cache", {}), char.key()
+    if (key, side) not in cache:
+        rows = np.ascontiguousarray(table.coeffs.reshape(len(table.coeffs), -1))
+        _, group = np.unique(_row_keys(rows), return_inverse=True)
+        dual = Partition.from_classes(partition.ring, group, table.orbit_of)
+        cache.update(dict.fromkeys([(key, s) for s in _sharing(partition.ring, side)], dual))
+    return cache[key, side]
 
 
 def is_self_dual(partition: Partition, char: Character | None = None) -> bool:
@@ -309,7 +324,7 @@ def left_right_agreement(partition: Partition, char: Character | None = None) ->
 def character_independence_check(partition: Partition) -> bool:
     """Do all generating characters, one at a time, give the same left/right tables?"""
     base = canonical_generating_character(partition.ring)
-    refs = {side: krawtchouk_table(partition, base, side) for side in ("left", "right")}
+    refs = {side: krawtchouk_table(partition, base, side) for side in _sides(partition.ring)}
     return all(same_entries(refs[side], _table(partition, char, side))
                for char in generating_translates(partition.ring) for side in refs)
 

@@ -45,6 +45,7 @@ DEFAULT_SIZE_GUARD = 10000
 
 _COMPARE_BLOCK = 1 << 17  # table entries compared per step in validate_tables
 _TILE = 128  # side of the tiles in which validate_tables compares + with its transpose
+_RANK_CHUNK = 1 << 17  # digit products MatrixRing.ranks holds per elimination step
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -599,7 +600,7 @@ class MatrixRing(AlgebraRing):
 
     @cached_property
     def ranks(self) -> np.ndarray:
-        """Rank of every matrix, by one Gaussian elimination over all of them.
+        """Rank of every matrix, by Gaussian elimination over chunks of them.
 
         Column by column, each matrix with a nonzero entry there takes the
         first such row as pivot and replaces every row r by
@@ -615,16 +616,19 @@ class MatrixRing(AlgebraRing):
             xy = x[..., :, None] * y[..., None, :]
             return xy.reshape(*xy.shape[:-2], k * k) @ tensor
 
-        mats = self._digits.reshape(self.size, m * m, k)[:, ::-1].copy().reshape(-1, m, m, k)
+        digits = self._digits.reshape(self.size, m * m, k)[:, ::-1]
         rank = np.zeros(self.size, dtype=np.int64)
-        for col in range(m):
-            nonzero = mats[:, :, col].any(axis=-1)
-            idx = np.flatnonzero(nonzero.any(axis=1))
-            rows = mats[idx]
-            pivot = rows[np.arange(len(idx)), nonzero[idx].argmax(axis=1)][:, None]
-            cleared = times(pivot[:, :, col, None], rows) - times(rows[:, :, col, None], pivot)
-            mats[idx] = cleared % self.p
-            rank[idx] += 1
+        step = max(1, _RANK_CHUNK // (m * m * k * k))
+        for i in range(0, self.size, step):
+            mats, chunk = digits[i:i + step].reshape(-1, m, m, k).copy(), rank[i:i + step]
+            for col in range(m):
+                nonzero = mats[:, :, col].any(axis=-1)
+                idx = np.flatnonzero(nonzero.any(axis=1))
+                rows = mats[idx]
+                pivot = rows[np.arange(len(idx)), nonzero[idx].argmax(axis=1)][:, None]
+                cleared = times(pivot[:, :, col, None], rows) - times(rows[:, :, col, None], pivot)
+                mats[idx] = cleared % self.p
+                chunk[idx] += 1
         return rank
 
     def _compute_units(self):

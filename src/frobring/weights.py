@@ -10,7 +10,8 @@ for a generating character chi; the sum over chi(u x) must give the
 same value and both are asserted.  The unit sum is a rational integer,
 so a table holds one integer numerator |R*| - s(x) per element over the
 single denominator |R*|, and is checked against the defining equations
-on both sides in that integer form.  The sums and the checks run once
+on both sides in that integer form; on a commutative ring, or leaf, the
+two sides are one computation.  The sums and the checks run once
 per unit orbit, on the image rows the ring's orbit index keeps, since
 Rx = R(ux) and the unit sum is the same along Ux and along xU.  On a
 direct product both run on the factors: the unit sum
@@ -26,14 +27,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache as memoized, cached_property
 from itertools import accumulate
 from math import comb
 
 import numpy as np
 
 from . import cyclotomic
-from .characters import Character, canonical_generating_character, restrictions
+from .characters import Character, _sides, canonical_generating_character, restrictions
 from .errors import InternalInconsistency, InvalidParameter
 from .rings import FiniteRing, _frozen, _image_masks, _mixed_radix, _outer
 
@@ -165,7 +166,8 @@ def _validate_homogeneous(ring: FiniteRing, num: np.ndarray, denom: int) -> None
     side is decided once per unit orbit: the weight must be constant on
     every orbit, equal on orbits whose representatives generate the same
     ideal, and average 1 over each distinct nonzero principal ideal.
-    That is every equation the definition poses at every element.
+    That is every equation the definition poses at every element, the
+    right side of a commutative ring or leaf being its left side.
 
     The ideal of a representative (x_1, ..., x_k) of a product is the
     product of the leaves' ideals, so with M_i the principal-ideal matrix
@@ -181,8 +183,8 @@ def _validate_homogeneous(ring: FiniteRing, num: np.ndarray, denom: int) -> None
     if num[0] != 0:
         raise InternalInconsistency(
             f"{ring.expr}: weight of 0 is {Fraction(int(num[0]), denom)}, not 0")
-    leaves = ring.leaves
-    for side in ("left", "right"):
+    leaves, ideals = ring.leaves, memoized(_orbit_ideals)
+    for side in _sides(ring):
         reps, _, rep_of, _ = ring.orbit_index(side)
         off = np.flatnonzero(num[rep_of] != num)
         if len(off):
@@ -191,7 +193,8 @@ def _validate_homogeneous(ring: FiniteRing, num: np.ndarray, denom: int) -> None
                 f"{ring.expr}: weight is not constant on the {side} unit orbit "
                 f"of {rep_of[x]} (element {x})"
             )
-        masks, firsts = zip(*(_orbit_ideals(leaf, side) for leaf in leaves))
+        masks, firsts = zip(*(ideals(leaf, side if side in _sides(leaf) else "left")
+                              for leaf in leaves))
         totals = num.reshape([leaf.size for leaf in leaves])
         for axis, leaf_masks in enumerate(masks):  # M_i times totals along axis i
             rows = np.moveaxis(totals, axis, 0)
@@ -264,12 +267,12 @@ def weight_table(ring: FiniteRing, char: Character | None = None) -> WeightTable
         return cache[key]
     nunits = len(ring.units)
     left = _unit_sums(ring, char, "left")
-    right = _unit_sums(ring, char, "right")
-    differ = np.flatnonzero(left != right)
-    if len(differ):
-        raise InternalInconsistency(
-            f"{ring.expr}: one-sided unit sums differ at {int(differ[0])}"
-        )
+    if not ring.is_commutative:  # else chi(ux) = chi(xu) at every unit: one sum
+        differ = np.flatnonzero(left != _unit_sums(ring, char, "right"))
+        if len(differ):
+            raise InternalInconsistency(
+                f"{ring.expr}: one-sided unit sums differ at {int(differ[0])}"
+            )
     num = _frozen(nunits - left)
     _validate_homogeneous(ring, num, nunits)
     table = cache[key] = WeightTable(ring, num, nunits)

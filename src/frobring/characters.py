@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CharacterSearchFailed, InternalInconsistency, InvalidParameter
 from .rings import (AlgebraRing, FiniteRing, ProductRing, TableRing, ZmodRing, _check_side,
-                    _frozen, _outer)
+                    _frozen, _held, _outer, _sides)
 
 
 def _check_hom(ring: FiniteRing, exponents: np.ndarray, order: int) -> bool:
@@ -145,26 +145,30 @@ def _kernel_holds_ideal(char: Character, side: str) -> bool:
     return False
 
 
-def _sides(ring: FiniteRing) -> tuple[str, ...]:
-    """The sides to decide a one-sided fact on: left alone if xR = Rx."""
-    return ("left",) if ring.is_commutative else ("left", "right")
-
-
 def is_generating(char: Character) -> bool:
     """True iff the kernel of chi contains no nonzero one-sided ideal.
 
     Equivalently: for every x != 0 some left multiple and some right
     multiple of x fall outside the kernel.  Every one-sided ideal of a
     product is a product I_1 x I_2 of the factors' ones, so chi is
-    generating iff every restriction is, each decided once and cached; a
-    leaf decides its right side too unless it is commutative.
+    generating iff every restriction is, each decided once, on the sides
+    its leaf differs on, and cached.
     """
-    if getattr(char, "_generating", None) is None:
-        for c in restrictions(char):
-            if getattr(c, "_generating", None) is None:
-                c._generating = not any(_kernel_holds_ideal(c, s) for s in _sides(c.ring))
-        char._generating = all(c._generating for c in restrictions(char))
-    return char._generating
+    def leaf(c):
+        return _held(c, "_generating",
+                     lambda: not any(_kernel_holds_ideal(c, s) for s in _sides(c.ring)))
+
+    return _held(char, "_generating", lambda: all([leaf(c) for c in restrictions(char)]))
+
+
+def _check_generating(ring: FiniteRing, char: Character) -> None:
+    """Refuse a character that is not a generating character of ``ring``."""
+    if char.ring is not ring:
+        raise InvalidParameter(f"{ring.expr}: the character of order {char.order} "
+                               f"lives on a different ring, {char.ring.expr}")
+    if not is_generating(char):
+        raise InvalidParameter(f"{ring.expr}: the character of order {char.order} "
+                               "is not generating")
 
 
 def is_symmetric(char: Character) -> bool:
@@ -212,9 +216,10 @@ def canonical_generating_character(ring: FiniteRing) -> Character:
     table ring (user tables, a radical quotient) uses its supplied
     exponents, else falls back to the search.
     """
-    cached = getattr(ring, "_canonical_char", None)
-    if cached is not None:
-        return cached
+    return _held(ring, "_canonical_char", lambda: _checked_canonical(ring))
+
+
+def _checked_canonical(ring: FiniteRing) -> Character:
     char = _canonical(ring)
     if not is_generating(char):
         if not ring.is_frobenius:  # then no character is generating
@@ -227,7 +232,6 @@ def canonical_generating_character(ring: FiniteRing) -> Character:
             f"{ring.expr}: the kernel of the canonical character of order "
             f"{char.order} holds a nonzero {side} ideal{where}"
         )
-    ring._canonical_char = char
     return char
 
 

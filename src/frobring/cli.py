@@ -485,7 +485,7 @@ def cmd_partition(args) -> int:
     return 0
 
 
-def _sides(args) -> list[str]:
+def _requested_sides(args) -> list[str]:
     side = getattr(args, "side", "left") or "left"
     return ["left", "right"] if side == "both" else [side]
 
@@ -501,7 +501,7 @@ def cmd_dual(args) -> int:
         "primal_num_blocks": part.num_blocks,
     }
     duals = {}
-    for side in _sides(args):
+    for side in _requested_sides(args):
         d = duals[side] = duality.dual_partition(part, char, side)
         payload[side] = {
             "num_blocks": d.num_blocks,
@@ -523,7 +523,7 @@ def cmd_krawtchouk(args) -> int:
     part = select_partition(ring, args.partition, char if args.partition == "hom" else None)
     payload = {"command": "krawtchouk", "ring": ring.expr, "partition_kind": args.partition}
     tables = {}
-    for side in _sides(args):
+    for side in _requested_sides(args):
         tables[side] = duality.krawtchouk_table(part, char, side)
         payload[side] = tables[side].to_json()
     if len(tables) == 2:

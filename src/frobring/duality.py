@@ -40,18 +40,18 @@ orbits to blocks, and the table is checked as any other.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 from math import comb, prod
 
 import numpy as np
 
 from . import cyclotomic
-from .characters import (Character, _sides, canonical_generating_character,
-                         generating_translates, is_generating, restrictions)
+from .characters import (Character, _check_generating, canonical_generating_character,
+                         generating_translates, restrictions)
 from .errors import InternalInconsistency, InvalidParameter, ResourceLimit
 from .partitions import Partition, equals
-from .rings import FiniteRing, _check_side, _frozen
+from .rings import _check_side, _frozen, _held, _sides
 from .weights import gaussian
 
 _COUNT_CHUNK = 1 << 21  # exponent counts held at once, in int64 entries
@@ -136,21 +136,9 @@ def same_entries(a: KrawtchoukTable, b: KrawtchoukTable) -> bool:
 
 def krawtchouk_table(partition: Partition, char: Character, side: str) -> KrawtchoukTable:
     _check_side(side)
-    ring = partition.ring
-    if char.ring is not ring:
-        raise InvalidParameter("character lives on a different ring")
-    if not is_generating(char):
-        raise InvalidParameter("character is not generating")
-    cache, key = partition.__dict__.setdefault("_kraw_cache", {}), char.key()
-    if (key, side) not in cache:
-        table = _table(partition, char, side)
-        cache.update({(key, s): replace(table, side=s) for s in _sharing(ring, side)})
-    return cache[key, side]
-
-
-def _sharing(ring: FiniteRing, side: str) -> tuple[str, ...]:
-    """The sides a result on ``side`` holds for: both if ab = ba, Ux = xU."""
-    return ("left", "right") if ring.is_commutative else (side,)
+    _check_generating(partition.ring, char)
+    return _held(partition, "_kraw_cache", lambda: _table(partition, char, side),
+                 key=char.key(), side=side)
 
 
 def _table(partition: Partition, char: Character, side: str) -> KrawtchoukTable:
@@ -212,17 +200,15 @@ def _orbit_sums(char: Character, side: str, where: str) -> np.ndarray:
     row passes ``cyclotomic.rational_sums``, whose messages start with
     ``where``.  Cached on the character per side, orbits(side) x
     orbits(other) <= n^2 int64 entries, as ``orbit_index`` bounds its rows:
-    no more than a ``TableRing``'s own two int32 tables.  A commutative
-    leaf has ab = ba and Ux = xU, so its right sums are its left ones."""
-    cache = char.__dict__.setdefault("_orbit_sums", {})
-    if side not in cache:
+    no more than a ``TableRing``'s own two int32 tables."""
+    def count():
         leaf = char.ring
-        other_reps, other_of = leaf.unit_orbits("right" if side == "left" else "left")
+        other_reps, other_of = leaf.orbit_index("right" if side == "left" else "left")[:2]
         counts = _kernel_counts(other_of, len(other_reps), char, leaf.orbit_index(side).images)
-        sums = _frozen(np.concatenate([cyclotomic.rational_sums(char.order, c, where)
+        return _frozen(np.concatenate([cyclotomic.rational_sums(char.order, c, where)
                                        for c in counts]))
-        cache.update(dict.fromkeys(_sharing(leaf, side), sums))
-    return cache[side]
+
+    return _held(char, "_orbit_sums", count, side=side)
 
 
 def _block_sums(block_of_orbit: np.ndarray, nblocks: int, char: Character, side: str,
@@ -274,13 +260,13 @@ def dual_partition(partition: Partition, char: Character, side: str) -> Partitio
     grouped on the table's orbits, so each dual block is a union of orbits.
     """
     table = krawtchouk_table(partition, char, side)
-    cache, key = partition.__dict__.setdefault("_dual_cache", {}), char.key()
-    if (key, side) not in cache:
+
+    def grouped():
         rows = np.ascontiguousarray(table.coeffs.reshape(len(table.coeffs), -1))
         _, group = np.unique(_row_keys(rows), return_inverse=True)
-        dual = Partition.from_classes(partition.ring, group, table.orbit_of)
-        cache.update(dict.fromkeys([(key, s) for s in _sharing(partition.ring, side)], dual))
-    return cache[key, side]
+        return Partition.from_classes(partition.ring, group, table.orbit_of)
+
+    return _held(partition, "_dual_cache", grouped, key=char.key(), side=side)
 
 
 def is_self_dual(partition: Partition, char: Character | None = None) -> bool:

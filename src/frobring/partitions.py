@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidParameter
-from .rings import (FiniteRing, GaloisField, MatrixRing, ProductRing, _frozen,
+from .rings import (FiniteRing, GaloisField, MatrixRing, ProductRing, _frozen, _held,
                     builtin_ring, cayley_tables)
 from .weights import WeightTable, weight_table
 
@@ -62,7 +62,7 @@ class Partition:
         orbits, if the ring has indexed them, are grouped once per orbit.
         """
         keys = np.asarray(keys)
-        index = getattr(ring, "_orbit_cache", {}).get("left")
+        index = _held(ring, "_orbit_cache", side="left")
         if index is None or not np.array_equal(keys[index.rep_of], keys):
             return cls.from_classes(ring, keys, np.arange(ring.size), label)
         return cls.from_classes(ring, keys[index.reps], index.orbit_of, label)
@@ -239,8 +239,8 @@ _EX5_5_B3 = 5
 
 def _unit_orbit(ring: FiniteRing, x: int) -> np.ndarray:
     """The two-sided unit orbit UxU: the right orbits met by the left orbit Ux."""
-    _, left = ring.unit_orbits("left")
-    _, right = ring.unit_orbits("right")
+    left = ring.orbit_index("left").orbit_of
+    right = ring.orbit_index("right").orbit_of
     return np.flatnonzero(np.isin(right, right[left == left[x]]))
 
 

@@ -11,14 +11,16 @@ Families: integers mod n, finite algebras over F_p given by structure
 constants (Galois fields, full matrix rings over a Galois field, and the
 builtin rings such as ex5_5), finite direct products, and explicit table
 rings built from user Cayley data.  Derived structure (units, Jacobson
-radical, socles, the radical quotient) is computed by
-the defining property in each case.  Properties that depend only on a principal
-ideal Rx = R(ux) or xR = (xu)R are decided once per unit orbit, on the
-image rows the cached ``orbit_index`` keeps, and biadditive identities
-such as commutativity on pairs of generators of (R,+).  A set of
+radical, socles, the radical quotient) is computed by the defining
+property in each case.  Properties that depend only on a principal ideal
+Rx = R(ux) or xR = (xu)R are decided once per unit orbit, on the image
+rows the cached ``orbit_index`` keeps, and biadditive identities such as
+commutativity on pairs of generators of (R,+).  A one-sided fact is
+decided on the sides ``_sides`` names, the left alone on a commutative
+ring, and every cached result is held through ``_held``.  A set of
 elements (the units, the radical, a socle) is held as a sorted read-only
-int64 array of indices.  A direct product takes its units, unit orbits, radical,
-socles and Frobenius test from its factors, in mixed radix.
+int64 array of indices.  A direct product takes its units, unit orbits,
+radical, socles and Frobenius test from its factors, in mixed radix.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
+from dataclasses import replace
 from functools import cached_property, reduce
 from itertools import product as iter_product
 from math import lcm
@@ -57,6 +60,36 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 def _check_side(side: str) -> None:
     if side not in ("left", "right"):
         raise InvalidParameter(f"side must be 'left' or 'right', got {side!r}")
+
+
+def _sides(ring: FiniteRing) -> tuple[str, ...]:
+    """The sides a one-sided fact of the ring is decided on: left alone if
+    the ring is commutative, where ab = ba and Ux = xU make the right side
+    the left side, else both."""
+    return ("left",) if ring.is_commutative else ("left", "right")
+
+
+def _held(owner, name: str, compute=None, key=None, side: str | None = None):
+    """The result ``compute()`` held on ``owner``, computed once: the entry
+    (key, side) of the dict attribute ``name``.
+
+    A one-sided result of a ring (``owner``, else ``owner.ring``) decided
+    on the left alone (``_sides``) is filed under both sides, as a copy
+    relabelled with the other side if the value carries its side.  With
+    no ``compute`` the result is only looked up: None if it is not held.
+    """
+    held = owner.__dict__
+    try:
+        return held[name][key, side]
+    except KeyError:
+        if compute is None:
+            return None
+    value = compute()
+    cache = held.setdefault(name, {})
+    ring = owner if isinstance(owner, FiniteRing) else owner.ring
+    for s in (side,) if side is None or len(_sides(ring)) > 1 else ("left", "right"):
+        cache[key, s] = value if getattr(value, "side", s) == s else replace(value, side=s)
+    return cache[key, side]
 
 
 def _size_guard(max_size: int | None) -> int:
@@ -129,14 +162,12 @@ class FiniteRing:
 
     # -- vector kernels ----------------------------------------------------
 
+    @cached_property
+    def _arange(self) -> np.ndarray:
+        return np.arange(self.size, dtype=np.int64)
+
     def _indices(self, sel) -> np.ndarray:
-        if sel is None:
-            cached = getattr(self, "_arange", None)
-            if cached is None:
-                cached = np.arange(self.size, dtype=np.int64)
-                self._arange = cached
-            return cached
-        return np.asarray(sel, dtype=np.int64)
+        return self._arange if sel is None else np.asarray(sel, dtype=np.int64)
 
     def add_row(self, a: int, cols=None) -> np.ndarray:
         """Vector of a + b over b in cols (all elements by default)."""
@@ -209,11 +240,6 @@ class FiniteRing:
                 out.append(x)
         return np.array(out, dtype=np.int64)
 
-    def unit_orbits(self, side: str = "left") -> tuple[np.ndarray, np.ndarray]:
-        """The representatives and the orbit id of every element, from
-        ``orbit_index``."""
-        return self.orbit_index(side)[:2]
-
     def orbit_index(self, side: str = "left") -> OrbitIndex:
         """The unit orbits Ux (side 'left') or xU ('right'), indexed once.
 
@@ -225,20 +251,12 @@ class FiniteRing:
         indexes the ring, for every consumer that reads Rr or rR: at most
         orbits x n <= n^2 entries, which for a ``TableRing`` is no more
         than its own tables.  Above the default size guard that can be
-        large (Z720720 has 240 orbits, about 0.7 GB of uint32 rows).  A
-        commutative ring has Ux = xU and a*r = r*a, so its right index is
-        its left one.
+        large (Z720720 has 240 orbits, about 0.7 GB of uint32 rows).
         """
         _check_side(side)
-        cache = getattr(self, "_orbit_cache", None)
-        if cache is None:
-            cache = self._orbit_cache = {}
-        if side == "right" and side not in cache and self.is_commutative:
-            cache[side] = self.orbit_index("left")
-        if side not in cache:
-            index = self._compute_unit_orbits(side)
-            cache[side] = OrbitIndex(*(a if a is None else _frozen(a) for a in index))
-        return cache[side]
+        return _held(self, "_orbit_cache", lambda: OrbitIndex(
+            *(a if a is None else _frozen(a) for a in self._compute_unit_orbits(side))),
+            side=side)
 
     def _compute_unit_orbits(self, side: str) -> OrbitIndex:
         units = self.units
@@ -280,12 +298,7 @@ class FiniteRing:
         read at the radical, decides its orbit.
         """
         _check_side(side)
-        cache = getattr(self, "_socle_cache", None)
-        if cache is None:
-            cache = self._socle_cache = {}
-        if side not in cache:
-            cache[side] = _frozen(self._compute_socle(side))
-        return cache[side]
+        return _held(self, "_socle_cache", lambda: _frozen(self._compute_socle(side)), side=side)
 
     def _compute_socle(self, side: str) -> np.ndarray:
         index = self.orbit_index(side)
@@ -303,19 +316,15 @@ class FiniteRing:
     @cached_property
     def is_frobenius(self) -> bool:
         """True iff each socle is generated by a single element on its side."""
-        left_ok = self._socle_is_principal("left")
-        right_ok = self._socle_is_principal("right")
-        if left_ok != right_ok:
-            raise InternalInconsistency(
-                "one-sided principal-socle conditions disagree; they are "
-                "equivalent for finite rings"
-            )
-        if left_ok and not np.array_equal(self.socle_members("left"),
-                                          self.socle_members("right")):
-            raise InternalInconsistency(
-                "left and right socles differ on a ring with principal socles"
-            )
-        return left_ok and right_ok
+        principal = [self._socle_is_principal(side) for side in _sides(self)]
+        if principal[0] != principal[-1]:
+            raise InternalInconsistency("one-sided principal-socle conditions disagree; they "
+                                        "are equivalent for finite rings")
+        if principal[0] and not np.array_equal(self.socle_members("left"),
+                                               self.socle_members("right")):
+            raise InternalInconsistency("left and right socles differ on a ring with "
+                                        "principal socles")
+        return principal[0]
 
     def quotient_by_radical(self):
         """Quotient ring R/rad(R) as a table ring, plus the projection map.
@@ -323,14 +332,13 @@ class FiniteRing:
         Cosets are indexed in order of first appearance when scanning
         element indices upward, so the zero coset gets index 0.
         """
-        cached = getattr(self, "_quotient_cache", None)
-        if cached is not None:
-            return cached
+        return _held(self, "_quotient_cache", self._compute_quotient)
+
+    def _compute_quotient(self):
         rad = self.radical
         if len(rad) == 1:
             # already semisimple: the quotient is the ring itself
-            self._quotient_cache = (self, list(range(self.size)))
-            return self._quotient_cache
+            return self, list(range(self.size))
         n = self.size
         pi = [-1] * n
         reps = []
@@ -348,8 +356,7 @@ class FiniteRing:
                 "name": f"{self.expr} mod radical"}
         qring = build_table_ring(spec, max_size=self.size)
         qring.structure = self.structure
-        self._quotient_cache = (qring, pi)
-        return self._quotient_cache
+        return qring, pi
 
     @property
     def leaves(self) -> tuple[FiniteRing, ...]:
@@ -744,7 +751,7 @@ class ProductRing(FiniteRing):
     def _compute_unit_orbits(self, side):
         # the least member of U_1x_1 x U_2x_2 is the pair of the factors' least
         # members, and the encoding is lexicographic, so ids follow the reps
-        orbits = [f.unit_orbits(side) for f in self.factors]
+        orbits = [f.orbit_index(side)[:2] for f in self.factors]
         reps = _mixed_radix([reps for reps, _ in orbits], self.sizes)
         orbit_of = _mixed_radix([orbit_of for _, orbit_of in orbits],
                                 [len(reps) for reps, _ in orbits])

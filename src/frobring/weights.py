@@ -10,10 +10,10 @@ for a generating character chi; the sum over chi(u x) must give the
 same value and both are asserted.  The unit sum is a rational integer,
 so a table holds one integer numerator |R*| - s(x) per element over the
 single denominator |R*|, and is checked against the defining equations
-on both sides in that integer form; on a commutative ring, or leaf, the
-two sides are one computation.  The sums and the checks run once
-per unit orbit, on the image rows the ring's orbit index keeps, since
-Rx = R(ux) and the unit sum is the same along Ux and along xU.  On a
+in that integer form, on each side the ring differs on
+(``rings._sides``).  The sums and the checks run once per unit orbit,
+on the image rows the ring's orbit index keeps, since Rx = R(ux) and
+the unit sum is the same along Ux and along xU.  On a
 direct product both run on the factors: the unit sum
 at (x_1, x_2) is s_1(x_1) s_2(x_2) under the restricted characters, and
 the principal ideal of (x_1, x_2) is R_1 x_1 x R_2 x_2, so every ideal
@@ -34,9 +34,10 @@ from math import comb
 import numpy as np
 
 from . import cyclotomic
-from .characters import Character, _sides, canonical_generating_character, restrictions
+from .characters import (Character, _check_generating, canonical_generating_character,
+                         restrictions)
 from .errors import InternalInconsistency, InvalidParameter
-from .rings import FiniteRing, _frozen, _image_masks, _mixed_radix, _outer
+from .rings import FiniteRing, _frozen, _held, _image_masks, _mixed_radix, _outer, _sides
 
 
 def gaussian(m: int, j: int, q: int) -> int:
@@ -166,8 +167,7 @@ def _validate_homogeneous(ring: FiniteRing, num: np.ndarray, denom: int) -> None
     side is decided once per unit orbit: the weight must be constant on
     every orbit, equal on orbits whose representatives generate the same
     ideal, and average 1 over each distinct nonzero principal ideal.
-    That is every equation the definition poses at every element, the
-    right side of a commutative ring or leaf being its left side.
+    That is every equation the definition poses at every element.
 
     The ideal of a representative (x_1, ..., x_k) of a product is the
     product of the leaves' ideals, so with M_i the principal-ideal matrix
@@ -248,35 +248,33 @@ def _unit_sums(ring: FiniteRing, char: Character, side: str) -> np.ndarray:
     where = f"{ring.expr}, character of order {order}, {side} unit sums"
     sums = cyclotomic.rational_sums(order, np.concatenate(counts), where)
     ends = accumulate(map(len, counts))
-    return _outer(np.multiply, [sums[end - len(n):end][leaf.unit_orbits(side)[1]]
+    return _outer(np.multiply, [sums[end - len(n):end][leaf.orbit_index(side).orbit_of]
                                 for leaf, n, end in zip(leaves, counts, ends)])
 
 
 def weight_table(ring: FiniteRing, char: Character | None = None) -> WeightTable:
     """All weights at once; validated against the defining equations.
 
-    Results are cached per character on the ring instance.
+    ``char`` must be a generating character of ``ring``.  Results are
+    cached per character on the ring instance.
     """
     if char is None:
         char = canonical_generating_character(ring)
-    cache = getattr(ring, "_weight_cache", None)
-    if cache is None:
-        cache = ring._weight_cache = {}
-    key = char.key()
-    if key in cache:
-        return cache[key]
+    _check_generating(ring, char)
+    return _held(ring, "_weight_cache", lambda: _weight_table(ring, char), key=char.key())
+
+
+def _weight_table(ring: FiniteRing, char: Character) -> WeightTable:
     nunits = len(ring.units)
-    left = _unit_sums(ring, char, "left")
-    if not ring.is_commutative:  # else chi(ux) = chi(xu) at every unit: one sum
-        differ = np.flatnonzero(left != _unit_sums(ring, char, "right"))
+    left, *right = (_unit_sums(ring, char, side) for side in _sides(ring))
+    for other in right:
+        differ = np.flatnonzero(left != other)
         if len(differ):
             raise InternalInconsistency(
-                f"{ring.expr}: one-sided unit sums differ at {int(differ[0])}"
-            )
+                f"{ring.expr}: one-sided unit sums differ at {int(differ[0])}")
     num = _frozen(nunits - left)
     _validate_homogeneous(ring, num, nunits)
-    table = cache[key] = WeightTable(ring, num, nunits)
-    return table
+    return WeightTable(ring, num, nunits)
 
 
 def socle_weight_consistency(ring: FiniteRing, char: Character | None = None) -> bool:

@@ -924,12 +924,12 @@ def structure_by_orbit_scan(ring) -> tuple:
     among the orbit representatives inside it."""
     one_plus = ring.add_row(ring.one)
     is_unit = np.isin(np.arange(ring.size), ring.units)
-    reps, orbit_of = ring.unit_orbits("left")
+    reps, orbit_of = ring.orbit_index("left")[:2]
     inside = np.array([is_unit[one_plus[ring.mul_col(x)]].all() for x in reps.tolist()])
     radical = np.flatnonzero(inside[orbit_of])
     socles, principal = [], []
     for side in ("left", "right"):
-        reps, _ = ring.unit_orbits(side)
+        reps = ring.orbit_index(side).reps
         soc = np.ones(ring.size, dtype=bool)
         for j in reps[np.isin(reps, radical)].tolist():
             soc &= (ring.mul_row(j) if side == "left" else ring.mul_col(j)) == 0
@@ -947,7 +947,7 @@ def is_generating_by_orbits(char) -> bool:
     the kernel."""
     ring, exps = char.ring, char.exponents
     for side in ("left", "right"):
-        reps, _ = ring.unit_orbits(side)  # reps[0] = 0, whose orbit is {0}
+        reps = ring.orbit_index(side).reps  # reps[0] = 0, whose orbit is {0}
         for x in reps[1:].tolist():
             if not exps[ring.mul_col(x) if side == "left" else ring.mul_row(x)].any():
                 return False
@@ -958,7 +958,7 @@ def orbit_ideals_by_kernel(ring, side: str) -> tuple[np.ndarray, np.ndarray]:
     """The principal-ideal masks of the orbit representatives, one kernel
     call each, and for each representative the first one whose mask is
     equal, found by comparing masks pairwise."""
-    reps, _ = ring.unit_orbits(side)
+    reps = ring.orbit_index(side).reps
     masks = np.stack([principal_ideal_mask(ring, r, side) for r in reps.tolist()])
     first = [next(j for j in range(k + 1) if np.array_equal(masks[j], masks[k]))
              for k in range(len(reps))]
@@ -970,7 +970,7 @@ def unit_sums_by_orbits(ring, char, side: str) -> np.ndarray:
     whole ring per unit orbit: chi(u*x) on side 'left', chi(x*u) on 'right'."""
     traces = np.asarray(root_power_traces(char.order), dtype=np.int64)
     units_arr = np.asarray(ring.units, dtype=np.int64)
-    reps, orbit_of = ring.unit_orbits(side)
+    reps, orbit_of = ring.orbit_index(side)[:2]
     sums = []
     for x in reps.tolist():
         prods = ring.mul_col(x, units_arr) if side == "left" else ring.mul_row(x, units_arr)
@@ -989,7 +989,7 @@ def validate_homogeneous_by_orbits(ring, num: np.ndarray, denom: int) -> None:
         raise InternalInconsistency(
             f"{ring.expr}: weight of 0 is {Fraction(int(num[0]), denom)}, not 0")
     for side in ("left", "right"):
-        reps, orbit_of = ring.unit_orbits(side)
+        reps, orbit_of = ring.orbit_index(side)[:2]
         off = np.flatnonzero(num[reps[orbit_of]] != num)
         if len(off):
             x = int(off[0])
@@ -1023,7 +1023,7 @@ def krawtchouk_coeffs_by_orbit_columns(partition, char, side: str,
     ring = partition.ring
     order, nblocks = char.order, partition.num_blocks
     if reps is None:
-        reps, _ = ring.unit_orbits(side)
+        reps = ring.orbit_index(side).reps
     base = partition.block_of * order
     kernel = ring.mul_col if side == "left" else ring.mul_row
     counts = np.stack([np.bincount(base + char.exponents[kernel(b)], minlength=nblocks * order)

@@ -18,6 +18,7 @@ from frobring.cyclotomic import from_exponent_counts, reduce_exponent_counts
 from frobring.duality import krawtchouk_table
 from frobring.errors import InternalInconsistency, InvalidParameter
 from frobring.rings import (
+    _held,
     build_gf,
     build_matrix_ring,
     build_product,
@@ -535,7 +536,8 @@ def test_non_generating_canonical_character_names_the_failing_factor():
     with the product's character order and the side."""
     z4 = build_zmod(4)
     ring = build_product([build_matrix_ring(2, build_gf(2)), z4])
-    z4._canonical_char = Character(z4, [0, 2, 0, 2])  # its kernel holds the ideal {0, 2}
+    # held as Z4's canonical character, whose kernel holds the ideal {0, 2}
+    _held(z4, "_canonical_char", lambda: Character(z4, [0, 2, 0, 2]))
     with pytest.raises(InternalInconsistency) as err:
         canonical_generating_character(ring)
     assert str(err.value) == ("M(2,GF(2)) x Z4: the kernel of the canonical character of "

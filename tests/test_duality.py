@@ -523,7 +523,7 @@ def _assert_matches_oracle(partition):
 )
 def test_orbit_tables_match_oracle_on_invariant_partitions(partition):
     for table in _assert_matches_oracle(partition):
-        reps, _ = partition.ring.unit_orbits(table.side)
+        reps = partition.ring.orbit_index(table.side).reps
         assert len(table.coeffs) == len(reps)
 
 
@@ -578,13 +578,13 @@ def test_one_sided_orbit_partitions_match_oracle(expr, side):
     The table of the other side runs per orbit, this side's per element.
     """
     ring = build_ring(parse_ring(expr))
-    reps, orbit_of = ring.unit_orbits(side)
+    reps, orbit_of = ring.orbit_index(side)[:2]
     part = Partition(ring, [np.flatnonzero(orbit_of == k) for k in range(len(reps))])
     assert not is_invariant(part)
     tables = dict(zip(("left", "right"), _assert_matches_oracle(part)))
     other = "right" if side == "left" else "left"
     assert len(tables[side].coeffs) == ring.size
-    assert len(tables[other].coeffs) == len(ring.unit_orbits(other)[0])
+    assert len(tables[other].coeffs) == len(ring.orbit_index(other).reps)
 
 
 def test_singletons_take_the_identity_index(z8):
@@ -635,7 +635,7 @@ def test_rational_tables_match_the_division_route(ring):
     char = canonical_generating_character(ring)
     hom = hom_partition(ring, char)
     partitions = [hom, *(dual_partition(hom, char, side) for side in ("left", "right"))]
-    partitions += [Partition.from_keys(ring, ring.unit_orbits(side)[1])
+    partitions += [Partition.from_keys(ring, ring.orbit_index(side).orbit_of)
                    for side in ("left", "right")]
     if ring.expr == "ex5_5":
         partitions.append(ex5_5_partition(ring))
@@ -700,7 +700,7 @@ def test_orbit_grouping_matches_the_element_grouping(ring, unique_sizes):
                                   (dual, dual_partition(dual, char, other), other)):
             columns = list(map(tuple, rational_columns_by_element(parent, char, on).tolist()))
             _assert_matches_grouping(child, columns.__getitem__)
-    assert unique_sizes and max(unique_sizes) <= max(len(ring.unit_orbits(side)[0])
+    assert unique_sizes and max(unique_sizes) <= max(len(ring.orbit_index(side).reps)
                                                       for side in ("left", "right"))
 
 

@@ -56,7 +56,7 @@ def test_orbit_images_are_the_kernel_rows(ring, side):
     if len(ring.leaves) > 1:
         assert ring.orbit_index(side).images is None
         assert np.array_equal(ring.orbit_index(side).rep_of,
-                              ring.unit_orbits(side)[0][ring.unit_orbits(side)[1]])
+                              ring.orbit_index(side).reps[ring.orbit_index(side).orbit_of])
 
 
 @pytest.mark.parametrize("ring", CORPUS + NON_FROBENIUS, ids=ring_id)
@@ -87,7 +87,7 @@ def _characters(ring):
            translate(char, units[-1], "right")]
     is_unit = np.isin(np.arange(ring.size), ring.units)
     for side in ("left", "right"):
-        reps, _ = ring.unit_orbits(side)
+        reps = ring.orbit_index(side).reps
         out += [translate(char, r, side) for r in reps[~is_unit[reps]][1:3].tolist()]
     return out
 
@@ -137,6 +137,6 @@ def test_orbit_images_stay_within_their_bound():
         tracemalloc.stop()
     for side in ("left", "right"):
         images = ring.orbit_index(side).images
-        assert len(images) == len(ring.unit_orbits(side)[0]) == 28
+        assert len(images) == len(ring.orbit_index(side).reps) == 28
         assert images.nbytes <= len(images) * ring.size * 2
     assert peak < 24 << 20

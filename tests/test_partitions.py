@@ -604,14 +604,14 @@ def test_weight_partition_duals_and_reflexivity_group_no_element_keys(unique_siz
     for side in ("left", "right"):
         dual_partition(hom, char, side)
     assert is_reflexive(hom, char)
-    orbits = max(len(ring.unit_orbits(side)[0]) for side in ("left", "right"))
+    orbits = max(len(ring.orbit_index(side).reps) for side in ("left", "right"))
     assert unique_sizes and max(unique_sizes) <= orbits < ring.size
 
 
 def test_keys_off_the_unit_orbits_group_every_element(z12, unique_sizes):
     """{0, 1} against the rest splits the unit orbit {1, 5, 7, 11}, and
     singletons split every orbit: each groups one key per element."""
-    z12.unit_orbits("left")  # indexed, so only the keys decide
+    z12.orbit_index("left")  # indexed, so only the keys decide
     keys = [0, 0] + [1] * 10
     _assert_matches_grouping(Partition.from_keys(z12, keys), keys.__getitem__)
     _assert_matches_grouping(Partition.from_keys(z12, np.arange(12)), int)
@@ -622,7 +622,7 @@ def test_keys_off_the_unit_orbits_group_every_element(z12, unique_sizes):
 def test_product_of_non_invariant_factor_partitions_groups_every_element(unique_sizes):
     z4, z6 = build_zmod(4), build_zmod(6)
     ring = build_product([z4, z6])
-    ring.unit_orbits("left")
+    ring.orbit_index("left")
     left, right = Partition(z4, [[0, 1], [2, 3]]), Partition(z6, [[0, 1], [2, 3, 4, 5]])
     assert not (is_invariant(left) or is_invariant(right))
     unique_sizes.clear()
@@ -643,7 +643,7 @@ def test_product_of_non_invariant_factor_partitions_groups_every_element(unique_
 def test_from_keys_on_indexed_orbits_matches_the_oracle(ring, per_orbit, data):
     """Keys drawn once per left unit orbit, or once per element, on a ring
     whose orbits are indexed: blocks, order and labels as the oracle's."""
-    reps, orbit_of = ring.unit_orbits("left")
+    reps, orbit_of = ring.orbit_index("left")[:2]
     size = len(reps) if per_orbit else ring.size
     keys = np.array(data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)))
     if per_orbit:

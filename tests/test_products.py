@@ -171,8 +171,8 @@ def _reject_messages(ring, num, denom):
 @pytest.mark.parametrize("ring", CORPUS, ids=ring_id)
 def test_corrupted_numerators_are_rejected_naming_the_product(ring):
     table = weights.weight_table(ring)
-    _, left_of = ring.unit_orbits("left")
-    _, right_of = ring.unit_orbits("right")
+    left_of = ring.orbit_index("left").orbit_of
+    right_of = ring.orbit_index("right").orbit_of
     # a whole two-sided orbit changed keeps every one-sided orbit constant,
     # so only the ideal averages catch it
     x = int(ring.units[0]) if len(ring.units) < ring.size else 1
@@ -198,7 +198,7 @@ def test_krawtchouk_tables_match_the_orbit_columns(ring):
         hom = hom_partition(ring, char)
         for side in ("left", "right"):
             table = duality.krawtchouk_table(hom, char, side)
-            assert np.array_equal(table.orbit_of, ring.unit_orbits(side)[1])
+            assert np.array_equal(table.orbit_of, ring.orbit_index(side).orbit_of)
             assert table.coeffs.shape[2] == 1  # rational: one integer per entry
             assert np.array_equal(table.widen(table.coeffs),
                                   krawtchouk_coeffs_by_orbit_columns(hom, char, side))

@@ -729,28 +729,28 @@ def test_principal_ideals_match_oracle(ring, side):
 @pytest.mark.parametrize("ring", PROBE_RINGS, ids=ring_id)
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_unit_orbits_match_oracle(ring, side):
-    reps, orbit_of = ring.unit_orbits(side)
+    reps, orbit_of = ring.orbit_index(side)[:2]
     orbits = {}
     for x in range(ring.size):
         orbits.setdefault(int(orbit_of[x]), set()).add(x)
     assert {frozenset(o) for o in orbits.values()} == unit_orbits_oracle(ring, side)
     assert [min(orbits[i]) for i in range(len(reps))] == reps.tolist()
-    assert ring.unit_orbits(side)[1] is orbit_of
+    assert ring.orbit_index(side).orbit_of is orbit_of
 
 
 def test_unit_orbits_rejects_bad_side(z4):
     with pytest.raises(InvalidParameter):
-        z4.unit_orbits("both")
+        z4.orbit_index("both")
 
 
 @pytest.mark.parametrize("call", [
-    lambda ring, char, part: ring.unit_orbits("both"),
+    lambda ring, char, part: ring.orbit_index("both"),
     lambda ring, char, part: ring.socle_members("both"),
     lambda ring, char, part: principal_ideal_mask(ring, 1, "both"),
     lambda ring, char, part: characters.translate(char, 1, "both"),
     lambda ring, char, part: duality.krawtchouk_table(part, char, "both"),
     lambda ring, char, part: duality.dual_partition(part, char, "both"),
-], ids=["unit_orbits", "socle_members", "principal_ideal_mask", "translate",
+], ids=["orbit_index", "socle_members", "principal_ideal_mask", "translate",
         "krawtchouk_table", "dual_partition"])
 def test_every_side_argument_is_checked_alike(z4, call):
     char = canonical_generating_character(z4)
@@ -793,7 +793,7 @@ def test_product_tables_units_and_orbits_match_oracles(build):
     if small:
         assert list(ring.units) == units_oracle(ring)
     for side in ("left", "right"):
-        reps, orbit_of = ring.unit_orbits(side)
+        reps, orbit_of = ring.orbit_index(side)[:2]
         by_scan = FiniteRing._compute_unit_orbits(ring, side)
         assert np.array_equal(reps, by_scan[0]) and np.array_equal(orbit_of, by_scan[1])
         orbits = {frozenset(np.flatnonzero(orbit_of == k).tolist()) for k in range(len(reps))}
@@ -816,7 +816,7 @@ def test_product_tables_and_orbits_make_no_product_kernel_calls(monkeypatch):
         monkeypatch.setattr(ring, name, counting)
     assert not hasattr(ring, "add_table") and not hasattr(ring, "mul_table")
     assert len(ring.units) == 320
-    assert len(ring.unit_orbits("left")[0]) == len(ring.unit_orbits("right")[0]) == 12
+    assert len(ring.orbit_index("left").reps) == len(ring.orbit_index("right").reps) == 12
     assert calls == []
 
 
@@ -849,10 +849,10 @@ def test_orbit_routes_make_few_kernel_calls(monkeypatch):
         for leaf in ring.leaves:
             for side, name in (("left", "mul_col"), ("right", "mul_row")):
                 imaged = [x for r, n, x, whole in calls if r is leaf and n == name and whole]
-                assert sorted(imaged) == leaf.unit_orbits(side)[0].tolist()
+                assert sorted(imaged) == leaf.orbit_index(side).reps.tolist()
         if ring is square:
             assert [c for c in calls if c[0] is square] == []
-    assert len(square.unit_orbits("left")[0]) + len(square.unit_orbits("right")[0]) == 72
+    assert len(square.orbit_index("left").reps) + len(square.orbit_index("right").reps) == 72
 
 
 @pytest.mark.parametrize("build", [

@@ -17,7 +17,8 @@ from frobring.characters import (Character, canonical_generating_character, is_g
 from frobring.cli import build_ring, parse_ring
 from frobring.errors import InvalidParameter
 from frobring.partitions import hom_partition
-from frobring.rings import build_gf, build_product, build_zmod, builtin_ring
+from frobring.rings import (FiniteRing, ProductRing, build_gf, build_product, build_zmod,
+                            builtin_ring)
 
 from oracles import (dual_groups_by_unique_rows, is_generating_by_kernel_scan,
                      krawtchouk_table_by_element, rational_columns_by_element, ring_id,
@@ -86,6 +87,20 @@ def _counted(monkeypatch, module, name, key):
     return calls
 
 
+def _counted_method(monkeypatch, name):
+    """Count calls of the ring method ``name`` by (ring, side), on every
+    class that defines it."""
+    calls = Counter()
+    for cls in (FiniteRing, ProductRing):
+        if name in vars(cls):
+            def counting(ring, side, fn=vars(cls)[name]):
+                calls[ring, side] += 1
+                return fn(ring, side)
+
+            monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
 BUILDS = {
     **{expr: (lambda expr=expr: build_ring(parse_ring(expr))) for expr in COMMUTATIVE},
     "ex5_5": lambda: builtin_ring("ex5_5"),
@@ -96,15 +111,19 @@ BUILDS = {
 
 @pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS.keys())
 def test_one_sided_work_runs_once_per_differing_side(monkeypatch, build):
-    """From a fresh ring to both tables, both duals and is_reflexive, each
-    one-sided computation runs once on a commutative ring (per leaf where
-    it runs on the leaves) and twice on a noncommutative one or leaf."""
+    """From a fresh ring through describe() to both tables, both duals and
+    is_reflexive, each one-sided computation runs once on a commutative
+    ring (per leaf where it runs on the leaves) and once per side on a
+    noncommutative one or leaf."""
     ring = build()
+    structure = {name: _counted_method(monkeypatch, name)
+                 for name in ("_compute_unit_orbits", "_compute_socle", "_socle_is_principal")}
     sums = _counted(monkeypatch, weights, "_unit_sums", lambda ring, char, side: ring)
     ideals = _counted(monkeypatch, weights, "_orbit_ideals", lambda leaf, side: leaf)
     kernels = _counted(monkeypatch, characters, "_kernel_holds_ideal",
                        lambda char, side: char.ring)
     tables = _counted(monkeypatch, duality, "_table", lambda part, char, side: id(part))
+    ring.describe()
     char = canonical_generating_character(ring)
     hom = hom_partition(ring, char)
     for side in ("left", "right"):
@@ -112,6 +131,12 @@ def test_one_sided_work_runs_once_per_differing_side(monkeypatch, build):
         duality.dual_partition(hom, char, side)
     duality.is_reflexive(hom, char)
     sides = 1 if ring.is_commutative else 2
+    rings = {ring, *ring.leaves}
+    for name, calls in structure.items():
+        expected = {r: 1 if r.is_commutative else 2
+                    for r in (ring.leaves if name == "_socle_is_principal" else rings)}
+        assert Counter(r for r, _ in calls.elements()) == expected, name
+        assert max(calls.values()) == 1, name
     assert sums == {ring: sides}
     assert ideals == {leaf: 1 if leaf.is_commutative else 2 for leaf in ring.leaves}
     assert kernels == {leaf: 1 if leaf.is_commutative else 2 for leaf in ring.leaves}

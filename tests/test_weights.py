@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobring.characters import all_generating_characters
+from frobring.characters import (Character, all_generating_characters,
+                                 canonical_generating_character)
+from frobring.duality import krawtchouk_table
 from frobring.errors import InternalInconsistency, InvalidParameter
+from frobring.partitions import hom_partition
 from frobring.rings import (
     build_gf,
     build_matrix_ring,
@@ -458,3 +461,22 @@ def test_rank_weight_tends_to_one(q, m, data):
         assert dev <= prev
         if q ** (m - r + 1) > 2:
             assert dev < prev
+
+
+@pytest.mark.parametrize("route", [
+    weight_table, has_zero_weight_nonzero, socle_weight_consistency, hom_partition,
+    lambda ring, char: krawtchouk_table(hom_partition(ring), char, "left"),
+], ids=["weight_table", "has_zero_weight_nonzero", "socle_weight_consistency",
+        "hom_partition", "krawtchouk_table"])
+def test_weights_refuse_a_character_that_is_not_generating_on_the_ring(route):
+    """The character of another ring, or one whose kernel holds the
+    ideal {0, 2}, is the caller's input error, named with the ring, by the
+    one check weights and Krawtchouk tables share."""
+    z4 = build_zmod(4)
+    other = canonical_generating_character(build_gf(4))
+    with pytest.raises(InvalidParameter, match="^Z4: the character of order 2 lives on a "
+                                               r"different ring, GF\(4\)$"):
+        route(z4, other)
+    with pytest.raises(InvalidParameter,
+                       match="^Z4: the character of order 4 is not generating$"):
+        route(z4, Character(z4, [0, 2, 0, 2]))
